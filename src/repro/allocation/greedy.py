@@ -23,9 +23,9 @@ On top of this primitive the paper evaluates four heuristics (Figure 8):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.subnetwork import VirtualSubMesh, find_submesh_rows
+from ..core.subnetwork import VirtualSubMesh, find_submesh_masks
 from .grid import BoardGrid
 from .jobs import JobRequest, JobTrace, aspect_ratio_shapes
 from .locality import upper_level_fraction
@@ -75,17 +75,34 @@ class AllocationResult:
 
 
 class GreedyAllocator:
-    """Greedy allocator over a :class:`BoardGrid`."""
+    """Greedy allocator over a :class:`BoardGrid`.
+
+    The ``(u, v)`` shapes whose search found nothing are remembered until
+    the grid is next written (its :attr:`BoardGrid.version` moves): the
+    search depends only on the grid state, so on an unchanged grid it would
+    fail again.
+    """
 
     def __init__(self, grid: BoardGrid, options: AllocatorOptions = AllocatorOptions()):
         self.grid = grid
         self.options = options
+        self._misses: Set[Tuple[int, int]] = set()
+        self._misses_version = grid.version
 
     # ------------------------------------------------------------ primitives
     def _find(self, u: int, v: int) -> Optional[VirtualSubMesh]:
-        if u > self.grid.y or v > self.grid.x:
+        grid = self.grid
+        if u > grid.y or v > grid.x:
             return None
-        return find_submesh_rows(self.grid.row_available(), u, v, try_all_starts=True)
+        if grid.version != self._misses_version:
+            self._misses.clear()
+            self._misses_version = grid.version
+        elif (u, v) in self._misses:
+            return None
+        found = find_submesh_masks(grid.row_masks, grid.row_free_counts, u, v, try_all_starts=True)
+        if found is None:
+            self._misses.add((u, v))
+        return found
 
     def _candidate_shapes(self, job: JobRequest) -> List[Tuple[int, int]]:
         shapes: List[Tuple[int, int]] = [(job.u, job.v)]

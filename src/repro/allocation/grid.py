@@ -3,14 +3,22 @@
 The allocator views an ``x`` x ``y`` HxMesh purely at board granularity: a
 board is free, allocated to a job, or failed (the board is the unit of
 failure, Section III-E).  :class:`BoardGrid` tracks this state, exposes the
-per-row availability sets consumed by the greedy sub-mesh search, and
-computes the utilization metrics reported in Figures 8 and 10.
+per-row availability consumed by the greedy sub-mesh search, and computes
+the utilization metrics reported in Figures 8 and 10.
+
+Besides the state matrix the grid keeps state derived from it: per row an
+integer bitmask of free columns (bit ``c`` set iff board ``(r, c)`` is
+free) and its free count, plus grid-wide free and failed counters.  Only
+the five writers (:meth:`~BoardGrid.allocate`, :meth:`~BoardGrid.release`,
+:meth:`~BoardGrid.fail_boards`, :meth:`~BoardGrid.repair_boards` and
+:meth:`~BoardGrid.reset`) change the matrix, and they do so through one
+helper that updates the derived state with it, so searches and counting
+queries never rescan the matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.subnetwork import VirtualSubMesh
 
@@ -32,6 +40,12 @@ class BoardGrid:
         # state[row][col] = FREE, FAILED, or job id (>= 0)
         self._state: List[List[int]] = [[FREE] * x for _ in range(y)]
         self._job_boards: Dict[int, List[Coord]] = {}
+        # derived from _state, written only by _set
+        self._row_mask: List[int] = [(1 << x) - 1] * y
+        self._row_free: List[int] = [x] * y
+        self._num_free = x * y
+        self._num_failed = 0
+        self._version = 0
 
     # ---------------------------------------------------------------- queries
     @property
@@ -40,19 +54,24 @@ class BoardGrid:
 
     @property
     def num_failed(self) -> int:
-        return sum(row.count(FAILED) for row in self._state)
+        return self._num_failed
 
     @property
     def num_working(self) -> int:
-        return self.num_boards - self.num_failed
+        return self.x * self.y - self._num_failed
 
     @property
     def num_allocated(self) -> int:
-        return sum(1 for row in self._state for s in row if s >= 0)
+        return self.x * self.y - self._num_free - self._num_failed
 
     @property
     def num_free(self) -> int:
-        return sum(row.count(FREE) for row in self._state)
+        return self._num_free
+
+    @property
+    def version(self) -> int:
+        """Counter bumped by every write: an unchanged version means unchanged state."""
+        return self._version
 
     def state(self, coord: Coord) -> int:
         return self._state[coord[0]][coord[1]]
@@ -96,20 +115,49 @@ class BoardGrid:
         return [list(row) for row in self._state]
 
     # -------------------------------------------------------------- row views
+    @property
+    def row_masks(self) -> Sequence[int]:
+        """Per-row bitmasks of free columns (a live view; input of the greedy search)."""
+        return self._row_mask
+
+    @property
+    def row_free_counts(self) -> Sequence[int]:
+        """Per-row numbers of free boards (a live view; popcounts of :attr:`row_masks`)."""
+        return self._row_free
+
     def row_available(self) -> List[FrozenSet[int]]:
-        """Per-row sets of free column indices (input of the greedy search)."""
+        """Per-row sets of free column indices, built from :attr:`row_masks`."""
         return [
-            frozenset(c for c in range(self.x) if self._state[r][c] == FREE)
-            for r in range(self.y)
+            frozenset(c for c in range(self.x) if mask >> c & 1)
+            for mask in self._row_mask
         ]
 
     # -------------------------------------------------------------- mutations
+    def _set(self, r: int, c: int, new: int) -> None:
+        """Write one board's state and update the derived state with it."""
+        row = self._state[r]
+        old = row[c]
+        row[c] = new
+        if old == FREE:
+            self._row_mask[r] &= ~(1 << c)
+            self._row_free[r] -= 1
+            self._num_free -= 1
+        elif old == FAILED:
+            self._num_failed -= 1
+        if new == FREE:
+            self._row_mask[r] |= 1 << c
+            self._row_free[r] += 1
+            self._num_free += 1
+        elif new == FAILED:
+            self._num_failed += 1
+
     def fail_boards(self, coords: Iterable[Coord]) -> None:
         """Mark boards as failed; allocated boards cannot fail mid-experiment."""
+        self._version += 1
         for r, c in coords:
             if self._state[r][c] >= 0:
                 raise ValueError(f"board {(r, c)} is allocated; free it before failing")
-            self._state[r][c] = FAILED
+            self._set(r, c, FAILED)
 
     def fail_random(self, count: int, seed: int = 0) -> List[Coord]:
         """Fail ``count`` random free boards; returns the failed coordinates."""
@@ -125,10 +173,11 @@ class BoardGrid:
 
     def repair_boards(self, coords: Iterable[Coord]) -> None:
         """Return failed boards to service (the repair half of MTBF/MTTR)."""
+        self._version += 1
         for r, c in coords:
             if self._state[r][c] != FAILED:
                 raise ValueError(f"board {(r, c)} is not failed")
-            self._state[r][c] = FREE
+            self._set(r, c, FREE)
 
     def allocate(self, job_id: int, submesh: VirtualSubMesh) -> None:
         """Assign every board of ``submesh`` to ``job_id``."""
@@ -140,21 +189,24 @@ class BoardGrid:
         for coord in boards:
             if not self.is_free(coord):
                 raise ValueError(f"board {coord} is not free")
+        self._version += 1
         for r, c in boards:
-            self._state[r][c] = job_id
+            self._set(r, c, job_id)
         self._job_boards[job_id] = boards
 
     def release(self, job_id: int) -> None:
         """Free all boards of a job (checkpoint/shutdown)."""
+        self._version += 1
         for r, c in self._job_boards.pop(job_id):
-            self._state[r][c] = FREE
+            self._set(r, c, FREE)
 
     def reset(self, *, keep_failures: bool = True) -> None:
         """Release every job; optionally also clear failures."""
         for job_id in list(self._job_boards):
             self.release(job_id)
         if not keep_failures:
+            self._version += 1
             for r in range(self.y):
                 for c in range(self.x):
                     if self._state[r][c] == FAILED:
-                        self._state[r][c] = FREE
+                        self._set(r, c, FREE)

@@ -16,7 +16,9 @@ mix.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,6 +77,22 @@ class JobSizeDistribution:
         idx = rng.choice(len(self.sizes), size=count, p=self.probabilities)
         return np.array(self.sizes, dtype=int)[idx]
 
+    @cached_property
+    def _cdf(self) -> List[float]:
+        # the normalised CDF that ``Generator.choice(p=...)`` searches
+        cdf = np.asarray(self.probabilities, dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        return cdf.tolist()
+
+    def draw(self, rng: np.random.Generator) -> int:
+        """Sample one job size, exactly as ``int(self.sample(rng, 1)[0])`` does.
+
+        It reads the one uniform that ``choice`` reads and searches the same
+        CDF, so the size and the generator state after it are the same, but
+        it skips ``choice``'s per-call argument checks.
+        """
+        return self.sizes[bisect.bisect_right(self._cdf, rng.random())]
+
 
 def alibaba_like_distribution() -> JobSizeDistribution:
     """Synthetic stand-in for the Alibaba MLaaS job-size distribution.
@@ -126,7 +144,7 @@ def sample_job_mixes(
                 size = carried
                 carried = None
             else:
-                size = int(dist.sample(rng, 1)[0])
+                size = dist.draw(rng)
                 if size > limit:
                     continue
             if size > remaining:

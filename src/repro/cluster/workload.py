@@ -99,7 +99,7 @@ class PoissonArrivals(ArrivalModel):
     def next_arrival(self, rng: np.random.Generator) -> Tuple[float, int]:
         gap = float(rng.exponential(self.mean_interarrival))
         while True:
-            size = int(self.distribution.sample(rng, 1)[0])
+            size = self.distribution.draw(rng)
             if self.max_job_boards is None or size <= self.max_job_boards:
                 return gap, size
 

@@ -9,7 +9,7 @@ job allocation and fault tolerance.
 from .hammingmesh import accelerator_coordinates, build_hammingmesh, build_hammingmesh_params
 from .params import HxMeshParams, hx1mesh, hx2mesh, hx4mesh
 from .routing import MAX_VIRTUAL_CHANNELS, HxMeshRouter, board_mesh_path, virtual_channel_of
-from .subnetwork import VirtualSubMesh, find_submesh_rows, is_valid_submesh
+from .subnetwork import VirtualSubMesh, find_submesh_masks, find_submesh_rows, is_valid_submesh
 
 __all__ = [
     "HxMeshParams",
@@ -25,5 +25,6 @@ __all__ = [
     "MAX_VIRTUAL_CHANNELS",
     "VirtualSubMesh",
     "find_submesh_rows",
+    "find_submesh_masks",
     "is_valid_submesh",
 ]

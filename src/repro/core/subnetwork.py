@@ -15,9 +15,9 @@ allocator (Section IV-A) builds on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["VirtualSubMesh", "is_valid_submesh", "find_submesh_rows"]
+__all__ = ["VirtualSubMesh", "is_valid_submesh", "find_submesh_rows", "find_submesh_masks"]
 
 Coord = Tuple[int, int]
 
@@ -98,7 +98,26 @@ def is_valid_submesh(boards: Iterable[Coord]) -> bool:
 
 
 def find_submesh_rows(
-    row_available: Sequence[FrozenSet[int]],
+    row_available: Sequence[AbstractSet[int]],
+    u: int,
+    v: int,
+    *,
+    try_all_starts: bool = False,
+) -> Optional[VirtualSubMesh]:
+    """Greedy search for a u x v sub-mesh, on per-row column sets.
+
+    ``row_available[r]`` is the set of column indices available in physical
+    row ``r``.  The sets are converted to bitmasks and searched by
+    :func:`find_submesh_masks`, which describes the algorithm.
+    """
+    masks = [sum(1 << c for c in cols) for cols in row_available]
+    counts = [len(cols) for cols in row_available]
+    return find_submesh_masks(masks, counts, u, v, try_all_starts=try_all_starts)
+
+
+def find_submesh_masks(
+    masks: Sequence[int],
+    counts: Sequence[int],
     u: int,
     v: int,
     *,
@@ -106,8 +125,9 @@ def find_submesh_rows(
 ) -> Optional[VirtualSubMesh]:
     """Greedy search for a u x v sub-mesh (Section IV-A).
 
-    ``row_available[r]`` is the set of column indices available in physical
-    row ``r``.  The algorithm:
+    ``masks[r]`` has bit ``c`` set iff column ``c`` is available in
+    physical row ``r``; ``counts[r]`` is its number of set bits.  The
+    algorithm:
 
     1. select the first row with at least ``v`` available columns,
     2. repeatedly add another row whose intersection with the running
@@ -116,38 +136,48 @@ def find_submesh_rows(
 
     With ``try_all_starts`` the search is restarted from every feasible
     starting row (a cheap robustness improvement over the paper's
-    first-fit; both behave identically on most traces).
+    first-fit; both behave identically on most traces).  A start whose
+    mask equals that of a start that already failed is skipped, which is
+    exact: every intersection grown from mask ``M`` lies inside ``M``, so
+    the other row with mask ``M`` joins it without narrowing it, and both
+    starts accept the same rows and fail alike.
     Returns a :class:`VirtualSubMesh` with exactly ``u`` rows and ``v``
-    columns (the lexicographically smallest columns of the final
-    intersection), or ``None`` when no allocation is found.
+    columns (the lowest columns of the final intersection), or ``None``
+    when no allocation is found.
     """
     if u < 1 or v < 1:
         raise ValueError("sub-mesh dimensions must be positive")
-    num_rows = len(row_available)
-    if u > num_rows:
+    # only rows with at least v available columns can take part
+    rows = [r for r, n in enumerate(counts) if n >= v]
+    if len(rows) < u:
         return None
-
-    starts = range(num_rows) if try_all_starts else range(num_rows)
-    tried_first_fit = False
-    for start in starts:
-        if len(row_available[start]) < v:
+    failed: Set[int] = set()
+    for start in rows:
+        intersection = masks[start]
+        if intersection in failed:
             continue
         selected = [start]
-        intersection = set(row_available[start])
-        for r in range(num_rows):
+        for r in rows:
             if len(selected) >= u:
                 break
-            if r == start or len(row_available[r]) < v:
-                continue
-            candidate = intersection & row_available[r]
-            if len(candidate) >= v:
-                selected.append(r)
-                intersection = candidate
+            if r != start:
+                candidate = intersection & masks[r]
+                if candidate.bit_count() >= v:
+                    selected.append(r)
+                    intersection = candidate
         if len(selected) >= u:
-            rows = tuple(sorted(selected[:u]))
-            cols = tuple(sorted(intersection)[:v])
-            return VirtualSubMesh(rows=rows, cols=cols)
-        tried_first_fit = True
-        if not try_all_starts and tried_first_fit:
+            return VirtualSubMesh(rows=tuple(sorted(selected)), cols=_lowest_bits(intersection, v))
+        if not try_all_starts:
             return None
+        failed.add(masks[start])
     return None
+
+
+def _lowest_bits(mask: int, count: int) -> Tuple[int, ...]:
+    """Indices of the ``count`` lowest set bits of ``mask``, ascending."""
+    bits = []
+    for _ in range(count):
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(bits)
