@@ -28,7 +28,7 @@ packet crosses at most two global trees).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .._hash import mix64
 from ..topology.base import Topology, TopologyError
@@ -40,6 +40,22 @@ __all__ = ["HxMeshRouter", "board_mesh_path", "virtual_channel_of", "MAX_VIRTUAL
 #: A packet crosses at most two global trees, so three virtual channels
 #: suffice for deadlock freedom (Section IV-C3).
 MAX_VIRTUAL_CHANNELS = 3
+
+
+def _row_walk(handle: BoardHandle, r: int, c0: int, c1: int) -> List[int]:
+    """On-board links from column ``c0`` to column ``c1`` along row ``r``."""
+    row, links = handle.nodes[r], handle.mesh_links
+    if c1 >= c0:
+        return [links[(row[c], EAST)] for c in range(c0, c1)]
+    return [links[(row[c], WEST)] for c in range(c0, c1, -1)]
+
+
+def _col_walk(handle: BoardHandle, c: int, r0: int, r1: int) -> List[int]:
+    """On-board links from row ``r0`` to row ``r1`` along column ``c``."""
+    nodes, links = handle.nodes, handle.mesh_links
+    if r1 >= r0:
+        return [links[(nodes[r][c], SOUTH)] for r in range(r0, r1)]
+    return [links[(nodes[r][c], NORTH)] for r in range(r0, r1, -1)]
 
 
 def board_mesh_path(
@@ -56,39 +72,45 @@ def board_mesh_path(
     """
     sr, sc = src_pos
     dr, dc = dst_pos
-    path: List[int] = []
-
-    def walk_cols(r: int, c0: int, c1: int) -> int:
-        nonlocal path
-        step = 1 if c1 > c0 else -1
-        direction = EAST if step > 0 else WEST
-        c = c0
-        while c != c1:
-            node = handle.node_at(r, c)
-            path.append(handle.mesh_link(node, direction))
-            c += step
-        return c
-
-    def walk_rows(c: int, r0: int, r1: int) -> int:
-        nonlocal path
-        step = 1 if r1 > r0 else -1
-        direction = SOUTH if step > 0 else NORTH
-        r = r0
-        while r != r1:
-            node = handle.node_at(r, c)
-            path.append(handle.mesh_link(node, direction))
-            r += step
-        return r
-
     if order == "xy":
-        walk_cols(sr, sc, dc)
-        walk_rows(dc, sr, dr)
-    elif order == "yx":
-        walk_rows(sc, sr, dr)
-        walk_cols(dr, sc, dc)
-    else:
-        raise ValueError(f"unknown order {order!r}")
-    return path
+        return _row_walk(handle, sr, sc, dc) + _col_walk(handle, dc, sr, dr)
+    if order == "yx":
+        return _col_walk(handle, sc, sr, dr) + _row_walk(handle, dr, sc, dc)
+    raise ValueError(f"unknown order {order!r}")
+
+
+#: A candidate path before it is built: ``(length, first link, last link,
+#: parts)``; the path is the concatenation of the link lists in ``parts``.
+#: Candidates are ranked on the first three fields, and only those that
+#: survive every ranking are ever concatenated.
+Candidate = Tuple[int, int, int, Tuple[List[int], ...]]
+
+
+def _two_best(cands: List[Candidate], key: int, at_tail: bool) -> List[Candidate]:
+    """The two shortest candidates, equal lengths ordered by a flow hash of
+    the first (``at_tail=False``) or last link.
+
+    The rank ``(length, mix64(key ^ hash((end link,))))`` equals the sort
+    key the built paths were ranked by, and the stable
+    ``sorted(range(n))[:2]`` equals a stable full sort followed by ``[:2]``.
+    """
+    end = 2 if at_tail else 1
+    hashed: Dict[int, int] = {}
+    ranks = []
+    for cand in cands:
+        link = cand[end]
+        h = hashed.get(link)
+        if h is None:
+            h = hashed[link] = mix64(key ^ hash((link,)))
+        ranks.append((cand[0], h))
+    return [cands[i] for i in sorted(range(len(cands)), key=ranks.__getitem__)[:2]]
+
+
+def _joins(heads: List[Candidate], tails: List[Candidate]) -> List[Candidate]:
+    """Every head followed by every tail, as candidates."""
+    return [
+        (h[0] + t[0], h[1], t[2], h[3] + t[3]) for h, t in itertools.product(heads, tails)
+    ]
 
 
 class HxMeshRouter:
@@ -111,6 +133,10 @@ class HxMeshRouter:
         #: Extra hops (beyond the shortest candidate) a path may have and
         #: still be considered by adaptive routing.  0 = strictly minimal.
         self.minimal_slack = minimal_slack
+        # Board edges a crossing leaves and enters by, in the iteration order
+        # of the sets {0, a - 1} and {0, b - 1} that fixes candidate order.
+        self._edge_cols = tuple({0, self.params.a - 1})
+        self._edge_rows = tuple({0, self.params.b - 1})
 
     # --------------------------------------------------------------- segments
     def _board_paths(
@@ -119,63 +145,55 @@ class HxMeshRouter:
         """Up to two DOR paths (xy and yx) between two positions on a board."""
         if src_pos == dst_pos:
             return [[]]
-        p1 = board_mesh_path(board, src_pos, dst_pos, "xy")
-        p2 = board_mesh_path(board, src_pos, dst_pos, "yx")
-        return [p1] if p1 == p2 else [p1, p2]
+        xy = board_mesh_path(board, src_pos, dst_pos, "xy")
+        if src_pos[0] == dst_pos[0] or src_pos[1] == dst_pos[1]:
+            return [xy]  # a straight walk: both orders take the same links
+        # the orders differ in their first link (horizontal vs vertical)
+        return [xy, board_mesh_path(board, src_pos, dst_pos, "yx")]
 
-    def _row_cross(
+    def _row_ports(self, br: int) -> List[Tuple[int, int]]:
+        """On-board positions of on-board row ``br``'s row-network ports."""
+        return [(br, c) for c in self._edge_cols]
+
+    def _col_ports(self, bc: int) -> List[Tuple[int, int]]:
+        """On-board positions of on-board column ``bc``'s column-network ports."""
+        return [(r, bc) for r in self._edge_rows]
+
+    def _cross(
         self,
-        gr: int,
-        br: int,
+        network: GlobalNetwork,
+        ports: List[Tuple[int, int]],
         src_board: BoardHandle,
         src_pos: Tuple[int, int],
         dst_board: BoardHandle,
         dst_pos: Tuple[int, int],
-        max_tree_paths: int = 2,
-    ) -> List[List[int]]:
+    ) -> List[Candidate]:
         """Paths from ``src_pos`` on ``src_board`` to ``dst_pos`` on
-        ``dst_board`` that cross the row network of (``gr``, ``br``)."""
-        a = self.params.a
-        network = self.row_networks[(gr, br)]
-        out: List[List[int]] = []
-        exit_cols = {0, a - 1}
-        entry_cols = {0, a - 1}
-        for exit_col, entry_col in itertools.product(exit_cols, entry_cols):
-            exit_node = src_board.node_at(br, exit_col)
-            entry_node = dst_board.node_at(br, entry_col)
-            tree_paths = network.paths(exit_node, entry_node, max_paths=max_tree_paths)
-            if not tree_paths:
-                continue
-            for head in self._board_paths(src_board, src_pos, (br, exit_col)):
-                for tail in self._board_paths(dst_board, (br, entry_col), dst_pos):
-                    for mid in tree_paths:
-                        out.append(head + mid + tail)
-        return out
+        ``dst_board`` that cross ``network``, leaving and entering the
+        boards at the on-board positions ``ports``.
 
-    def _col_cross(
-        self,
-        gc: int,
-        bc: int,
-        src_board: BoardHandle,
-        src_pos: Tuple[int, int],
-        dst_board: BoardHandle,
-        dst_pos: Tuple[int, int],
-        max_tree_paths: int = 2,
-    ) -> List[List[int]]:
-        """Paths crossing the column network of (``gc``, ``bc``)."""
-        b = self.params.b
-        network = self.col_networks[(gc, bc)]
-        out: List[List[int]] = []
-        for exit_row, entry_row in itertools.product({0, b - 1}, {0, b - 1}):
-            exit_node = src_board.node_at(exit_row, bc)
-            entry_node = dst_board.node_at(entry_row, bc)
-            tree_paths = network.paths(exit_node, entry_node, max_paths=max_tree_paths)
-            if not tree_paths:
-                continue
-            for head in self._board_paths(src_board, src_pos, (exit_row, bc)):
-                for tail in self._board_paths(dst_board, (entry_row, bc), dst_pos):
-                    for mid in tree_paths:
-                        out.append(head + mid + tail)
+        Candidates are ordered by (exit, entry, head, tail, tree path) and
+        split into head (on-board), tree and tail (on-board) segments.  The
+        tree segment holds the access links, so it is never empty.  Each
+        exit's heads and each entry's tails are walked once.
+        """
+        heads = [self._board_paths(src_board, src_pos, p) for p in ports]
+        tails = [self._board_paths(dst_board, p, dst_pos) for p in ports]
+        src_nodes, dst_nodes = src_board.nodes, dst_board.nodes
+        out: List[Candidate] = []
+        for (er, ec), exit_heads in zip(ports, heads):
+            exit_node = src_nodes[er][ec]
+            for (nr, nc), entry_tails in zip(ports, tails):
+                mids = network.paths(exit_node, dst_nodes[nr][nc], max_paths=2)
+                for head in exit_heads:
+                    for tail in entry_tails:
+                        for mid in mids:
+                            out.append((
+                                len(head) + len(mid) + len(tail),
+                                head[0] if head else mid[0],
+                                tail[-1] if tail else mid[-1],
+                                (head, mid, tail),
+                            ))
         return out
 
     # ------------------------------------------------------------------ paths
@@ -200,82 +218,100 @@ class HxMeshRouter:
         # that capping at ``max_paths`` does not systematically favour one
         # class or one board edge over another across many flows.
         key = mix64(src * 1_000_003 + dst)
-        classes: List[List[List[int]]] = []
+        src_pos, dst_pos = (sbr, sbc), (dbr, dbc)
+        classes: List[List[Candidate]] = []
         if (sgr, sgc) == (dgr, dgc):
-            classes.append(self._board_paths(src_board, (sbr, sbc), (dbr, dbc)))
+            classes.append([
+                (len(p), p[0], p[-1], (p,))
+                for p in self._board_paths(src_board, src_pos, dst_pos)
+            ])
         elif sgr == dgr:
             # Same global row: cross one row network.  Candidate on-board
             # rows: the source's and the destination's.
             for br in sorted({sbr, dbr}):
-                classes.append(
-                    self._row_cross(sgr, br, src_board, (sbr, sbc), dst_board, (dbr, dbc))
-                )
+                classes.append(self._cross(
+                    self.row_networks[(sgr, br)], self._row_ports(br),
+                    src_board, src_pos, dst_board, dst_pos,
+                ))
         elif sgc == dgc:
             for bc in sorted({sbc, dbc}):
-                classes.append(
-                    self._col_cross(sgc, bc, src_board, (sbr, sbc), dst_board, (dbr, dbc))
-                )
+                classes.append(self._cross(
+                    self.col_networks[(sgc, bc)], self._col_ports(bc),
+                    src_board, src_pos, dst_board, dst_pos,
+                ))
         else:
             # Different row and column: route through an intermediate board.
+            # Each option joins the two best heads (crossing into the
+            # intermediate board) with the two best tails (crossing out of
+            # it).  Best is shortest, with a flow-dependent tie-break:
+            # equal-length alternatives (e.g. leaving via the East vs the
+            # West edge) must not be resolved the same way for every flow,
+            # or the truncation funnels all transit through one board edge.
             # Option 1: row first to board (sgr, dgc), then column; candidate
             # crossing rows are the source's and the destination's.
             inter1 = self.boards[(sgr, dgc)]
             for br in sorted({sbr, dbr}):
-                option: List[List[int]] = []
-                heads = self._row_cross(sgr, br, src_board, (sbr, sbc), inter1, (br, dbc))
-                tails = self._col_cross(dgc, dbc, inter1, (br, dbc), dst_board, (dbr, dbc))
-                # Sort by length with a flow-dependent tie-break: equal-length
-                # alternatives (e.g. leaving via the East vs the West edge)
-                # must not be resolved the same way for every flow, or the
-                # truncation below funnels all transit through one board edge.
-                heads.sort(key=lambda q: (len(q), mix64(key ^ hash(tuple(q[:1])))))
-                tails.sort(key=lambda q: (len(q), mix64(key ^ hash(tuple(q[-1:])))))
-                for h, t in itertools.product(heads[:2], tails[:2]):
-                    option.append(h + t)
-                classes.append(option)
+                via = (br, dbc)
+                heads = self._cross(
+                    self.row_networks[(sgr, br)], self._row_ports(br),
+                    src_board, src_pos, inter1, via,
+                )
+                tails = self._cross(
+                    self.col_networks[(dgc, dbc)], self._col_ports(dbc),
+                    inter1, via, dst_board, dst_pos,
+                )
+                classes.append(_joins(_two_best(heads, key, False), _two_best(tails, key, True)))
             # Option 2: column first to board (dgr, sgc), then row.
             inter2 = self.boards[(dgr, sgc)]
             for bc in sorted({sbc, dbc}):
-                option = []
-                heads = self._col_cross(sgc, bc, src_board, (sbr, sbc), inter2, (dbr, bc))
-                tails = self._row_cross(dgr, dbr, inter2, (dbr, bc), dst_board, (dbr, dbc))
-                heads.sort(key=lambda q: (len(q), mix64(key ^ hash(tuple(q[:1])))))
-                tails.sort(key=lambda q: (len(q), mix64(key ^ hash(tuple(q[-1:])))))
-                for h, t in itertools.product(heads[:2], tails[:2]):
-                    option.append(h + t)
-                classes.append(option)
+                via = (dbr, bc)
+                heads = self._cross(
+                    self.col_networks[(sgc, bc)], self._col_ports(bc),
+                    src_board, src_pos, inter2, via,
+                )
+                tails = self._cross(
+                    self.row_networks[(dgr, dbr)], self._row_ports(dbr),
+                    inter2, via, dst_board, dst_pos,
+                )
+                classes.append(_joins(_two_best(heads, key, False), _two_best(tails, key, True)))
 
-        # Sort within each class by length (equal lengths broken by a
-        # flow-dependent hash so aggregate load spreads evenly over board
-        # edges), rotate the class order per flow, and interleave.  Only
-        # near-minimal paths survive (within ``minimal_slack`` hops of the
-        # shortest candidate), matching Section IV-C's routing "adaptively
-        # along all shortest paths".
-        prepared: List[List[List[int]]] = []
+        # Only near-minimal paths survive (within ``minimal_slack`` hops of
+        # the shortest candidate), matching Section IV-C's routing
+        # "adaptively along all shortest paths".  Sort within each class by
+        # length (equal lengths broken by a flow-dependent hash so aggregate
+        # load spreads evenly over board edges), rotate the class order per
+        # flow, and interleave.  A class sorts its survivors to its front,
+        # so dropping the others before sorting keeps the interleaved order;
+        # a class without survivors still counts in the rotation.
+        lengths = [cand[0] for cls in classes for cand in cls]
+        if not lengths:
+            raise TopologyError(f"no path found between accelerators {src} and {dst}")
+        limit = min(lengths) + self.minimal_slack
+        prepared: List[List[Candidate]] = []
         for i, cls in enumerate(classes):
             if not cls:
                 continue
-            cls.sort(
-                key=lambda q: (len(q), mix64(key ^ (i << 20) ^ (q[0] if q else 0)))
-            )
-            prepared.append(cls)
-        if prepared:
-            rot = key % len(prepared)
-            prepared = prepared[rot:] + prepared[:rot]
-        candidates: List[List[int]] = []
+            salt = key ^ (i << 20)
+            kept = [cand for cand in cls if cand[0] <= limit]
+            kept.sort(key=lambda cand: (cand[0], mix64(salt ^ cand[1])))
+            prepared.append(kept)
+        rot = key % len(prepared)
+        prepared = prepared[rot:] + prepared[:rot]
+        minimal: List[List[int]] = []
+        seen = set()
         for picks in itertools.zip_longest(*prepared):
-            for path in picks:
-                if path is not None:
-                    candidates.append(path)
-        if not candidates:
-            raise TopologyError(f"no path found between accelerators {src} and {dst}")
-        unique: Dict[Tuple[int, ...], List[int]] = {}
-        for path in candidates:
-            unique.setdefault(tuple(path), path)
-        deduped = list(unique.values())
-        shortest = min(len(p) for p in deduped)
-        minimal = [p for p in deduped if len(p) <= shortest + self.minimal_slack]
-        return minimal[:max_paths]
+            for cand in picks:
+                if cand is None:
+                    continue
+                path = list(itertools.chain.from_iterable(cand[3]))
+                links = tuple(path)
+                if links in seen:
+                    continue
+                seen.add(links)
+                minimal.append(path)
+                if len(minimal) >= max_paths:
+                    return minimal[:max_paths]
+        return minimal
 
     # ----------------------------------------------------------- VC assignment
     def virtual_channels(self, path: Sequence[int]) -> List[int]:
@@ -298,7 +334,6 @@ def virtual_channel_of(topo: Topology, path: Sequence[int]) -> List[int]:
     """
     vc = 0
     out: List[int] = []
-    prev_on_switch = False
     for li in path:
         link = topo.link(li)
         entering_switch = topo.is_switch(link.dst)
@@ -306,5 +341,4 @@ def virtual_channel_of(topo: Topology, path: Sequence[int]) -> List[int]:
         if entering_switch and leaving_acc:
             vc = min(vc + 1, MAX_VIRTUAL_CHANNELS - 1)
         out.append(vc)
-        prev_on_switch = entering_switch
     return out

@@ -73,20 +73,22 @@ can never unlink a segment the parent still serves.
 from __future__ import annotations
 
 import atexit
+import functools
+import itertools
 import os
 import shutil
 import tempfile
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..obs import registry as _obs
 from ..topology.base import Topology, TopologyError
 from .paths import DEFAULT_MAX_PATHS, PathProvider, path_provider_for
-from .policy import RoutingPolicy, get_policy
+from .policy import RouteSet, RoutingPolicy, get_policy
 
 __all__ = [
     "RouteTable",
@@ -109,6 +111,13 @@ _GROW = 4  # geometric growth factor exponent base for the flat arrays
 
 #: source nodes per shard in sharded storage mode
 DEFAULT_SHARD_SOURCES = 64
+
+#: pairs routed per CSR append: enough to spread the append's fixed NumPy
+#: cost thin, few enough that the batch's path lists (at most a few
+#: hundred) die young.  Larger batches keep thousands of lists alive across
+#: garbage collections, which promotes them and adds full collections
+#: (13 instead of 9 in the benchmark's cold routing workload at 1,024 pairs).
+_ROUTE_BATCH = 64
 
 #: global path id = shard_index * stride + shard-local path id; pairs own a
 #: contiguous local id range, so the contiguity invariant the flow
@@ -198,6 +207,64 @@ def _scatter_targets(target_starts: np.ndarray, lengths: np.ndarray) -> np.ndarr
         - np.repeat(out_starts, lengths)
         + np.repeat(target_starts, lengths)
     )
+
+
+def _reserve(arr: np.ndarray, needs: np.ndarray, floor: int, keep: int) -> np.ndarray:
+    """``arr`` (its first ``keep`` entries) in an array grown exactly as
+    appending one pair at a time grows it.
+
+    ``needs`` is the non-decreasing size needed after each pair; a pair
+    that overflows the array grows it to ``max(need, _GROW * max(size,
+    floor))``.  Matching that sequence keeps capacities, and so memory and
+    budget accounting, independent of how pairs are batched.
+    """
+    size = len(arr)
+    while needs[-1] > size:
+        need = int(needs[np.searchsorted(needs, size, side="right")])
+        size = max(need, _GROW * max(size, floor))
+    if size == len(arr):
+        return arr
+    out = np.zeros(size, dtype=arr.dtype)
+    out[:keep] = arr[:keep]
+    return out
+
+
+def _append_csr(
+    offsets: np.ndarray,
+    links: np.ndarray,
+    weights: np.ndarray,
+    num_paths: int,
+    batch: Sequence[RouteSet],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int]]:
+    """Append every path of ``batch`` to CSR arrays that hold ``num_paths``.
+
+    Each array is reallocated at most once and takes its new entries in one
+    bulk copy.  Returns the possibly reallocated ``offsets``, ``links`` and
+    ``weights`` and the first path id of each route set.
+    """
+    paths = [p for routes in batch for p in routes.paths]
+    lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+    counts = np.fromiter((len(routes.paths) for routes in batch), dtype=np.int64, count=len(batch))
+    links_used = int(offsets[num_paths])
+    path_ends = links_used + np.cumsum(lengths)
+    pair_paths = num_paths + np.cumsum(counts)  # paths stored after each pair
+    end_paths = num_paths + len(paths)
+    end_links = int(path_ends[-1])
+    offsets = _reserve(offsets, pair_paths + 1, 0, num_paths + 1)
+    weights = _reserve(weights, pair_paths, 16, num_paths)
+    links = _reserve(links, path_ends[pair_paths - num_paths - 1], 16, links_used)
+    offsets[num_paths + 1 : end_paths + 1] = path_ends
+    links[links_used:end_links] = np.fromiter(
+        itertools.chain.from_iterable(paths), dtype=np.int64, count=end_links - links_used
+    )
+    weights[num_paths:end_paths] = [w for routes in batch for w in routes.weights]
+    return offsets, links, weights, (pair_paths - counts).tolist()
+
+
+def _first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys`` in order of first occurrence."""
+    _, first = np.unique(keys, return_index=True)
+    return keys[np.sort(first)]
 
 
 def csr_range_indices(offsets: np.ndarray, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -362,7 +429,6 @@ class _RouteShard:
         "links",
         "weights",
         "num_paths",
-        "links_used",
         "id_base",
         "dirty",
     )
@@ -378,7 +444,6 @@ class _RouteShard:
         self.links = np.zeros(0, dtype=np.int64)
         self.weights = np.zeros(0, dtype=np.float64)
         self.num_paths = 0
-        self.links_used = 0
         self.id_base = id_base
         self.dirty = True  # fresh shards always need spilling on evict
 
@@ -387,32 +452,14 @@ class _RouteShard:
             self.offsets.nbytes + self.links.nbytes + self.weights.nbytes
         ) + self.INDEX_ENTRY_BYTES * len(self.index)
 
-    def append(
-        self, key: int, paths: List[List[int]], weights: List[float], num_minimal: int
-    ) -> None:
-        first = self.num_paths
-        need_paths = first + len(paths)
-        if need_paths + 1 > len(self.offsets):
-            grown = np.zeros(max(need_paths + 1, _GROW * len(self.offsets)), dtype=np.int64)
-            grown[: self.num_paths + 1] = self.offsets[: self.num_paths + 1]
-            self.offsets = grown
-        if need_paths > len(self.weights):
-            grown_w = np.zeros(max(need_paths, _GROW * max(len(self.weights), 16)))
-            grown_w[: self.num_paths] = self.weights[: self.num_paths]
-            self.weights = grown_w
-        total_links = self.links_used + sum(len(p) for p in paths)
-        if total_links > len(self.links):
-            grown = np.zeros(max(total_links, _GROW * max(len(self.links), 16)), dtype=np.int64)
-            grown[: self.links_used] = self.links[: self.links_used]
-            self.links = grown
-        self.weights[first : first + len(paths)] = weights
-        for path in paths:
-            end = self.links_used + len(path)
-            self.links[self.links_used : end] = path
-            self.links_used = end
-            self.num_paths += 1
-            self.offsets[self.num_paths] = end
-        self.index[key] = (self.id_base + first, len(paths), num_minimal)
+    def extend(self, keys: Sequence[int], batch: Sequence[RouteSet]) -> None:
+        """Store the routes of the pairs ``keys`` (one route set each)."""
+        self.offsets, self.links, self.weights, firsts = _append_csr(
+            self.offsets, self.links, self.weights, self.num_paths, batch
+        )
+        for key, first, routes in zip(keys, firsts, batch):
+            self.index[key] = (self.id_base + first, len(routes.paths), routes.num_minimal)
+        self.num_paths += sum(len(routes.paths) for routes in batch)
         self.dirty = True
 
 
@@ -535,7 +582,6 @@ class RouteTable:
             self._path_links = np.zeros(0, dtype=np.int64)
             self._path_weights = np.zeros(0, dtype=np.float64)
             self._num_paths = 0
-            self._links_used = 0
         # (key, count) -> materialized Python path lists (shared, immutable)
         self._pylists: Dict[Tuple[int, int], List[List[int]]] = {}
         _obs.counter("routing.tables_built").inc()
@@ -628,7 +674,7 @@ class RouteTable:
                 keys=keys,
                 vals=vals,
                 offsets=shard.offsets[: shard.num_paths + 1],
-                links=shard.links[: shard.links_used],
+                links=shard.links[: shard.offsets[shard.num_paths]],
                 weights=shard.weights[: shard.num_paths],
                 id_base=np.int64(shard.id_base),
             )
@@ -650,7 +696,6 @@ class RouteTable:
             shard.links = data["links"]
             shard.weights = data["weights"]
         shard.num_paths = len(shard.weights)
-        shard.links_used = len(shard.links)
         shard.dirty = False
         return shard
 
@@ -728,54 +773,60 @@ class RouteTable:
         if entry is not None:
             self.stats.record_hits()
         else:
-            routes = self.policy.routes(self.provider, src, dst, self.max_paths)
-            if not routes.paths:
-                raise TopologyError(f"no path between nodes {src} and {dst}")
-            self.stats.record_misses()
-            before = shard.nbytes()
-            shard.append(key, routes.paths, routes.weights, routes.num_minimal)
-            self._resident_bytes += shard.nbytes() - before
-            self._pairs_routed += 1
+            self._route_keys([key], functools.partial(self._extend_shard, si, shard))
             entry = shard.index[key]
-            self._enforce_budget(keep=si)
         first_local, npaths, nmin = entry
         return si * _SHARD_STRIDE + first_local, npaths, nmin, shard
 
-    # ------------------------------------------------------------- population
-    def _append_paths(
-        self, key: int, paths: List[List[int]], weights: List[float], num_minimal: int
+    def _extend_shard(
+        self, si: int, shard: _RouteShard, keys: Sequence[int], batch: Sequence[RouteSet]
     ) -> None:
+        before = shard.nbytes()
+        shard.extend(keys, batch)
+        self._resident_bytes += shard.nbytes() - before
+        self._pairs_routed += len(batch)
+        self._enforce_budget(keep=si)
+
+    # ------------------------------------------------------------- population
+    def _route_keys(
+        self, keys: Sequence[int], store: Callable[[Sequence[int], List[RouteSet]], None]
+    ) -> None:
+        """Route the distinct, unrouted pair ``keys`` and pass them to
+        ``store(keys, route_sets)`` in batches of up to ``_ROUTE_BATCH``.
+
+        A pair without a path raises :class:`TopologyError` once the pairs
+        before it are stored, as routing them one at a time did.
+        """
+        n = self.topo.num_nodes
+        for start in range(0, len(keys), _ROUTE_BATCH):
+            chunk = [int(key) for key in keys[start : start + _ROUTE_BATCH]]
+            batch: List[RouteSet] = []
+            try:
+                for key in chunk:
+                    src, dst = divmod(key, n)
+                    routes = self.policy.routes(self.provider, src, dst, self.max_paths)
+                    if not routes.paths:
+                        raise TopologyError(f"no path between nodes {src} and {dst}")
+                    batch.append(routes)
+            finally:
+                if batch:
+                    self.stats.record_misses(len(batch))
+                    store(chunk[: len(batch)], batch)
+
+    def _append_pairs(self, keys: Sequence[int], batch: Sequence[RouteSet]) -> None:
         if not self._pair_first.flags.writeable:
             # attached (shared, read-only) pair index: privatize on first
             # miss — the shared segment itself is never written
             self._pair_first = self._pair_first.copy()
             self._pair_npaths = self._pair_npaths.copy()
             self._pair_nmin = self._pair_nmin.copy()
-        first = self._num_paths
-        need_paths = first + len(paths)
-        if need_paths + 1 > len(self._path_offsets):
-            grown = np.zeros(max(need_paths + 1, _GROW * len(self._path_offsets)), dtype=np.int64)
-            grown[: self._num_paths + 1] = self._path_offsets[: self._num_paths + 1]
-            self._path_offsets = grown
-        if need_paths > len(self._path_weights):
-            grown_w = np.zeros(max(need_paths, _GROW * max(len(self._path_weights), 16)))
-            grown_w[: self._num_paths] = self._path_weights[: self._num_paths]
-            self._path_weights = grown_w
-        total_links = self._links_used + sum(len(p) for p in paths)
-        if total_links > len(self._path_links):
-            grown = np.zeros(max(total_links, _GROW * max(len(self._path_links), 16)), dtype=np.int64)
-            grown[: self._links_used] = self._path_links[: self._links_used]
-            self._path_links = grown
-        self._path_weights[first : first + len(paths)] = weights
-        for path in paths:
-            end = self._links_used + len(path)
-            self._path_links[self._links_used : end] = path
-            self._links_used = end
-            self._num_paths += 1
-            self._path_offsets[self._num_paths] = end
-        self._pair_first[key] = first
-        self._pair_npaths[key] = len(paths)
-        self._pair_nmin[key] = num_minimal
+        self._path_offsets, self._path_links, self._path_weights, firsts = _append_csr(
+            self._path_offsets, self._path_links, self._path_weights, self._num_paths, batch
+        )
+        self._pair_first[keys] = firsts
+        self._pair_npaths[keys] = [len(routes.paths) for routes in batch]
+        self._pair_nmin[keys] = [routes.num_minimal for routes in batch]
+        self._num_paths += sum(len(routes.paths) for routes in batch)
         self._report_csr_bytes()
 
     def _populate(self, src: int, dst: int) -> int:
@@ -783,12 +834,8 @@ class RouteTable:
         key = src * self.topo.num_nodes + dst
         if self._pair_first[key] >= 0:
             self.stats.record_hits()
-            return key
-        routes = self.policy.routes(self.provider, src, dst, self.max_paths)
-        if not routes.paths:
-            raise TopologyError(f"no path between nodes {src} and {dst}")
-        self.stats.record_misses()
-        self._append_paths(key, routes.paths, routes.weights, routes.num_minimal)
+        else:
+            self._route_keys([key], self._append_pairs)
         return key
 
     # ---------------------------------------------------------------- queries
@@ -887,41 +934,44 @@ class RouteTable:
     def pair_arrays(self, src_nodes: np.ndarray, dst_nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """First path id and path count per ``(src, dst)`` pair, vectorized.
 
-        Populates any missing pairs (the only Python-level loop, and only on
-        first contact with a pair), then answers from the index arrays.  In
-        sharded mode the lookups are grouped by shard so each shard is made
-        resident exactly once per call.
+        Routes the call's missing pairs (the only Python-level loop, and
+        only on first contact with a pair) and appends them to the CSR
+        arrays in one batch, in order of first occurrence, so path ids and
+        hit/miss counts equal those of routing the pairs one at a time.
+        Then answers from the index arrays.  In sharded mode the lookups
+        are grouped by shard so each shard is made resident exactly once
+        per call, and each shard takes its new pairs in one batch.
         """
         if self._sharded:
             return self._sharded_pair_arrays(src_nodes, dst_nodes)
-        n = self.topo.num_nodes
-        keys = src_nodes * n + dst_nodes
-        missing = np.nonzero(self._pair_first[keys] < 0)[0]
-        for i in missing:
-            self._populate(int(src_nodes[i]), int(dst_nodes[i]))
-        self.stats.record_hits(len(keys) - len(missing))
+        keys = src_nodes * self.topo.num_nodes + dst_nodes
+        new_keys = _first_occurrences(keys[self._pair_first[keys] < 0])
+        if len(new_keys):
+            self._route_keys(new_keys, self._append_pairs)
+        self.stats.record_hits(len(keys) - len(new_keys))
         return self._pair_first[keys], self._pair_npaths[keys]
 
     def _sharded_pair_arrays(
         self, src_nodes: np.ndarray, dst_nodes: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        k = len(src_nodes)
-        first = np.empty(k, dtype=np.int64)
-        npaths = np.empty(k, dtype=np.int64)
-        shard_ids = np.asarray(src_nodes, dtype=np.int64) // self._shard_sources
-        order = np.argsort(shard_ids, kind="stable")
-        current_si = -1
-        shard: Optional[_RouteShard] = None
-        for i in order.tolist():
-            si = int(shard_ids[i])
-            if si != current_si:
-                shard = self._resident_shard(si, create=True)
-                current_si = si
-            gid, count, _nmin, shard = self._shard_lookup(
-                int(src_nodes[i]), int(dst_nodes[i]), shard
-            )
-            first[i] = gid
-            npaths[i] = count
+        src_nodes = np.asarray(src_nodes, dtype=np.int64)
+        keys = src_nodes * self.topo.num_nodes + np.asarray(dst_nodes, dtype=np.int64)
+        first = np.empty(len(keys), dtype=np.int64)
+        npaths = np.empty(len(keys), dtype=np.int64)
+        shard_ids = src_nodes // self._shard_sources
+        routed = 0
+        for si in np.unique(shard_ids).tolist():
+            positions = np.nonzero(shard_ids == si)[0]
+            shard = self._resident_shard(si, create=True)
+            group = keys[positions].tolist()
+            new_keys = list(dict.fromkeys(k for k in group if k not in shard.index))
+            if new_keys:
+                self._route_keys(new_keys, functools.partial(self._extend_shard, si, shard))
+                routed += len(new_keys)
+            entries = [shard.index[k] for k in group]
+            first[positions] = [si * _SHARD_STRIDE + e[0] for e in entries]
+            npaths[positions] = [e[1] for e in entries]
+        self.stats.record_hits(len(keys) - routed)
         return first, npaths
 
     def gather_links(self, path_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -1067,7 +1117,7 @@ class RouteTable:
                                 ("keys", keys),
                                 ("vals", vals),
                                 ("offsets", np.ascontiguousarray(shard.offsets[: shard.num_paths + 1])),
-                                ("links", np.ascontiguousarray(shard.links[: shard.links_used])),
+                                ("links", np.ascontiguousarray(shard.links[: shard.offsets[shard.num_paths]])),
                                 ("weights", np.ascontiguousarray(shard.weights[: shard.num_paths])),
                             ]
                         ),
@@ -1080,7 +1130,7 @@ class RouteTable:
                     ("pair_npaths", self._pair_npaths),
                     ("pair_nmin", self._pair_nmin),
                     ("offsets", np.ascontiguousarray(self._path_offsets[: self._num_paths + 1])),
-                    ("links", np.ascontiguousarray(self._path_links[: self._links_used])),
+                    ("links", np.ascontiguousarray(self._path_links[: self._path_offsets[self._num_paths]])),
                     ("weights", np.ascontiguousarray(self._path_weights[: self._num_paths])),
                 ]
             )
@@ -1194,7 +1244,6 @@ class RouteTable:
                 shard.links = view(named["links"])
                 shard.weights = view(named["weights"])
                 shard.num_paths = len(shard.weights)
-                shard.links_used = len(shard.links)
                 shard.dirty = False
                 table._shards[int(si)] = shard
                 table._resident_bytes += shard.nbytes()
@@ -1209,7 +1258,6 @@ class RouteTable:
             table._path_links = view(named["links"])
             table._path_weights = view(named["weights"])
             table._num_paths = len(table._path_weights)
-            table._links_used = len(table._path_links)
         table._attach_lease = _new_lease(seg, handle.nbytes, owned=False)
         weakref.finalize(table, _release_segment, table._attach_lease)
         table._shared_handle = handle

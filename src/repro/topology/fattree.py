@@ -135,6 +135,9 @@ class GlobalNetwork:
 
         for idx, att in enumerate(self.attachments):
             self.node_attachments.setdefault(att.node, []).append(idx)
+        # node -> tuple of its attachments; built on the first ``paths``
+        # call so route enumeration, not topology construction, pays for it
+        self._node_atts: Optional[Dict[int, Tuple[_Attachment, ...]]] = None
 
     # ------------------------------------------------------------------ build
     def _new_switch(self, role: str, index: int) -> int:
@@ -277,20 +280,6 @@ class GlobalNetwork:
         return node in self.node_attachments
 
     @staticmethod
-    def _rotated(seq: List[int], key: int) -> List[int]:
-        """Deterministically rotate ``seq`` by a hash of ``key``.
-
-        Candidate paths are enumerated starting at a pair-dependent offset so
-        that different flows spread their (capped) path choices over all
-        parallel spines/cores, approximating adaptive routing's load
-        balancing instead of always hammering the first few switches.
-        """
-        if len(seq) <= 1:
-            return seq
-        off = mix64(key) % len(seq)
-        return seq[off:] + seq[:off]
-
-    @staticmethod
     def _rotated(seq: List, key: int) -> List:
         """Deterministically rotate ``seq`` by a hash of ``key``.
 
@@ -320,6 +309,7 @@ class GlobalNetwork:
         pod_b = self.leaf_pod.get(leaf_b, 0)
         if self.levels == 2 or pod_a == pod_b:
             spines = self._rotated(self.spines_of_leaf.get(leaf_a, []), key)
+            up_hash, down_hash = mix64(key ^ 0xA5), mix64(key ^ 0x5A)
             # Round-robin over parallel (up, down) link pairs per spine.
             for round_idx in range(4):
                 for spine in spines:
@@ -329,8 +319,8 @@ class GlobalNetwork:
                     downs = self.leaf_spine[(leaf_b, spine)]
                     if round_idx >= max(len(ups), len(downs)):
                         continue
-                    u = ups[(round_idx + mix64(key ^ 0xA5)) % len(ups)][0]
-                    d = downs[(round_idx + mix64(key ^ 0x5A)) % len(downs)][1]
+                    u = ups[(round_idx + up_hash) % len(ups)][0]
+                    d = downs[(round_idx + down_hash) % len(downs)][1]
                     paths.append([u, d])
                     if len(paths) >= max_paths:
                         return paths
@@ -339,6 +329,7 @@ class GlobalNetwork:
                     break
             return paths
         # three-level, different pods: leaf_a -> spine s -> core -> spine s' -> leaf_b
+        hashes = [mix64(key ^ i) for i in range(4)]
         for spine_a in self._rotated(self.spines_of_leaf.get(leaf_a, []), key):
             for spine_b in self.spines_of_leaf.get(leaf_b, []):
                 if self.spine_index.get(spine_a) != self.spine_index.get(spine_b):
@@ -350,10 +341,10 @@ class GlobalNetwork:
                     ups2 = self.spine_core[(spine_a, core)]
                     downs2 = self.spine_core[(spine_b, core)]
                     downs1 = self.leaf_spine[(leaf_b, spine_b)]
-                    up1 = ups1[mix64(key) % len(ups1)][0]
-                    up2 = ups2[mix64(key ^ 1) % len(ups2)][0]
-                    down2 = downs2[mix64(key ^ 2) % len(downs2)][1]
-                    down1 = downs1[mix64(key ^ 3) % len(downs1)][1]
+                    up1 = ups1[hashes[0] % len(ups1)][0]
+                    up2 = ups2[hashes[1] % len(ups2)][0]
+                    down2 = downs2[hashes[2] % len(downs2)][1]
+                    down1 = downs1[hashes[3] % len(downs1)][1]
                     paths.append([up1, up2, down2, down1])
                     if len(paths) >= max_paths:
                         return paths
@@ -364,10 +355,16 @@ class GlobalNetwork:
         """Minimal up/down paths (as directed-link index lists) from node
         ``src`` to node ``dst`` through this network, including the access
         links at both ends."""
+        table = self._node_atts
+        if table is None:
+            table = self._node_atts = {
+                node: tuple(self.attachments[i] for i in idxs)
+                for node, idxs in self.node_attachments.items()
+            }
         out: List[List[int]] = []
         key = (src * 1000003 + dst) & 0x7FFFFFFF
-        for att_s in self.attachments_of(src):
-            for att_d in self.attachments_of(dst):
+        for att_s in table.get(src, ()):
+            for att_d in table.get(dst, ()):
                 if att_d is att_s:
                     continue
                 for mid in self._leaf_to_leaf_paths(att_s.leaf, att_d.leaf, max_paths, key=key):

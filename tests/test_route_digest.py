@@ -22,6 +22,8 @@ import pytest
 
 import repro.obs as obs
 from repro.core import HxMeshRouter, build_hammingmesh
+from repro.sim import routing
+from repro.sim.policy import RouteSet
 from repro.sim.routing import RouteTable
 from repro.topology import (
     build_dragonfly,
@@ -195,9 +197,12 @@ def _counter_values():
     return obs.counter("routing.pair_hits").value, obs.counter("routing.pair_misses").value
 
 
+@pytest.mark.parametrize("route_batch", [None, 7])
 @pytest.mark.parametrize("sharded", [False, True])
 @pytest.mark.parametrize("name", ["hx2mesh-4x4", "fattree-3level"])
-def test_batched_population_matches_per_pair(name, sharded):
+def test_batched_population_matches_per_pair(name, sharded, route_batch, monkeypatch):
+    if route_batch is not None:  # appends split across many batches
+        monkeypatch.setattr(routing, "_ROUTE_BATCH", route_batch)
     topo = _topology(name)
     src, dst = _batch(topo, seed=5)
     pre_src, pre_dst = _batch(topo, seed=6)
@@ -223,4 +228,54 @@ def test_batched_population_matches_per_pair(name, sharded):
     assert batched_delta == single_delta
     assert batched_delta[0] > 0 and batched_delta[1] > 0
     assert (batched.stats.hits, batched.stats.misses) == (single.stats.hits, single.stats.misses)
+    # arrays grow to the capacities per-pair appends reach
+    assert batched.estimated_csr_bytes() == single.estimated_csr_bytes()
     assert _table_digest(batched, src, dst) == _table_digest(single, src, dst)
+
+
+def _grown(arr, size, keep):
+    out = np.zeros(size, dtype=arr.dtype)
+    out[:keep] = arr[:keep]
+    return out
+
+
+def _append_one_pair(arrays, paths, weights):
+    """Reference: the per-pair CSR append that batched population replaced."""
+    offsets, links, wts, num, used = arrays
+    need = num + len(paths)
+    if need + 1 > len(offsets):
+        offsets = _grown(offsets, max(need + 1, 4 * len(offsets)), num + 1)
+    if need > len(wts):
+        wts = _grown(wts, max(need, 4 * max(len(wts), 16)), num)
+    total = used + sum(len(p) for p in paths)
+    if total > len(links):
+        links = _grown(links, max(total, 4 * max(len(links), 16)), used)
+    wts[num : num + len(paths)] = weights
+    for path in paths:
+        links[used : used + len(path)] = path
+        used += len(path)
+        num += 1
+        offsets[num] = used
+    return [offsets, links, wts, num, used]
+
+
+def test_append_csr_matches_per_pair_reference():
+    """Contents, path ids and array capacities equal per-pair appends."""
+    rng = np.random.default_rng(11)
+    ref = [np.zeros(1, np.int64), np.zeros(0, np.int64), np.zeros(0), 0, 0]
+    offsets, links, weights, num = ref[0], ref[1], ref[2], 0
+    for size in (1, 3, 40, 2, 700, 5, 90):
+        batch = []
+        for _ in range(size):
+            k = int(rng.integers(1, 9))
+            paths = [rng.integers(0, 10**6, int(rng.integers(0, 13))).tolist() for _ in range(k)]
+            batch.append(RouteSet(paths, [1.0 / k] * k, k))
+        firsts = []
+        for routes in batch:
+            firsts.append(ref[3])
+            ref = _append_one_pair(ref, routes.paths, routes.weights)
+        offsets, links, weights, got = routing._append_csr(offsets, links, weights, num, batch)
+        num = ref[3]
+        assert got == firsts
+        for mine, theirs in zip((offsets, links, weights), ref[:3]):
+            assert len(mine) == len(theirs) and np.array_equal(mine, theirs)
