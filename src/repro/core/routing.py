@@ -332,12 +332,12 @@ def virtual_channel_of(topo: Topology, path: Sequence[int]) -> List[int]:
     matches the HxMesh deadlock-avoidance rule and is a no-op (single
     increment) for the switched baseline topologies.
     """
+    link_src, link_dst = topo.link_src, topo.link_dst
     vc = 0
     out: List[int] = []
     for li in path:
-        link = topo.link(li)
-        entering_switch = topo.is_switch(link.dst)
-        leaving_acc = topo.is_accelerator(link.src)
+        entering_switch = topo.is_switch(link_dst[li])
+        leaving_acc = topo.is_accelerator(link_src[li])
         if entering_switch and leaving_acc:
             vc = min(vc + 1, MAX_VIRTUAL_CHANNELS - 1)
         out.append(vc)

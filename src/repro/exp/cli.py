@@ -203,6 +203,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         args.against
         or f"benchmarks/artifacts/BENCH_{spec.artifact_name(**params)}.json"
     )
+    if not Path(against).is_file():
+        print(f"error: no artifact to diff {args.sweep} against: {against} does not exist", file=sys.stderr)
+        return 2
     artifact = read_artifact(against)
     runner = Runner(workers=args.workers, cache=_resolve_cache(args))
     runs, _ = run_sweeps({args.sweep: params}, runner=runner)

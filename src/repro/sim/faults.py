@@ -93,9 +93,9 @@ def cable_partner(topo: Topology, link_index: int) -> Optional[int]:
     forward link between two nodes pairs with the k-th reverse link; a
     dead cable kills both directions together.
     """
-    link = topo.link(link_index)
-    forward = topo.find_links(link.src, link.dst)
-    reverse = topo.find_links(link.dst, link.src)
+    src, dst = topo.link_src[link_index], topo.link_dst[link_index]
+    forward = topo.find_links(src, dst)
+    reverse = topo.find_links(dst, src)
     if not reverse:
         return None
     pos = forward.index(link_index)
@@ -217,6 +217,7 @@ def fault_candidate_links(topo: Topology, *, seed: int = 0) -> List[int]:
     returned list form nested fault sets.
     """
     switched = topo.num_switches > 0
+    link_src, link_dst = topo.link_src, topo.link_dst
     reps: List[int] = []
     seen = set()
     for li in range(topo.num_links):
@@ -225,8 +226,7 @@ def fault_candidate_links(topo: Topology, *, seed: int = 0) -> List[int]:
         partner = cable_partner(topo, li)
         if partner is not None:
             seen.add(partner)
-        link = topo.link(li)
-        if switched and topo.is_accelerator(link.src) != topo.is_accelerator(link.dst):
+        if switched and topo.is_accelerator(link_src[li]) != topo.is_accelerator(link_dst[li]):
             continue
         reps.append(li)
     reps.sort(key=lambda li: mix64(mix64(li + 1) ^ mix64(0xFA17 + seed)))
@@ -377,6 +377,7 @@ class DegradedPathProvider:
             return cached
         dead_links = self._dead_links
         dead_nodes = self._dead_nodes
+        link_src = self.topo.link_src
         dist = [-1] * self.topo.num_nodes
         if dst not in dead_nodes:
             dist[dst] = 0
@@ -386,7 +387,7 @@ class DegradedPathProvider:
                 for li in self.topo.in_links(u):
                     if li in dead_links:
                         continue
-                    v = self.topo.link(li).src
+                    v = link_src[li]
                     if dist[v] < 0 and v not in dead_nodes:
                         dist[v] = dist[u] + 1
                         q.append(v)
@@ -400,6 +401,7 @@ class DegradedPathProvider:
         if dist[src] < 0:
             return []
         dead_links = self._dead_links
+        link_dst = self.topo.link_dst
         out: List[List[int]] = []
 
         def descend(node: int, acc: List[int]) -> None:
@@ -411,7 +413,7 @@ class DegradedPathProvider:
             for li in self.topo.out_links(node):
                 if li in dead_links:
                     continue
-                v = self.topo.link(li).dst
+                v = link_dst[li]
                 if dist[v] == dist[node] - 1:
                     acc.append(li)
                     descend(v, acc)

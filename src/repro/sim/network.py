@@ -213,14 +213,15 @@ class PacketNetwork:
         n_links = topo.num_links
         self._link_free: List[float] = [0.0] * n_links
         self._link_busy: List[float] = [0.0] * n_links
-        self._serialization = np.empty(n_links)
-        self._latency = np.empty(n_links)
-        for idx, link in enumerate(topo.links):
-            rate = link.capacity * config.bytes_per_capacity_unit
-            self._serialization[idx] = config.packet_size / rate
-            self._latency[idx] = (
-                config.board_latency if link.cable is CableClass.PCB else config.cable_latency
-            )
+        # elementwise, the float64 operations a per-link loop would do, so
+        # the timing tables are bit-identical to it
+        rate = topo.link_capacity_array() * config.bytes_per_capacity_unit
+        self._serialization = config.packet_size / rate
+        self._latency = np.where(
+            topo.link_cable_mask(CableClass.PCB),
+            float(config.board_latency),
+            float(config.cable_latency),
+        )
         self._ser_list: List[float] = self._serialization.tolist()
         self._lat_list: List[float] = self._latency.tolist()
         self._buffer = float(config.buffer_latency)

@@ -87,13 +87,14 @@ class GenericPathProvider:
         if cached is not None:
             self._dist_cache.move_to_end(dst)
             return cached
+        link_src = self.topo.link_src
         dist = [-1] * self.topo.num_nodes
         dist[dst] = 0
         q = deque([dst])
         while q:
             u = q.popleft()
             for li in self.topo.in_links(u):
-                v = self.topo.link(li).src
+                v = link_src[li]
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     q.append(v)
@@ -109,6 +110,7 @@ class GenericPathProvider:
         if dist[src] < 0:
             raise TopologyError(f"no path from {src} to {dst}")
         out: List[List[int]] = []
+        link_dst = self.topo.link_dst
 
         def descend(node: int, acc: List[int]) -> None:
             if len(out) >= max_paths:
@@ -117,7 +119,7 @@ class GenericPathProvider:
                 out.append(list(acc))
                 return
             for li in self.topo.out_links(node):
-                v = self.topo.link(li).dst
+                v = link_dst[li]
                 if dist[v] == dist[node] - 1:
                     acc.append(li)
                     descend(v, acc)

@@ -8,17 +8,21 @@ index.  All concrete topologies (fat tree, Dragonfly, torus, HyperX,
 HammingMesh) are built on top of this model so that the property analysis,
 the cost model, and both simulators can treat them uniformly.
 
-The module intentionally avoids heavyweight per-node Python objects in hot
-paths: node attributes live in plain dictionaries and link endpoints are
-stored in parallel integer lists so that they can be converted to NumPy
-arrays cheaply by the flow-level simulator.
+The module intentionally avoids heavyweight per-node and per-link Python
+objects: node attributes live in plain dictionaries, and directed links are
+stored as parallel columns indexed by link id (endpoints, capacity, cable,
+plane, tag), so that building a topology creates no object per link and the
+simulators can convert the columns to NumPy arrays cheaply.  :class:`Link`
+values are built on demand by :meth:`Topology.link`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+import itertools
+from array import array
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
     "NodeKind",
@@ -57,6 +61,11 @@ class CableClass(enum.Enum):
     AOC = "aoc"
 
 
+#: cable column code -> class, and back
+_CABLES: Tuple[CableClass, ...] = tuple(CableClass)
+_CABLE_CODE: Dict[CableClass, int] = {c: i for i, c in enumerate(_CABLES)}
+
+
 @dataclass(frozen=True)
 class Link:
     """A directed link between two nodes.
@@ -91,7 +100,8 @@ class Topology:
 
     Nodes are integers assigned on creation.  Every physical cable is added
     as a *bidirectional* connection, i.e. two directed links, via
-    :meth:`add_link`.  Directed links can be added explicitly with
+    :meth:`add_link` or, for a batch of cables with the same attributes,
+    :meth:`add_links`.  Directed links can be added explicitly with
     :meth:`add_directed_link` (used for asymmetric constructions in tests).
     """
 
@@ -100,23 +110,31 @@ class Topology:
         self._kinds: List[NodeKind] = []
         self._labels: List[str] = []
         self._attrs: List[Dict[str, Any]] = []
-        self._links: List[Link] = []
+        # directed links as parallel columns indexed by link id: endpoints,
+        # planes and tags are lists (cheap element reads in Python loops),
+        # capacities and cable codes are typed arrays (cheap NumPy export)
+        self._src: List[int] = []
+        self._dst: List[int] = []
+        self._capacity = array("d")
+        self._cable = array("b")
+        self._plane: List[int] = []
+        self._tag: List[str] = []
         # adjacency: node -> list of link indices leaving that node
         self._out: List[List[int]] = []
         self._in: List[List[int]] = []
         self._accelerators: List[int] = []
         self._switches: List[int] = []
         # number of physical (bidirectional) cables per cable class,
-        # maintained incrementally by add_link for the cost model.
+        # maintained incrementally by add_links for the cost model.
         self._cable_counts: Dict[CableClass, int] = {c: 0 for c in CableClass}
         self.meta: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------ nodes
-    def _add_node(self, kind: NodeKind, label: str, **attrs: Any) -> int:
+    def _add_node(self, kind: NodeKind, label: str, attrs: Dict[str, Any]) -> int:
         node = len(self._kinds)
         self._kinds.append(kind)
         self._labels.append(label)
-        self._attrs.append(dict(attrs))
+        self._attrs.append(attrs)
         self._out.append([])
         self._in.append([])
         if kind is NodeKind.ACCELERATOR:
@@ -127,13 +145,44 @@ class Topology:
 
     def add_accelerator(self, label: str = "", **attrs: Any) -> int:
         """Add an accelerator endpoint and return its node id."""
-        return self._add_node(NodeKind.ACCELERATOR, label, **attrs)
+        return self._add_node(NodeKind.ACCELERATOR, label, attrs)
 
     def add_switch(self, label: str = "", **attrs: Any) -> int:
         """Add a packet switch and return its node id."""
-        return self._add_node(NodeKind.SWITCH, label, **attrs)
+        return self._add_node(NodeKind.SWITCH, label, attrs)
 
     # ------------------------------------------------------------------ links
+    def _check_links(self, pairs: Sequence[Tuple[int, int]], capacity: float) -> None:
+        """Raise on the first pair successive single-link calls would reject."""
+        n = len(self._kinds)
+        for a, b in pairs:
+            if not (0 <= a < n and 0 <= b < n):
+                raise TopologyError(f"link endpoints out of range: {a}->{b}")
+            if a == b:
+                raise TopologyError("self links are not allowed")
+            if capacity <= 0:
+                raise TopologyError("link capacity must be positive")
+
+    def _append_columns(
+        self,
+        srcs: List[int],
+        dsts: List[int],
+        capacity: float,
+        cable: CableClass,
+        plane: int,
+        tag: str,
+    ) -> int:
+        """Append validated directed links to the columns; return the first id."""
+        first = len(self._src)
+        m = len(srcs)
+        self._src += srcs
+        self._dst += dsts
+        self._capacity += array("d", [capacity]) * m
+        self._cable += array("b", [_CABLE_CODE[cable]]) * m
+        self._plane += [plane] * m
+        self._tag += [tag] * m
+        return first
+
     def add_directed_link(
         self,
         src: int,
@@ -145,17 +194,49 @@ class Topology:
         tag: str = "",
     ) -> int:
         """Add a single directed link and return its link index."""
-        if not (0 <= src < len(self._kinds)) or not (0 <= dst < len(self._kinds)):
-            raise TopologyError(f"link endpoints out of range: {src}->{dst}")
-        if src == dst:
-            raise TopologyError("self links are not allowed")
-        if capacity <= 0:
-            raise TopologyError("link capacity must be positive")
-        idx = len(self._links)
-        self._links.append(Link(src, dst, capacity, cable, plane, tag))
-        self._out[src].append(idx)
-        self._in[dst].append(idx)
-        return idx
+        self._check_links(((src, dst),), capacity)
+        li = self._append_columns([src], [dst], capacity, cable, plane, tag)
+        self._out[src].append(li)
+        self._in[dst].append(li)
+        return li
+
+    def add_links(
+        self,
+        pairs: Iterable[Tuple[int, int]],
+        *,
+        capacity: float = 1.0,
+        cable: CableClass = CableClass.DAC,
+        plane: int = 0,
+        tag: str = "",
+        count_cable: bool = True,
+    ) -> int:
+        """Add one bidirectional connection per ``(a, b)`` pair, all alike.
+
+        The whole batch is validated before anything is added, with the
+        errors successive :meth:`add_link` calls would raise.  Link ids are
+        laid out as those calls would lay them out: the ``k``-th pair gets
+        ``a -> b`` at ``first + 2k`` and ``b -> a`` at ``first + 2k + 1``,
+        where ``first`` (the returned id) is :attr:`num_links` before the
+        call.  ``count_cable`` is as for :meth:`add_link`.
+        """
+        pairs = list(pairs)
+        self._check_links(pairs, capacity)
+        srcs = list(itertools.chain.from_iterable(pairs))
+        dsts = srcs[:]
+        dsts[0::2] = srcs[1::2]
+        dsts[1::2] = srcs[0::2]
+        if count_cable:
+            self._cable_counts[cable] += len(pairs)
+        first = li = self._append_columns(srcs, dsts, capacity, cable, plane, tag)
+        out, into = self._out, self._in
+        for a, b in pairs:
+            out[a].append(li)
+            into[b].append(li)
+            li += 1
+            out[b].append(li)
+            into[a].append(li)
+            li += 1
+        return first
 
     def add_link(
         self,
@@ -174,11 +255,11 @@ class Topology:
         physical cable for the cost model; set to ``False`` for logical
         shortcut links that do not correspond to purchasable cables.
         """
-        i = self.add_directed_link(a, b, capacity=capacity, cable=cable, plane=plane, tag=tag)
-        j = self.add_directed_link(b, a, capacity=capacity, cable=cable, plane=plane, tag=tag)
-        if count_cable:
-            self._cable_counts[cable] += 1
-        return i, j
+        i = self.add_links(
+            ((a, b),), capacity=capacity, cable=cable, plane=plane, tag=tag,
+            count_cable=count_cable,
+        )
+        return i, i + 1
 
     # ---------------------------------------------------------------- queries
     @property
@@ -187,7 +268,7 @@ class Topology:
 
     @property
     def num_links(self) -> int:
-        return len(self._links)
+        return len(self._src)
 
     @property
     def accelerators(self) -> Sequence[int]:
@@ -207,10 +288,27 @@ class Topology:
 
     @property
     def links(self) -> Sequence[Link]:
-        return tuple(self._links)
+        return tuple(map(self.link, range(len(self._src))))
 
     def link(self, index: int) -> Link:
-        return self._links[index]
+        return Link(
+            self._src[index],
+            self._dst[index],
+            self._capacity[index],
+            _CABLES[self._cable[index]],
+            self._plane[index],
+            self._tag[index],
+        )
+
+    @property
+    def link_src(self) -> Sequence[int]:
+        """Source node of every directed link, indexed by link id (read only)."""
+        return self._src
+
+    @property
+    def link_dst(self) -> Sequence[int]:
+        """Destination node of every directed link, indexed by link id (read only)."""
+        return self._dst
 
     def kind(self, node: int) -> NodeKind:
         return self._kinds[node]
@@ -237,10 +335,8 @@ class Topology:
 
     def neighbors(self, node: int) -> List[int]:
         """Unique successor nodes of ``node``."""
-        seen: Dict[int, None] = {}
-        for li in self._out[node]:
-            seen.setdefault(self._links[li].dst, None)
-        return list(seen)
+        dst = self._dst
+        return list(dict.fromkeys(dst[li] for li in self._out[node]))
 
     def degree(self, node: int) -> int:
         """Number of outgoing directed links (port count on that plane)."""
@@ -252,7 +348,8 @@ class Topology:
 
     def find_links(self, src: int, dst: int) -> List[int]:
         """All directed link indices from ``src`` to ``dst``."""
-        return [li for li in self._out[src] if self._links[li].dst == dst]
+        to = self._dst
+        return [li for li in self._out[src] if to[li] == dst]
 
     # ------------------------------------------------------------- validation
     def validate(self) -> None:
@@ -272,6 +369,7 @@ class Topology:
         """True if the underlying undirected graph is connected."""
         if self.num_nodes == 0:
             return True
+        src, dst = self._src, self._dst
         seen = [False] * self.num_nodes
         stack = [0]
         seen[0] = True
@@ -279,13 +377,13 @@ class Topology:
         while stack:
             u = stack.pop()
             for li in self._out[u]:
-                v = self._links[li].dst
+                v = dst[li]
                 if not seen[v]:
                     seen[v] = True
                     count += 1
                     stack.append(v)
             for li in self._in[u]:
-                v = self._links[li].src
+                v = src[li]
                 if not seen[v]:
                     seen[v] = True
                     count += 1
@@ -300,7 +398,7 @@ class Topology:
         g = nx.MultiDiGraph(name=self.name)
         for node in range(self.num_nodes):
             g.add_node(node, kind=self._kinds[node].value, label=self._labels[node], **self._attrs[node])
-        for idx, link in enumerate(self._links):
+        for idx, link in enumerate(self.links):
             g.add_edge(link.src, link.dst, key=idx, capacity=link.capacity,
                        cable=link.cable.value, plane=link.plane, tag=link.tag)
         return g
@@ -309,7 +407,13 @@ class Topology:
         """Per-directed-link capacity as a NumPy array (flow simulator input)."""
         import numpy as np
 
-        return np.array([l.capacity for l in self._links], dtype=np.float64)
+        return np.array(self._capacity, dtype=np.float64)
+
+    def link_cable_mask(self, cable: CableClass):
+        """Per-directed-link NumPy bool array: True where the link is ``cable``."""
+        import numpy as np
+
+        return np.frombuffer(self._cable, dtype=np.int8) == _CABLE_CODE[cable]
 
     def accelerator_index(self) -> Dict[int, int]:
         """Map node id -> dense accelerator rank (0..P-1)."""

@@ -120,25 +120,23 @@ def add_board(
         nodes.append(row)
 
     mesh_links: Dict[Tuple[int, str], int] = {}
+
+    def wire(pairs: List[Tuple[int, int]], fwd: str, back: str, tag: str) -> None:
+        li = topo.add_links(
+            pairs, capacity=capacity, cable=CableClass.PCB, plane=plane,
+            tag=tag, count_cable=False,
+        )
+        for u, v in pairs:
+            mesh_links[(u, fwd)] = li
+            mesh_links[(v, back)] = li + 1
+            li += 2
+
     # East-West PCB links (within an on-board row).
-    for br in range(b):
-        for bc in range(a - 1):
-            u, v = nodes[br][bc], nodes[br][bc + 1]
-            e, w = topo.add_link(
-                u, v, capacity=capacity, cable=CableClass.PCB, plane=plane,
-                tag="board-EW", count_cable=False,
-            )
-            mesh_links[(u, EAST)] = e
-            mesh_links[(v, WEST)] = w
+    wire([(row[bc], row[bc + 1]) for row in nodes for bc in range(a - 1)], EAST, WEST, "board-EW")
     # North-South PCB links (within an on-board column).  Row 0 is North.
-    for bc in range(a):
-        for br in range(b - 1):
-            u, v = nodes[br][bc], nodes[br + 1][bc]
-            s, n = topo.add_link(
-                u, v, capacity=capacity, cable=CableClass.PCB, plane=plane,
-                tag="board-NS", count_cable=False,
-            )
-            mesh_links[(u, SOUTH)] = s
-            mesh_links[(v, NORTH)] = n
+    wire(
+        [(nodes[br][bc], nodes[br + 1][bc]) for bc in range(a) for br in range(b - 1)],
+        SOUTH, NORTH, "board-NS",
+    )
 
     return BoardHandle(coord=coord, a=a, b=b, nodes=nodes, mesh_links=mesh_links)

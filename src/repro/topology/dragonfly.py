@@ -60,24 +60,24 @@ def build_dragonfly(
                 acc = topo.add_accelerator(
                     f"acc-g{gi}-r{ri}-e{ei}", group=gi, router=ri, endpoint=ei
                 )
-                topo.add_link(
-                    acc, sw, capacity=link_capacity, cable=CableClass.DAC, tag="df-access"
-                )
                 acc_router[acc] = sw
         routers.append(group_routers)
+    li = topo.add_links(
+        acc_router.items(), capacity=link_capacity, cable=CableClass.DAC, tag="df-access"
+    )
+    access_links: Dict[int, Tuple[int, int]] = {}
+    for acc in acc_router:
+        access_links[acc] = (li, li + 1)
+        li += 2
 
     # Local links: all-to-all within each group (DAC inside the group).
     local_links: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for gi in range(g):
-        grp = routers[gi]
-        for i in range(a):
-            for j in range(i + 1, a):
-                up, down = topo.add_link(
-                    grp[i], grp[j], capacity=link_capacity, cable=CableClass.DAC,
-                    tag="df-local",
-                )
-                local_links[(grp[i], grp[j])] = (up, down)
-                local_links[(grp[j], grp[i])] = (down, up)
+    pairs = [(grp[i], grp[j]) for grp in routers for i in range(a) for j in range(i + 1, a)]
+    up = topo.add_links(pairs, capacity=link_capacity, cable=CableClass.DAC, tag="df-local")
+    for r1, r2 in pairs:
+        local_links[(r1, r2)] = (up, up + 1)
+        local_links[(r2, r1)] = (up + 1, up)
+        up += 2
 
     # Global links: each group owns a*h global channels distributed as evenly
     # as possible over the other g-1 groups; channel endpoints are assigned to
@@ -95,6 +95,7 @@ def build_dragonfly(
             pair_count[key] = pair_count.get(key, 0) + 1
     # Every channel was counted from both sides; two ports make one cable.
     next_port = [0] * g  # round-robin router assignment per group
+    channels: List[Tuple[int, int, int, int]] = []  # (g1, g2, r1, r2)
     for (g1, g2), cnt in sorted(pair_count.items()):
         cables = max(1, cnt // 2)
         for _ in range(cables):
@@ -102,18 +103,15 @@ def build_dragonfly(
             r2 = routers[g2][next_port[g2] % a]
             next_port[g1] += 1
             next_port[g2] += 1
-            up, down = topo.add_link(
-                r1, r2, capacity=link_capacity, cable=CableClass.AOC, tag="df-global"
-            )
-            group_links.setdefault((g1, g2), []).append((r1, r2, up))
-            group_links.setdefault((g2, g1), []).append((r2, r1, down))
-
-    access_links: Dict[int, Tuple[int, int]] = {}
-    for acc in topo.accelerators:
-        sw = acc_router[acc]
-        up = topo.find_links(acc, sw)[0]
-        down = topo.find_links(sw, acc)[0]
-        access_links[acc] = (up, down)
+            channels.append((g1, g2, r1, r2))
+    up = topo.add_links(
+        [(r1, r2) for _, _, r1, r2 in channels],
+        capacity=link_capacity, cable=CableClass.AOC, tag="df-global",
+    )
+    for g1, g2, r1, r2 in channels:
+        group_links.setdefault((g1, g2), []).append((r1, r2, up))
+        group_links.setdefault((g2, g1), []).append((r2, r1, up + 1))
+        up += 2
 
     topo.meta.update(
         family="dragonfly",

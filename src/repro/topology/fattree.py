@@ -145,35 +145,45 @@ class GlobalNetwork:
             f"{self.tag}-{role}{index}", role=role, network=self.tag, plane=self.plane
         )
 
-    def _attach(self, node: int, leaf: int) -> None:
-        up, down = self.topo.add_link(
-            node,
-            leaf,
+    def _attach(self, pairs: List[Tuple[int, int]]) -> None:
+        """Connect every ``(node, leaf)`` pair with an access cable."""
+        li = self.topo.add_links(
+            pairs,
             capacity=self._access_capacity,
             cable=self._access_cable,
             plane=self.plane,
             tag=f"{self.tag}-access",
         )
-        self.attachments.append(_Attachment(node, leaf, up, down))
+        for node, leaf in pairs:
+            self.attachments.append(_Attachment(node, leaf, li, li + 1))
+            li += 2
 
-    def _trunk(self, lo: int, hi: int, store: Dict[Tuple[int, int], List[Tuple[int, int]]]) -> None:
-        up, down = self.topo.add_link(
-            lo,
-            hi,
+    def _trunk(
+        self,
+        pairs: List[Tuple[int, int]],
+        store: Dict[Tuple[int, int], List[Tuple[int, int]]],
+        uppers: Dict[int, List[int]],
+    ) -> None:
+        """Cable every ``(lo, hi)`` pair; record it in ``store`` and ``uppers``."""
+        li = self.topo.add_links(
+            pairs,
             capacity=self._trunk_capacity,
             cable=self._trunk_cable,
             plane=self.plane,
             tag=f"{self.tag}-trunk",
         )
-        store.setdefault((lo, hi), []).append((up, down))
+        for lo, hi in pairs:
+            store.setdefault((lo, hi), []).append((li, li + 1))
+            li += 2
+            if hi not in uppers[lo]:
+                uppers[lo].append(hi)
 
     def _build_single_switch(self, ports: Sequence[int]) -> None:
         if len(ports) > self.radix:
             raise TopologyError("too many ports for a single switch")
         sw = self._new_switch("leaf", 0)
         self.leaf_switches.append(sw)
-        for node in ports:
-            self._attach(node, sw)
+        self._attach([(node, sw) for node in ports])
 
     def _build_two_level(
         self,
@@ -198,16 +208,19 @@ class GlobalNetwork:
         spines = [self._new_switch("spine", i) for i in range(num_spines)]
         self.leaf_switches.extend(leaves)
         self.spine_switches.extend(spines)
-        for i, node in enumerate(ports):
-            self._attach(node, leaves[i // down])
-        for li, leaf in enumerate(leaves):
+        self._attach([(node, leaves[i // down]) for i, node in enumerate(ports)])
+        for leaf in leaves:
             self.spines_of_leaf[leaf] = []
-            for u in range(up):
-                spine = spines[(li * up + u) % num_spines]
-                self._trunk(leaf, spine, self.leaf_spine)
-                if spine not in self.spines_of_leaf[leaf]:
-                    self.spines_of_leaf[leaf].append(spine)
             self.leaf_pod[leaf] = 0
+        # each leaf's uplinks go round robin over the spines
+        self._trunk(
+            [
+                (leaf, spines[(li * up + u) % num_spines])
+                for li, leaf in enumerate(leaves) for u in range(up)
+            ],
+            self.leaf_spine,
+            self.spines_of_leaf,
+        )
         for spine in spines:
             self.spine_pod[spine] = 0
 
@@ -217,14 +230,16 @@ class GlobalNetwork:
         pod_capacity = half * half          # endpoints per pod (nonblocking)
         num_pods = -(-n // pod_capacity)
         down = half
-        up = max(1, round(down * self.taper))            # leaf uplinks
-        spine_up = max(1, round(half * self.taper))      # pod-spine uplinks
-        cores_per_index = max(1, -(-(spine_up * num_pods) // self.radix))
-        num_cores = half * cores_per_index
+        # Each leaf has ``up`` uplinks, one to each of its pod's ``up``
+        # spines, so every two leaves share every pod spine.  Every spine has
+        # ``half`` core uplinks: a pod's core-uplink capacity is ``half * up``
+        # links, the leaves' total, so the taper applies once, at the leaves.
+        up = max(1, round(down * self.taper))
+        cores_per_index = max(1, -(-(half * num_pods) // self.radix))
+        num_cores = up * cores_per_index
         cores = [self._new_switch("core", i) for i in range(num_cores)]
         self.core_switches.extend(cores)
 
-        port_iter = iter(range(n))
         ports = list(ports)
         for pod in range(num_pods):
             pod_ports = ports[pod * pod_capacity : (pod + 1) * pod_capacity]
@@ -232,7 +247,7 @@ class GlobalNetwork:
                 continue
             num_leaves = -(-len(pod_ports) // down)
             leaves = [self._new_switch("leaf", pod * half + i) for i in range(num_leaves)]
-            spines = [self._new_switch("spine", pod * half + i) for i in range(half)]
+            spines = [self._new_switch("spine", pod * half + i) for i in range(up)]
             self.leaf_switches.extend(leaves)
             self.spine_switches.extend(spines)
             for leaf in leaves:
@@ -240,29 +255,28 @@ class GlobalNetwork:
             for si, spine in enumerate(spines):
                 self.spine_pod[spine] = pod
                 self.spine_index[spine] = si
-            for i, node in enumerate(pod_ports):
-                self._attach(node, leaves[i // down])
-            # leaf <-> pod spine links: distribute each leaf's uplinks round
-            # robin over the pod's spines.
-            for li, leaf in enumerate(leaves):
+            self._attach([(node, leaves[i // down]) for i, node in enumerate(pod_ports)])
+            for leaf in leaves:
                 self.spines_of_leaf[leaf] = []
-                for u in range(up):
-                    spine = spines[(li * up + u) % len(spines)]
-                    self._trunk(leaf, spine, self.leaf_spine)
-                    if spine not in self.spines_of_leaf[leaf]:
-                        self.spines_of_leaf[leaf].append(spine)
+            self._trunk(
+                [(leaf, spine) for leaf in leaves for spine in spines],
+                self.leaf_spine,
+                self.spines_of_leaf,
+            )
             # pod spine <-> core links: spine with index s connects only to the
             # core group [s*cores_per_index, (s+1)*cores_per_index), so that
             # same-index spines of different pods share cores (valid up/down
             # paths exist between any two pods).
-            for si, spine in enumerate(spines):
+            for spine in spines:
                 self.cores_of_spine[spine] = []
-                group = cores[si * cores_per_index : (si + 1) * cores_per_index]
-                for u in range(spine_up):
-                    core = group[u % len(group)]
-                    self._trunk(spine, core, self.spine_core)
-                    if core not in self.cores_of_spine[spine]:
-                        self.cores_of_spine[spine].append(core)
+            self._trunk(
+                [
+                    (spine, cores[si * cores_per_index + u % cores_per_index])
+                    for si, spine in enumerate(spines) for u in range(half)
+                ],
+                self.spine_core,
+                self.cores_of_spine,
+            )
 
     # ------------------------------------------------------------------ paths
     @property

@@ -61,39 +61,39 @@ def build_hyperx2d(
             switch_coord[sw] = (r, c)
             for t in range(terminals):
                 acc = topo.add_accelerator(f"acc[{r},{c},{t}]", coord=(r, c), terminal=t)
-                topo.add_link(
-                    acc, sw, capacity=access_capacity, cable=CableClass.DAC, tag="hx-access"
-                )
                 acc_switch[acc] = sw
         switch_grid.append(row)
+    li = topo.add_links(
+        acc_switch.items(), capacity=access_capacity, cable=CableClass.DAC, tag="hx-access"
+    )
+    access_links: Dict[int, Tuple[int, int]] = {}
+    for acc in acc_switch:
+        access_links[acc] = (li, li + 1)
+        li += 2
 
     # (switch_a, switch_b) -> directed link a->b
     switch_links: Dict[Tuple[int, int], int] = {}
-    # Row links (DAC within a row per the Hx1Mesh cost convention).
-    for r in range(y):
-        for c1 in range(x):
-            for c2 in range(c1 + 1, x):
-                a, b = switch_grid[r][c1], switch_grid[r][c2]
-                ab, ba = topo.add_link(
-                    a, b, capacity=link_capacity, cable=CableClass.DAC, tag="hx-row"
-                )
-                switch_links[(a, b)] = ab
-                switch_links[(b, a)] = ba
-    # Column links (AoC, longer runs).
-    for c in range(x):
-        for r1 in range(y):
-            for r2 in range(r1 + 1, y):
-                a, b = switch_grid[r1][c], switch_grid[r2][c]
-                ab, ba = topo.add_link(
-                    a, b, capacity=link_capacity, cable=CableClass.AOC, tag="hx-col"
-                )
-                switch_links[(a, b)] = ab
-                switch_links[(b, a)] = ba
 
-    access_links: Dict[int, Tuple[int, int]] = {}
-    for acc in topo.accelerators:
-        sw = acc_switch[acc]
-        access_links[acc] = (topo.find_links(acc, sw)[0], topo.find_links(sw, acc)[0])
+    def wire(pairs: List[Tuple[int, int]], cable: CableClass, tag: str) -> None:
+        li = topo.add_links(pairs, capacity=link_capacity, cable=cable, tag=tag)
+        for a, b in pairs:
+            switch_links[(a, b)] = li
+            switch_links[(b, a)] = li + 1
+            li += 2
+
+    # Row links (DAC within a row per the Hx1Mesh cost convention).
+    wire(
+        [(row[c1], row[c2]) for row in switch_grid for c1 in range(x) for c2 in range(c1 + 1, x)],
+        CableClass.DAC, "hx-row",
+    )
+    # Column links (AoC, longer runs).
+    wire(
+        [
+            (switch_grid[r1][c], switch_grid[r2][c])
+            for c in range(x) for r1 in range(y) for r2 in range(r1 + 1, y)
+        ],
+        CableClass.AOC, "hx-col",
+    )
 
     topo.meta.update(
         family="hyperx",

@@ -86,6 +86,7 @@ def bfs_diameter(topo: Topology, sources: Optional[Iterable[int]] = None) -> int
     """
     if sources is None:
         sources = topo.accelerators
+    link_dst = topo.link_dst
     best = 0
     for src in sources:
         dist = [-1] * topo.num_nodes
@@ -94,7 +95,7 @@ def bfs_diameter(topo: Topology, sources: Optional[Iterable[int]] = None) -> int
         while q:
             u = q.popleft()
             for li in topo.out_links(u):
-                v = topo.link(li).dst
+                v = link_dst[li]
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     q.append(v)

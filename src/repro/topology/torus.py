@@ -60,40 +60,23 @@ def build_torus2d(
     # "E" = +col, "W" = -col, "S" = +row, "N" = -row (all modulo grid size).
     dir_links: Dict[Tuple[int, int, str], int] = {}
 
-    def record(u_rc, v_rc, fwd_tag, link_uv, link_vu):
-        dir_links[(u_rc[0], u_rc[1], fwd_tag)] = link_uv
-        back = {"E": "W", "W": "E", "S": "N", "N": "S"}[fwd_tag]
-        dir_links[(v_rc[0], v_rc[1], back)] = link_vu
+    def wire(steps: List[Tuple[int, int, int, int]], fwd: str, back: str, tag: str) -> None:
+        """Cable the ``(r, c) -> (nr, nc)`` steps that have no on-board link
+        and record every step's two directed links in ``dir_links``."""
+        pairs = [(grid[r][c], grid[nr][nc]) for r, c, nr, nc in steps]
+        # inter-board or wrap-around cables
+        topo.add_links(
+            [(u, v) for u, v in pairs if not topo.find_links(u, v)],
+            capacity=link_capacity, cable=CableClass.DAC, tag=tag,
+        )
+        for (r, c, nr, nc), (u, v) in zip(steps, pairs):
+            dir_links[(r, c, fwd)] = topo.find_links(u, v)[0]
+            dir_links[(nr, nc, back)] = topo.find_links(v, u)[0]
 
     # Horizontal links (East direction = increasing column, wrapping).
-    for r in range(rows):
-        for c in range(cols):
-            nc = (c + 1) % cols
-            u, v = grid[r][c], grid[r][nc]
-            existing = topo.find_links(u, v)
-            if existing:
-                uv = existing[0]
-                vu = topo.find_links(v, u)[0]
-            else:
-                # inter-board or wrap-around cable
-                uv, vu = topo.add_link(
-                    u, v, capacity=link_capacity, cable=CableClass.DAC, tag="torus-EW"
-                )
-            record((r, c), (r, nc), "E", uv, vu)
+    wire([(r, c, r, (c + 1) % cols) for r in range(rows) for c in range(cols)], "E", "W", "torus-EW")
     # Vertical links (South direction = increasing row, wrapping).
-    for c in range(cols):
-        for r in range(rows):
-            nr = (r + 1) % rows
-            u, v = grid[r][c], grid[nr][c]
-            existing = topo.find_links(u, v)
-            if existing:
-                uv = existing[0]
-                vu = topo.find_links(v, u)[0]
-            else:
-                uv, vu = topo.add_link(
-                    u, v, capacity=link_capacity, cable=CableClass.DAC, tag="torus-NS"
-                )
-            record((r, c), (nr, c), "S", uv, vu)
+    wire([(r, c, (r + 1) % rows, c) for c in range(cols) for r in range(rows)], "S", "N", "torus-NS")
 
     coord_of: Dict[int, Tuple[int, int]] = {}
     for r in range(rows):

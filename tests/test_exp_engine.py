@@ -359,3 +359,23 @@ class TestWarmPoolAndChunkSplitting:
             obs.disable()
         assert report.values() == serial.values()
         clear_route_tables()
+
+
+class TestCliDiff:
+    def test_missing_artifact_fails_with_one_line(self, tmp_path, monkeypatch, capsys):
+        from repro.exp import cli
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the artifact was checked")
+
+        monkeypatch.setattr(cli, "run_sweeps", no_sweep)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["diff", "profiles", "--no-cache"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "benchmarks/artifacts/BENCH_network_profiles.json does not exist" in err
+
+        missing = tmp_path / "BENCH_nowhere.json"
+        assert cli.main(["diff", "fig7", "--no-cache", "--against", str(missing)]) == 2
+        assert f"{missing} does not exist" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from repro.sim import (
     random_permutation,
     ring_neighbor_flows,
 )
-from repro.topology import build_fat_tree
+from repro.topology import CableClass, build_fat_tree
 
 
 class TestEventEngine:
@@ -73,6 +73,28 @@ class TestEventEngine:
 
 
 class TestPacketNetwork:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PacketSimConfig(),
+            PacketSimConfig(packet_size=4096, bytes_per_capacity_unit=12.5e9, cable_latency=3e-8),
+        ],
+    )
+    def test_link_timing_tables_match_a_per_link_loop(self, config):
+        topo = build_hammingmesh(2, 2, 4, 4)  # PCB and cabled links
+        net = PacketNetwork(topo, config=config)
+        serialization, latency = [], []
+        for link in topo.links:
+            serialization.append(
+                config.packet_size / (link.capacity * config.bytes_per_capacity_unit)
+            )
+            latency.append(
+                config.board_latency if link.cable is CableClass.PCB else config.cable_latency
+            )
+        assert net._ser_list == serialization
+        assert net._lat_list == latency
+        assert np.array_equal(net._serialization, serialization)
+
     def test_single_message_latency_and_bandwidth(self, fat_tree_64):
         config = PacketSimConfig(max_paths=1)
         net = PacketNetwork(fat_tree_64, config=config)

@@ -1,9 +1,12 @@
 """Unit tests for the core topology graph model."""
 
+import re
+
 import pytest
 
 from repro.topology import (
     CableClass,
+    Link,
     NodeKind,
     Topology,
     TopologyError,
@@ -123,6 +126,72 @@ class TestLinks:
         arr = topo.link_capacity_array()
         assert arr.shape == (4,)
         assert (arr == 2.0).all()
+
+    def test_cable_mask(self):
+        topo = Topology("t")
+        a, b, c = (topo.add_accelerator() for _ in range(3))
+        topo.add_link(a, b, cable=CableClass.PCB, count_cable=False)
+        topo.add_link(b, c, cable=CableClass.AOC)
+        assert topo.link_cable_mask(CableClass.PCB).tolist() == [True, True, False, False]
+        assert topo.link_cable_mask(CableClass.DAC).tolist() == [False] * 4
+
+
+def _snapshot(topo):
+    """Everything a rejected batch must leave untouched."""
+    nodes = range(topo.num_nodes)
+    return (
+        topo.num_links,
+        topo.links,
+        [topo.out_links(n) for n in nodes],
+        [topo.in_links(n) for n in nodes],
+        [topo.cable_count(c) for c in CableClass],
+    )
+
+
+class TestAddLinks:
+    def test_ids_match_successive_add_link_calls(self):
+        pairs = [(0, 1), (1, 2), (2, 0), (0, 1)]
+        batch, _ = make_line(3)
+        single, _ = make_line(3)
+        first = batch.add_links(pairs, capacity=2.5, cable=CableClass.AOC, plane=1, tag="x")
+        ids = [
+            single.add_link(a, b, capacity=2.5, cable=CableClass.AOC, plane=1, tag="x")
+            for a, b in pairs
+        ]
+        assert first == 4
+        assert ids == [(first + 2 * k, first + 2 * k + 1) for k in range(len(pairs))]
+        assert _snapshot(batch) == _snapshot(single)
+        assert batch.link(first + 3) == Link(2, 1, 2.5, CableClass.AOC, 1, "x")
+
+    def test_count_cable_false_and_empty_batch(self):
+        topo, _ = make_line(3)
+        assert topo.add_links([(0, 2)], cable=CableClass.PCB, count_cable=False) == 4
+        assert topo.cable_count(CableClass.PCB) == 0
+        assert topo.add_links([]) == topo.num_links == 6
+
+    @pytest.mark.parametrize(
+        "pairs,capacity,message",
+        [
+            ([(0, 2), (1, 3)], 1.0, "link endpoints out of range: 1->3"),
+            ([(0, 2), (-1, 1)], 1.0, "link endpoints out of range: -1->1"),
+            ([(0, 2), (2, 2)], 1.0, "self links are not allowed"),
+            ([(0, 2), (1, 0)], 0.0, "link capacity must be positive"),
+            ([(0, 2)], -1.0, "link capacity must be positive"),
+            # the first pair's endpoint check comes before the capacity check
+            ([(3, 0), (0, 2)], 0.0, "link endpoints out of range: 3->0"),
+            ([(1, 1), (0, 2)], 0.0, "self links are not allowed"),
+        ],
+    )
+    def test_rejected_batch_changes_nothing(self, pairs, capacity, message):
+        topo, _ = make_line(3)
+        before = _snapshot(topo)
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            topo.add_links(pairs, capacity=capacity, cable=CableClass.AOC)
+        assert _snapshot(topo) == before
+        # the same message as adding the pairs one cable at a time
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            for a, b in pairs:
+                topo.add_link(a, b, capacity=capacity, cable=CableClass.AOC)
 
 
 class TestValidation:

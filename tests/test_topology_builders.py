@@ -15,6 +15,7 @@ from repro.topology import (
     build_torus2d,
     fat_tree_levels_for,
 )
+from repro.sim.paths import FatTreePathProvider
 from repro.topology.board import EAST, NORTH, SOUTH, WEST
 
 
@@ -160,6 +161,47 @@ class TestFatTreeBuilder:
     def test_rejects_tiny_cluster(self):
         with pytest.raises(TopologyError):
             build_fat_tree(1)
+
+    @pytest.mark.parametrize(
+        "n,kwargs", [(40, {"radix": 8, "taper": 0.5}), (4096, {"taper": 0.25})]
+    )
+    def test_tapered_three_level_tree_connects_every_leaf_pair(self, n, kwargs):
+        topo = build_fat_tree(n, **kwargs)
+        net = topo.meta["network"]
+        assert net.levels == 3
+        provider = FatTreePathProvider(topo)
+        # one accelerator per leaf
+        first = {}
+        for att in net.attachments:
+            first.setdefault(att.leaf, att.node)
+        reps = list(first.values())
+        leaf_of = {node: leaf for leaf, node in first.items()}
+        for a in reps:
+            for b in reps:
+                if a == b:
+                    continue
+                # up/down paths through the tree itself, not the BFS fallback
+                paths = net.paths(a, b, max_paths=2)
+                same_pod = net.leaf_pod[leaf_of[a]] == net.leaf_pod[leaf_of[b]]
+                assert paths and all(len(p) == (4 if same_pod else 6) for p in paths)
+                assert provider.paths(a, b, max_paths=2) == paths
+
+    @pytest.mark.parametrize("taper", [0.25, 0.5, 1.0])
+    def test_tapered_three_level_tree_keeps_core_capacity(self, taper):
+        radix, n = 8, 40
+        topo = build_fat_tree(n, radix=radix, taper=taper)
+        net = topo.meta["network"]
+        half = radix // 2
+        up = max(1, round(half * taper))
+        for leaf in net.leaf_switches:
+            assert len(net.spines_of_leaf[leaf]) == up
+        # per pod: the leaves' uplinks and the spines' core uplinks balance
+        for pod in set(net.spine_pod.values()):
+            spines = [s for s in net.spine_switches if net.spine_pod[s] == pod]
+            core_up = sum(len(v) for (s, _), v in net.spine_core.items() if s in spines)
+            assert core_up == half * up
+        for sw in topo.switches:
+            assert topo.degree(sw) <= radix
 
 
 class TestTorusBuilder:
