@@ -19,11 +19,6 @@ The large-N contract of the simulator substrate, asserted and recorded in
   bytes stay below 25% of the shared footprint (an unseeded pool's workers
   rebuild their share of it), and the parallel payload is bit-identical to
   the serial one.
-* **Sparse link-space solver**: job-local permutations (256-rank slabs of
-  the 4,096-endpoint fabric — the paper's multi-job regime, a few percent
-  of links active) solve at least 1.5x faster with the compacted
-  link-space water-fill than with the dense O(L) path, bit-identically
-  (``REPRO_SPARSE_LINKS=0`` pins the dense reference).
 * **Headline scale**: the 16,384-accelerator ``Hx2Mesh(2,2,64,64)`` sweep
   (whose dense pair index alone would need ~7.7 GB) runs under a 4 GB
   route-table budget.  It costs tens of seconds, so it only re-runs when
@@ -39,9 +34,7 @@ where that is meaningless).
 from __future__ import annotations
 
 import os
-import time
 
-import numpy as np
 import pytest
 
 import repro.obs as obs
@@ -49,7 +42,6 @@ from repro.exp import Runner, Scenario, run_sweep
 from repro.exp.cells import flowsim_batch_cell
 from repro.exp.scenario import kernel_ref
 from repro.sim import clear_route_tables, live_route_tables, parse_mem_budget
-from repro.sim.traffic import Flow
 
 from _bench_utils import bench_runner, committed_artifact, run_once
 
@@ -68,10 +60,6 @@ FULL_BUDGET = "4G"
 #: footprint (an unseeded worker rebuilds its share of the table).
 PARALLEL_WORKERS = 2
 PARALLEL_TABLE_FRACTION = 0.25
-#: Sparse link-space contract: job-local permutations (slab-rank blocks of
-#: the 4k fabric) must solve at least this much faster than the dense path.
-SPARSE_SPEEDUP_FLOOR = 1.5
-SPARSE_SLAB = 256
 
 
 def _eager_pair_index_bytes(a: int, b: int, x: int, y: int) -> int:
@@ -171,96 +159,6 @@ def _parallel_sweep(topo: dict, budget: str, num_permutations: int, workers: int
     return evidence
 
 
-def _slab_permutation(base: int, slab: int, seed: int) -> list:
-    """A random derangement among ranks ``[base, base + slab)``."""
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(slab)
-    while np.any(perm == np.arange(slab)):
-        perm = np.roll(perm, 1)
-    return [Flow(base + i, base + int(perm[i])) for i in range(slab)]
-
-
-def _sparse_vs_dense(
-    topo: dict, budget: str, *, slab: int = SPARSE_SLAB, scenarios: int = 8, rounds: int = 3
-) -> dict:
-    """Job-local permutations on the full fabric: compacted vs dense solves.
-
-    Permutations among ``slab``-rank blocks of the fabric model the
-    paper's multi-job regime: each scenario touches a few percent of the
-    links, which is where the dense solver's O(L) per-round arrays waste
-    their work.  Both paths run on identical inputs (min-of-``rounds``
-    timing after a warm-up that routes the pairs and builds the
-    assignments) and must agree bit-for-bit.
-    """
-    from repro.core import build_hammingmesh
-    from repro.sim import FlowSimulator
-
-    clear_route_tables()
-    fabric = build_hammingmesh(**topo)
-    p = fabric.num_accelerators
-    flow_sets = [
-        _slab_permutation((s % (p // slab)) * slab, slab, s) for s in range(scenarios)
-    ]
-    sim = FlowSimulator(fabric, max_paths=8, mem_budget=budget)
-
-    def timed(fn, flag):
-        prev = os.environ.get("REPRO_SPARSE_LINKS")
-        os.environ["REPRO_SPARSE_LINKS"] = flag
-        try:
-            result = fn()  # warm-up: routes the pairs, fills assignment caches
-            best = float("inf")
-            for _ in range(rounds):
-                start = time.perf_counter()
-                result = fn()
-                best = min(best, time.perf_counter() - start)
-        finally:
-            if prev is None:
-                os.environ.pop("REPRO_SPARSE_LINKS", None)
-            else:
-                os.environ["REPRO_SPARSE_LINKS"] = prev
-        return result, best
-
-    solo_dense, solo_dense_s = timed(lambda: sim.maxmin_rates(flow_sets[0]), "0")
-    solo_sparse, solo_sparse_s = timed(lambda: sim.maxmin_rates(flow_sets[0]), "1")
-    batch_dense, batch_dense_s = timed(lambda: sim.maxmin_rates_batch(flow_sets), "0")
-    batch_sparse, batch_sparse_s = timed(lambda: sim.maxmin_rates_batch(flow_sets), "1")
-
-    pairs = [(solo_dense, solo_sparse)] + list(zip(batch_dense, batch_sparse))
-    bitwise = all(
-        np.array_equal(d.flow_rates, s.flow_rates)
-        and np.array_equal(d.link_utilization, s.link_utilization)
-        and int(d.bottleneck_link) == int(s.bottleneck_link)
-        for d, s in pairs
-    )
-    max_abs = max(
-        float(np.max(np.abs(np.asarray(d.flow_rates) - np.asarray(s.flow_rates))))
-        for d, s in pairs
-    )
-    num_links = len(solo_dense.link_utilization)
-    evidence = {
-        "fabric_accelerators": int(p),
-        "slab_ranks": slab,
-        "scenarios": scenarios,
-        "active_link_fraction": float(
-            np.count_nonzero(solo_dense.link_utilization) / num_links
-        ),
-        "solo": {
-            "dense_seconds": solo_dense_s,
-            "sparse_seconds": solo_sparse_s,
-            "speedup": solo_dense_s / solo_sparse_s,
-        },
-        "batch": {
-            "dense_seconds": batch_dense_s,
-            "sparse_seconds": batch_sparse_s,
-            "speedup": batch_dense_s / batch_sparse_s,
-        },
-        "bit_identical": bitwise,
-        "max_abs_diff": max_abs,
-    }
-    clear_route_tables()
-    return evidence
-
-
 @pytest.mark.benchmark(group="scaleout")
 def test_scaleout_path(benchmark):
     """Budget + batch + headline contracts, recorded as one artifact."""
@@ -279,7 +177,6 @@ def test_scaleout_path(benchmark):
         parallel = _parallel_sweep(
             CI_TOPO, CI_BUDGET, num_permutations=4, workers=PARALLEL_WORKERS
         )
-        sparse = _sparse_vs_dense(CI_TOPO, CI_BUDGET)
         headline = None
         if os.environ.get("REPRO_BENCH_SCALEOUT_FULL"):
             headline = _budgeted_sweep(FULL_TOPO, FULL_BUDGET, num_permutations=2)
@@ -289,13 +186,12 @@ def test_scaleout_path(benchmark):
             "budgeted": budgeted,
             "batch": batch,
             "parallel": parallel,
-            "sparse": sparse,
             "headline": headline,
         }
 
     data = run_once(benchmark, run, record="scaleout")
     budgeted, batch = data["budgeted"], data["batch"]
-    parallel, sparse = data["parallel"], data["sparse"]
+    parallel = data["parallel"]
     print(
         f"\nbudgeted sweep ({budgeted['accelerators']} accels @ {CI_BUDGET}): "
         f"resident {budgeted['resident_bytes'] / 1e6:.1f} MB "
@@ -316,13 +212,6 @@ def test_scaleout_path(benchmark):
         f"{parallel['table_footprint_bytes'] / 1e6:.1f} MB, per-worker private "
         f"{(warm_tb or 0) / 1e6:.2f} MB warm vs {(rebuild_tb or 0) / 1e6:.2f} MB "
         f"rebuild, bit-identical={parallel['bit_identical']}"
-    )
-    print(
-        f"sparse link-space ({sparse['slab_ranks']}-rank slabs, "
-        f"{sparse['active_link_fraction'] * 100:.1f}% links active): "
-        f"solo {sparse['solo']['speedup']:.2f}x, "
-        f"batch {sparse['batch']['speedup']:.2f}x, "
-        f"bit-identical={sparse['bit_identical']}"
     )
 
     # -- memory-budget contract ------------------------------------------
@@ -363,16 +252,6 @@ def test_scaleout_path(benchmark):
     )
     assert warm_tb < rebuild_tb, (
         "seeded workers should build strictly less route table than unseeded ones"
-    )
-
-    # -- sparse link-space contract ----------------------------------------
-    assert sparse["bit_identical"], "sparse solver diverged from the dense path"
-    assert sparse["max_abs_diff"] <= 1e-12
-    assert sparse["solo"]["speedup"] >= SPARSE_SPEEDUP_FLOOR, (
-        f"sparse solo solve is only {sparse['solo']['speedup']:.2f}x dense"
-    )
-    assert sparse["batch"]["speedup"] >= SPARSE_SPEEDUP_FLOOR, (
-        f"sparse batch solve is only {sparse['batch']['speedup']:.2f}x dense"
     )
 
     # -- headline evidence ------------------------------------------------

@@ -62,28 +62,8 @@ _DELTA_ASSIGNS = _obs.counter("flowsim.delta_assignments")
 _DELTA_CHANGED = _obs.histogram("flowsim.delta_changed_flows")
 _DELTA_ACTIVE = _obs.histogram("flowsim.delta_active_subflows")
 _DELTA_BATCH = _obs.histogram("flowsim.delta_batch_size")
-# sparse link-space compaction: active (touched) links per solve
+# active (touched) links of every water-filling solve, cold or warm
 _ACTIVE_LINKS = _obs.histogram("flowsim.active_links")
-
-
-def _sparse_links_enabled() -> bool:
-    """Whether solvers compact onto the active-link subset (default: yes).
-
-    ``REPRO_SPARSE_LINKS=0`` (or ``false``/``no``/``off``) restores the
-    dense O(num_links)-per-round path; both paths are bit-identical, the
-    flag exists for benchmarking and for bisecting regressions.
-    """
-    raw = os.environ.get("REPRO_SPARSE_LINKS")
-    if raw is None or not raw.strip():
-        return True
-    return raw.strip().lower() not in ("0", "false", "no", "off")
-
-
-#: Batch solves compact onto active (scenario, link) cells only when the
-#: active fraction is below this: at high density the compaction's per-round
-#: gathers cost more than the dense path's fixed-shape broadcasts save.
-#: Both paths are bit-identical, so the gate is a pure performance choice.
-_SPARSE_BATCH_MAX_DENSITY = 0.5
 
 #: Distinct flow patterns whose :class:`FlowAssignment` is kept per simulator.
 #: Collective schedules and the alltoall aggregate re-assign identical flow
@@ -548,11 +528,9 @@ class FlowSimulator:
                 _ASSIGNMENT_HITS.inc()
                 return cached
         _ASSIGNMENTS_BUILT.inc()
-        src_ranks = np.fromiter((f.src for f in flows), dtype=np.int64, count=len(flows))
-        dst_ranks = np.fromiter((f.dst for f in flows), dtype=np.int64, count=len(flows))
+        src_ranks, dst_ranks, flow_demand = self._flow_arrays(flows)
         if (src_ranks == dst_ranks).any():
             raise ValueError("flows must have distinct endpoints")
-        flow_demand = np.fromiter((f.demand for f in flows), dtype=np.float64, count=len(flows))
         first, npaths = self.table.pair_arrays(
             self._rank_nodes[src_ranks], self._rank_nodes[dst_ranks]
         )
@@ -587,6 +565,77 @@ class FlowSimulator:
             while len(self._assignments) > self.assign_cache:
                 self._assignments.popitem(last=False)
         return asg
+
+    def _flow_arrays(
+        self, flows: Sequence[Flow], idx: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Validated ``(src, dst, demand)`` arrays of ``flows`` (or of
+        ``flows[i]`` for every ``i`` in ``idx``).
+
+        Raises a one-line :class:`ValueError` naming the first flow with a
+        rank outside ``[0, p)`` or a negative or non-finite demand; a zero
+        demand is legal.
+        """
+        picked = flows if idx is None else [flows[i] for i in idx.tolist()]
+        n = len(picked)
+        src = np.fromiter((f.src for f in picked), dtype=np.int64, count=n)
+        dst = np.fromiter((f.dst for f in picked), dtype=np.int64, count=n)
+        demand = np.fromiter((f.demand for f in picked), dtype=np.float64, count=n)
+        p = len(self.ranks)
+        bad_rank = (src < 0) | (src >= p) | (dst < 0) | (dst >= p)
+        # NaN fails ``>= 0``, so one comparison rejects it with the negatives.
+        bad_demand = ~(demand >= 0.0) | np.isinf(demand)
+        bad = np.flatnonzero(bad_rank | bad_demand)
+        if len(bad):
+            k = int(bad[0])
+            i = k if idx is None else int(idx[k])
+            if bad_rank[k]:
+                raise ValueError(
+                    f"flow {i} ({int(src[k])} -> {int(dst[k])}) has a rank outside [0, {p})"
+                )
+            raise ValueError(
+                f"flow {i} has demand {float(demand[k])}; demands must be finite and >= 0"
+            )
+        return src, dst, demand
+
+    def _changed_flows(
+        self,
+        state: WarmState,
+        flows: Sequence[Flow],
+        changed: Optional[Sequence[int]],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(changed_idx, src, dst, demand)`` of ``flows`` against ``state``.
+
+        ``changed`` (same-length flow lists only) lists the flows that may
+        differ, so only those are read; otherwise every flow is compared,
+        and flows past the old count are changed by definition.
+        """
+        n_new = len(flows)
+        n_old = int(state.asg.num_flows)
+        if changed is not None and n_new == n_old:
+            changed_idx = np.asarray(sorted({int(i) for i in changed}), dtype=np.int64)
+            if len(changed_idx) and (
+                int(changed_idx[0]) < 0 or int(changed_idx[-1]) >= n_new
+            ):
+                raise ValueError("changed flow indices out of range")
+            src = state.src.copy()
+            dst = state.dst.copy()
+            demand = state.demand.copy()
+            src[changed_idx], dst[changed_idx], demand[changed_idx] = self._flow_arrays(
+                flows, changed_idx
+            )
+            return changed_idx, src, dst, demand
+        src, dst, demand = self._flow_arrays(flows)
+        m = min(n_old, n_new)
+        diff = (
+            (src[:m] != state.src[:m])
+            | (dst[:m] != state.dst[:m])
+            | (demand[:m] != state.demand[:m])
+        )
+        changed_idx = np.concatenate(
+            [np.flatnonzero(diff), np.arange(m, n_new, dtype=np.int64)]
+        )
+        return changed_idx, src, dst, demand
 
     def _ugal_paths(
         self,
@@ -718,116 +767,232 @@ class FlowSimulator:
         link was already frozen in that earlier round).  Rates match the
         reference to ~1e-12 relative (the subtraction reorders float
         summation); the parity test pins the two solvers together at 1e-9.
+        The solve is :meth:`_water_fill` on a batch of one.
         """
-        asg = self.assign(flows)
-        sub_weights, fill_at_freeze, remaining = self._fill_levels(
-            asg, max_iterations=max_iterations
-        )
-        return self._phase_result(asg, sub_weights, fill_at_freeze, remaining)
+        return self._cold_results([self.assign(flows)], max_iterations=max_iterations)[0]
 
-    def _fill_levels(
-        self, asg: FlowAssignment, *, max_iterations: int = 100000
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The cold progressive-filling loop on an assignment.
+    def _cold_results(
+        self, asgs: Sequence[FlowAssignment], *, max_iterations: int = 100000
+    ) -> List[PhaseResult]:
+        """One :class:`PhaseResult` per assignment, all solved in one
+        :meth:`_water_fill` batch."""
+        levels = self._water_fill(asgs, max_iterations=max_iterations)
+        return [
+            self._phase_result(asg, lv, remaining)
+            for asg, (lv, remaining) in zip(asgs, levels)
+        ]
 
-        Returns ``(sub_weights, fill_at_freeze, remaining)``: the per-subflow
-        demand shares, the fill level each subflow froze at, and the per-link
-        remaining capacity at the fixed point.  Shared by
-        :meth:`maxmin_rates`, :meth:`maxmin_warm_state` and the delta path's
-        exact fallback — all three produce bit-identical levels.
+    def _water_fill(
+        self, asgs: Sequence[FlowAssignment], *, max_iterations: int = 100000
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """The cold progressive-filling kernel, for one scenario or many.
+
+        Returns ``(levels, remaining)`` per assignment: the fill level each
+        subflow froze at and the per-link remaining capacity at the fixed
+        point.  Every cold solve goes through here — :meth:`maxmin_rates`,
+        :meth:`maxmin_warm_state`, :meth:`maxmin_rates_batch` and the exact
+        fallbacks of the delta solvers.
+
+        The state of scenario ``s`` is row ``s`` of fixed-shape ``(S, W)``
+        arrays.  The row holds the links the scenario loads, ascending
+        (:meth:`FlowAssignment.compact_link_index`), padded to the widest
+        row's ``W`` with inert cells: no load, ``+inf`` remaining and a
+        ``-inf`` saturation threshold, so a padding cell never gives the
+        minimum headroom, never saturates and never changes.  A solo solve
+        is a batch of one without padding.
+
+        Each round takes every row's headroom minimum, advances each live
+        row's fill level by its own increment (finished rows advance by
+        exactly 0.0, which leaves their state untouched bit for bit), and
+        freezes the subflows crossing freshly saturated cells through one
+        cell-to-subflows CSR.  Flat cell ids ``s * W + c`` ascend
+        scenario-major and link-ascending, so every bincount adds a link's
+        entries in entry order, and every float operation a scenario sees
+        is elementwise the one its solo solve performs: results are
+        bit-identical whatever else shares the batch.  The batch amortizes
+        the per-round dispatch over its scenarios; it runs the maximum of
+        their round counts, not the sum.
         """
-        L = len(self.capacity)
-        # Per-entry weight: demand share carried by the subflow on that link.
-        sub_weights = asg.subflow_weights()
-        entry_weight = asg.entry_weights()
-        sub_offsets = asg.subflow_offsets()
-        # Sparse link-space compaction (default): every per-round array runs
-        # over the links the assignment actually touches.  The compaction's
-        # ``inverse`` is a monotone relabeling of ``entry_link``, so every
-        # bincount sums entries in the same order as the dense path, the
-        # headroom minimum matches (untouched links contribute +inf), and
-        # the scattered-back ``remaining`` equals the dense output bitwise
-        # (untouched links see a +0.0 load, and ``x - 0.0 * inc == x``).
-        if _sparse_links_enabled():
-            active_links, entry_link, link_offsets, link_subflows = asg.compact_link_index()
-            nL = len(active_links)
-            _ACTIVE_LINKS.observe(nL)
-            capacity = self.capacity[active_links]
+        S = len(asgs)
+        if not S:
+            return []
+        cap = self.capacity
+        compact = [a.compact_link_index() for a in asgs]
+        widths = np.fromiter((len(c[0]) for c in compact), dtype=np.int64, count=S)
+        for w in widths.tolist():
+            _ACTIVE_LINKS.observe(w)
+        W = int(widths.max())
+        sub_counts = np.fromiter((a.num_subflows for a in asgs), dtype=np.int64, count=S)
+        sub_base = np.concatenate(([0], np.cumsum(sub_counts)))
+        total_subs = int(sub_base[-1])
+        if S == 1:
+            asg = asgs[0]
+            cell_links, entry_cell, link_offsets, link_subflows = compact[0]
+            entry_weight = asg.entry_weights()
+            sub_offsets = asg.subflow_offsets()
         else:
-            active_links = None
-            entry_link = asg.entry_link
-            link_offsets, link_subflows = asg.link_index(L)
-            nL = L
-            capacity = self.capacity
-        remaining = capacity.copy()
-        active = np.ones(asg.num_subflows, dtype=bool)
-        num_active = asg.num_subflows
-        load = np.bincount(entry_link, weights=entry_weight, minlength=nL)
-        # A subflow's rate is its weight times the cumulative fill level at
-        # the moment it froze, so the loop only records freeze levels — no
-        # per-round pass over the subflows.
-        fill = 0.0
-        fill_at_freeze = np.zeros(asg.num_subflows)
-        # Loop-invariant pieces, hoisted: the saturation threshold and the
-        # errstate guard for the 0/0 -> masked-away headroom entries.
-        sat_threshold = _EPS * (1.0 + capacity)
-        saturated_ever = np.zeros(nL, dtype=bool)
+            # Combined arrays: per-scenario slices keep their solo order.
+            entry_counts = np.fromiter(
+                (len(a.entry_link) for a in asgs), dtype=np.int64, count=S
+            )
+            entry_base = np.concatenate(([0], np.cumsum(entry_counts)))
+            cell_links = np.concatenate([c[0] for c in compact])
+            entry_cell = np.concatenate([c[1] + s * W for s, c in enumerate(compact)])
+            entry_weight = np.concatenate([a.entry_weights() for a in asgs])
+            sub_offsets = np.concatenate(
+                [a.subflow_offsets()[:-1] + entry_base[s] for s, a in enumerate(asgs)]
+                + [entry_base[-1:]]
+            )
+            # Cell -> crossing-subflows CSR from the per-scenario compact
+            # ones; padding cells cross nothing.
+            cell_counts = np.zeros((S, W), dtype=np.int64)
+            for s, c in enumerate(compact):
+                cell_counts[s, : len(c[0])] = np.diff(c[2])
+            link_offsets = np.concatenate(([0], np.cumsum(cell_counts)))
+            link_subflows = np.concatenate(
+                [c[3] + sub_base[s] for s, c in enumerate(compact)]
+            )
+        sub_scen = np.repeat(np.arange(S, dtype=np.int64), sub_counts)
+        fill_at_freeze = np.zeros(total_subs)
         iterations = 0
+        valid = np.arange(W) < widths[:, None]
+        cell_cap = cap[cell_links]
+        remc = np.full((S, W), np.inf)                 # remaining
+        remc[valid] = cell_cap
+        satc = np.full((S, W), -np.inf)                # saturation threshold
+        satc[valid] = _EPS * (1.0 + cell_cap)
+        loadc = np.bincount(
+            entry_cell, weights=entry_weight, minlength=S * W
+        ).reshape(S, W)                                # active load
+        link_offsets_list = link_offsets.tolist()
+        fillc = np.zeros(S)                            # fill level per row
+        live = sub_counts > 0
+        active = np.ones(total_subs, dtype=bool)
+        num_active = sub_counts.copy()                 # per row
+        # A cell's remaining is flushed here when it saturates, and the
+        # cell is then pinned: ``remc`` to +inf (so the threshold scan
+        # cannot re-fire) and its load to 0.0 (so its headroom is +inf).
+        # With zero load the remaining would never change again, so the
+        # flushed value *is* the final one.
+        remaining_final = remc.copy()
+        # Preallocated scratch: every per-round elementwise pass writes
+        # into an ``out=`` buffer instead of a fresh (S, W) temporary.
+        hm = np.empty((S, W))                          # headroom scratch
+        mload = np.empty((S, W))                       # cached masked |load|
+        delta = np.zeros(S * W)                        # frozen load; zero between rounds
+        bmask = np.empty((S, W), dtype=bool)           # comparison scratch
+        loadc_flat = loadc.reshape(-1)
+        remc_flat = remc.reshape(-1)
+        mload_flat = mload.reshape(-1)
+        remaining_final_flat = remaining_final.reshape(-1)
+        # headroom = where(load > eps, remaining / max(load, eps), inf),
+        # with the masked divisor |load * (load > eps)| *cached*: the
+        # bool multiply zeroes masked lanes and the abs pass turns the
+        # -0.0 of masked *negative* lanes (tiny residues left by the
+        # freeze subtraction) into +0.0 while passing unmasked lanes
+        # through bitwise (load > eps > 0 there), so remaining / +0.0
+        # lands +inf in masked lanes on its own.  Load only changes when
+        # subflows freeze, so the cache is refreshed then and the
+        # steady-state headroom is a single full-width divide.
+        np.greater(loadc, _EPS, out=bmask)
+        np.multiply(loadc, bmask, out=mload)
+        np.abs(mload, out=mload)
         with np.errstate(divide="ignore", invalid="ignore"):
-            while num_active and nL:
+            while live.any():
                 iterations += 1
                 if iterations > max_iterations:  # pragma: no cover - defensive
                     raise RuntimeError("max-min filling did not converge")
-                headroom = np.where(load > _EPS, remaining / np.maximum(load, _EPS), np.inf)
-                inc = float(headroom.min())
-                if not np.isfinite(inc):
+                np.divide(remc, mload, out=hm)
+                if iterations == 1:
+                    # Only 0.0 / 0.0 cells produce NaN, and only in round
+                    # one: a zero remaining always trips the threshold
+                    # scan (0 <= eps * (1 + capacity)), so such a cell is
+                    # pinned to +inf before the next divide sees it.
+                    np.isnan(hm, out=bmask)
+                    np.copyto(hm, np.inf, where=bmask)
+                inc = hm.min(axis=1)
+                # A row whose headroom went to +inf is finished; it
+                # advances by exactly 0.0 from now on.
+                live &= np.isfinite(inc)
+                if not live.any():
                     break
-                fill += inc
-                remaining = remaining - load * inc
-                # Freeze subflows crossing freshly saturated links; previously
-                # saturated links cannot contribute (their crossing subflows
-                # froze when they saturated), so only fresh links are gathered.
-                sat_idx = np.nonzero(remaining <= sat_threshold)[0]
-                new_idx = sat_idx[~saturated_ever[sat_idx]]
-                if not len(new_idx):  # pragma: no cover - numerical safety
+                inc[~live] = 0.0
+                np.add(fillc, inc, out=fillc)
+                # The *raw* load drives the remaining update, including
+                # sub-eps residue lanes; hm is free scratch here.
+                np.multiply(loadc, inc[:, None], out=hm)
+                np.subtract(remc, hm, out=remc)
+                np.less_equal(remc, satc, out=bmask)
+                vcells = np.flatnonzero(bmask)
+                if not len(vcells):  # pragma: no cover - numerical safety
                     break
-                saturated_ever[new_idx] = True
-                frozen = link_subflows[_gather_ranges(link_offsets, new_idx)]
+                remaining_final_flat[vcells] = remc_flat[vcells]
+                remc_flat[vcells] = np.inf
+                # Most rounds saturate a handful of cells; slicing the
+                # plain-int offsets list beats the vectorized multi-range
+                # gather there (both list the ranges in the same order).
+                if len(vcells) <= 16:
+                    frozen = np.concatenate(
+                        [
+                            link_subflows[link_offsets_list[v] : link_offsets_list[v + 1]]
+                            for v in vcells.tolist()
+                        ]
+                    )
+                else:
+                    frozen = link_subflows[_gather_ranges(link_offsets, vcells)]
                 frozen = frozen[active[frozen]]
                 if len(frozen):
-                    frozen = np.unique(frozen)
+                    # Sorted dedup == np.unique, minus its dispatch overhead.
+                    frozen.sort()
+                    dmask = np.empty(len(frozen), dtype=bool)
+                    dmask[0] = True
+                    np.not_equal(frozen[1:], frozen[:-1], out=dmask[1:])
+                    frozen = frozen[dmask]
                     _FROZEN_PER_ROUND.observe(len(frozen))
                     active[frozen] = False
-                    num_active -= len(frozen)
-                    fill_at_freeze[frozen] = fill
+                    rows = sub_scen[frozen]
+                    num_active -= np.bincount(rows, minlength=S)
+                    fill_at_freeze[frozen] = fillc[rows]
                     gone = _gather_ranges(sub_offsets, frozen)
-                    load = load - np.bincount(
-                        entry_link[gone], weights=entry_weight[gone], minlength=nL
-                    )
-                # Active load on a saturated link is exactly zero (every
-                # crossing subflow is now frozen); pin it to kill drift.
-                load[new_idx] = 0.0
-        # Subflows still active on exit (inf headroom: nothing left to fill
-        # against) receive the full accumulated fill, as in the reference.
-        if num_active:
-            fill_at_freeze[active] = fill
-        _MAXMIN_SOLVES.inc()
+                    gv = entry_cell[gone]
+                    # Per-cell sums of the frozen weights, each added in
+                    # entry order from +0.0 as a bincount would, then
+                    # subtracted at the touched cells: a repeated cell
+                    # reads and writes the same value, so each is updated
+                    # once, and untouched cells keep their load exactly as
+                    # under a full-width ``load - bincount(...)``.
+                    np.add.at(delta, gv, entry_weight[gone])
+                    loadc_flat[gv] -= delta[gv]
+                    delta[gv] = 0.0
+                    # Refresh the masked-|load| cache at the touched cells.
+                    msub = loadc_flat[gv]
+                    np.multiply(msub, msub > _EPS, out=msub)
+                    np.abs(msub, out=msub)
+                    mload_flat[gv] = msub
+                # Every subflow crossing a saturated cell is now frozen,
+                # so its active load is exactly zero; pin it.
+                loadc_flat[vcells] = 0.0
+                mload_flat[vcells] = 0.0
+                live &= num_active > 0
+        # Unsaturated cells keep their final remaining; subflows never
+        # frozen (+inf headroom on exit) get their row's final fill.
+        np.copyto(remaining_final, remc, where=np.isfinite(remc))
+        if active.any():
+            fill_at_freeze[active] = fillc[sub_scen[active]]
+        _MAXMIN_SOLVES.inc(S)
         _MAXMIN_ROUNDS.observe(iterations)
-        if active_links is not None:
-            remaining_full = self.capacity.copy()
-            remaining_full[active_links] = remaining
-            remaining = remaining_full
-        return sub_weights, fill_at_freeze, remaining
+        out: List[Tuple[np.ndarray, np.ndarray]] = []
+        for s, (links, *_) in enumerate(compact):
+            remaining = cap.copy()
+            remaining[links] = remaining_final[s, : len(links)]
+            out.append((fill_at_freeze[sub_base[s] : sub_base[s + 1]], remaining))
+        return out
 
     def _phase_result(
-        self,
-        asg: FlowAssignment,
-        sub_weights: np.ndarray,
-        fill_at_freeze: np.ndarray,
-        remaining: np.ndarray,
+        self, asg: FlowAssignment, levels: np.ndarray, remaining: np.ndarray
     ) -> PhaseResult:
         """Assemble a :class:`PhaseResult` from solved freeze levels."""
-        sub_rate = sub_weights * fill_at_freeze
+        sub_rate = asg.subflow_weights() * levels
         flow_rates = np.bincount(asg.subflow_flow, weights=sub_rate, minlength=asg.num_flows)
         used = self.capacity - remaining
         link_util = np.where(self.capacity > 0, used / self.capacity, 0.0)
@@ -848,30 +1013,20 @@ class FlowSimulator:
         """
         flows = list(flows)
         asg = self.assign(flows)
-        sub_weights, levels, remaining = self._fill_levels(
-            asg, max_iterations=max_iterations
-        )
-        result = self._phase_result(asg, sub_weights, levels, remaining)
-        return self._warm_state_from(flows, asg, sub_weights, levels, result)
+        [(levels, remaining)] = self._water_fill([asg], max_iterations=max_iterations)
+        result = self._phase_result(asg, levels, remaining)
+        return self._warm_state_from(asg, levels, result, *self._flow_arrays(flows))
 
     def _warm_state_from(
         self,
-        flows: Sequence[Flow],
         asg: FlowAssignment,
-        sub_weights: np.ndarray,
         levels: np.ndarray,
         result: PhaseResult,
-        *,
-        src: Optional[np.ndarray] = None,
-        dst: Optional[np.ndarray] = None,
-        demand: Optional[np.ndarray] = None,
+        src: np.ndarray,
+        dst: np.ndarray,
+        demand: np.ndarray,
     ) -> WarmState:
-        if src is None:
-            n = len(flows)
-            src = np.fromiter((f.src for f in flows), dtype=np.int64, count=n)
-            dst = np.fromiter((f.dst for f in flows), dtype=np.int64, count=n)
-            demand = np.fromiter((f.demand for f in flows), dtype=np.float64, count=n)
-        entry_rate = (sub_weights * levels)[asg.entry_subflow]
+        entry_rate = (asg.subflow_weights() * levels)[asg.entry_subflow]
         used = np.bincount(asg.entry_link, weights=entry_rate, minlength=len(self.capacity))
         return WarmState(
             src=src,
@@ -951,33 +1106,7 @@ class FlowSimulator:
         flows = list(flows)
         n_new = len(flows)
         n_old = int(state.asg.num_flows)
-        if changed is not None and n_new == n_old:
-            changed_idx = np.asarray(
-                sorted({int(i) for i in changed}), dtype=np.int64
-            )
-            if len(changed_idx) and (
-                int(changed_idx[0]) < 0 or int(changed_idx[-1]) >= n_new
-            ):
-                raise ValueError("changed flow indices out of range")
-            src = state.src.copy()
-            dst = state.dst.copy()
-            demand = state.demand.copy()
-            for i in changed_idx.tolist():
-                f = flows[i]
-                src[i], dst[i], demand[i] = f.src, f.dst, f.demand
-        else:
-            src = np.fromiter((f.src for f in flows), dtype=np.int64, count=n_new)
-            dst = np.fromiter((f.dst for f in flows), dtype=np.int64, count=n_new)
-            demand = np.fromiter((f.demand for f in flows), dtype=np.float64, count=n_new)
-            m = min(n_old, n_new)
-            diff = (
-                (src[:m] != state.src[:m])
-                | (dst[:m] != state.dst[:m])
-                | (demand[:m] != state.demand[:m])
-            )
-            changed_idx = np.concatenate(
-                [np.flatnonzero(diff), np.arange(m, n_new, dtype=np.int64)]
-            )
+        changed_idx, src, dst, demand = self._changed_flows(state, flows, changed)
         _DELTA_SOLVES.inc()
         _DELTA_CHANGED.observe(len(changed_idx))
         if n_new == n_old and not len(changed_idx):
@@ -1071,13 +1200,11 @@ class FlowSimulator:
             )
         # Exact fallback: the cold fill on the spliced assignment.
         _DELTA_FALLBACKS.inc()
-        sw, lv, remaining = self._fill_levels(new_asg, max_iterations=max_iterations)
-        result = self._phase_result(new_asg, sw, lv, remaining)
+        [(lv, remaining)] = self._water_fill([new_asg], max_iterations=max_iterations)
+        result = self._phase_result(new_asg, lv, remaining)
         new_state = None
         if want_state:
-            new_state = self._warm_state_from(
-                flows, new_asg, sw, lv, result, src=src, dst=dst, demand=demand
-            )
+            new_state = self._warm_state_from(new_asg, lv, result, src, dst, demand)
         return DeltaSolve(
             result=result,
             state=new_state,
@@ -1598,17 +1725,19 @@ class FlowSimulator:
         is dispatch-dominated, and the batch divides the dispatch count by
         the batch width.  Candidates whose closure floods, whose fill fails
         verification ``max_attempts`` times, or whose perturbation is too
-        large fall back together through :meth:`_batch_fill`, whose rounds
-        are bit-identical to solo cold solves — so every returned result
-        matches :meth:`maxmin_rates` to well under 1e-12, warm or not.
+        large fall back together as one cold :meth:`_water_fill` batch,
+        whose rounds are bit-identical to solo cold solves — so every
+        returned result matches :meth:`maxmin_rates` to well under 1e-12,
+        warm or not.
 
         ``changed[j]`` optionally lists candidate ``j``'s changed flow
         indices (same contract as :meth:`maxmin_rates_delta`).  Results are
         objective-only: ``DeltaSolve.state`` is always ``None`` — re-solve
         an accepted candidate with ``maxmin_rates_delta(want_state=True)``
-        to advance the chain.  Candidates with a different flow count than
-        ``state`` (or a group-selecting policy like UGAL) are solved through
-        the sequential path.
+        to advance the chain.  Under a group-selecting policy (UGAL) every
+        changed candidate is solved cold, all in one batch.  Candidates with
+        a different flow count than ``state`` are solved through the
+        sequential path.
         """
         flow_sets = [list(fs) for fs in flow_sets]
         C = len(flow_sets)
@@ -1619,9 +1748,11 @@ class FlowSimulator:
         changed_list = list(changed) if changed is not None else [None] * C
         if len(changed_list) != C:
             raise ValueError("changed must align with flow_sets")
-        if self.policy.selects_group or n == 0 or any(
-            len(fs) != n for fs in flow_sets
-        ):
+        if self.policy.selects_group:
+            return self._cold_delta_batch(
+                state, flow_sets, changed_list, max_iterations=max_iterations
+            )
+        if n == 0 or any(len(fs) != n for fs in flow_sets):
             return [
                 self.maxmin_rates_delta(
                     state,
@@ -1686,31 +1817,7 @@ class FlowSimulator:
         thr_flat = np.full(C * L, _NO_LAM)
         start_parts: List[np.ndarray] = []
         for j, fs in enumerate(flow_sets):
-            ch = changed_list[j]
-            if ch is not None:
-                cidx = np.asarray(sorted({int(i) for i in ch}), dtype=np.int64)
-                if len(cidx) and (
-                    int(cidx[0]) < 0 or int(cidx[-1]) >= n
-                ):
-                    raise ValueError("changed flow indices out of range")
-                src = state.src.copy()
-                dst = state.dst.copy()
-                dem = state.demand.copy()
-                for i in cidx.tolist():
-                    f = fs[i]
-                    src[i], dst[i], dem[i] = f.src, f.dst, f.demand
-            else:
-                src = np.fromiter((f.src for f in fs), dtype=np.int64, count=n)
-                dst = np.fromiter((f.dst for f in fs), dtype=np.int64, count=n)
-                dem = np.fromiter(
-                    (f.demand for f in fs), dtype=np.float64, count=n
-                )
-                diff = (
-                    (src != state.src)
-                    | (dst != state.dst)
-                    | (dem != state.demand)
-                )
-                cidx = np.flatnonzero(diff)
+            cidx, src, dst, dem = self._changed_flows(state, fs, changed_list[j])
             _DELTA_SOLVES.inc()
             _DELTA_CHANGED.observe(len(cidx))
             chg_idx[j] = cidx
@@ -2210,7 +2317,7 @@ class FlowSimulator:
 
         # --------------------------- batched exact fallback for the rest
         if fallbacks:
-            fb_results = self._batch_fill(
+            fb_results = self._cold_results(
                 [
                     self._assign_delta(
                         old, chg_idx[j], n, chg_src[j], chg_dst[j], chg_dem[j]
@@ -2230,6 +2337,41 @@ class FlowSimulator:
                 )
         return out
 
+    def _cold_delta_batch(
+        self,
+        state: WarmState,
+        flow_sets: List[List[Flow]],
+        changed_list: List[Optional[Sequence[int]]],
+        *,
+        max_iterations: int,
+    ) -> List[DeltaSolve]:
+        """Delta solves that cannot reuse ``state``: UGAL re-selects each
+        flow's path group from the *global* load, so every changed
+        candidate is routed afresh and all of them are solved as one cold
+        batch (unchanged candidates return ``state`` as is)."""
+        out: List[Optional[DeltaSolve]] = [None] * len(flow_sets)
+        cold: List[Tuple[int, int]] = []
+        for j, fs in enumerate(flow_sets):
+            cidx = self._changed_flows(state, fs, changed_list[j])[0]
+            _DELTA_SOLVES.inc()
+            _DELTA_CHANGED.observe(len(cidx))
+            if len(fs) == state.asg.num_flows and not len(cidx):
+                _DELTA_WARM.inc()
+                out[j] = DeltaSolve(
+                    result=state.result, state=state, warm=True, changed=0, attempts=0
+                )
+            else:
+                cold.append((j, len(cidx)))
+        results = self._cold_results(
+            [self.assign(flow_sets[j]) for j, _ in cold], max_iterations=max_iterations
+        )
+        for (j, num_changed), res in zip(cold, results):
+            _DELTA_FALLBACKS.inc()
+            out[j] = DeltaSolve(
+                result=res, state=None, warm=False, changed=num_changed, attempts=0
+            )
+        return out
+
     def maxmin_rates_batch(
         self,
         flow_sets: Sequence[Sequence[Flow]],
@@ -2238,439 +2380,21 @@ class FlowSimulator:
     ) -> List[PhaseResult]:
         """Max-min fair rates of **many scenarios at once**, vectorized.
 
-        Scenarios on one topology are independent, so their per-link loads
-        stack into one ``(scenarios, links)`` array and the progressive
-        filling rounds run across the whole batch: each round takes the
-        per-scenario headroom minimum over the rows, advances every live
-        scenario's fill level by its own increment (finished rows advance by
-        exactly 0.0, leaving their state untouched bit-for-bit), and freezes
-        the union of freshly saturated (scenario, link) cells through one
-        combined link-to-subflows CSR index in *virtual* link space
-        (``scenario * num_links + link``).
-
-        Every float operation a scenario sees — headroom, increment, load
-        subtraction, freeze level — is elementwise identical to what its solo
-        :meth:`maxmin_rates` solve performs, so the returned
-        :class:`PhaseResult` list is **bit-identical** to solving each
-        scenario separately; what the batch amortizes is the per-round
-        Python/NumPy dispatch overhead, the dominant cost at fig12 scale
-        (many scenarios x small link counts).  The number of rounds is the
-        *maximum* over the batch instead of the sum.
+        Scenarios on one topology are independent, so they stack into the
+        rows of one :meth:`_water_fill` batch and the progressive filling
+        rounds run across the whole batch.  Every float operation a scenario
+        sees is elementwise identical to what its solo :meth:`maxmin_rates`
+        solve performs, so the returned :class:`PhaseResult` list is
+        **bit-identical** to solving each scenario separately; what the
+        batch amortizes is the per-round Python/NumPy dispatch overhead, the
+        dominant cost at fig12 scale (many scenarios x small link counts).
+        The number of rounds is the *maximum* over the batch instead of the
+        sum.
         """
         flow_sets = list(flow_sets)
-        S = len(flow_sets)
-        _BATCH_SIZE.observe(S)
-        if S == 0:
-            return []
+        _BATCH_SIZE.observe(len(flow_sets))
         asgs = [self.assign(flows) for flows in flow_sets]
-        return self._batch_fill(asgs, max_iterations=max_iterations)
-
-    def _batch_fill(
-        self,
-        asgs: Sequence[FlowAssignment],
-        *,
-        max_iterations: int = 100000,
-    ) -> List[PhaseResult]:
-        """The vectorized cold fill of :meth:`maxmin_rates_batch` on
-        already-built assignments (also the batched delta path's exact
-        fallback — the batch rounds are bit-identical to per-scenario solo
-        solves, so a fallback through here matches :meth:`maxmin_rates`
-        exactly)."""
-        if _sparse_links_enabled() and len(self.capacity) and asgs:
-            # Density gate: per-scenario active links are cached on the
-            # assignments, so this costs one pass after warm-up.  Dense-ish
-            # batches (fig12 full permutations) stay on the fixed-shape
-            # broadcast path, which beats per-round compact-space gathers
-            # once most cells are loaded anyway.
-            active_cells = sum(len(a.compact_link_index()[0]) for a in asgs)
-            if active_cells <= _SPARSE_BATCH_MAX_DENSITY * len(asgs) * len(self.capacity):
-                return self._batch_fill_sparse(asgs, max_iterations=max_iterations)
-        S = len(asgs)
-        L = len(self.capacity)
-        sub_counts = np.fromiter((a.num_subflows for a in asgs), dtype=np.int64, count=S)
-        sub_base = np.concatenate(([0], np.cumsum(sub_counts)))
-        total_subs = int(sub_base[-1])
-        entry_counts = np.fromiter((len(a.entry_link) for a in asgs), dtype=np.int64, count=S)
-        entry_base = np.concatenate(([0], np.cumsum(entry_counts)))
-        # Combined entry arrays in virtual link space; per-scenario slices
-        # keep their solo ordering, so every bincount below reproduces the
-        # solo summation order exactly.
-        entry_scen = np.repeat(np.arange(S, dtype=np.int64), entry_counts)
-        if total_subs:
-            entry_link = np.concatenate([a.entry_link for a in asgs])
-            entry_sub = np.concatenate(
-                [a.entry_subflow + sub_base[s] for s, a in enumerate(asgs)]
-            )
-            sub_weights = np.concatenate(
-                [a.subflow_weight * a.flow_demand[a.subflow_flow] for a in asgs]
-            )
-        else:  # pragma: no cover - all-empty batch
-            entry_link = np.zeros(0, dtype=np.int64)
-            entry_sub = np.zeros(0, dtype=np.int64)
-            sub_weights = np.zeros(0)
-        entry_vlink = entry_scen * L + entry_link
-        sub_scen = np.repeat(np.arange(S, dtype=np.int64), sub_counts)
-        entry_weight = sub_weights[entry_sub]
-        load_full = np.bincount(entry_vlink, weights=entry_weight, minlength=S * L).reshape(S, L)
-        # Combined subflow -> entries CSR (per-scenario offsets shifted by the
-        # scenario's entry base; the trailing total closes the last range).
-        sub_offsets = np.concatenate(
-            [a.subflow_offsets()[:-1] + entry_base[s] for s, a in enumerate(asgs)]
-            + [np.array([entry_base[-1]], dtype=np.int64)]
-        )
-        # Combined virtual-link -> crossing-subflows CSR.
-        order = np.argsort(entry_vlink, kind="stable").astype(np.int64)
-        vlink_counts = np.bincount(entry_vlink, minlength=S * L)
-        link_offsets = np.concatenate(([0], np.cumsum(vlink_counts))).astype(np.int64)
-        link_offsets_list = link_offsets.tolist()
-        link_subflows = entry_sub[order]
-
-        # Fixed-shape working set with preallocated scratch buffers.  The
-        # per-scenario round counts at fig12 scale differ by only a few
-        # percent, so a finished row padded with a 0.0 increment (which
-        # leaves its state untouched bit-for-bit: ``x - 0.0 * load == x``)
-        # wastes far less than live-set compaction bookkeeping would cost,
-        # and fixed shapes let every per-round elementwise pass write into a
-        # reusable ``out=`` buffer instead of allocating a fresh (S, L)
-        # temporary — at fig12 scale the allocator, not the FPU, dominates.
-        loadc = load_full                              # (S, L) active load
-        remc = np.tile(self.capacity, (S, 1))          # (S, L) remaining
-        satc = np.broadcast_to(_EPS * (1.0 + self.capacity), (S, L))
-        fillc = np.zeros(S)                            # fill level per scenario
-        live = sub_counts > 0
-        active = np.ones(total_subs, dtype=bool)
-        num_active = sub_counts.copy()                 # per scenario
-        fill_at_freeze = np.zeros(total_subs)
-        # Saturation-time remaining is flushed here and the live cell is then
-        # pinned: ``remc`` to +inf (so the threshold scan cannot re-fire) and
-        # its load to 0.0 (so the cell's headroom is masked to inf, exactly
-        # like the solo loop after ``load[new_idx] = 0.0``).  The solo loop
-        # never updates a saturated link's remaining again either — its load
-        # is zero — so the flushed value *is* the solo final remaining.
-        remaining_final = np.tile(self.capacity, (S, 1))
-        hm = np.empty((S, L))                          # headroom scratch
-        mload = np.empty((S, L))                       # cached masked |load|
-        bmask = np.empty((S, L), dtype=bool)           # comparison scratch
-        loadc_flat = loadc.reshape(-1)
-        remc_flat = remc.reshape(-1)
-        mload_flat = mload.reshape(-1)
-        remaining_final_flat = remaining_final.reshape(-1)
-        # headroom = where(load > eps, remaining / max(load, eps), inf)
-        # — the solo formula, with the masked divisor |load * (load > eps)|
-        # *cached*: the bool multiply zeroes masked lanes and the abs pass
-        # turns the -0.0 of masked *negative* lanes (tiny residues left by
-        # the freeze subtraction) into +0.0 while passing unmasked lanes
-        # through bitwise (load > eps > 0 there), so remaining / +0.0 lands
-        # +inf in masked lanes on its own, exactly the value the solo
-        # formula assigns.  Load only ever changes at the cells a freeze
-        # touches, so the cache is refreshed there incrementally and the
-        # steady-state headroom is a single full-width divide.
-        np.greater(loadc, _EPS, out=bmask)
-        np.multiply(loadc, bmask, out=mload)
-        np.abs(mload, out=mload)
-        iterations = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while live.any():
-                iterations += 1
-                if iterations > max_iterations:  # pragma: no cover - defensive
-                    raise RuntimeError("batched max-min filling did not converge")
-                np.divide(remc, mload, out=hm)
-                if iterations == 1:
-                    # Only 0.0 / 0.0 cells produce NaN, and they can only
-                    # exist in round one: a zero remaining always trips the
-                    # threshold scan (0 <= eps * (1 + capacity)), so any
-                    # such cell is pinned to remaining = +inf before the
-                    # next round's divide ever sees it.
-                    np.isnan(hm, out=bmask)
-                    np.copyto(hm, np.inf, where=bmask)
-                inc = hm.min(axis=1)
-                # A row whose headroom went to +inf is finished (solo breaks
-                # there); it keeps advancing by exactly 0.0 from now on.
-                live &= np.isfinite(inc)
-                if not live.any():
-                    break
-                inc[~live] = 0.0
-                np.add(fillc, inc, out=fillc)
-                # The *raw* load drives the remaining update (as in solo),
-                # including sub-eps residue lanes; hm is free scratch here.
-                np.multiply(loadc, inc[:, None], out=hm)
-                np.subtract(remc, hm, out=remc)
-                np.less_equal(remc, satc, out=bmask)
-                # Flat indices are ``scenario * L + link``: ascending order ==
-                # scenario-major, link-ascending == solo per-scenario order.
-                vcells = np.flatnonzero(bmask)
-                if not len(vcells):  # pragma: no cover - numerical safety
-                    break
-                remaining_final_flat[vcells] = remc_flat[vcells]
-                remc_flat[vcells] = np.inf
-                # Most rounds saturate a handful of cells; direct slice
-                # concatenation beats the vectorized multi-range gather
-                # there (both produce the ranges in the same order).  The
-                # plain-int offsets list sidesteps the NumPy scalar-slicing
-                # overhead the hot path would otherwise pay per cell.
-                if len(vcells) <= 48:
-                    frozen = np.concatenate(
-                        [
-                            link_subflows[link_offsets_list[v] : link_offsets_list[v + 1]]
-                            for v in vcells.tolist()
-                        ]
-                    )
-                else:
-                    frozen = link_subflows[_gather_ranges(link_offsets, vcells)]
-                frozen = frozen[active[frozen]]
-                if len(frozen):
-                    # Sorted dedup == np.unique, minus its dispatch overhead.
-                    frozen.sort()
-                    dmask = np.empty(len(frozen), dtype=bool)
-                    dmask[0] = True
-                    np.not_equal(frozen[1:], frozen[:-1], out=dmask[1:])
-                    frozen = frozen[dmask]
-                    _FROZEN_PER_ROUND.observe(len(frozen))
-                    active[frozen] = False
-                    num_active -= np.bincount(sub_scen[frozen], minlength=S)
-                    fill_at_freeze[frozen] = fillc[sub_scen[frozen]]
-                    gone = _gather_ranges(sub_offsets, frozen)
-                    # Group the gone entries by virtual link and subtract the
-                    # per-link weight sums at the touched cells only.  This
-                    # matches solo's full-width ``load = load - bincount(...)``
-                    # bit for bit: the *stable* argsort keeps every link's
-                    # weights in their original entry order, bincount over
-                    # the group ids adds strictly sequentially per bucket
-                    # (unlike a segmented ufunc reduce, which reassociates
-                    # into pairwise sums), and the cells not touched see a
-                    # 0.0 delta in solo (``x - 0.0 == x`` bitwise).
-                    gv = entry_vlink[gone]
-                    sidx = np.argsort(gv, kind="stable")
-                    gv = gv[sidx]
-                    gw = entry_weight[gone][sidx]
-                    smask = np.empty(len(gv), dtype=bool)
-                    smask[0] = True
-                    np.not_equal(gv[1:], gv[:-1], out=smask[1:])
-                    gid = np.cumsum(smask)
-                    gid -= 1
-                    touched = gv[smask]
-                    loadc_flat[touched] -= np.bincount(gid, weights=gw)
-                    # Refresh the masked-|load| headroom cache at the cells
-                    # the subtraction changed (same mask-multiply-abs passes
-                    # as the full-width initialisation, on the slice).
-                    msub = loadc_flat[touched]
-                    np.multiply(msub, np.greater(msub, _EPS), out=msub)
-                    np.abs(msub, out=msub)
-                    mload_flat[touched] = msub
-                loadc_flat[vcells] = 0.0
-                mload_flat[vcells] = 0.0
-                # A scenario whose last subflow froze exits at the top of the
-                # solo loop; here it just goes (and stays) dead.
-                live &= num_active > 0
-        # Unsaturated links keep their final remaining (the solo loop simply
-        # stops updating them on exit); saturated cells were flushed when
-        # pinned.  Subflows never frozen (inf headroom on exit) get their
-        # scenario's final fill, as in the solo solver.
-        np.copyto(remaining_final, remc, where=np.isfinite(remc))
-        if active.any():
-            fill_at_freeze[active] = fillc[sub_scen[active]]
-        _MAXMIN_SOLVES.inc(S)
-        _MAXMIN_ROUNDS.observe(iterations)
-        sub_rate = sub_weights * fill_at_freeze
-        results: List[PhaseResult] = []
-        for s, asg in enumerate(asgs):
-            rates_s = sub_rate[sub_base[s] : sub_base[s + 1]]
-            flow_rates = np.bincount(asg.subflow_flow, weights=rates_s, minlength=asg.num_flows)
-            used = self.capacity - remaining_final[s]
-            link_util = np.where(self.capacity > 0, used / self.capacity, 0.0)
-            bottleneck = int(np.argmax(link_util)) if L else -1
-            results.append(
-                PhaseResult(
-                    flow_rates=flow_rates,
-                    link_utilization=link_util,
-                    bottleneck_link=bottleneck,
-                )
-            )
-        return results
-
-    def _batch_fill_sparse(
-        self,
-        asgs: Sequence[FlowAssignment],
-        *,
-        max_iterations: int = 100000,
-    ) -> List[PhaseResult]:
-        """Sparse sibling of :meth:`_batch_fill`: the same vectorized rounds
-        on the **active** ``(scenario, link)`` cells only.
-
-        The dense path's state is ``(scenarios, links)``; here it is one
-        flat array over the unique virtual cells the batch actually loads
-        (``np.unique`` of ``scenario * L + link``, once per batch).  Every
-        float operation is elementwise identical to the dense rounds — the
-        compaction inverse is a monotone relabeling, so bincount summation
-        order, the stable freeze-subtraction grouping, and the headroom
-        minima (untouched cells contribute +inf) all carry over — which
-        keeps this path bit-identical to :meth:`_batch_fill` and therefore
-        to per-scenario solo solves, while each round costs O(active cells)
-        instead of O(scenarios x links).
-        """
-        S = len(asgs)
-        L = len(self.capacity)
-        sub_counts = np.fromiter((a.num_subflows for a in asgs), dtype=np.int64, count=S)
-        sub_base = np.concatenate(([0], np.cumsum(sub_counts)))
-        total_subs = int(sub_base[-1])
-        entry_counts = np.fromiter((len(a.entry_link) for a in asgs), dtype=np.int64, count=S)
-        entry_base = np.concatenate(([0], np.cumsum(entry_counts)))
-        entry_scen = np.repeat(np.arange(S, dtype=np.int64), entry_counts)
-        if total_subs:
-            entry_link = np.concatenate([a.entry_link for a in asgs])
-            entry_sub = np.concatenate(
-                [a.entry_subflow + sub_base[s] for s, a in enumerate(asgs)]
-            )
-            sub_weights = np.concatenate(
-                [a.subflow_weight * a.flow_demand[a.subflow_flow] for a in asgs]
-            )
-        else:  # pragma: no cover - all-empty batch
-            entry_link = np.zeros(0, dtype=np.int64)
-            entry_sub = np.zeros(0, dtype=np.int64)
-            sub_weights = np.zeros(0)
-        entry_vlink = entry_scen * L + entry_link
-        sub_scen = np.repeat(np.arange(S, dtype=np.int64), sub_counts)
-        entry_weight = sub_weights[entry_sub]
-        sub_offsets = np.concatenate(
-            [a.subflow_offsets()[:-1] + entry_base[s] for s, a in enumerate(asgs)]
-            + [np.array([entry_base[-1]], dtype=np.int64)]
-        )
-        # Active-cell compaction: cells ascend scenario-major/link-ascending
-        # (np.unique sorts), so per-scenario cells are contiguous runs and
-        # ``flatnonzero`` scans reproduce the dense cell order exactly.
-        cells, inv = np.unique(entry_vlink, return_inverse=True)
-        inv = inv.astype(np.int64, copy=False)
-        nV = len(cells)
-        cell_scen = cells // L
-        cell_counts = np.bincount(cell_scen, minlength=S)
-        for c in cell_counts.tolist():
-            _ACTIVE_LINKS.observe(int(c))
-        cell_starts = np.concatenate(([0], np.cumsum(cell_counts)))[:-1].astype(np.int64)
-        nonempty = cell_counts > 0
-        ne_starts = cell_starts[nonempty]
-        cap_v = self.capacity[cells - cell_scen * L]
-        loadc = np.bincount(inv, weights=entry_weight, minlength=nV)
-        remc = cap_v.copy()
-        satc = _EPS * (1.0 + cap_v)
-        # Compact cell -> crossing-subflows CSR (same stable order as dense).
-        order = np.argsort(inv, kind="stable").astype(np.int64)
-        link_offsets = np.concatenate(
-            ([0], np.cumsum(np.bincount(inv, minlength=nV)))
-        ).astype(np.int64)
-        link_offsets_list = link_offsets.tolist()
-        link_subflows = entry_sub[order]
-        fillc = np.zeros(S)
-        live = sub_counts > 0
-        active = np.ones(total_subs, dtype=bool)
-        num_active = sub_counts.copy()
-        fill_at_freeze = np.zeros(total_subs)
-        remaining_final = np.tile(self.capacity, (S, 1))
-        remaining_final_flat = remaining_final.reshape(-1)
-        hm = np.empty(nV)
-        mload = np.empty(nV)
-        bmask = np.empty(nV, dtype=bool)
-        inc = np.empty(S)
-        np.greater(loadc, _EPS, out=bmask)
-        np.multiply(loadc, bmask, out=mload)
-        np.abs(mload, out=mload)
-        iterations = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while live.any() and nV:
-                iterations += 1
-                if iterations > max_iterations:  # pragma: no cover - defensive
-                    raise RuntimeError("batched max-min filling did not converge")
-                np.divide(remc, mload, out=hm)
-                if iterations == 1:
-                    # 0.0 / 0.0 cells exist in round one only (see the dense
-                    # sibling): a zero remaining trips the threshold scan and
-                    # the cell is pinned before the next divide.
-                    np.isnan(hm, out=bmask)
-                    np.copyto(hm, np.inf, where=bmask)
-                # Per-scenario minimum over that scenario's contiguous cell
-                # run; scenarios with no cells read +inf, exactly what their
-                # all-inf dense row minimizes to.
-                inc.fill(np.inf)
-                inc[nonempty] = np.minimum.reduceat(hm, ne_starts)
-                live &= np.isfinite(inc)
-                if not live.any():
-                    break
-                inc[~live] = 0.0
-                np.add(fillc, inc, out=fillc)
-                np.multiply(loadc, inc[cell_scen], out=hm)
-                np.subtract(remc, hm, out=remc)
-                np.less_equal(remc, satc, out=bmask)
-                vcells = np.flatnonzero(bmask)
-                if not len(vcells):  # pragma: no cover - numerical safety
-                    break
-                remaining_final_flat[cells[vcells]] = remc[vcells]
-                remc[vcells] = np.inf
-                if len(vcells) <= 48:
-                    frozen = np.concatenate(
-                        [
-                            link_subflows[link_offsets_list[v] : link_offsets_list[v + 1]]
-                            for v in vcells.tolist()
-                        ]
-                    )
-                else:
-                    frozen = link_subflows[_gather_ranges(link_offsets, vcells)]
-                frozen = frozen[active[frozen]]
-                if len(frozen):
-                    frozen.sort()
-                    dmask = np.empty(len(frozen), dtype=bool)
-                    dmask[0] = True
-                    np.not_equal(frozen[1:], frozen[:-1], out=dmask[1:])
-                    frozen = frozen[dmask]
-                    _FROZEN_PER_ROUND.observe(len(frozen))
-                    active[frozen] = False
-                    num_active -= np.bincount(sub_scen[frozen], minlength=S)
-                    fill_at_freeze[frozen] = fillc[sub_scen[frozen]]
-                    gone = _gather_ranges(sub_offsets, frozen)
-                    # Same stable grouping as dense, over compact cell ids
-                    # (``inv`` is monotone in the virtual id, so the stable
-                    # argsort is the identical permutation and bincount adds
-                    # each cell's weights in the identical order).
-                    gv = inv[gone]
-                    sidx = np.argsort(gv, kind="stable")
-                    gv = gv[sidx]
-                    gw = entry_weight[gone][sidx]
-                    smask = np.empty(len(gv), dtype=bool)
-                    smask[0] = True
-                    np.not_equal(gv[1:], gv[:-1], out=smask[1:])
-                    gid = np.cumsum(smask)
-                    gid -= 1
-                    touched = gv[smask]
-                    loadc[touched] -= np.bincount(gid, weights=gw)
-                    msub = loadc[touched]
-                    np.multiply(msub, np.greater(msub, _EPS), out=msub)
-                    np.abs(msub, out=msub)
-                    mload[touched] = msub
-                loadc[vcells] = 0.0
-                mload[vcells] = 0.0
-                live &= num_active > 0
-        # Unsaturated cells keep their final remaining; untouched links were
-        # never loaded and stay at capacity from the initialisation.
-        fin = np.isfinite(remc)
-        remaining_final_flat[cells[fin]] = remc[fin]
-        if active.any():
-            fill_at_freeze[active] = fillc[sub_scen[active]]
-        _MAXMIN_SOLVES.inc(S)
-        _MAXMIN_ROUNDS.observe(iterations)
-        sub_rate = sub_weights * fill_at_freeze
-        results: List[PhaseResult] = []
-        for s, asg in enumerate(asgs):
-            rates_s = sub_rate[sub_base[s] : sub_base[s + 1]]
-            flow_rates = np.bincount(asg.subflow_flow, weights=rates_s, minlength=asg.num_flows)
-            used = self.capacity - remaining_final[s]
-            link_util = np.where(self.capacity > 0, used / self.capacity, 0.0)
-            bottleneck = int(np.argmax(link_util)) if L else -1
-            results.append(
-                PhaseResult(
-                    flow_rates=flow_rates,
-                    link_utilization=link_util,
-                    bottleneck_link=bottleneck,
-                )
-            )
-        return results
+        return self._cold_results(asgs, max_iterations=max_iterations)
 
     # -------------------------------------------------------- derived analyses
     def alltoall_bandwidth(

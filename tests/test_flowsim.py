@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import build_hammingmesh
-from repro.sim import Flow, FlowSimulator, random_permutation, ring_neighbor_flows
+from repro.sim import (
+    Flow,
+    FlowSimulator,
+    random_permutation,
+    ring_neighbor_flows,
+    swap_destinations,
+)
 from repro.topology import Topology, build_fat_tree
 
 
@@ -99,15 +104,157 @@ class TestMaxMin:
         mm = sim.maxmin_rates(flows).flow_rates.min()
         assert mm >= sym - 1e-9
 
-    @given(seed=st.integers(0, 50))
-    @settings(max_examples=15, deadline=None)
-    def test_property_rates_positive_and_feasible(self, seed):
-        topo = build_hammingmesh(2, 2, 2, 2)
+    @given(
+        seed=st.integers(0, 10_000),
+        family=st.sampled_from(
+            ["hammingmesh", "fattree", "dragonfly", "torus", "hyperx"]
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_property_rates_positive_and_feasible(
+        self, all_small_topologies, seed, family
+    ):
+        """Every max-min solve is certified against the definition, and the
+        other entry points reproduce the certified results."""
+        topo = all_small_topologies[family]
         sim = FlowSimulator(topo, max_paths=4)
-        flows = random_permutation(topo.num_accelerators, seed=seed)
-        result = sim.maxmin_rates(flows)
-        assert (result.flow_rates > 0).all()
-        assert result.link_utilization.max() <= 1.0 + 1e-6
+        p = topo.num_accelerators
+        rng = np.random.default_rng(seed)
+        demands = rng.choice([0.0, 0.25, 1.0, 3.0], size=p)
+        flows = [
+            Flow(f.src, f.dst, float(d))
+            for f, d in zip(random_permutation(p, seed=seed), demands)
+        ]
+        state = sim.maxmin_warm_state(flows)
+        certify_maxmin(sim, state)
+        rates = state.result.flow_rates
+        assert (rates[demands > 0] > 0).all()
+        assert (rates[demands == 0] == 0).all()
+
+        # A local move (usually solved warm) and a new demand for every flow
+        # (always the exact cold fallback).
+        i, j = (int(v) for v in rng.choice(p, size=2, replace=False))
+        near = swap_destinations(flows, i, j)
+        if any(f.src == f.dst for f in near):
+            near = list(flows)
+        near[i] = Flow(near[i].src, near[i].dst, 2.0)
+        far = [
+            Flow(f.src, f.dst, float(d) + 0.5) for f, d in zip(flows, demands[::-1])
+        ]
+        deltas = [sim.maxmin_rates_delta(state, c, want_state=True) for c in (near, far)]
+        for ds in deltas:
+            certify_maxmin(sim, ds.state)
+            assert ds.state.result is ds.result
+        assert not deltas[1].warm
+
+        # Cold entry points run the same kernel as maxmin_warm_state.
+        assert_same_result(sim.maxmin_rates(flows), state.result)
+        for got, ref in zip(
+            sim.maxmin_rates_batch([far, flows]), (deltas[1].result, state.result)
+        ):
+            assert_same_result(got, ref)
+        batch = sim.maxmin_rates_delta_batch(state, [near, far, flows])
+        assert batch[2].result is state.result
+        assert_same_result(batch[1].result, deltas[1].result)
+        # Warm candidates are re-filled in a different summation order by
+        # the sequential and the batched delta engines: equal to 1e-12.
+        np.testing.assert_allclose(
+            batch[0].result.flow_rates, deltas[0].result.flow_rates, rtol=0, atol=1e-12
+        )
+
+
+def assert_same_result(a, b):
+    """Bit-identical :class:`PhaseResult` values."""
+    assert np.array_equal(a.flow_rates, b.flow_rates)
+    assert np.array_equal(a.link_utilization, b.link_utilization)
+    assert int(a.bottleneck_link) == int(b.bottleneck_link)
+
+
+def certify_maxmin(sim, state, tol=1e-9):
+    """Assert the Bertsekas-Gallager conditions on a solved :class:`WarmState`.
+
+    A feasible allocation in which every positive-weight subflow crosses a
+    saturated link on which its (demand-weighted) level is maximal is the
+    unique weighted max-min fair point.  The state's rates, link use and
+    utilisation must also follow from its levels.
+    """
+    cap = sim.capacity
+    asg = state.asg
+    weights = asg.subflow_weights()
+    entry_level = state.levels[asg.entry_subflow]
+    used = np.bincount(
+        asg.entry_link,
+        weights=(weights * state.levels)[asg.entry_subflow],
+        minlength=len(cap),
+    )
+    slack = tol * (1.0 + cap)
+    # No link is oversubscribed.
+    assert (used <= cap + slack).all()
+    # Every positive-weight subflow has a saturated bottleneck link on which
+    # no positive-weight subflow sits at a higher level.
+    positive = weights[asg.entry_subflow] > 0
+    link_level = np.full(len(cap), -np.inf)
+    np.maximum.at(link_level, asg.entry_link[positive], entry_level[positive])
+    saturated = used >= cap - slack
+    lam = link_level[asg.entry_link]
+    ok_entry = saturated[asg.entry_link] & (entry_level >= lam - tol * (1.0 + np.abs(lam)))
+    ok_subflow = np.zeros(asg.num_subflows, dtype=bool)
+    np.logical_or.at(ok_subflow, asg.entry_subflow, ok_entry)
+    assert ok_subflow[weights > 0].all()
+    # The reported result follows from the levels.
+    np.testing.assert_allclose(state.used, used, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        state.result.flow_rates,
+        np.bincount(asg.subflow_flow, weights=weights * state.levels, minlength=asg.num_flows),
+        rtol=0,
+        atol=1e-12,
+    )
+    np.testing.assert_allclose(
+        state.result.link_utilization,
+        np.where(cap > 0, used / cap, 0.0),
+        rtol=0,
+        atol=1e-12,
+    )
+
+
+class TestFlowValidation:
+    """Malformed flows fail with one line naming the flow, at every entry."""
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (Flow(0, -1), r"flow 2 \(0 -> -1\) has a rank outside \[0, 64\)"),
+            (Flow(0, 67), r"flow 2 \(0 -> 67\) has a rank outside \[0, 64\)"),
+            (Flow(-3, 5), r"flow 2 \(-3 -> 5\) has a rank outside"),
+            (Flow(0, 5, -1.0), r"flow 2 has demand -1.0; demands must be finite"),
+            (Flow(0, 5, float("nan")), r"flow 2 has demand nan"),
+            (Flow(0, 5, float("inf")), r"flow 2 has demand inf"),
+        ],
+    )
+    def test_bad_flow_rejected_everywhere(self, hx2mesh_4x4, bad, match):
+        sim = FlowSimulator(hx2mesh_4x4, max_paths=4)
+        flows = random_permutation(hx2mesh_4x4.num_accelerators, seed=4)
+        state = sim.maxmin_warm_state(flows)
+        cand = list(flows)
+        cand[2] = bad
+        for solve in (
+            lambda: sim.maxmin_rates(cand),
+            lambda: sim.maxmin_rates_batch([flows, cand]),
+            lambda: sim.maxmin_warm_state(cand),
+            lambda: sim.symmetric_rate(cand),
+            lambda: sim.maxmin_rates_delta(state, cand),
+            lambda: sim.maxmin_rates_delta(state, cand, changed=[2]),
+            lambda: sim.maxmin_rates_delta_batch(state, [flows, cand]),
+            lambda: sim.maxmin_rates_delta_batch(state, [cand], changed=[[2]]),
+        ):
+            with pytest.raises(ValueError, match=match):
+                solve()
+
+    def test_zero_demand_is_legal(self, hx2mesh_4x4):
+        sim = FlowSimulator(hx2mesh_4x4, max_paths=4)
+        result = sim.maxmin_rates([Flow(0, 5, 0.0), Flow(1, 6)])
+        assert result.flow_rates[0] == 0.0
+        assert result.flow_rates[1] > 0.0
 
 
 class TestDerivedMetrics:
@@ -147,100 +294,3 @@ class TestDerivedMetrics:
         fast = sim.phase_bandwidth(flows)
         exact = sim.phase_bandwidth(flows, exact=True)
         assert exact >= fast - 1e-9
-
-
-class TestSparseLinkParity:
-    """The compacted link-space solves are bit-identical to the dense path.
-
-    ``REPRO_SPARSE_LINKS=0`` pins the dense reference; the default takes
-    the sparse path (solo always, batch below the density gate).  Every
-    family must agree bitwise — not approximately — across the toggle.
-    """
-
-    @staticmethod
-    def _assert_bitwise(a, b, ctx):
-        assert np.array_equal(a.flow_rates, b.flow_rates), ctx
-        assert np.array_equal(a.link_utilization, b.link_utilization), ctx
-        assert int(a.bottleneck_link) == int(b.bottleneck_link), ctx
-
-    @staticmethod
-    def _slab_sets(topo, slab=8, scenarios=4):
-        """Low-density scenarios: permutations inside small rank slabs."""
-        p = topo.num_accelerators
-        sets = []
-        for s in range(scenarios):
-            base = (s * slab) % p
-            ranks = [(base + i) % p for i in range(min(slab, p))]
-            sets.append(
-                [Flow(r, ranks[(i + 1 + s) % len(ranks)])
-                 for i, r in enumerate(ranks)
-                 if r != ranks[(i + 1 + s) % len(ranks)]]
-            )
-        return sets
-
-    def test_solo_bitwise_all_families(self, all_small_topologies, monkeypatch):
-        for name, topo in all_small_topologies.items():
-            sim = FlowSimulator(topo, max_paths=4)
-            flows = random_permutation(topo.num_accelerators, seed=9)
-            monkeypatch.setenv("REPRO_SPARSE_LINKS", "0")
-            dense = sim.maxmin_rates(flows)
-            monkeypatch.setenv("REPRO_SPARSE_LINKS", "1")
-            sparse = sim.maxmin_rates(flows)
-            self._assert_bitwise(dense, sparse, name)
-
-    def test_batch_bitwise_all_families(self, all_small_topologies, monkeypatch):
-        """Low-density batches (below the gate) take and match the sparse path."""
-        import repro.obs as obs
-
-        obs.enable()  # histograms only record while enabled
-        try:
-            for name, topo in all_small_topologies.items():
-                sim = FlowSimulator(topo, max_paths=4)
-                sets = self._slab_sets(topo)
-                monkeypatch.setenv("REPRO_SPARSE_LINKS", "0")
-                dense = sim.maxmin_rates_batch(sets)
-                monkeypatch.setenv("REPRO_SPARSE_LINKS", "1")
-                before = obs.snapshot()["histograms"].get("flowsim.active_links", {}).get("count", 0)
-                sparse = sim.maxmin_rates_batch(sets)
-                after = obs.snapshot()["histograms"].get("flowsim.active_links", {}).get("count", 0)
-                assert after > before, f"{name}: sparse batch path was not taken"
-                for d, s in zip(dense, sparse):
-                    self._assert_bitwise(d, s, name)
-        finally:
-            obs.disable()
-
-    def test_dense_batches_stay_on_the_dense_path(self, hx2mesh_4x4, monkeypatch):
-        """Full permutations load most links: the density gate keeps the
-        fixed-shape dense rounds, with identical results."""
-        import repro.obs as obs
-
-        sim = FlowSimulator(hx2mesh_4x4, max_paths=4)
-        sets = [random_permutation(hx2mesh_4x4.num_accelerators, seed=s)
-                for s in range(3)]
-        monkeypatch.setenv("REPRO_SPARSE_LINKS", "0")
-        dense = sim.maxmin_rates_batch(sets)
-        monkeypatch.setenv("REPRO_SPARSE_LINKS", "1")
-        obs.enable()  # histograms only record while enabled
-        try:
-            before = obs.snapshot()["histograms"].get("flowsim.active_links", {}).get("count", 0)
-            gated = sim.maxmin_rates_batch(sets)
-            after = obs.snapshot()["histograms"].get("flowsim.active_links", {}).get("count", 0)
-        finally:
-            obs.disable()
-        assert after == before, "dense-density batch went down the sparse path"
-        for d, s in zip(dense, gated):
-            self._assert_bitwise(d, s, "gate")
-
-    def test_delta_bitwise(self, hx2mesh_4x4, monkeypatch):
-        """Warm-started delta solves agree bitwise across the toggle."""
-        from repro.sim import swap_destinations
-
-        sim = FlowSimulator(hx2mesh_4x4, max_paths=4)
-        flows = random_permutation(hx2mesh_4x4.num_accelerators, seed=13)
-        cand = swap_destinations(flows, 2, 7)
-        results = {}
-        for flag in ("0", "1"):
-            monkeypatch.setenv("REPRO_SPARSE_LINKS", flag)
-            state = sim.maxmin_warm_state(flows)
-            results[flag] = sim.maxmin_rates_delta(state, cand).result
-        self._assert_bitwise(results["0"], results["1"], "delta")
