@@ -5,7 +5,10 @@ through a :class:`RouteTable` (eager and sharded) and its stored paths,
 their order, their split weights and the pair's ``num_minimal`` are hashed.
 The expected digests were recorded before the HxMesh router and the
 fat-tree segment code were restructured, so any change to a single stored
-route (or to its hash rotation) fails here.
+route (or to its hash rotation) fails here.  The cluster-sized
+HammingMeshes of Table II and the 4,096-endpoint scale-out mesh are
+digested from sampled sources, recorded before the HxMesh router routed
+whole pair blocks.
 
 A second group checks that populating many pairs in one ``pair_arrays``
 call -- duplicates and already-routed pairs included -- assigns the same
@@ -56,6 +59,14 @@ TOPOLOGIES = {
     "hyperx": (build_hyperx2d, (4, 4), {"terminals": 1}),
 }
 
+#: Table II's small-cluster HammingMeshes and the 4,096-endpoint scale-out
+#: Hx2Mesh: single-switch row and column networks with 16-64 ports
+CLUSTER_TOPOLOGIES = {
+    "hx2mesh-16x16": (build_hammingmesh, (2, 2, 16, 16), {}),
+    "hx4mesh-8x8": (build_hammingmesh, (4, 4, 8, 8), {}),
+    "hx2mesh-32x32": (build_hammingmesh, (2, 2, 32, 32), {}),
+}
+
 #: (topology, policy, max_paths) -> sha256 of every pair's stored routes
 ROUTE_DIGESTS = {
     ('hx2mesh-4x4', 'minimal', 4): '9696e4663b0dde1538166a60093f8b9977f0d548c4d7c6f3a6967399775a615b',
@@ -89,12 +100,23 @@ ROUTER_DIGESTS = {
     ('hx2mesh-multilevel', 2, 16): 'c8eb831eff12c98cdcd63aed8258b77b9eca39f3f4f40b97fc41e1c209d4ff74',
 }
 
+#: (topology, max_paths) -> sha256 of the stored routes of sampled sources
+#: to every accelerator on cluster-sized HammingMeshes
+CLUSTER_DIGESTS = {
+    ('hx2mesh-16x16', 4): '158b93d9b7b0b7414c0b4bd4c94a8e4bd57e83fab350e4b981d4751856123b27',
+    ('hx2mesh-16x16', 8): '158b93d9b7b0b7414c0b4bd4c94a8e4bd57e83fab350e4b981d4751856123b27',
+    ('hx4mesh-8x8', 4): 'fb8ea4cc1a92f07ff4af465f2806d86f1e1ef9a31105a0995f06fc3342938a6d',
+    ('hx4mesh-8x8', 8): '8f0454461a7a16b9c15619e45d32b22c90f8f2bb97192ce4ed17c015a9e53fe4',
+    ('hx2mesh-32x32', 4): 'c69343891d199c1916ba0b016dd6b5c1790b27f71e96fae394dcfe1b6803b362',
+    ('hx2mesh-32x32', 8): 'c69343891d199c1916ba0b016dd6b5c1790b27f71e96fae394dcfe1b6803b362',
+}
+
 _BUILT = {}
 
 
 def _topology(name):
     if name not in _BUILT:
-        builder, args, kwargs = TOPOLOGIES[name]
+        builder, args, kwargs = {**TOPOLOGIES, **CLUSTER_TOPOLOGIES}[name]
         _BUILT[name] = builder(*args, **kwargs)
     return _BUILT[name]
 
@@ -157,6 +179,27 @@ def test_route_table_digest(name, policy, max_paths):
     digest = _table_digest(eager, src, dst)
     assert _table_digest(sharded, src, dst) == digest
     assert digest == ROUTE_DIGESTS[(name, policy, max_paths)]
+
+
+_CLUSTER_CASES = [
+    (name, max_paths)
+    for name in CLUSTER_TOPOLOGIES
+    for max_paths in (4, 8)
+]
+
+
+@pytest.mark.parametrize("name,max_paths", _CLUSTER_CASES)
+def test_cluster_route_digest(name, max_paths):
+    """Sampled sources to every accelerator on cluster-sized HxMeshes.
+
+    The tables are sharded: the dense pair index of the 4,096-endpoint
+    mesh alone would take 428 MB.  That mesh samples half as many sources.
+    """
+    topo = _topology(name)
+    table = RouteTable(topo, max_paths=max_paths, sharded=True)
+    num_sources = NUM_SOURCES // 2 if topo.num_accelerators > 1024 else NUM_SOURCES
+    digest = _table_digest(table, *_all_pairs(topo, num_sources))
+    assert digest == CLUSTER_DIGESTS[(name, max_paths)]
 
 
 _ROUTER_CASES = [
