@@ -54,7 +54,7 @@ from .._hash import mix64
 from ..obs import registry as _obs
 from ..topology.base import Topology, TopologyError
 from .flowsim import FlowSimulator, WarmState
-from .paths import DEFAULT_MAX_PATHS, PathProvider, path_provider_for
+from .paths import DEFAULT_MAX_PATHS, PathListProvider, PathProvider, path_provider_for
 from .policy import RoutingPolicy, get_policy
 from .routing import RouteTable, register_route_cache_client, route_table_for
 from .traffic import Flow
@@ -292,7 +292,7 @@ def board_fault_set(topo: Topology, boards: Iterable[Tuple[int, int]]) -> FaultS
 # ---------------------------------------------------------------------------
 #  Degraded routing view
 # ---------------------------------------------------------------------------
-class DegradedPathProvider:
+class DegradedPathProvider(PathListProvider):
     """Masked view of a path provider under a :class:`FaultSet`.
 
     Candidate paths from the wrapped (family-structured) provider are

@@ -25,6 +25,8 @@ import itertools
 from collections import OrderedDict, deque
 from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
+import numpy as np
+
 from .._hash import mix64
 from ..core.routing import HxMeshRouter
 from ..topology.base import Topology, TopologyError
@@ -32,6 +34,8 @@ from ..topology.base import Topology, TopologyError
 __all__ = [
     "DEFAULT_MAX_PATHS",
     "PathProvider",
+    "PathListProvider",
+    "path_lists_to_csr",
     "GenericPathProvider",
     "FatTreePathProvider",
     "DragonflyPathProvider",
@@ -49,18 +53,57 @@ __all__ = [
 DEFAULT_MAX_PATHS = 4
 
 
+#: CSR routes of a block of pairs: ``(counts, lengths, links)`` -- paths per
+#: pair, links per path, and every path's links concatenated in order
+PathBlock = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 class PathProvider(Protocol):
     """Protocol of a multipath route provider."""
 
     topo: Topology
+    #: True when :meth:`paths_block` works on whole arrays, so route tables
+    #: may hand it large blocks; list-building providers take small ones
+    array_routes: bool
 
     def paths(self, src: int, dst: int, max_paths: int = DEFAULT_MAX_PATHS) -> List[List[int]]:
         """Minimal candidate paths from accelerator ``src`` to ``dst``."""
         ...
 
+    def paths_block(
+        self, src: np.ndarray, dst: np.ndarray, max_paths: int = DEFAULT_MAX_PATHS
+    ) -> PathBlock:
+        """:meth:`paths` of every ``(src[i], dst[i])`` pair, as CSR arrays."""
+        ...
+
+
+def path_lists_to_csr(per_pair: Sequence[List[List[int]]]) -> PathBlock:
+    """CSR arrays of per-pair path lists."""
+    paths = [p for lists in per_pair for p in lists]
+    lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+    return (
+        np.fromiter(map(len, per_pair), dtype=np.int64, count=len(per_pair)),
+        lengths,
+        np.fromiter(itertools.chain.from_iterable(paths), dtype=np.int64, count=int(lengths.sum())),
+    )
+
+
+class PathListProvider:
+    """Base of the providers that enumerate one pair at a time: their
+    :meth:`paths_block` loops :meth:`paths`."""
+
+    array_routes = False
+
+    def paths_block(
+        self, src: np.ndarray, dst: np.ndarray, max_paths: int = DEFAULT_MAX_PATHS
+    ) -> PathBlock:
+        return path_lists_to_csr([
+            self.paths(s, d, max_paths=max_paths) for s, d in zip(src.tolist(), dst.tolist())
+        ])
+
 
 # ---------------------------------------------------------------------------
-class GenericPathProvider:
+class GenericPathProvider(PathListProvider):
     """BFS-based shortest-path provider for arbitrary topologies.
 
     Enumerates up to ``max_paths`` shortest paths by BFS from the destination
@@ -132,7 +175,7 @@ class GenericPathProvider:
 
 
 # ---------------------------------------------------------------------------
-class FatTreePathProvider:
+class FatTreePathProvider(PathListProvider):
     """Paths through a standalone fat-tree cluster (up/down routing)."""
 
     def __init__(self, topo: Topology):
@@ -152,7 +195,7 @@ class FatTreePathProvider:
 
 
 # ---------------------------------------------------------------------------
-class DragonflyPathProvider:
+class DragonflyPathProvider(PathListProvider):
     """Minimal (local-global-local) Dragonfly routing with channel multipath."""
 
     def __init__(self, topo: Topology):
@@ -205,7 +248,7 @@ class DragonflyPathProvider:
 
 
 # ---------------------------------------------------------------------------
-class TorusPathProvider:
+class TorusPathProvider(PathListProvider):
     """Dimension-ordered routing on the 2D torus with minimal wrap choice."""
 
     def __init__(self, topo: Topology):
@@ -272,7 +315,7 @@ class TorusPathProvider:
 
 
 # ---------------------------------------------------------------------------
-class HyperXPathProvider:
+class HyperXPathProvider(PathListProvider):
     """Minimal routing on the switch-based 2D HyperX.
 
     A flow crosses at most two switch-to-switch links: one in the row
@@ -312,8 +355,14 @@ class HyperXPathProvider:
 
 
 # ---------------------------------------------------------------------------
-class HxMeshPathProvider:
-    """Adaptive minimal routing on HammingMesh (wraps :class:`HxMeshRouter`)."""
+class HxMeshPathProvider(PathListProvider):
+    """Adaptive minimal routing on HammingMesh (wraps :class:`HxMeshRouter`).
+
+    Pairs the router cannot route (an endpoint that is not an accelerator)
+    fall back to BFS; a block holding such a pair is routed pair by pair.
+    """
+
+    array_routes = True
 
     def __init__(self, topo: Topology):
         self.topo = topo
@@ -327,6 +376,14 @@ class HxMeshPathProvider:
             if self._fallback is None:
                 self._fallback = GenericPathProvider(self.topo)
             return self._fallback.paths(src, dst, max_paths=max_paths)
+
+    def paths_block(
+        self, src: np.ndarray, dst: np.ndarray, max_paths: int = DEFAULT_MAX_PATHS
+    ) -> PathBlock:
+        block = self.router.route_block(src, dst, max_paths)
+        if block[0].all():
+            return block
+        return super().paths_block(src, dst, max_paths)
 
 
 # ---------------------------------------------------------------------------

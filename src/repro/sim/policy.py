@@ -34,11 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
+import numpy as np
+
 from .._hash import mix64
-from .paths import DEFAULT_MAX_PATHS, PathProvider, valiant_paths
+from .paths import DEFAULT_MAX_PATHS, PathProvider, path_lists_to_csr, valiant_paths
 
 __all__ = [
     "RouteSet",
+    "RouteBlock",
     "RoutingPolicy",
     "MinimalPolicy",
     "EcmpPolicy",
@@ -66,6 +69,41 @@ class RouteSet:
     num_minimal: int
 
 
+@dataclass(frozen=True)
+class RouteBlock:
+    """Route sets of a block of pairs as CSR arrays.
+
+    Pair ``i`` has ``counts[i]`` paths, of which the leading
+    ``num_minimal[i]`` form its minimal group; path ``j`` has
+    ``lengths[j]`` links and split weight ``weights[j]``; ``links``
+    concatenates every path's links in order.
+    """
+
+    counts: np.ndarray
+    lengths: np.ndarray
+    links: np.ndarray
+    weights: np.ndarray
+    num_minimal: np.ndarray
+
+    @classmethod
+    def from_route_sets(cls, route_sets: Sequence[RouteSet]) -> "RouteBlock":
+        counts, lengths, links = path_lists_to_csr([r.paths for r in route_sets])
+        weights = np.fromiter(
+            (w for r in route_sets for w in r.weights), dtype=np.float64, count=len(lengths)
+        )
+        nmin = np.fromiter((r.num_minimal for r in route_sets), dtype=np.int64, count=len(route_sets))
+        return cls(counts, lengths, links, weights, nmin)
+
+    def head(self, num_pairs: int) -> "RouteBlock":
+        """The block of the first ``num_pairs`` pairs."""
+        num_paths = int(self.counts[:num_pairs].sum())
+        num_links = int(self.lengths[:num_paths].sum())
+        return RouteBlock(
+            self.counts[:num_pairs], self.lengths[:num_paths], self.links[:num_links],
+            self.weights[:num_paths], self.num_minimal[:num_pairs],
+        )
+
+
 class RoutingPolicy:
     """Base class of the name-registered routing policies."""
 
@@ -91,6 +129,18 @@ class RoutingPolicy:
     ) -> RouteSet:
         """Candidate paths + split weights for one pair."""
         raise NotImplementedError
+
+    def routes_block(
+        self, provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
+    ) -> RouteBlock:
+        """:meth:`routes` of every ``(src[i], dst[i])`` pair."""
+        return RouteBlock.from_route_sets([
+            self.routes(provider, s, d, max_paths) for s, d in zip(src.tolist(), dst.tolist())
+        ])
+
+    def array_routes(self, provider: PathProvider) -> bool:
+        """Whether :meth:`routes_block` works on whole arrays for ``provider``."""
+        return False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} ({self.name!r})>"
@@ -151,6 +201,17 @@ class MinimalPolicy(RoutingPolicy):
             return RouteSet([], [], 0)
         w = 1.0 / len(paths)
         return RouteSet(paths, [w] * len(paths), len(paths))
+
+    def routes_block(
+        self, provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
+    ) -> RouteBlock:
+        counts, lengths, links = provider.paths_block(src, dst, max_paths)
+        # the float64 division routes() does per pair
+        weights = np.repeat(1.0 / np.maximum(counts, 1), counts)
+        return RouteBlock(counts, lengths, links, weights, counts)
+
+    def array_routes(self, provider: PathProvider) -> bool:
+        return provider.array_routes
 
 
 _MINIMAL = MinimalPolicy()

@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import atexit
 import functools
-import itertools
 import os
 import shutil
 import tempfile
@@ -88,7 +87,7 @@ import numpy as np
 from ..obs import registry as _obs
 from ..topology.base import Topology, TopologyError
 from .paths import DEFAULT_MAX_PATHS, PathProvider, path_provider_for
-from .policy import RouteSet, RoutingPolicy, get_policy
+from .policy import RouteBlock, RoutingPolicy, get_policy
 
 __all__ = [
     "RouteTable",
@@ -112,12 +111,18 @@ _GROW = 4  # geometric growth factor exponent base for the flat arrays
 #: source nodes per shard in sharded storage mode
 DEFAULT_SHARD_SOURCES = 64
 
-#: pairs routed per CSR append: enough to spread the append's fixed NumPy
-#: cost thin, few enough that the batch's path lists (at most a few
-#: hundred) die young.  Larger batches keep thousands of lists alive across
-#: garbage collections, which promotes them and adds full collections
-#: (13 instead of 9 in the benchmark's cold routing workload at 1,024 pairs).
+#: pairs routed per CSR append when the policy builds path lists: enough to
+#: spread the append's fixed NumPy cost thin, few enough that the batch's
+#: path lists (at most a few hundred) die young.  Larger batches keep
+#: thousands of lists alive across garbage collections, which promotes them
+#: and adds full collections (13 instead of 9 in the benchmark's cold
+#: routing workload at 1,024 pairs).
 _ROUTE_BATCH = 64
+
+#: pairs routed per block when the policy and provider route whole arrays
+#: (no per-pair Python objects): large enough to amortise the block's fixed
+#: cost of a few hundred NumPy calls
+_ARRAY_BATCH = 4096
 
 #: global path id = shard_index * stride + shard-local path id; pairs own a
 #: contiguous local id range, so the contiguity invariant the flow
@@ -234,31 +239,27 @@ def _append_csr(
     links: np.ndarray,
     weights: np.ndarray,
     num_paths: int,
-    batch: Sequence[RouteSet],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int]]:
-    """Append every path of ``batch`` to CSR arrays that hold ``num_paths``.
+    block: RouteBlock,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Append every path of ``block`` to CSR arrays that hold ``num_paths``.
 
     Each array is reallocated at most once and takes its new entries in one
     bulk copy.  Returns the possibly reallocated ``offsets``, ``links`` and
-    ``weights`` and the first path id of each route set.
+    ``weights`` and the first path id of each pair.
     """
-    paths = [p for routes in batch for p in routes.paths]
-    lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
-    counts = np.fromiter((len(routes.paths) for routes in batch), dtype=np.int64, count=len(batch))
+    counts = block.counts
     links_used = int(offsets[num_paths])
-    path_ends = links_used + np.cumsum(lengths)
+    path_ends = links_used + np.cumsum(block.lengths)
     pair_paths = num_paths + np.cumsum(counts)  # paths stored after each pair
-    end_paths = num_paths + len(paths)
-    end_links = int(path_ends[-1])
+    end_paths = num_paths + len(block.lengths)
+    end_links = links_used + len(block.links)
     offsets = _reserve(offsets, pair_paths + 1, 0, num_paths + 1)
     weights = _reserve(weights, pair_paths, 16, num_paths)
     links = _reserve(links, path_ends[pair_paths - num_paths - 1], 16, links_used)
     offsets[num_paths + 1 : end_paths + 1] = path_ends
-    links[links_used:end_links] = np.fromiter(
-        itertools.chain.from_iterable(paths), dtype=np.int64, count=end_links - links_used
-    )
-    weights[num_paths:end_paths] = [w for routes in batch for w in routes.weights]
-    return offsets, links, weights, (pair_paths - counts).tolist()
+    links[links_used:end_links] = block.links
+    weights[num_paths:end_paths] = block.weights
+    return offsets, links, weights, pair_paths - counts
 
 
 def _first_occurrences(keys: np.ndarray) -> np.ndarray:
@@ -452,14 +453,16 @@ class _RouteShard:
             self.offsets.nbytes + self.links.nbytes + self.weights.nbytes
         ) + self.INDEX_ENTRY_BYTES * len(self.index)
 
-    def extend(self, keys: Sequence[int], batch: Sequence[RouteSet]) -> None:
-        """Store the routes of the pairs ``keys`` (one route set each)."""
+    def extend(self, keys: np.ndarray, block: RouteBlock) -> None:
+        """Store the routes of the pairs ``keys``."""
         self.offsets, self.links, self.weights, firsts = _append_csr(
-            self.offsets, self.links, self.weights, self.num_paths, batch
+            self.offsets, self.links, self.weights, self.num_paths, block
         )
-        for key, first, routes in zip(keys, firsts, batch):
-            self.index[key] = (self.id_base + first, len(routes.paths), routes.num_minimal)
-        self.num_paths += sum(len(routes.paths) for routes in batch)
+        self.index.update(zip(
+            keys.tolist(),
+            zip((firsts + self.id_base).tolist(), block.counts.tolist(), block.num_minimal.tolist()),
+        ))
+        self.num_paths += len(block.lengths)
         self.dirty = True
 
 
@@ -779,41 +782,49 @@ class RouteTable:
         return si * _SHARD_STRIDE + first_local, npaths, nmin, shard
 
     def _extend_shard(
-        self, si: int, shard: _RouteShard, keys: Sequence[int], batch: Sequence[RouteSet]
+        self, si: int, shard: _RouteShard, keys: np.ndarray, block: RouteBlock
     ) -> None:
         before = shard.nbytes()
-        shard.extend(keys, batch)
+        shard.extend(keys, block)
         self._resident_bytes += shard.nbytes() - before
-        self._pairs_routed += len(batch)
+        self._pairs_routed += len(keys)
         self._enforce_budget(keep=si)
 
     # ------------------------------------------------------------- population
     def _route_keys(
-        self, keys: Sequence[int], store: Callable[[Sequence[int], List[RouteSet]], None]
+        self, keys: Sequence[int], store: Callable[[np.ndarray, RouteBlock], None]
     ) -> None:
         """Route the distinct, unrouted pair ``keys`` and pass them to
-        ``store(keys, route_sets)`` in batches of up to ``_ROUTE_BATCH``.
+        ``store(keys, block)`` in blocks of up to ``_ARRAY_BATCH`` pairs
+        when the policy routes whole arrays, else ``_ROUTE_BATCH``.
 
         A pair without a path raises :class:`TopologyError` once the pairs
         before it are stored, as routing them one at a time did.
         """
-        n = self.topo.num_nodes
-        for start in range(0, len(keys), _ROUTE_BATCH):
-            chunk = [int(key) for key in keys[start : start + _ROUTE_BATCH]]
-            batch: List[RouteSet] = []
+        keys = np.asarray(keys, dtype=np.int64)
+        batch = _ARRAY_BATCH if self.policy.array_routes(self.provider) else _ROUTE_BATCH
+        for start in range(0, len(keys), batch):
+            chunk = keys[start : start + batch]
             try:
-                for key in chunk:
-                    src, dst = divmod(key, n)
-                    routes = self.policy.routes(self.provider, src, dst, self.max_paths)
-                    if not routes.paths:
-                        raise TopologyError(f"no path between nodes {src} and {dst}")
-                    batch.append(routes)
-            finally:
-                if batch:
-                    self.stats.record_misses(len(batch))
-                    store(chunk[: len(batch)], batch)
+                self._route_chunk(chunk, store)
+            except TopologyError:
+                if len(chunk) == 1:
+                    raise
+                # store the pairs before the failing one, then raise its error
+                for i in range(len(chunk)):
+                    self._route_chunk(chunk[i : i + 1], store)
 
-    def _append_pairs(self, keys: Sequence[int], batch: Sequence[RouteSet]) -> None:
+    def _route_chunk(self, keys: np.ndarray, store: Callable[[np.ndarray, RouteBlock], None]) -> None:
+        src, dst = np.divmod(keys, self.topo.num_nodes)
+        block = self.policy.routes_block(self.provider, src, dst, self.max_paths)
+        routed = int(np.argmin(block.counts)) if not block.counts.all() else len(keys)
+        if routed:
+            self.stats.record_misses(routed)
+            store(keys[:routed], block if routed == len(keys) else block.head(routed))
+        if routed < len(keys):
+            raise TopologyError(f"no path between nodes {src[routed]} and {dst[routed]}")
+
+    def _append_pairs(self, keys: np.ndarray, block: RouteBlock) -> None:
         if not self._pair_first.flags.writeable:
             # attached (shared, read-only) pair index: privatize on first
             # miss — the shared segment itself is never written
@@ -821,12 +832,12 @@ class RouteTable:
             self._pair_npaths = self._pair_npaths.copy()
             self._pair_nmin = self._pair_nmin.copy()
         self._path_offsets, self._path_links, self._path_weights, firsts = _append_csr(
-            self._path_offsets, self._path_links, self._path_weights, self._num_paths, batch
+            self._path_offsets, self._path_links, self._path_weights, self._num_paths, block
         )
         self._pair_first[keys] = firsts
-        self._pair_npaths[keys] = [len(routes.paths) for routes in batch]
-        self._pair_nmin[keys] = [routes.num_minimal for routes in batch]
-        self._num_paths += sum(len(routes.paths) for routes in batch)
+        self._pair_npaths[keys] = block.counts
+        self._pair_nmin[keys] = block.num_minimal
+        self._num_paths += len(block.lengths)
         self._report_csr_bytes()
 
     def _populate(self, src: int, dst: int) -> int:

@@ -1,6 +1,9 @@
 """Tests for the declarative experiment engine (repro.exp)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -379,3 +382,23 @@ class TestCliDiff:
         missing = tmp_path / "BENCH_nowhere.json"
         assert cli.main(["diff", "fig7", "--no-cache", "--against", str(missing)]) == 2
         assert f"{missing} does not exist" in capsys.readouterr().err
+
+
+class TestRecordingKnobs:
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    @pytest.mark.parametrize("knob", ["REPRO_BENCH_FLOAT_DIGITS", "REPRO_BENCH_MAX_SERIES"])
+    def test_malformed_knob_fails_the_import_with_one_line(self, knob, value):
+        env = dict(os.environ, **{knob: value})
+        proc = subprocess.run(
+            [sys.executable, "-c", "import repro.exp"], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"{knob} must be an integer >= 1, got {value!r}"]
+
+    def test_knobs_parse_valid_values(self, monkeypatch):
+        from repro.exp import recording
+
+        monkeypatch.setenv("REPRO_BENCH_MAX_SERIES", " 12 ")
+        assert recording._positive_int_knob("REPRO_BENCH_MAX_SERIES", 256) == 12
+        monkeypatch.delenv("REPRO_BENCH_MAX_SERIES")
+        assert recording._positive_int_knob("REPRO_BENCH_MAX_SERIES", 256) == 256

@@ -1,5 +1,6 @@
 """Tests for HammingMesh construction, parameters, routing and sub-meshes."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -217,6 +218,80 @@ class TestRouting:
     def test_router_rejects_foreign_topology(self, fat_tree_64):
         with pytest.raises(TopologyError):
             HxMeshRouter(fat_tree_64)
+
+
+_ROUTERS = {}
+
+
+def _router(shape, radix, taper, slack):
+    """Memoized router: a hypothesis draw repeats shapes."""
+    key = (shape, radix, taper, slack)
+    if key not in _ROUTERS:
+        topo = build_hammingmesh(*shape, radix=radix, global_taper=taper)
+        _ROUTERS[key] = HxMeshRouter(topo, minimal_slack=slack)
+    return _ROUTERS[key]
+
+
+class TestBlockRouting:
+    """Every routed path is a valid near-minimal walk, and a block of pairs
+    routes exactly as the same pairs one at a time."""
+
+    @given(
+        a=st.integers(1, 4),
+        b=st.integers(1, 4),
+        x=st.integers(1, 5),
+        y=st.integers(1, 5),
+        radix=st.sampled_from([4, 64]),
+        taper=st.sampled_from([1.0, 0.5]),
+        slack=st.integers(0, 2),
+        max_paths=st.sampled_from([1, 2, 4, 8]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_paths_are_valid_and_match_single_pairs(
+        self, a, b, x, y, radix, taper, slack, max_paths, data
+    ):
+        if x * y == 1:  # a single board has no global network
+            return
+        router = _router((a, b, x, y), radix, taper, slack)
+        topo = router.topo
+        accs = topo.accelerators
+        picks = st.integers(0, len(accs) - 1)
+        src = [accs[i] for i in data.draw(st.lists(picks, min_size=1, max_size=12))]
+        dst = [accs[i] for i in data.draw(st.lists(picks, min_size=len(src), max_size=len(src)))]
+        # duplicate pairs and a pair to itself
+        src, dst = src + src[:2] + [src[0]], dst + dst[:2] + [src[0]]
+        counts, lengths, links = router.route_block(src, dst, max_paths)
+        assert len(counts) == len(src)
+        ends = np.cumsum(lengths)
+        paths = [links[e - n : e].tolist() for e, n in zip(ends.tolist(), lengths.tolist())]
+        first = 0
+        for s, d, count in zip(src, dst, counts.tolist()):
+            mine = paths[first : first + count]
+            first += count
+            single = router.route_block([s], [d], max_paths)
+            assert single[0].tolist() == [count]
+            assert mine == router.paths(s, d, max_paths)
+            if s == d:
+                assert mine == [[]]
+                continue
+            assert 1 <= count <= max_paths
+            assert len({tuple(p) for p in mine}) == count
+            assert max(map(len, mine)) - min(map(len, mine)) <= slack
+            for path in mine:
+                node = s
+                for li in path:
+                    assert topo.link_src[li] == node
+                    node = topo.link_dst[li]
+                assert node == d
+                assert max(virtual_channel_of(topo, path)) < MAX_VIRTUAL_CHANNELS
+                # a path crosses at most two global networks
+                injections = sum(
+                    topo.is_accelerator(topo.link_src[li]) and topo.is_switch(topo.link_dst[li])
+                    for li in path
+                )
+                assert injections <= 2
+        assert first == len(paths)
 
 
 class TestSubMesh:

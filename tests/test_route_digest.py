@@ -26,7 +26,7 @@ import pytest
 import repro.obs as obs
 from repro.core import HxMeshRouter, build_hammingmesh
 from repro.sim import routing
-from repro.sim.policy import RouteSet
+from repro.sim.policy import RouteBlock, RouteSet
 from repro.sim.routing import RouteTable
 from repro.topology import (
     build_dragonfly,
@@ -246,6 +246,7 @@ def _counter_values():
 def test_batched_population_matches_per_pair(name, sharded, route_batch, monkeypatch):
     if route_batch is not None:  # appends split across many batches
         monkeypatch.setattr(routing, "_ROUTE_BATCH", route_batch)
+        monkeypatch.setattr(routing, "_ARRAY_BATCH", route_batch)
     topo = _topology(name)
     src, dst = _batch(topo, seed=5)
     pre_src, pre_dst = _batch(topo, seed=6)
@@ -317,8 +318,10 @@ def test_append_csr_matches_per_pair_reference():
         for routes in batch:
             firsts.append(ref[3])
             ref = _append_one_pair(ref, routes.paths, routes.weights)
-        offsets, links, weights, got = routing._append_csr(offsets, links, weights, num, batch)
+        offsets, links, weights, got = routing._append_csr(
+            offsets, links, weights, num, RouteBlock.from_route_sets(batch)
+        )
         num = ref[3]
-        assert got == firsts
+        assert got.tolist() == firsts
         for mine, theirs in zip((offsets, links, weights), ref[:3]):
             assert len(mine) == len(theirs) and np.array_equal(mine, theirs)
