@@ -48,8 +48,12 @@ __all__ = ["HxMeshRouter", "board_mesh_path", "virtual_channel_of", "MAX_VIRTUAL
 #: suffice for deadlock freedom (Section IV-C3).
 MAX_VIRTUAL_CHANNELS = 3
 
-#: length of an absent candidate: longer than any path
-_ABSENT = 1 << 40
+#: dtype of link ids and lengths in candidate arrays: halves the memory
+#: traffic of int64 (a topology has far fewer than 2**31 links)
+_ID = np.int32
+#: length of an absent candidate: longer than any path, and the sum of two
+#: still fits ``_ID``
+_ABSENT = 1 << 29
 _NO_HASH = np.uint64((1 << 64) - 1)
 
 #: CSR routes of a block of pairs: paths per pair, links per path, links
@@ -134,36 +138,39 @@ class _Crossings:
     that nesting, so a candidate's flat index is its enumeration order.
     Arrays are candidate-major: ``length[c, x]`` is candidate ``c`` of
     crossing ``x``, and ``end[c, x]`` the link it is ranked by: its first
-    link, or its last where ``by_last[x]``.
+    link for the first ``by_first`` crossings, its last for the others.
     """
 
-    def __init__(self, router: "HxMeshRouter", kind, glob, line, sg, sp, dg, dp, by_last=None):
+    def __init__(self, router: "HxMeshRouter", kind, glob, line, sg, sp, dg, dp, by_first):
         r = router
         self.r, self.sg, self.sp, self.dg, self.dp = r, sg, sp, dg, dp
         self.port = port = r.port[:, kind, line]
         self.mid, self.mid_len = r.mids(kind, glob, line, sg, dg, port)
-        # (field, exit/entry, crossing); see HxMeshRouter._crossing_tables
-        head = r.heads[kind, line, sp].transpose(1, 2, 0)
-        tail = r.tails[kind, line, dp].transpose(1, 2, 0)
+        # (port, crossing) walk lengths; (port, order, crossing) whether the
+        # order exists and its first (head) or last (tail) local link
+        at_src, at_dst = (slice(None), slice(None), kind, line, sp), (slice(None), slice(None), kind, line, dp)
         # candidate axes (exit, entry, head order, tail order, mid, crossing)
-        hl = head[0][:, None, None, None, None]
-        tl = tail[0][None, :, None, None, None]
+        hl = r.head_len[at_src[1:]][:, None, None, None, None]
+        tl = r.tail_len[at_dst[1:]][None, :, None, None, None]
         ml = self.mid_len[:, :, None, None]
-        valid = (head[1:3].transpose(1, 0, 2)[:, None, :, None, None]
-                 & tail[1:3].transpose(1, 0, 2)[None, :, None, :, None])
+        valid = r.head_ok[at_src][:, None, :, None, None] & r.tail_ok[at_dst][None, :, None, :, None]
         if r.mids_per_cell == 2:
             valid = valid & (ml > 0)
         self.length = np.where(valid, hl + tl + ml, _ABSENT).reshape(-1, len(kind))
+        # a walk's end link if it has one, else the tree segment's
+        k = by_first
         mid = self.mid.transpose(4, 0, 1, 2, 3)[:, :, :, None, None]
-        first = r.board_base[sg] + head[3:5].transpose(1, 0, 2)[:, None, :, None, None]
-        end = np.where(hl > 0, first, mid[0])
-        if by_last is not None:
-            mid_last = mid[1] if r.mid_width == 2 else np.take_along_axis(
-                self.mid, np.maximum(self.mid_len - 1, 0)[..., None], -1
-            )[..., 0][:, :, None, None]
-            last = r.board_base[dg] + tail[3:5].transpose(1, 0, 2)[None, :, None, :, None]
-            end = np.where(by_last, np.where(tl > 0, last, mid_last), end)
-        self.end = np.where(valid, end, 0).reshape(-1, len(kind))
+        first = r.board_base[sg[:k]] + r.head_first[at_src][..., :k][:, None, :, None, None]
+        first = np.where(hl[..., :k] > 0, first, mid[0][..., :k])
+        mid_last = mid[1] if r.mid_width == 2 else np.take_along_axis(
+            self.mid, np.maximum(self.mid_len - 1, 0)[..., None], -1
+        )[..., 0][:, :, None, None]
+        last = r.board_base[dg[k:]] + r.tail_last[at_dst][..., k:][None, :, None, :, None]
+        last = np.where(tl[..., k:] > 0, last, mid_last[..., k:])
+        shape = valid.shape[:-1]
+        self.end = np.concatenate(
+            [np.broadcast_to(first, shape + (k,)), np.broadcast_to(last, shape + (len(kind) - k,))], -1
+        ).reshape(-1, len(kind))
 
     def segments(self, x: np.ndarray, c: np.ndarray):
         """Candidate ``c`` of crossing ``x``: its head and tail walks as
@@ -229,7 +236,7 @@ class HxMeshRouter:
                   sorted(board0.mesh_links.items(), key=lambda item: item[1])]
         local = np.arange(len(layout))
         self.node_of = np.empty((p.x * p.y, a * b), dtype=np.int64)
-        self.board_base = np.zeros(p.x * p.y, dtype=np.int64)
+        self.board_base = np.zeros(p.x * p.y, dtype=_ID)
         for (gr, gc), handle in self.boards.items():
             g = gr * p.x + gc
             self.node_of[g] = [handle.nodes[r][c] for r, c in positions]
@@ -243,7 +250,7 @@ class HxMeshRouter:
                     )
                 self.board_base[g] = ids[0]
         npos = a * b
-        self.walk_links = np.full((npos, npos, 2, max(1, a + b - 2)), -1, dtype=np.int64)
+        self.walk_links = np.full((npos, npos, 2, max(1, a + b - 2)), -1, dtype=_ID)
         for i, src in enumerate(positions):
             for j, dst in enumerate(positions):
                 for o, order in enumerate(("xy", "yx")):
@@ -279,26 +286,23 @@ class HxMeshRouter:
         pos = np.arange(a * b)
         last = np.maximum(self.walk_len - 1, 0)[:, :, None, None].repeat(2, 2)
         walk_last = np.take_along_axis(self.walk_links, last, 3)[..., 0]
-        # (kind, line, position, field, port): the walk's length, whether
-        # each order exists, and each order's first (head) or last (tail)
-        # local link
-        self.heads, self.tails = (
-            np.stack(np.broadcast_arrays(
-                self.walk_len[src, dst],
-                used,
-                used & (self.walk_orders[src, dst] == 2),
-                ends[src, dst, 0],
-                ends[src, dst, 1],
-            )).astype(np.int64).transpose(2, 3, 4, 0, 1)
-            for src, dst, ends in ((pos, port, self.walk_links[..., 0]), (port, pos, walk_last))
+        # (port, kind, line, position) walk lengths; (port, order, kind,
+        # line, position) whether the order exists and its first (head) or
+        # last (tail) local link
+        self.head_len, self.tail_len = self.walk_len[pos, port], self.walk_len[port, pos]
+        self.head_ok, self.tail_ok = (
+            np.stack(np.broadcast_arrays(used, used & (self.walk_orders[src, dst] == 2)), 1)
+            for src, dst in ((pos, port), (port, pos))
         )
+        self.head_first = self.walk_links[pos, port, :, 0].transpose(0, 4, 1, 2, 3)
+        self.tail_last = walk_last[port, pos].transpose(0, 4, 1, 2, 3)
 
     def _network_tables(self) -> None:
         """Every board position's attachments to its row (kind 0) and
         column (kind 1) network, in the network's attachment order, as
         ``(kind, board, position, attachment)`` tables."""
         n = self.topo.num_nodes
-        up, down, leaf = (np.full((2, 2, n), -1, dtype=np.int64) for _ in range(3))
+        up, down, leaf = (np.full((2, 2, n), -1, dtype=_ID) for _ in range(3))
         count = np.zeros((2, n), dtype=np.int64)
         self.networks = (self.row_networks, self.col_networks)
         levels = 1
@@ -357,7 +361,7 @@ class HxMeshRouter:
             )
         segment, offset = columns
         mask = offset < np.array(counts)[segment].T
-        return mask.sum(1), np.concatenate(pieces, axis=1)[mask]
+        return mask.sum(1), np.concatenate(pieces, axis=1)[mask].astype(np.int64)
 
     def mids(self, kind, glob, line, sg, dg, port) -> Tuple[np.ndarray, np.ndarray]:
         """Tree segments per (exit, entry, mid, crossing).
@@ -371,18 +375,18 @@ class HxMeshRouter:
         up, down = self.port_up[kind, sg, port], self.port_down[kind, dg, port]
         shape = (2, 2, self.mids_per_cell, len(kind), self.mid_width)
         if self.mids_per_cell == 1:
-            mid = np.empty(shape, dtype=np.int64)
+            mid = np.empty(shape, dtype=_ID)
             mid[:, :, 0, :, 0] = up[:, None, :, 0]
             mid[:, :, 0, :, 1] = down[None, :, :, 0]
-            return mid, np.full(shape[:4], 2, dtype=np.int64)
-        mid = np.full(shape, -1, dtype=np.int64)
+            return mid, np.full(shape[:4], 2, dtype=_ID)
+        mid = np.full(shape, -1, dtype=_ID)
         # the second pairing: (exit att 0, entry att 1), else (1, 0), if any
         entry_two = (self.port_count[kind, dg, port] == 2)[None]
         second = entry_two | (self.port_count[kind, sg, port] == 2)[:, None]
         for m, (i, j) in enumerate(((0, 0), (np.where(entry_two, 0, 1), np.where(entry_two, 1, 0)))):
             mid[:, :, m, :, 0] = np.take_along_axis(up[:, None], np.broadcast_to(i, second.shape)[..., None], 3)[..., 0]
             mid[:, :, m, :, 1] = np.take_along_axis(down[None], np.broadcast_to(j, second.shape)[..., None], 3)[..., 0]
-        mid_len = np.stack([np.full(second.shape, 2), np.where(second, 2, 0)], 2)
+        mid_len = np.stack([np.full(second.shape, 2), np.where(second, 2, 0)], 2).astype(_ID)
         if self.single_switch:
             return mid, mid_len
         leaf, dleaf = self.port_leaf[kind, sg, port], self.port_leaf[kind, dg, port]
@@ -433,10 +437,10 @@ class HxMeshRouter:
         lines = np.array([np.minimum(slines, dlines), np.maximum(slines, dlines)])
         s, q = np.nonzero(np.array([lines[0] >= 0, lines[1] != lines[0]]))
         cross = _Crossings(self, np.full(len(q), kind), cs[q, kind], lines[s, q],
-                           sg[q], sp[q], dg[q], dp[q])
+                           sg[q], sp[q], dg[q], dp[q], by_first=len(q))
         shape = (len(cross.length), 2, len(sg))
-        length = np.full(shape, _ABSENT, dtype=np.int64)
-        first = np.zeros(shape, dtype=np.int64)
+        length = np.full(shape, _ABSENT, dtype=_ID)
+        first = np.zeros(shape, dtype=_ID)
         length[:, s, q], first[:, s, q] = cross.length, cross.end
         index = np.zeros((2, len(sg)), dtype=np.int64)
         index[s, q] = np.arange(len(q))
@@ -477,7 +481,7 @@ class HxMeshRouter:
         cross = _Crossings(
             self, _DIAGONAL_KINDS[:, s].reshape(-1),
             *values[_DIAGONAL_FIELDS[:, :, s], q].reshape(6, -1),
-            by_last=np.arange(2 * num) >= num,
+            by_first=num,
         )
         rank = mix64_array(np.concatenate([key[q], key[q]]) ^ self.link_hash[cross.end])
         best = _two_best(cross.length, rank)
@@ -485,8 +489,8 @@ class HxMeshRouter:
         i = np.arange(num)
         hlen = np.where(head >= 0, cross.length[head, i], _ABSENT)
         tlen = np.where(tail >= 0, cross.length[tail, num + i], _ABSENT)
-        length = np.full((4, 4, len(cs)), _ABSENT, dtype=np.int64)
-        first = np.zeros((4, 4, len(cs)), dtype=np.int64)
+        length = np.full((4, 4, len(cs)), _ABSENT, dtype=_ID)
+        first = np.zeros((4, 4, len(cs)), dtype=_ID)
         length[:, s, q] = np.minimum(hlen[:, None] + tlen[None], _ABSENT).reshape(4, num)
         first[:, s, q] = np.repeat(cross.end[head, i], 2, axis=0)
         index = np.zeros((4, len(cs)), dtype=np.int64)

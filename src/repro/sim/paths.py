@@ -479,6 +479,35 @@ def valiant_intermediates(
     return out
 
 
+def _detour_phases(provider: PathProvider, src: int, dst: int, mids: List[int]):
+    """``phases(j)``: the minimal candidates to ``mids[j]`` and onwards.
+
+    An array provider routes every detour's two phases in one block; a
+    list provider, or a block that raises, routes them on demand.
+    """
+
+    def on_demand(j: int) -> Tuple[List[List[int]], List[List[int]]]:
+        return (
+            provider.paths(src, mids[j], max_paths=DEFAULT_MAX_PATHS),
+            provider.paths(mids[j], dst, max_paths=DEFAULT_MAX_PATHS),
+        )
+
+    if not mids or not getattr(provider, "array_routes", False):
+        return on_demand
+    n = len(mids)
+    try:
+        counts, lengths, links = provider.paths_block(
+            np.array([src] * n + mids), np.array(mids + [dst] * n), DEFAULT_MAX_PATHS
+        )
+    except TopologyError:
+        return on_demand
+    flat, ends = links.tolist(), np.cumsum(lengths).tolist()
+    paths = [flat[end - length : end] for end, length in zip(ends, lengths.tolist())]
+    firsts = (np.cumsum(counts) - counts).tolist()
+    lists = [paths[f : f + c] for f, c in zip(firsts, counts.tolist())]
+    return lambda j: (lists[j], lists[n + j])
+
+
 def valiant_paths(
     provider: PathProvider,
     src: int,
@@ -523,12 +552,12 @@ def valiant_paths(
             ),
         )
 
+    phases = _detour_phases(provider, src, dst, mids)
     for j, mid in enumerate(mids):
         if len(out) >= max_paths:
             break
         try:
-            heads = provider.paths(src, mid, max_paths=DEFAULT_MAX_PATHS)
-            tails = provider.paths(mid, dst, max_paths=DEFAULT_MAX_PATHS)
+            heads, tails = phases(j)
         except TopologyError:
             continue
         if not heads or not tails:

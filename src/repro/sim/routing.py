@@ -122,7 +122,7 @@ _ROUTE_BATCH = 64
 #: pairs routed per block when the policy and provider route whole arrays
 #: (no per-pair Python objects): large enough to amortise the block's fixed
 #: cost of a few hundred NumPy calls
-_ARRAY_BATCH = 4096
+_ARRAY_BATCH = 1024
 
 #: global path id = shard_index * stride + shard-local path id; pairs own a
 #: contiguous local id range, so the contiguity invariant the flow

@@ -9,6 +9,7 @@ from repro.sim import (
     FlowSimulator,
     PacketNetwork,
     PacketSimConfig,
+    RouteTable,
     random_permutation,
     ring_neighbor_flows,
 )
@@ -166,6 +167,26 @@ class TestPacketNetwork:
         assert util.max() <= 1.0 + 1e-9
         # a lone message keeps its bottleneck link busy almost continuously
         assert util.max() > 0.5
+
+    def test_send_flows_routes_its_pairs_in_one_batch(self, hx2mesh_4x4):
+        """send_flows stores every pair before the run; the run equals one
+        that routes each pair as its first packet is injected."""
+        flows = random_permutation(hx2mesh_4x4.num_accelerators, seed=4)
+        results = []
+        for batched in (True, False):
+            table = RouteTable(hx2mesh_4x4, max_paths=4)
+            net = PacketNetwork(hx2mesh_4x4, config=PacketSimConfig(max_paths=4), table=table)
+            if batched:
+                net.send_flows(flows, 1 << 16)
+                assert table.stats.misses == sum(f.src != f.dst for f in flows)
+            else:
+                for f in flows:
+                    net.send(f.src, f.dst, 1 << 16)
+                assert table.stats.misses == 0
+            result = net.run()
+            results.append((result.finish_time, result.link_busy_time.tolist(),
+                            [m.completion_time for m in result.messages]))
+        assert results[0] == results[1]
 
     def test_aggregate_bandwidth_positive(self, hx2mesh_4x4):
         net = PacketNetwork(hx2mesh_4x4)
