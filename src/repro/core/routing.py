@@ -42,7 +42,13 @@ from ..topology.base import Topology, TopologyError
 from ..topology.board import BoardHandle, EAST, NORTH, SOUTH, WEST
 from ..topology.fattree import GlobalNetwork
 
-__all__ = ["HxMeshRouter", "board_mesh_path", "virtual_channel_of", "MAX_VIRTUAL_CHANNELS"]
+__all__ = [
+    "HxMeshRouter",
+    "board_mesh_path",
+    "csr_to_path_lists",
+    "virtual_channel_of",
+    "MAX_VIRTUAL_CHANNELS",
+]
 
 #: A packet crosses at most two global trees, so three virtual channels
 #: suffice for deadlock freedom (Section IV-C3).
@@ -110,6 +116,14 @@ def board_mesh_path(
             out.append(links[(nodes[r][c], SOUTH if tr > r else NORTH)])
             r += 1 if tr > r else -1
     return out
+
+
+def csr_to_path_lists(counts: np.ndarray, lengths: np.ndarray, links: np.ndarray) -> List[List[List[int]]]:
+    """Per-pair path lists of CSR routes (see :meth:`HxMeshRouter.route_block`)."""
+    flat, ends = links.tolist(), np.cumsum(lengths).tolist()
+    paths = [flat[end - n : end] for end, n in zip(ends, lengths.tolist())]
+    firsts = (np.cumsum(counts) - counts).tolist()
+    return [paths[f : f + c] for f, c in zip(firsts, counts.tolist())]
 
 
 def _two_best(length: np.ndarray, rank: np.ndarray) -> np.ndarray:
@@ -372,20 +386,20 @@ class HxMeshRouter:
         one segment ``[up, down]``; other cells call it directly.  Returns
         ``(links, lengths)``; links are padded to ``mid_width``.
         """
+        # (port, crossing, attachment)
         up, down = self.port_up[kind, sg, port], self.port_down[kind, dg, port]
-        shape = (2, 2, self.mids_per_cell, len(kind), self.mid_width)
+        mid = np.full((2, 2, self.mids_per_cell, len(kind), self.mid_width), -1, dtype=_ID)
+        # the first pairing: (exit attachment 0, entry attachment 0)
+        mid[:, :, 0, :, 0] = up[:, None, :, 0]
+        mid[:, :, 0, :, 1] = down[None, :, :, 0]
         if self.mids_per_cell == 1:
-            mid = np.empty(shape, dtype=_ID)
-            mid[:, :, 0, :, 0] = up[:, None, :, 0]
-            mid[:, :, 0, :, 1] = down[None, :, :, 0]
-            return mid, np.full(shape[:4], 2, dtype=_ID)
-        mid = np.full(shape, -1, dtype=_ID)
-        # the second pairing: (exit att 0, entry att 1), else (1, 0), if any
+            return mid, np.full(mid.shape[:4], 2, dtype=_ID)
+        # the second: (0, 1) if the entry attaches twice, else (1, 0) if the
+        # exit does, else none
         entry_two = (self.port_count[kind, dg, port] == 2)[None]
         second = entry_two | (self.port_count[kind, sg, port] == 2)[:, None]
-        for m, (i, j) in enumerate(((0, 0), (np.where(entry_two, 0, 1), np.where(entry_two, 1, 0)))):
-            mid[:, :, m, :, 0] = np.take_along_axis(up[:, None], np.broadcast_to(i, second.shape)[..., None], 3)[..., 0]
-            mid[:, :, m, :, 1] = np.take_along_axis(down[None], np.broadcast_to(j, second.shape)[..., None], 3)[..., 0]
+        mid[:, :, 1, :, 0] = np.where(entry_two, up[:, None, :, 0], up[:, None, :, 1])
+        mid[:, :, 1, :, 1] = np.where(entry_two, down[None, :, :, 1], down[None, :, :, 0])
         mid_len = np.stack([np.full(second.shape, 2), np.where(second, 2, 0)], 2).astype(_ID)
         if self.single_switch:
             return mid, mid_len
@@ -620,11 +634,7 @@ class HxMeshRouter:
         )
         if not counts[0]:
             raise TopologyError(f"no path found between accelerators {src} and {dst}")
-        flat, out, start = links.tolist(), [], 0
-        for n in lengths.tolist():
-            out.append(flat[start : start + n])
-            start += n
-        return out
+        return csr_to_path_lists(counts, lengths, links)[0]
 
     # ----------------------------------------------------------- VC assignment
     def virtual_channels(self, path: Sequence[int]) -> List[int]:

@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from .._hash import mix64
-from ..core.routing import HxMeshRouter
+from ..core.routing import HxMeshRouter, csr_to_path_lists
 from ..topology.base import Topology, TopologyError
 
 __all__ = [
@@ -501,10 +501,7 @@ def _detour_phases(provider: PathProvider, src: int, dst: int, mids: List[int]):
         )
     except TopologyError:
         return on_demand
-    flat, ends = links.tolist(), np.cumsum(lengths).tolist()
-    paths = [flat[end - length : end] for end, length in zip(ends, lengths.tolist())]
-    firsts = (np.cumsum(counts) - counts).tolist()
-    lists = [paths[f : f + c] for f, c in zip(firsts, counts.tolist())]
+    lists = csr_to_path_lists(counts, lengths, links)
     return lambda j: (lists[j], lists[n + j])
 
 
