@@ -118,7 +118,9 @@ def board_mesh_path(
     return out
 
 
-def csr_to_path_lists(counts: np.ndarray, lengths: np.ndarray, links: np.ndarray) -> List[List[List[int]]]:
+def csr_to_path_lists(
+    counts: np.ndarray, lengths: np.ndarray, links: np.ndarray
+) -> List[List[List[int]]]:
     """Per-pair path lists of CSR routes (see :meth:`HxMeshRouter.route_block`)."""
     flat, ends = links.tolist(), np.cumsum(lengths).tolist()
     paths = [flat[end - n : end] for end, n in zip(ends, lengths.tolist())]
@@ -126,7 +128,7 @@ def csr_to_path_lists(counts: np.ndarray, lengths: np.ndarray, links: np.ndarray
     return [paths[f : f + c] for f, c in zip(firsts, counts.tolist())]
 
 
-def _two_best(length: np.ndarray, rank: np.ndarray) -> np.ndarray:
+def _top_two(length: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Rows of the two smallest ``(length, rank)`` of every column, equal
     ranks ordered by row as a stable sort orders them; -1 where absent."""
     length = length.copy()
@@ -142,7 +144,7 @@ def _two_best(length: np.ndarray, rank: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Crossings:
+class _NetworkCrossings:
     """Crossings of one global network each, with all their candidates.
 
     A candidate walks from the source position to an exit port on the
@@ -162,12 +164,14 @@ class _Crossings:
         self.mid, self.mid_len = r.mids(kind, glob, line, sg, dg, port)
         # (port, crossing) walk lengths; (port, order, crossing) whether the
         # order exists and its first (head) or last (tail) local link
-        at_src, at_dst = (slice(None), slice(None), kind, line, sp), (slice(None), slice(None), kind, line, dp)
+        every = slice(None)
+        at_src, at_dst = (every, every, kind, line, sp), (every, every, kind, line, dp)
         # candidate axes (exit, entry, head order, tail order, mid, crossing)
         hl = r.head_len[at_src[1:]][:, None, None, None, None]
         tl = r.tail_len[at_dst[1:]][None, :, None, None, None]
         ml = self.mid_len[:, :, None, None]
-        valid = r.head_ok[at_src][:, None, :, None, None] & r.tail_ok[at_dst][None, :, None, :, None]
+        valid = (r.head_ok[at_src][:, None, :, None, None]
+                 & r.tail_ok[at_dst][None, :, None, :, None])
         if r.mids_per_cell == 2:
             valid = valid & (ml > 0)
         self.length = np.where(valid, hl + tl + ml, _ABSENT).reshape(-1, len(kind))
@@ -182,9 +186,9 @@ class _Crossings:
         last = r.board_base[dg[k:]] + r.tail_last[at_dst][..., k:][None, :, None, :, None]
         last = np.where(tl[..., k:] > 0, last, mid_last[..., k:])
         shape = valid.shape[:-1]
-        self.end = np.concatenate(
-            [np.broadcast_to(first, shape + (k,)), np.broadcast_to(last, shape + (len(kind) - k,))], -1
-        ).reshape(-1, len(kind))
+        first = np.broadcast_to(first, shape + (k,))
+        last = np.broadcast_to(last, shape + (len(kind) - k,))
+        self.end = np.concatenate([first, last], -1).reshape(-1, len(kind))
 
     def segments(self, x: np.ndarray, c: np.ndarray):
         """Candidate ``c`` of crossing ``x``: its head and tail walks as
@@ -223,7 +227,7 @@ class HxMeshRouter:
         #: still be considered by adaptive routing.  0 = strictly minimal.
         self.minimal_slack = minimal_slack
         self._board_tables()
-        self._crossing_tables()
+        self._edge_tables()
         self._network_tables()
         #: ``hash((link,))`` of every link: the tie-break of the best
         #: crossings of a two-network route
@@ -269,13 +273,14 @@ class HxMeshRouter:
             for j, dst in enumerate(positions):
                 for o, order in enumerate(("xy", "yx")):
                     walk = board_mesh_path(board0, src, dst, order)
-                    self.walk_links[i, j, o, : len(walk)] = np.array(walk, dtype=np.int64) - self.board_base[0]
+                    offsets = np.array(walk, dtype=np.int64) - self.board_base[0]
+                    self.walk_links[i, j, o, : len(walk)] = offsets
         rows, cols = divmod(np.arange(npos), a)
         self.walk_len = np.abs(rows[:, None] - rows) + np.abs(cols[:, None] - cols)
         # xy and yx differ only when the walk turns
         self.walk_orders = np.where((rows[:, None] != rows) & (cols[:, None] != cols), 2, 1)
 
-    def _crossing_tables(self) -> None:
+    def _edge_tables(self) -> None:
         """Ports, heads and tails of a crossing, by (port, kind, line, position).
 
         A crossing of a row network (kind 0) on on-board row ``line`` leaves
@@ -450,7 +455,7 @@ class HxMeshRouter:
         slines, dlines = cs[:, 2 + kind], cd[:, 2 + kind]
         lines = np.array([np.minimum(slines, dlines), np.maximum(slines, dlines)])
         s, q = np.nonzero(np.array([lines[0] >= 0, lines[1] != lines[0]]))
-        cross = _Crossings(self, np.full(len(q), kind), cs[q, kind], lines[s, q],
+        cross = _NetworkCrossings(self, np.full(len(q), kind), cs[q, kind], lines[s, q],
                            sg[q], sp[q], dg[q], dp[q], by_first=len(q))
         shape = (len(cross.length), 2, len(sg))
         length = np.full(shape, _ABSENT, dtype=_ID)
@@ -492,13 +497,13 @@ class HxMeshRouter:
         num = len(q)
         # heads into the intermediate board are ranked by their first link,
         # tails out of it by their last
-        cross = _Crossings(
+        cross = _NetworkCrossings(
             self, _DIAGONAL_KINDS[:, s].reshape(-1),
             *values[_DIAGONAL_FIELDS[:, :, s], q].reshape(6, -1),
             by_first=num,
         )
         rank = mix64_array(np.concatenate([key[q], key[q]]) ^ self.link_hash[cross.end])
-        best = _two_best(cross.length, rank)
+        best = _top_two(cross.length, rank)
         head, tail = best[:, :num], best[:, num:]
         i = np.arange(num)
         hlen = np.where(head >= 0, cross.length[head, i], _ABSENT)
@@ -514,7 +519,9 @@ class HxMeshRouter:
 
         def build(q, s, k):
             i = index[s, q]
-            walks, mids = cross.segments(np.array([i, num + i]), np.array([head[k >> 1, i], tail[k & 1, i]]))
+            walks, mids = cross.segments(
+                np.array([i, num + i]), np.array([head[k >> 1, i], tail[k & 1, i]])
+            )
             # (head/tail walk, crossing) -> crossing-major
             walks = tuple(w.swapaxes(0, 1).reshape(4, -1) for w in walks)
             return self._assemble("wmwwmw", walks, mids)
@@ -615,7 +622,8 @@ class HxMeshRouter:
         order = np.argsort(path_pair, kind="stable")
         starts = (np.cumsum(lengths) - lengths)[order]
         lengths = lengths[order]
-        gather = np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths - starts, lengths)
+        shift = np.cumsum(lengths) - lengths - starts
+        gather = np.arange(int(lengths.sum())) - np.repeat(shift, lengths)
         return counts, lengths, links[gather]
 
     def paths(self, src: int, dst: int, max_paths: int = 4) -> List[List[int]]:

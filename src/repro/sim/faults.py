@@ -51,10 +51,18 @@ from typing import (
 import numpy as np
 
 from .._hash import mix64
+from ..core.routing import csr_to_path_lists
 from ..obs import registry as _obs
 from ..topology.base import Topology, TopologyError
 from .flowsim import FlowSimulator, WarmState
-from .paths import DEFAULT_MAX_PATHS, PathListProvider, PathProvider, path_provider_for
+from .paths import (
+    DEFAULT_MAX_PATHS,
+    PathBlock,
+    PathListProvider,
+    PathProvider,
+    path_lists_to_csr,
+    path_provider_for,
+)
 from .policy import RoutingPolicy, get_policy
 from .routing import RouteTable, register_route_cache_client, route_table_for
 from .traffic import Flow
@@ -329,9 +337,38 @@ class DegradedPathProvider(PathListProvider):
                 return False
         return True
 
+    @property
+    def array_routes(self) -> bool:
+        """Blocks take one block of the base provider when it routes arrays."""
+        return getattr(self.base, "array_routes", False)
+
     def paths(
         self, src: int, dst: int, max_paths: int = DEFAULT_MAX_PATHS
     ) -> List[List[int]]:
+        try:
+            cand = self.base.paths(src, dst, max_paths=max_paths) if src != dst else [[]]
+        except TopologyError:
+            cand = []
+        return self._surviving(src, dst, max_paths, cand)
+
+    def paths_block(
+        self, src: np.ndarray, dst: np.ndarray, max_paths: int = DEFAULT_MAX_PATHS
+    ) -> PathBlock:
+        if not self.array_routes:
+            return super().paths_block(src, dst, max_paths)
+        try:
+            cands = csr_to_path_lists(*self.base.paths_block(src, dst, max_paths))
+        except TopologyError:
+            return super().paths_block(src, dst, max_paths)
+        return path_lists_to_csr([
+            self._surviving(s, d, max_paths, cand)
+            for s, d, cand in zip(src.tolist(), dst.tolist(), cands)
+        ])
+
+    def _surviving(
+        self, src: int, dst: int, max_paths: int, cand: List[List[int]]
+    ) -> List[List[int]]:
+        """The pair's paths given the base provider's candidates ``cand``."""
         if src == dst:
             return [[]]
         if src in self._dead_nodes or dst in self._dead_nodes:
@@ -339,10 +376,6 @@ class DegradedPathProvider(PathListProvider):
             raise TopologyError(
                 f"no surviving path between nodes {src} and {dst}: endpoint failed"
             )
-        try:
-            cand = self.base.paths(src, dst, max_paths=max_paths)
-        except TopologyError:
-            cand = []
         alive = [p for p in cand if self._alive(p)]
         if cand and len(alive) == len(cand):
             return alive

@@ -120,8 +120,8 @@ DEFAULT_SHARD_SOURCES = 64
 _ROUTE_BATCH = 64
 
 #: pairs routed per block when the policy and provider route whole arrays
-#: (no per-pair Python objects): large enough to amortise the block's fixed
-#: cost of a few hundred NumPy calls
+#: (no per-pair Python objects): the cost per pair is flat from about 256
+#: pairs up, while a block's transient arrays grow by about 4 KB per pair
 _ARRAY_BATCH = 1024
 
 #: global path id = shard_index * stride + shard-local path id; pairs own a
@@ -805,24 +805,22 @@ class RouteTable:
         batch = _ARRAY_BATCH if self.policy.array_routes(self.provider) else _ROUTE_BATCH
         for start in range(0, len(keys), batch):
             chunk = keys[start : start + batch]
+            src, dst = np.divmod(chunk, self.topo.num_nodes)
             try:
-                self._route_chunk(chunk, store)
+                block = self.policy.routes_block(self.provider, src, dst, self.max_paths)
             except TopologyError:
                 if len(chunk) == 1:
                     raise
                 # store the pairs before the failing one, then raise its error
                 for i in range(len(chunk)):
-                    self._route_chunk(chunk[i : i + 1], store)
-
-    def _route_chunk(self, keys: np.ndarray, store: Callable[[np.ndarray, RouteBlock], None]) -> None:
-        src, dst = np.divmod(keys, self.topo.num_nodes)
-        block = self.policy.routes_block(self.provider, src, dst, self.max_paths)
-        routed = int(np.argmin(block.counts)) if not block.counts.all() else len(keys)
-        if routed:
-            self.stats.record_misses(routed)
-            store(keys[:routed], block if routed == len(keys) else block.head(routed))
-        if routed < len(keys):
-            raise TopologyError(f"no path between nodes {src[routed]} and {dst[routed]}")
+                    self._route_keys(chunk[i : i + 1], store)
+                continue
+            routed = int(np.argmin(block.counts)) if not block.counts.all() else len(chunk)
+            if routed:
+                self.stats.record_misses(routed)
+                store(chunk[:routed], block if routed == len(chunk) else block.head(routed))
+            if routed < len(chunk):
+                raise TopologyError(f"no path between nodes {src[routed]} and {dst[routed]}")
 
     def _append_pairs(self, keys: np.ndarray, block: RouteBlock) -> None:
         if not self._pair_first.flags.writeable:

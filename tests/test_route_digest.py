@@ -25,10 +25,13 @@ import pytest
 
 import repro.obs as obs
 from repro.core import HxMeshRouter, build_hammingmesh
+from repro.core.routing import csr_to_path_lists
 from repro.sim import routing
+from repro.sim.paths import GenericPathProvider, HxMeshPathProvider, path_lists_to_csr
 from repro.sim.policy import RouteBlock, RouteSet
 from repro.sim.routing import RouteTable
 from repro.topology import (
+    TopologyError,
     build_dragonfly,
     build_fat_tree,
     build_hx1mesh,
@@ -325,3 +328,59 @@ def test_append_csr_matches_per_pair_reference():
         assert got.tolist() == firsts
         for mine, theirs in zip((offsets, links, weights), ref[:3]):
             assert len(mine) == len(theirs) and np.array_equal(mine, theirs)
+
+
+
+def test_switch_endpoints_fall_back_to_bfs(hx2mesh_4x4):
+    """A block holding a pair the router cannot route (a switch endpoint)
+    routes every pair one at a time, the switch pair by BFS."""
+    topo = hx2mesh_4x4
+    accs, switch = topo.accelerators, topo.switches[0]
+    src = np.array([accs[0], switch, accs[1]])
+    dst = np.array([accs[5], accs[3], accs[1]])
+    provider = HxMeshPathProvider(topo)
+    got = csr_to_path_lists(*provider.paths_block(src, dst, 4))
+    assert got == [provider.paths(int(s), int(d), 4) for s, d in zip(src, dst)]
+    assert got[1] == GenericPathProvider(topo).paths(switch, accs[3], 4)
+
+
+class _NoPathFor:
+    """An HxMesh provider under which one pair has no path: it gets no
+    paths, or its routing raises."""
+
+    def __init__(self, topo, missing, array_routes, raises):
+        self.topo, self.base, self.missing = topo, HxMeshPathProvider(topo), missing
+        self.array_routes, self.raises = array_routes, raises
+
+    def paths(self, src, dst, max_paths=4):
+        if (src, dst) != self.missing:
+            return self.base.paths(src, dst, max_paths)
+        if self.raises:
+            raise TopologyError("unroutable pair")
+        return []
+
+    def paths_block(self, src, dst, max_paths=4):
+        lists = csr_to_path_lists(*self.base.paths_block(src, dst, max_paths))
+        pairs = list(zip(src.tolist(), dst.tolist()))
+        if self.raises and self.missing in pairs:
+            raise TopologyError("unroutable pair")
+        return path_lists_to_csr([[] if p == self.missing else l for p, l in zip(pairs, lists)])
+
+
+@pytest.mark.parametrize("raises", [False, True])
+@pytest.mark.parametrize("array_routes", [True, False])
+@pytest.mark.parametrize("sharded", [False, True])
+def test_pair_without_path_raises_after_earlier_pairs_are_stored(raises, array_routes, sharded):
+    topo = _topology("hx2mesh-4x4")
+    accs = topo.accelerators
+    src, dst = np.array(accs[0:4]), np.array(accs[9:13])
+    provider = _NoPathFor(topo, (accs[2], accs[11]), array_routes, raises)
+    kwargs = {"sharded": True, "shard_sources": 5} if sharded else {}
+    table = RouteTable(topo, max_paths=4, provider=provider, **kwargs)
+    message = "unroutable pair" if raises else f"no path between nodes {accs[2]} and {accs[11]}"
+    with pytest.raises(TopologyError, match=message):
+        table.pair_arrays(src, dst)
+    assert table.num_pairs_routed == 2
+    assert table.stats.misses == 2
+    reference = RouteTable(topo, max_paths=4)
+    assert _table_digest(table, src[:2], dst[:2]) == _table_digest(reference, src[:2], dst[:2])
