@@ -414,14 +414,22 @@ class HxMeshRouter:
             | (np.where(entry_two, leaf[:, None, :, 0], leaf[:, None, :, 1])
                == np.where(entry_two, dleaf[None, :, :, 1], dleaf[None, :, :, 0]))
         )
-        snode, dnode = self.node_of[sg, port], self.node_of[dg, port]
-        for e, n, x in zip(*np.nonzero(~one_leaf)):
-            net = self.networks[kind[x]][(int(glob[x]), int(line[x]))]
-            mid[e, n, :, x] = -1
-            mid_len[e, n, :, x] = 0
-            for m, path in enumerate(net.paths(int(snode[e, x]), int(dnode[n, x]), max_paths=2)):
-                mid[e, n, m, x, : len(path)] = path
-                mid_len[e, n, m, x] = len(path)
+        cells = np.nonzero(~one_leaf)
+        mid[cells[0], cells[1], :, cells[2]] = -1
+        mid_len[cells[0], cells[1], :, cells[2]] = 0
+        snode, dnode = self.node_of[sg, port].tolist(), self.node_of[dg, port].tolist()
+        kinds, globs, lines = kind.tolist(), glob.tolist(), line.tolist()
+        at, links, lengths = [], [], []
+        for e, n, x in zip(*(c.tolist() for c in cells)):
+            net = self.networks[kinds[x]][(globs[x], lines[x])]
+            for m, path in enumerate(net.paths(snode[e][x], dnode[n][x], max_paths=2)):
+                at.append((e, n, m, x))
+                links.append(path + [-1] * (self.mid_width - len(path)))
+                lengths.append(len(path))
+        if at:
+            e, n, m, x = np.array(at).T
+            mid[e, n, m, x] = links
+            mid_len[e, n, m, x] = lengths
         return mid, mid_len
 
     # ------------------------------------------------------------- classes

@@ -482,8 +482,10 @@ def valiant_intermediates(
 def _detour_phases(provider: PathProvider, src: int, dst: int, mids: List[int]):
     """``phases(j)``: the minimal candidates to ``mids[j]`` and onwards.
 
-    An array provider routes every detour's two phases in one block; a
-    list provider, or a block that raises, routes them on demand.
+    An array provider routes the detours' two phases in blocks: the first
+    half of the intermediates (a pair usually needs no more), then the rest
+    if asked for.  A list provider, or a block that raises, routes them on
+    demand, one at a time.
     """
 
     def on_demand(j: int) -> Tuple[List[List[int]], List[List[int]]]:
@@ -492,17 +494,29 @@ def _detour_phases(provider: PathProvider, src: int, dst: int, mids: List[int]):
             provider.paths(mids[j], dst, max_paths=DEFAULT_MAX_PATHS),
         )
 
-    if not mids or not getattr(provider, "array_routes", False):
+    if not getattr(provider, "array_routes", False):
         return on_demand
-    n = len(mids)
-    try:
-        counts, lengths, links = provider.paths_block(
-            np.array([src] * n + mids), np.array(mids + [dst] * n), DEFAULT_MAX_PATHS
-        )
-    except TopologyError:
-        return on_demand
-    lists = csr_to_path_lists(counts, lengths, links)
-    return lambda j: (lists[j], lists[n + j])
+    size = max(1, (len(mids) + 1) // 2)
+    blocks: Dict[int, Optional[List[List[List[int]]]]] = {}
+
+    def phases(j: int) -> Tuple[List[List[int]], List[List[int]]]:
+        b, i = divmod(j, size)
+        if b not in blocks:
+            part = mids[b * size : (b + 1) * size]
+            try:
+                blocks[b] = csr_to_path_lists(*provider.paths_block(
+                    np.array([src] * len(part) + part),
+                    np.array(part + [dst] * len(part)),
+                    DEFAULT_MAX_PATHS,
+                ))
+            except TopologyError:
+                blocks[b] = None
+        lists = blocks[b]
+        if lists is None:
+            return on_demand(j)
+        return lists[i], lists[len(lists) // 2 + i]
+
+    return phases
 
 
 def valiant_paths(
