@@ -46,6 +46,7 @@ __all__ = [
     "HxMeshRouter",
     "board_mesh_path",
     "csr_to_path_lists",
+    "csr_take",
     "virtual_channel_of",
     "MAX_VIRTUAL_CHANNELS",
 ]
@@ -126,6 +127,15 @@ def csr_to_path_lists(
     paths = [flat[end - n : end] for end, n in zip(ends, lengths.tolist())]
     firsts = (np.cumsum(counts) - counts).tolist()
     return [paths[f : f + c] for f, c in zip(firsts, counts.tolist())]
+
+
+def csr_take(lengths: np.ndarray, links: np.ndarray, index: np.ndarray):
+    """Lengths and concatenated links of paths ``index`` (in that order) of
+    CSR paths."""
+    starts = (np.cumsum(lengths) - lengths)[index]
+    lengths = lengths[index]
+    shift = np.cumsum(lengths) - lengths - starts
+    return lengths, links[np.arange(int(lengths.sum())) - np.repeat(shift, lengths)]
 
 
 def _top_two(length: np.ndarray, rank: np.ndarray) -> np.ndarray:
@@ -627,12 +637,7 @@ class HxMeshRouter:
             return counts, parts[-1][1], parts[-1][2]
         # paths in pair order; each part lists its pairs' paths in order
         path_pair, lengths, links = (np.concatenate(arrays) for arrays in zip(*parts))
-        order = np.argsort(path_pair, kind="stable")
-        starts = (np.cumsum(lengths) - lengths)[order]
-        lengths = lengths[order]
-        shift = np.cumsum(lengths) - lengths - starts
-        gather = np.arange(int(lengths.sum())) - np.repeat(shift, lengths)
-        return counts, lengths, links[gather]
+        return (counts,) + csr_take(lengths, links, np.argsort(path_pair, kind="stable"))
 
     def paths(self, src: int, dst: int, max_paths: int = 4) -> List[List[int]]:
         """Candidate minimal paths (lists of directed link indices)."""

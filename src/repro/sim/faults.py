@@ -339,8 +339,8 @@ class DegradedPathProvider(PathListProvider):
 
     @property
     def array_routes(self) -> bool:
-        """Blocks take one block of the base provider when it routes arrays."""
-        return getattr(self.base, "array_routes", False)
+        """The base provider's: a block filters one block of base candidates."""
+        return self.base.array_routes
 
     def paths(
         self, src: int, dst: int, max_paths: int = DEFAULT_MAX_PATHS
@@ -354,8 +354,6 @@ class DegradedPathProvider(PathListProvider):
     def paths_block(
         self, src: np.ndarray, dst: np.ndarray, max_paths: int = DEFAULT_MAX_PATHS
     ) -> PathBlock:
-        if not self.array_routes:
-            return super().paths_block(src, dst, max_paths)
         try:
             cands = csr_to_path_lists(*self.base.paths_block(src, dst, max_paths))
         except TopologyError:

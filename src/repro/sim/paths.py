@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from .._hash import mix64
-from ..core.routing import HxMeshRouter, csr_to_path_lists
+from ..core.routing import HxMeshRouter, csr_take, csr_to_path_lists
 from ..topology.base import Topology, TopologyError
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "path_provider_for",
     "valiant_intermediates",
     "valiant_paths",
+    "valiant_path_lists",
 ]
 
 #: Default multipath width shared by every provider, :class:`RouteTable`,
@@ -359,7 +360,7 @@ class HxMeshPathProvider(PathListProvider):
     """Adaptive minimal routing on HammingMesh (wraps :class:`HxMeshRouter`).
 
     Pairs the router cannot route (an endpoint that is not an accelerator)
-    fall back to BFS; a block holding such a pair is routed pair by pair.
+    fall back to BFS.
     """
 
     array_routes = True
@@ -369,21 +370,38 @@ class HxMeshPathProvider(PathListProvider):
         self.router = HxMeshRouter(topo)
         self._fallback: Optional[GenericPathProvider] = None
 
+    def _bfs(self) -> GenericPathProvider:
+        if self._fallback is None:
+            self._fallback = GenericPathProvider(self.topo)
+        return self._fallback
+
     def paths(self, src: int, dst: int, max_paths: int = DEFAULT_MAX_PATHS) -> List[List[int]]:
         try:
             return self.router.paths(src, dst, max_paths=max_paths)
         except TopologyError:
-            if self._fallback is None:
-                self._fallback = GenericPathProvider(self.topo)
-            return self._fallback.paths(src, dst, max_paths=max_paths)
+            return self._bfs().paths(src, dst, max_paths=max_paths)
 
     def paths_block(
         self, src: np.ndarray, dst: np.ndarray, max_paths: int = DEFAULT_MAX_PATHS
     ) -> PathBlock:
-        block = self.router.route_block(src, dst, max_paths)
-        if block[0].all():
-            return block
-        return super().paths_block(src, dst, max_paths)
+        counts, lengths, links = self.router.route_block(src, dst, max_paths)
+        missing = np.flatnonzero(counts == 0)
+        if not len(missing):
+            return counts, lengths, links
+        # route the pairs without a route by BFS and splice them in
+        fix = path_lists_to_csr([
+            self._bfs().paths(s, d, max_paths=max_paths)
+            for s, d in zip(src[missing].tolist(), dst[missing].tolist())
+        ])
+        path_pair = np.concatenate([
+            np.repeat(np.arange(len(counts)), counts), np.repeat(missing, fix[0])
+        ])
+        counts = counts.copy()
+        counts[missing] = fix[0]
+        return (counts,) + csr_take(
+            np.concatenate([lengths, fix[1]]), np.concatenate([links, fix[2]]),
+            np.argsort(path_pair, kind="stable"),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -479,44 +497,130 @@ def valiant_intermediates(
     return out
 
 
-def _detour_phases(provider: PathProvider, src: int, dst: int, mids: List[int]):
-    """``phases(j)``: the minimal candidates to ``mids[j]`` and onwards.
+def _path_lists(
+    provider: PathProvider, src: Sequence[int], dst: Sequence[int], max_paths: int
+) -> List[Optional[List[List[int]]]]:
+    """Per-pair :meth:`~PathProvider.paths` from one block.  A block that
+    raises is halved until the pairs that raise are alone; they get
+    ``None``."""
+    if not len(src):
+        return []
+    try:
+        return csr_to_path_lists(*provider.paths_block(
+            np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), max_paths
+        ))
+    except TopologyError:
+        if len(src) == 1:
+            return [None]
+    half = len(src) // 2
+    return (_path_lists(provider, src[:half], dst[:half], max_paths)
+            + _path_lists(provider, src[half:], dst[half:], max_paths))
 
-    An array provider routes the detours' two phases in blocks: the first
-    half of the intermediates (a pair usually needs no more), then the rest
-    if asked for.  A list provider, or a block that raises, routes them on
-    demand, one at a time.
+
+#: the minimal candidates of a detour's two phases (``None``: no route)
+_Phases = Tuple[Optional[List[List[int]]], Optional[List[List[int]]]]
+
+
+def _detour_lists(
+    provider: PathProvider, pairs: Sequence[Tuple[int, int, List[int]]]
+) -> List[List[_Phases]]:
+    """Per ``(src, dst, mids)``: the minimal candidates ``src -> mids[j]``
+    and ``mids[j] -> dst`` of every ``j``, all pairs in one block."""
+    src: List[int] = []
+    dst: List[int] = []
+    for s, d, mids in pairs:
+        src += [s] * len(mids) + mids
+        dst += mids + [d] * len(mids)
+    lists = _path_lists(provider, src, dst, DEFAULT_MAX_PATHS)
+    out, at = [], 0
+    for _, _, mids in pairs:
+        n = len(mids)
+        out.append(list(zip(lists[at : at + n], lists[at + n : at + 2 * n])))
+        at += 2 * n
+    return out
+
+
+def valiant_path_lists(
+    provider: PathProvider,
+    src: Sequence[int],
+    dst: Sequence[int],
+    budgets: Sequence[int],
+    *,
+    seed: int = 0,
+    excludes: Optional[Sequence[Iterable[Sequence[int]]]] = None,
+) -> List[List[List[int]]]:
+    """:func:`valiant_paths` of every pair ``(src[i], dst[i])`` with
+    ``max_paths=budgets[i]`` and ``exclude=excludes[i]``.
+
+    The pairs' minimal routes come from one block per distinct width, and
+    the detour phases of the first half of every pair's intermediates from
+    one block (a pair usually needs no more; routing every intermediate
+    up front doubled the tree work on multi-level meshes).  A pair that
+    needs the second half routes it as a block of its own.
     """
+    out: List[List[List[int]]] = [[[]] if s == d else [] for s, d in zip(src, dst)]
+    todo = [i for i, (s, d, b) in enumerate(zip(src, dst, budgets)) if s != d and b > 0]
+    minimal_links: Dict[int, set] = {}
+    for width in sorted({max(2, budgets[i]) for i in todo}):
+        group = [i for i in todo if max(2, budgets[i]) == width]
+        lists = _path_lists(provider, [src[i] for i in group], [dst[i] for i in group], width)
+        for i, paths in zip(group, lists):
+            minimal_links[i] = {li for p in paths or () for li in p}
+    mids = {
+        i: valiant_intermediates(provider.topo, src[i], dst[i], 2 * budgets[i], seed=seed)
+        for i in todo
+    }
+    half = {i: max(1, (len(mids[i]) + 1) // 2) for i in todo}
+    first = _detour_lists(provider, [(src[i], dst[i], mids[i][: half[i]]) for i in todo])
+    for i, phases in zip(todo, first):
+        out[i] = _valiant_pair(
+            provider, src[i], dst[i], budgets[i], seed, mids[i], phases, minimal_links[i],
+            excludes[i] if excludes is not None else (),
+        )
+    return out
 
-    def on_demand(j: int) -> Tuple[List[List[int]], List[List[int]]]:
-        return (
-            provider.paths(src, mids[j], max_paths=DEFAULT_MAX_PATHS),
-            provider.paths(mids[j], dst, max_paths=DEFAULT_MAX_PATHS),
+
+def _valiant_pair(
+    provider: PathProvider,
+    src: int,
+    dst: int,
+    max_paths: int,
+    seed: int,
+    mids: List[int],
+    phases: List[_Phases],
+    minimal_links: set,
+    exclude: Iterable[Sequence[int]],
+) -> List[List[int]]:
+    """One pair's detours, given the phases of its first intermediates."""
+    banned = {tuple(p) for p in exclude}
+    pair_key = mix64(src * 1_000_003 + dst)
+
+    def pick(segments: List[List[int]], salt: int) -> List[int]:
+        return min(
+            segments,
+            key=lambda q: (
+                sum(li in minimal_links for li in q),
+                mix64(salt ^ (q[0] if q else 0)),
+            ),
         )
 
-    if not getattr(provider, "array_routes", False):
-        return on_demand
-    size = max(1, (len(mids) + 1) // 2)
-    blocks: Dict[int, Optional[List[List[List[int]]]]] = {}
-
-    def phases(j: int) -> Tuple[List[List[int]], List[List[int]]]:
-        b, i = divmod(j, size)
-        if b not in blocks:
-            part = mids[b * size : (b + 1) * size]
-            try:
-                blocks[b] = csr_to_path_lists(*provider.paths_block(
-                    np.array([src] * len(part) + part),
-                    np.array(part + [dst] * len(part)),
-                    DEFAULT_MAX_PATHS,
-                ))
-            except TopologyError:
-                blocks[b] = None
-        lists = blocks[b]
-        if lists is None:
-            return on_demand(j)
-        return lists[i], lists[len(lists) // 2 + i]
-
-    return phases
+    out: List[List[int]] = []
+    for j in range(len(mids)):
+        if len(out) >= max_paths:
+            break
+        if j == len(phases):
+            phases = phases + _detour_lists(provider, [(src, dst, mids[j:])])[0]
+        heads, tails = phases[j]
+        if not heads or not tails:
+            continue
+        h = mix64(pair_key ^ mix64(seed * 0x9E37 + j))
+        path = pick(heads, h) + pick(tails, h >> 16)
+        key = tuple(path)
+        if not path or key in banned:
+            continue
+        banned.add(key)
+        out.append(path)
+    return out
 
 
 def valiant_paths(
@@ -541,46 +645,9 @@ def valiant_paths(
     suppresses duplicates of already-enumerated (e.g. minimal) paths.
     Deterministic per ``(src, dst, seed)``.
     """
-    if src == dst:
-        return [[]]
-    banned = {tuple(p) for p in exclude}
-    try:
-        minimal_links = {
-            li for p in provider.paths(src, dst, max_paths=max(2, max_paths)) for li in p
-        }
-    except TopologyError:
-        minimal_links = set()
-    out: List[List[int]] = []
-    mids = valiant_intermediates(provider.topo, src, dst, 2 * max_paths, seed=seed)
-    pair_key = mix64(src * 1_000_003 + dst)
-
-    def pick(segments: List[List[int]], salt: int) -> List[int]:
-        return min(
-            segments,
-            key=lambda q: (
-                sum(li in minimal_links for li in q),
-                mix64(salt ^ (q[0] if q else 0)),
-            ),
-        )
-
-    phases = _detour_phases(provider, src, dst, mids)
-    for j, mid in enumerate(mids):
-        if len(out) >= max_paths:
-            break
-        try:
-            heads, tails = phases(j)
-        except TopologyError:
-            continue
-        if not heads or not tails:
-            continue
-        h = mix64(pair_key ^ mix64(seed * 0x9E37 + j))
-        path = pick(heads, h) + pick(tails, h >> 16)
-        key = tuple(path)
-        if not path or key in banned:
-            continue
-        banned.add(key)
-        out.append(path)
-    return out
+    return valiant_path_lists(
+        provider, [src], [dst], [max_paths], seed=seed, excludes=[exclude]
+    )[0]
 
 
 # ---------------------------------------------------------------------------

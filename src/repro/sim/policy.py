@@ -36,8 +36,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
-from .._hash import mix64
-from .paths import DEFAULT_MAX_PATHS, PathProvider, path_lists_to_csr, valiant_paths
+from .._hash import mix64, mix64_array
+from ..core.routing import csr_take, csr_to_path_lists
+from .paths import DEFAULT_MAX_PATHS, PathProvider, path_lists_to_csr, valiant_path_lists
 
 __all__ = [
     "RouteSet",
@@ -119,6 +120,10 @@ class RoutingPolicy:
     #: pair, so warm fault-event splicing cannot prove parity and must
     #: re-solve cold.
     local_reroutes: bool = True
+    #: True when :meth:`routes_block` builds no per-pair lists over a
+    #: provider whose ``array_routes`` is set, so route tables may hand it
+    #: large blocks (a block of fresh lists adds garbage collections)
+    array_blocks: bool = False
 
     def cache_key(self) -> Tuple:
         """Memoization identity of the policy (shared-table key component)."""
@@ -137,10 +142,6 @@ class RoutingPolicy:
         return RouteBlock.from_route_sets([
             self.routes(provider, s, d, max_paths) for s, d in zip(src.tolist(), dst.tolist())
         ])
-
-    def array_routes(self, provider: PathProvider) -> bool:
-        """Whether :meth:`routes_block` works on whole arrays for ``provider``."""
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} ({self.name!r})>"
@@ -193,6 +194,8 @@ class MinimalPolicy(RoutingPolicy):
     """Even split over the provider's minimal candidates (the historical
     behaviour; routes and weights are bit-identical to the pre-policy code)."""
 
+    array_blocks = True
+
     def routes(
         self, provider: PathProvider, src: int, dst: int, max_paths: int
     ) -> RouteSet:
@@ -210,9 +213,6 @@ class MinimalPolicy(RoutingPolicy):
         weights = np.repeat(1.0 / np.maximum(counts, 1), counts)
         return RouteBlock(counts, lengths, links, weights, counts)
 
-    def array_routes(self, provider: PathProvider) -> bool:
-        return provider.array_routes
-
 
 _MINIMAL = MinimalPolicy()
 
@@ -228,6 +228,7 @@ class EcmpPolicy(RoutingPolicy):
     """
 
     local_reroutes = False  # the hash modulus shifts when a candidate dies
+    array_blocks = True
 
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -243,6 +244,17 @@ class EcmpPolicy(RoutingPolicy):
             return RouteSet([], [], 0)
         idx = mix64(mix64(src * 1_000_003 + dst) ^ mix64(0xEC3F + self.seed)) % len(minimal)
         return RouteSet([minimal[idx]], [1.0], 1)
+
+    def routes_block(
+        self, provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
+    ) -> RouteBlock:
+        counts, lengths, links = provider.paths_block(src, dst, max_paths)
+        key = mix64_array(mix64_array(src * 1_000_003 + dst) ^ np.uint64(mix64(0xEC3F + self.seed)))
+        routed = counts > 0
+        idx = (key % np.maximum(counts, 1).astype(np.uint64)).astype(np.int64)
+        lengths, links = csr_take(lengths, links, (np.cumsum(counts) - counts + idx)[routed])
+        counts = routed.astype(np.int64)
+        return RouteBlock(counts, lengths, links, np.ones(len(lengths)), counts)
 
 
 # -------------------------------------------------------------------- valiant
@@ -266,11 +278,27 @@ class ValiantPolicy(RoutingPolicy):
     def routes(
         self, provider: PathProvider, src: int, dst: int, max_paths: int
     ) -> RouteSet:
-        paths = valiant_paths(provider, src, dst, max_paths=max_paths, seed=self.seed)
-        if not paths:
-            return _MINIMAL.routes(provider, src, dst, max_paths)
-        w = 1.0 / len(paths)
-        return RouteSet(paths, [w] * len(paths), 0)
+        return self._route_sets(provider, [src], [dst], max_paths)[0]
+
+    def routes_block(
+        self, provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
+    ) -> RouteBlock:
+        return RouteBlock.from_route_sets(
+            self._route_sets(provider, src.tolist(), dst.tolist(), max_paths)
+        )
+
+    def _route_sets(
+        self, provider: PathProvider, src: List[int], dst: List[int], max_paths: int
+    ) -> List[RouteSet]:
+        detours = valiant_path_lists(provider, src, dst, [max_paths] * len(src), seed=self.seed)
+        out = []
+        for s, d, paths in zip(src, dst, detours):
+            if not paths:
+                out.append(_MINIMAL.routes(provider, s, d, max_paths))
+                continue
+            w = 1.0 / len(paths)
+            out.append(RouteSet(paths, [w] * len(paths), 0))
+        return out
 
 
 # ----------------------------------------------------------------------- ugal
@@ -299,21 +327,30 @@ class UgalPolicy(RoutingPolicy):
     def routes(
         self, provider: PathProvider, src: int, dst: int, max_paths: int
     ) -> RouteSet:
-        minimal_budget = max(1, (max_paths + 1) // 2)
-        minimal = provider.paths(src, dst, max_paths=minimal_budget)
-        if not minimal:
-            return RouteSet([], [], 0)
-        budget = max_paths - len(minimal)
-        alternates = (
-            valiant_paths(
-                provider, src, dst, max_paths=budget, seed=self.seed, exclude=minimal
-            )
-            if budget > 0
-            else []
+        return self._route_sets(provider, np.array([src]), np.array([dst]), max_paths)[0]
+
+    def routes_block(
+        self, provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
+    ) -> RouteBlock:
+        return RouteBlock.from_route_sets(self._route_sets(provider, src, dst, max_paths))
+
+    def _route_sets(
+        self, provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
+    ) -> List[RouteSet]:
+        minimal = csr_to_path_lists(
+            *provider.paths_block(src, dst, max(1, (max_paths + 1) // 2))
         )
-        w = 1.0 / len(minimal)
-        return RouteSet(
-            minimal + alternates,
-            [w] * len(minimal) + [0.0] * len(alternates),
-            len(minimal),
+        budgets = [max_paths - len(paths) for paths in minimal]
+        alternates = valiant_path_lists(
+            provider, src.tolist(), dst.tolist(), [b if paths else 0 for b, paths in zip(budgets, minimal)],
+            seed=self.seed, excludes=minimal,
         )
+        out = []
+        for paths, budget, alt in zip(minimal, budgets, alternates):
+            if not paths:
+                out.append(RouteSet([], [], 0))
+                continue
+            alt = alt if budget > 0 else []
+            w = 1.0 / len(paths)
+            out.append(RouteSet(paths + alt, [w] * len(paths) + [0.0] * len(alt), len(paths)))
+        return out

@@ -796,13 +796,15 @@ class RouteTable:
     ) -> None:
         """Route the distinct, unrouted pair ``keys`` and pass them to
         ``store(keys, block)`` in blocks of up to ``_ARRAY_BATCH`` pairs
-        when the policy routes whole arrays, else ``_ROUTE_BATCH``.
+        when the provider and the policy route whole arrays, else
+        ``_ROUTE_BATCH``.
 
         A pair without a path raises :class:`TopologyError` once the pairs
         before it are stored, as routing them one at a time did.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        batch = _ARRAY_BATCH if self.policy.array_routes(self.provider) else _ROUTE_BATCH
+        arrays = self.provider.array_routes and self.policy.array_blocks
+        batch = _ARRAY_BATCH if arrays else _ROUTE_BATCH
         for start in range(0, len(keys), batch):
             chunk = keys[start : start + batch]
             src, dst = np.divmod(chunk, self.topo.num_nodes)
@@ -811,9 +813,11 @@ class RouteTable:
             except TopologyError:
                 if len(chunk) == 1:
                     raise
-                # store the pairs before the failing one, then raise its error
-                for i in range(len(chunk)):
-                    self._route_keys(chunk[i : i + 1], store)
+                # halve the block until the failing pair is alone: the pairs
+                # before it are stored, then its error is raised
+                half = len(chunk) // 2
+                self._route_keys(chunk[:half], store)
+                self._route_keys(chunk[half:], store)
                 continue
             routed = int(np.argmin(block.counts)) if not block.counts.all() else len(chunk)
             if routed:

@@ -332,16 +332,18 @@ def test_append_csr_matches_per_pair_reference():
 
 
 def test_switch_endpoints_fall_back_to_bfs(hx2mesh_4x4):
-    """A block holding a pair the router cannot route (a switch endpoint)
-    routes every pair one at a time, the switch pair by BFS."""
+    """Pairs the router cannot route (a switch endpoint) are routed by BFS
+    and spliced into the block in pair order."""
     topo = hx2mesh_4x4
-    accs, switch = topo.accelerators, topo.switches[0]
-    src = np.array([accs[0], switch, accs[1]])
-    dst = np.array([accs[5], accs[3], accs[1]])
+    accs, (switch, other) = topo.accelerators, topo.switches[:2]
+    src = np.array([accs[0], switch, accs[1], accs[7], accs[2]])
+    dst = np.array([accs[5], accs[3], accs[1], other, accs[60]])
     provider = HxMeshPathProvider(topo)
     got = csr_to_path_lists(*provider.paths_block(src, dst, 4))
     assert got == [provider.paths(int(s), int(d), 4) for s, d in zip(src, dst)]
-    assert got[1] == GenericPathProvider(topo).paths(switch, accs[3], 4)
+    bfs = GenericPathProvider(topo)
+    assert got[1] == bfs.paths(switch, accs[3], 4)
+    assert got[3] == bfs.paths(accs[7], other, 4)
 
 
 class _NoPathFor:

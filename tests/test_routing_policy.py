@@ -30,6 +30,8 @@ from repro.sim import (
     route_table_for,
     valiant_paths,
 )
+from repro.sim.faults import DegradedPathProvider, FaultSet
+from repro.sim.policy import RouteBlock
 
 
 def check_path(topo, src, dst, path):
@@ -158,6 +160,29 @@ class TestCandidateStructure:
             assert all(w == 0.0 for w in weights[nmin:])
             for path in paths:
                 check_path(hx2mesh_4x4, s, d, path)
+
+    @pytest.mark.parametrize("policy", ["minimal", "ecmp", "valiant", "ugal"])
+    def test_route_blocks_equal_pairs_one_at_a_time(self, all_small_topologies, policy):
+        """A policy's block of pairs equals its pairs routed one at a time,
+        also under faults, where detours through a dead intermediate raise
+        inside a block."""
+        hx = all_small_topologies["hammingmesh"]
+        providers = [path_provider_for(topo) for topo in all_small_topologies.values()]
+        providers.append(DegradedPathProvider(hx, FaultSet.from_boards(hx, [(0, 1)])))
+        pol = get_policy(policy)
+        for provider in providers:
+            pairs = sample_pairs(provider.topo, num=12, seed=5)
+            pairs += [pairs[0], (pairs[1][0], pairs[1][0])]
+            if isinstance(provider, DegradedPathProvider):
+                pairs = [(s, d) for s, d in pairs if provider.connected(s, d)]
+            src, dst = (np.array(side) for side in zip(*pairs))
+            for max_paths in (1, 3, 4):
+                got = pol.routes_block(provider, src, dst, max_paths)
+                want = RouteBlock.from_route_sets(
+                    [pol.routes(provider, s, d, max_paths) for s, d in pairs]
+                )
+                for field in ("counts", "num_minimal", "lengths", "links", "weights"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
     def test_tables_memoized_per_policy(self, hx2mesh_4x4):
         clear_route_tables()
