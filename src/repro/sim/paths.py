@@ -554,9 +554,10 @@ def valiant_path_lists(
 
     The pairs' minimal routes come from one block per distinct width, and
     the detour phases of the first half of every pair's intermediates from
-    one block (a pair usually needs no more; routing every intermediate
-    up front doubled the tree work on multi-level meshes).  A pair that
-    needs the second half routes it as a block of its own.
+    one block: each intermediate adds at most one detour, so every pair
+    needs its first half, while routing all intermediates up front doubled
+    the tree work on multi-level meshes.  A pair that needs the second
+    half routes it as a block of its own.
     """
     out: List[List[List[int]]] = [[[]] if s == d else [] for s, d in zip(src, dst)]
     todo = [i for i, (s, d, b) in enumerate(zip(src, dst, budgets)) if s != d and b > 0]
@@ -570,8 +571,9 @@ def valiant_path_lists(
         i: valiant_intermediates(provider.topo, src[i], dst[i], 2 * budgets[i], seed=seed)
         for i in todo
     }
-    half = {i: max(1, (len(mids[i]) + 1) // 2) for i in todo}
-    first = _detour_lists(provider, [(src[i], dst[i], mids[i][: half[i]]) for i in todo])
+    first = _detour_lists(provider, [
+        (src[i], dst[i], mids[i][: max(1, (len(mids[i]) + 1) // 2)]) for i in todo
+    ])
     for i, phases in zip(todo, first):
         out[i] = _valiant_pair(
             provider, src[i], dst[i], budgets[i], seed, mids[i], phases, minimal_links[i],
