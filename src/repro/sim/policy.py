@@ -249,7 +249,8 @@ class EcmpPolicy(RoutingPolicy):
         self, provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
     ) -> RouteBlock:
         counts, lengths, links = provider.paths_block(src, dst, max_paths)
-        key = mix64_array(mix64_array(src * 1_000_003 + dst) ^ np.uint64(mix64(0xEC3F + self.seed)))
+        salt = np.uint64(mix64(0xEC3F + self.seed))
+        key = mix64_array(mix64_array(src * 1_000_003 + dst) ^ salt)
         routed = counts > 0
         idx = (key % np.maximum(counts, 1).astype(np.uint64)).astype(np.int64)
         lengths, links = csr_take(lengths, links, (np.cumsum(counts) - counts + idx)[routed])
@@ -278,18 +279,17 @@ class ValiantPolicy(RoutingPolicy):
     def routes(
         self, provider: PathProvider, src: int, dst: int, max_paths: int
     ) -> RouteSet:
-        return self._route_sets(provider, [src], [dst], max_paths)[0]
+        return self._route_sets(provider, np.array([src]), np.array([dst]), max_paths)[0]
 
     def routes_block(
         self, provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
     ) -> RouteBlock:
-        return RouteBlock.from_route_sets(
-            self._route_sets(provider, src.tolist(), dst.tolist(), max_paths)
-        )
+        return RouteBlock.from_route_sets(self._route_sets(provider, src, dst, max_paths))
 
     def _route_sets(
-        self, provider: PathProvider, src: List[int], dst: List[int], max_paths: int
+        self, provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
     ) -> List[RouteSet]:
+        src, dst = src.tolist(), dst.tolist()
         detours = valiant_path_lists(provider, src, dst, [max_paths] * len(src), seed=self.seed)
         out = []
         for s, d, paths in zip(src, dst, detours):
@@ -340,10 +340,9 @@ class UgalPolicy(RoutingPolicy):
         minimal = csr_to_path_lists(
             *provider.paths_block(src, dst, max(1, (max_paths + 1) // 2))
         )
-        budgets = [max_paths - len(paths) for paths in minimal]
+        budgets = [max_paths - len(paths) if paths else 0 for paths in minimal]
         alternates = valiant_path_lists(
-            provider, src.tolist(), dst.tolist(), [b if paths else 0 for b, paths in zip(budgets, minimal)],
-            seed=self.seed, excludes=minimal,
+            provider, src.tolist(), dst.tolist(), budgets, seed=self.seed, excludes=minimal
         )
         out = []
         for paths, budget, alt in zip(minimal, budgets, alternates):
