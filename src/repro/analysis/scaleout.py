@@ -1,14 +1,15 @@
 """Scale-out permutation sweep: large HammingMeshes under a memory budget.
 
 The figure sweeps in :mod:`repro.analysis.figures` stop at fig12-scale
-clusters (a few thousand endpoints) where dense route tables fit in memory
-comfortably.  This module registers the ``scaleout_permutation`` sweep for
-the large-N regime — e.g. an ``Hx2Mesh(2,2,64,64)`` with 16,384
-accelerators, whose dense pair index alone would need ~7.7 GB — by
-combining the two scale-out mechanisms of :mod:`repro.sim`:
+clusters (a few thousand endpoints).  This module registers the
+``scaleout_permutation`` sweep for the large-N regime — e.g. an
+``Hx2Mesh(2,2,64,64)`` with 16,384 accelerators, whose dense pair index
+would need ~7.7 GB — by combining the two scale-out mechanisms of
+:mod:`repro.sim`:
 
-* every cell routes under a **route-table memory budget** (sharded CSR
-  storage with LRU eviction and disk spill; see ``DESIGN.md``), and
+* route tables index only the pairs they route, and every cell routes
+  under a **route-table memory budget**, a hard cap on the table's bytes
+  (see ``DESIGN.md``), and
 * the cells of one topology share a chunk, so the runner hands them to the
   cell's batch companion and the permutations of a chunk are solved in one
   vectorized :meth:`~repro.sim.flowsim.FlowSimulator.maxmin_rates_batch`

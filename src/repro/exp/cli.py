@@ -271,5 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from ..sim.routing import RouteBudgetError
+
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except RouteBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

@@ -36,25 +36,27 @@ __all__ = [
     "read_artifact",
 ]
 
-def _positive_int_knob(name: str, default: int) -> int:
-    """An integer >= 1 from the environment variable ``name``; a malformed
-    value stops the program with one line naming the variable."""
+def _positive_knob(name: str, default: Any, kind: type = int) -> Any:
+    """A positive ``kind`` (``int`` or ``float``) from the environment
+    variable ``name``; a malformed, non-positive or NaN value stops the
+    program with one line naming the variable."""
     raw = os.environ.get(name, "").strip()
     if not raw:
         return default
     try:
-        value = int(raw)
+        value = kind(raw)
     except ValueError:
         value = 0
-    if value < 1:
-        raise SystemExit(f"{name} must be an integer >= 1, got {raw!r}")
+    if not value > 0:  # NaN fails too
+        noun = "an integer >= 1" if kind is int else "a number > 0"
+        raise SystemExit(f"{name} must be {noun}, got {raw!r}")
     return value
 
 
 #: significant digits kept for floats in committed artifacts
-FLOAT_DIGITS = _positive_int_knob("REPRO_BENCH_FLOAT_DIGITS", 6)
+FLOAT_DIGITS = _positive_knob("REPRO_BENCH_FLOAT_DIGITS", 6)
 #: longest numeric series kept verbatim; longer ones are decimated
-MAX_SERIES = _positive_int_knob("REPRO_BENCH_MAX_SERIES", 256)
+MAX_SERIES = _positive_knob("REPRO_BENCH_MAX_SERIES", 256)
 
 
 def to_jsonable(value: Any) -> Any:

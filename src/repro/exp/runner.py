@@ -32,7 +32,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from .. import obs
 from .cache import MISS, ResultCache, resolve_cache
 from .grid import scenarios_of
-from .recording import MemoryProbe
+from .recording import MemoryProbe, _positive_knob
 from .scenario import Scenario, canonical_json, resolve_kernel
 
 __all__ = ["CellResult", "RunReport", "Runner", "run_grid", "default_workers"]
@@ -48,10 +48,7 @@ _WORKERS_SEEDED = obs.counter("exp.workers_seeded")
 
 def default_workers() -> int:
     """Worker count when none is given: ``REPRO_EXP_WORKERS`` or 1 (serial)."""
-    env = os.environ.get("REPRO_EXP_WORKERS", "").strip()
-    if env:
-        return max(1, int(env))
-    return 1
+    return _positive_knob("REPRO_EXP_WORKERS", 1)
 
 
 def _normalize(result: Any) -> Any:
@@ -329,8 +326,7 @@ class Runner:
         self.workers = max(1, int(workers))
         self.cache: Optional[ResultCache] = resolve_cache(cache)
         if cell_timeout is None:
-            env = os.environ.get("REPRO_EXP_CELL_TIMEOUT", "").strip()
-            cell_timeout = float(env) if env else None
+            cell_timeout = _positive_knob("REPRO_EXP_CELL_TIMEOUT", None, float)
         self.cell_timeout = cell_timeout
         self.max_retries = max(0, int(max_retries))
         self.retry_backoff = max(0.0, float(retry_backoff))

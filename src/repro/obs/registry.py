@@ -198,10 +198,8 @@ _DEFAULT_SCHEMA: Tuple[Tuple[str, str], ...] = (
     ("counter", "routing.pair_misses"),
     ("counter", "routing.tables_built"),
     ("counter", "routing.tables_attached"),
+    # bytes of live route tables' pair indexes and CSR arrays: O(routed pairs)
     ("gauge", "routing.csr_mem_bytes"),
-    ("counter", "routing.shards_built"),
-    ("counter", "routing.shards_evicted"),
-    ("gauge", "routing.spill_bytes"),
     ("gauge", "routing.shm_segments"),
     ("gauge", "routing.shm_bytes"),
     ("counter", "flowsim.maxmin_solves"),

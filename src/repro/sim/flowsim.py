@@ -444,9 +444,8 @@ class FlowSimulator:
     ``policy`` to select a routing policy by name or instance
     (:mod:`repro.sim.policy`; the default reproduces minimal multipath
     routing bit-identically).  ``mem_budget`` (bytes or a ``"4G"``-style
-    string; default: ``REPRO_ROUTE_MEM_BUDGET``) bounds the route table's
-    resident memory — large topologies switch to sharded route storage,
-    with identical results (see :mod:`repro.sim.routing`).
+    string) caps the route table's bytes: routing fails with one line
+    when the table would outgrow it (see :mod:`repro.sim.routing`).
     """
 
     def __init__(
@@ -469,12 +468,10 @@ class FlowSimulator:
             self.table = table
         elif provider is not None:
             self.table = RouteTable(topo, max_paths=max_paths, provider=provider, policy=policy)
-        elif mem_budget is not None:
+        else:
             self.table = route_table_for(
                 topo, max_paths=max_paths, policy=policy, mem_budget=mem_budget
             )
-        else:
-            self.table = route_table_for(topo, max_paths=max_paths, policy=policy)
         self.provider = self.table.provider
         self.max_paths = self.table.max_paths
         self.policy = self.table.policy

@@ -27,30 +27,24 @@ lifetime simulator's service-time model) threw that work away.  A
 ``RouteTable.stats`` counts pair-level hits/misses, which the test suite
 uses to assert cache reuse across simulator instances.
 
-**Scale-out storage.**  The historical (eager) layout preallocates three
-``O(num_nodes**2)`` pair-index arrays, which is what made 10k+ endpoint
-topologies unbuildable (a 16,384-endpoint Hx2Mesh needs ~7.7 GB of index
-alone).  Under a **memory budget** (``RouteTable(mem_budget=...)`` or the
-``REPRO_ROUTE_MEM_BUDGET`` environment variable, e.g. ``"4G"``) a table
-whose dense index would not fit switches to **sharded** storage: routes are
-kept in per-source-block shards (dict index + block-local CSR arrays),
-built lazily on first contact, LRU-evicted when the resident bytes exceed
-the budget, and optionally spilled to disk (``spill=True``, the default in
-sharded mode) so evicted shards reload instead of re-enumerating.  Both
-layouts produce **bit-identical** routes and gather results — the policy's
-route enumeration is a pure function of the pair — and the eager build
-remains the fast path whenever it fits.
+**Storage is O(routed pairs).**  The pair index covers only the pairs a
+table has routed: sorted ``int64`` pair keys with parallel first-path,
+path-count and minimal-count arrays, searched with ``np.searchsorted`` —
+32 bytes per routed pair at any topology size (a dense index over every
+node pair would need 7.7 GB at 16,384 endpoints).  A lookup call routes
+its missing pairs in blocks that append to the CSR arrays, then merges
+their keys into the index once.  ``mem_budget=`` (bytes or a ``"4G"``-style
+string) is a hard cap: a table whose estimated bytes would exceed it
+fails with one line naming the table, the bytes needed and the budget.
 
 :func:`clear_route_tables` drops the memo **and** clears every derived
 route cache registered via :func:`register_route_cache_client` (the flow
 simulator's :class:`FlowAssignment` LRUs, the tables' materialized
-``pair_path_lists``, the packet simulator's per-pair scoring state, and
-sharded tables' resident shards, spill files, and budget accounting), so a
-full reset can never serve stale routes out of a derived cache or leave
-spill files behind.
+``pair_path_lists`` and the packet simulator's per-pair scoring state), so
+a full reset can never serve stale routes out of a derived cache.
 
-**Zero-copy sharing across processes.**  A built table exports its CSR
-arrays into one ``multiprocessing.shared_memory`` segment with
+**Zero-copy sharing across processes.**  A built table exports its index
+and CSR arrays into one ``multiprocessing.shared_memory`` segment with
 :meth:`RouteTable.share`, which returns a picklable
 :class:`SharedRouteHandle`; :meth:`RouteTable.attach` maps the same bytes
 in another process — read-only, zero-copy, bit-identical query results for
@@ -73,14 +67,10 @@ can never unlink a segment the parent still serves.
 from __future__ import annotations
 
 import atexit
-import functools
 import os
-import shutil
-import tempfile
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -102,14 +92,10 @@ __all__ = [
     "clear_shared_route_seeds",
     "csr_range_indices",
     "parse_mem_budget",
-    "default_mem_budget",
-    "DEFAULT_SHARD_SOURCES",
+    "RouteBudgetError",
 ]
 
 _GROW = 4  # geometric growth factor exponent base for the flat arrays
-
-#: source nodes per shard in sharded storage mode
-DEFAULT_SHARD_SOURCES = 64
 
 #: pairs routed per CSR append when the policy builds path lists: enough to
 #: spread the append's fixed NumPy cost thin, few enough that the batch's
@@ -124,10 +110,9 @@ _ROUTE_BATCH = 64
 #: pairs up, while a block's transient arrays grow by about 4 KB per pair
 _ARRAY_BATCH = 1024
 
-#: global path id = shard_index * stride + shard-local path id; pairs own a
-#: contiguous local id range, so the contiguity invariant the flow
-#: simulator's gathers rely on survives the encoding.
-_SHARD_STRIDE = 1 << 40
+#: pair index bytes per routed pair: key, first path id, path count and
+#: minimal-path count, one int64 each
+_INDEX_BYTES_PER_PAIR = 32
 
 _SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "t": 1 << 40}
 
@@ -136,9 +121,9 @@ def parse_mem_budget(value: Union[str, int, float, None]) -> Optional[int]:
     """Parse a memory budget: bytes, or a string like ``"4G"`` / ``"512m"``.
 
     Suffixes are case-insensitive (``"4G"``, ``"4g"``, ``"256m"``, with an
-    optional trailing ``b``/``B``).  ``None`` and ``""`` mean *no budget*
-    (eager storage always); zero or negative budgets raise ``ValueError``
-    rather than silently disabling the shard budget.
+    optional trailing ``b``/``B``).  ``None`` and ``""`` mean *no budget*;
+    zero or negative budgets raise ``ValueError`` rather than silently
+    disabling the cap.
     """
     if value is None:
         return None
@@ -171,47 +156,13 @@ def parse_mem_budget(value: Union[str, int, float, None]) -> Optional[int]:
     return budget
 
 
-def default_mem_budget() -> Optional[int]:
-    """The process-wide route-table budget from ``REPRO_ROUTE_MEM_BUDGET``."""
-    return parse_mem_budget(os.environ.get("REPRO_ROUTE_MEM_BUDGET"))
+class RouteBudgetError(MemoryError):
+    """A route table would outgrow its ``mem_budget``."""
 
 
 def _release_csr_bytes(reported: List[int]) -> None:
     """Finalizer: subtract a dead table's last-reported CSR bytes."""
     _obs.gauge("routing.csr_mem_bytes").add(-reported[0])
-
-
-def _cleanup_spill(spill_state: Dict[str, object]) -> None:
-    """Finalizer: remove a dead table's spill files (and owned directory)."""
-    files = spill_state.get("files", {})
-    bytes_spilled = 0
-    for path, nbytes in list(files.values()):  # type: ignore[union-attr]
-        bytes_spilled += nbytes
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-    files.clear()  # type: ignore[union-attr]
-    if bytes_spilled:
-        _obs.gauge("routing.spill_bytes").add(-bytes_spilled)
-    owned = spill_state.get("owned_dir")
-    if owned:
-        shutil.rmtree(owned, ignore_errors=True)
-        spill_state["owned_dir"] = None
-
-
-def _scatter_targets(target_starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(t, t + l)`` for parallel starts/lengths arrays."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    out_starts = ends - lengths
-    return (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(out_starts, lengths)
-        + np.repeat(target_starts, lengths)
-    )
 
 
 def _reserve(arr: np.ndarray, needs: np.ndarray, floor: int, keep: int) -> np.ndarray:
@@ -221,13 +172,14 @@ def _reserve(arr: np.ndarray, needs: np.ndarray, floor: int, keep: int) -> np.nd
     ``needs`` is the non-decreasing size needed after each pair; a pair
     that overflows the array grows it to ``max(need, _GROW * max(size,
     floor))``.  Matching that sequence keeps capacities, and so memory and
-    budget accounting, independent of how pairs are batched.
+    budget accounting, independent of how pairs are batched.  A read-only
+    array (an attached table's shared view) is always copied.
     """
     size = len(arr)
     while needs[-1] > size:
         need = int(needs[np.searchsorted(needs, size, side="right")])
         size = max(need, _GROW * max(size, floor))
-    if size == len(arr):
+    if size == len(arr) and arr.flags.writeable:
         return arr
     out = np.zeros(size, dtype=arr.dtype)
     out[:keep] = arr[:keep]
@@ -309,7 +261,9 @@ def _topo_signature(topo: Topology) -> Tuple:
     )
 
 
-#: shared-segment array dtypes by spec key (everything else is int64)
+#: the arrays a shared segment carries, by name; the table attribute is
+#: ``"_" + name``, and every array is int64 except per-path ``weights``
+_SHARED_ARRAYS = ("keys", "first", "npaths", "nmin", "offsets", "links", "weights")
 _ARRAY_DTYPES = {"weights": np.float64}
 
 
@@ -317,13 +271,12 @@ _ARRAY_DTYPES = {"weights": np.float64}
 class SharedRouteHandle:
     """Picklable description of a route table exported to shared memory.
 
-    ``arrays`` (eager tables) and ``shards`` (sharded tables) carry
-    ``(key, byte_offset, length)`` spans inside the single shared segment
-    ``name``; every array is int64 except per-path ``weights`` (float64).
-    The handle embeds the (picklable) topology and policy so
-    :meth:`RouteTable.attach` is self-contained, and :meth:`seed_key` is
-    the structural memo key :func:`route_table_for` uses to match a seed
-    against a locally constructed topology.
+    ``arrays`` carries ``(key, byte_offset, length)`` spans inside the
+    single shared segment ``name``; every array is int64 except per-path
+    ``weights`` (float64).  The handle embeds the (picklable) topology and
+    policy so :meth:`RouteTable.attach` is self-contained, and
+    :meth:`seed_key` is the structural memo key :func:`route_table_for`
+    uses to match a seed against a locally constructed topology.
     """
 
     name: str
@@ -333,12 +286,9 @@ class SharedRouteHandle:
     policy: RoutingPolicy
     max_paths: int
     mem_budget: Optional[int]
-    sharded: bool
     owner_pid: int = -1
     owner_tracker_pid: Optional[int] = None
-    shard_sources: Optional[int] = None
     arrays: Tuple[Tuple[str, int, int], ...] = ()
-    shards: Tuple[Tuple[int, int, Tuple[Tuple[str, int, int], ...]], ...] = ()
 
     def seed_key(self) -> Tuple:
         return (
@@ -411,61 +361,6 @@ def _new_lease(shm, nbytes: int, *, owned: bool) -> Dict[str, object]:
     return lease
 
 
-#: module sentinel: "parameter not given, fall back to the environment"
-_UNSET = object()
-
-
-class _RouteShard:
-    """One source-block's routes: a dict pair index + block-local CSR arrays.
-
-    Local path ids are ``id_base + row``; ``id_base`` advances across
-    drop-without-spill generations so a stale global id can never silently
-    alias a freshly re-enumerated path — gathers detect out-of-range rows
-    and fail loudly instead.
-    """
-
-    __slots__ = (
-        "index",
-        "offsets",
-        "links",
-        "weights",
-        "num_paths",
-        "id_base",
-        "dirty",
-    )
-
-    # rough per-entry cost of the dict index (key int, 3-tuple of ints,
-    # hash-table slot) counted against the memory budget
-    INDEX_ENTRY_BYTES = 120
-
-    def __init__(self, id_base: int = 0):
-        # pair key -> (local_first_path_id, num_paths, num_minimal)
-        self.index: Dict[int, Tuple[int, int, int]] = {}
-        self.offsets = np.zeros(1, dtype=np.int64)
-        self.links = np.zeros(0, dtype=np.int64)
-        self.weights = np.zeros(0, dtype=np.float64)
-        self.num_paths = 0
-        self.id_base = id_base
-        self.dirty = True  # fresh shards always need spilling on evict
-
-    def nbytes(self) -> int:
-        return int(
-            self.offsets.nbytes + self.links.nbytes + self.weights.nbytes
-        ) + self.INDEX_ENTRY_BYTES * len(self.index)
-
-    def extend(self, keys: np.ndarray, block: RouteBlock) -> None:
-        """Store the routes of the pairs ``keys``."""
-        self.offsets, self.links, self.weights, firsts = _append_csr(
-            self.offsets, self.links, self.weights, self.num_paths, block
-        )
-        self.index.update(zip(
-            keys.tolist(),
-            zip((firsts + self.id_base).tolist(), block.counts.tolist(), block.num_minimal.tolist()),
-        ))
-        self.num_paths += len(block.lengths)
-        self.dirty = True
-
-
 class RouteTableStats:
     """Pair-level cache counters of one :class:`RouteTable`.
 
@@ -508,18 +403,14 @@ class RouteTableStats:
 class RouteTable:
     """Lazily-populated CSR store of multipath routes on one topology.
 
-    Layout (eager mode): path ``p`` occupies
-    ``path_links[path_offsets[p]:path_offsets[p+1]]`` (directed link
-    indices); the pair ``(src, dst)`` owns the contiguous path id range
-    ``[pair_first[key], pair_first[key] + pair_npaths[key])`` where
-    ``key = src * num_nodes + dst``.  Contiguity is what makes the flow
-    simulator's incidence construction a gather instead of a loop.
-
-    Sharded mode (chosen automatically when the dense pair index would not
-    fit ``mem_budget``, or forced with ``sharded=True``) keeps the same
-    contiguity invariant *within* each per-source-block shard and encodes
-    path ids as ``shard_index * 2**40 + local_id``; every public query is
-    shard-aware and bit-identical to the eager build.
+    Path ``p`` occupies ``path_links[path_offsets[p]:path_offsets[p+1]]``
+    (directed link indices); the pair ``(src, dst)`` owns the contiguous
+    path id range ``[first, first + npaths)``.  Contiguity is what makes
+    the flow simulator's incidence construction a gather instead of a
+    loop.  The pair index holds ``first``, ``npaths`` and the number of
+    leading minimal paths for every routed pair, sorted by the pair key
+    ``src * num_nodes + dst``.  Path ids are assigned in order of first
+    routing and the CSR arrays are append-only, so an id never changes.
     """
 
     def __init__(
@@ -529,65 +420,45 @@ class RouteTable:
         max_paths: int = DEFAULT_MAX_PATHS,
         provider: Optional[PathProvider] = None,
         policy: Union[str, RoutingPolicy, None] = None,
-        mem_budget: Union[str, int, float, None] = _UNSET,
-        sharded: Optional[bool] = None,
-        shard_sources: Optional[int] = None,
-        spill: Optional[bool] = None,
-        spill_dir: Optional[str] = None,
+        mem_budget: Union[str, int, float, None] = None,
     ):
         if max_paths < 1:
             raise ValueError("max_paths must be at least 1")
+        self._init_state(
+            topo, max_paths, provider, get_policy(policy), parse_mem_budget(mem_budget)
+        )
+        _obs.counter("routing.tables_built").inc()
+        self._report_csr_bytes()
+
+    def _init_state(
+        self,
+        topo: Topology,
+        max_paths: int,
+        provider: Optional[PathProvider],
+        policy: RoutingPolicy,
+        mem_budget: Optional[int],
+    ) -> None:
+        """Empty index and CSR arrays plus byte accounting (shared by
+        :meth:`__init__` and :meth:`attach`)."""
         self.topo = topo
         self.max_paths = max_paths
         self.provider = provider if provider is not None else path_provider_for(topo)
-        self.policy = get_policy(policy)
+        self.policy = policy
+        self.mem_budget = mem_budget
         self.stats = RouteTableStats()
-        n = topo.num_nodes
-        if mem_budget is _UNSET:
-            budget = default_mem_budget()
-        else:
-            budget = parse_mem_budget(mem_budget)
-        self.mem_budget = budget
-        dense_index_bytes = 3 * 8 * n * n
-        if sharded is None:
-            sharded = budget is not None and dense_index_bytes > budget
-        self._sharded = bool(sharded)
-        if self._sharded:
-            self._shard_sources = int(shard_sources or DEFAULT_SHARD_SOURCES)
-            if self._shard_sources < 1:
-                raise ValueError("shard_sources must be at least 1")
-            self._spill_enabled = True if spill is None else bool(spill)
-            # shard index -> resident shard, insertion order == LRU order
-            self._shards: "OrderedDict[int, _RouteShard]" = OrderedDict()
-            # shard index -> id_base of the *next* generation after a
-            # drop-without-spill eviction
-            self._dropped_bases: Dict[int, int] = {}
-            self._resident_bytes = 0
-            self._pairs_routed = 0
-            self.shards_built = 0
-            self.shards_evicted = 0
-            # spill bookkeeping lives in a plain dict so a weakref finalizer
-            # can delete the files without resurrecting the table
-            self._spill_state: Dict[str, object] = {
-                "files": {},  # shard index -> (path, size_bytes)
-                "owned_dir": None,
-                "base_dir": spill_dir or os.environ.get("REPRO_ROUTE_SPILL_DIR"),
-            }
-            weakref.finalize(self, _cleanup_spill, self._spill_state)
-        else:
-            # Pair key -> first path id / path count.  -1 == not yet populated.
-            self._pair_first = np.full(n * n, -1, dtype=np.int64)
-            self._pair_npaths = np.zeros(n * n, dtype=np.int64)
-            # Leading paths of the pair that are minimal (== npaths except UGAL).
-            self._pair_nmin = np.zeros(n * n, dtype=np.int64)
-            # CSR storage, grown geometrically.
-            self._path_offsets = np.zeros(1, dtype=np.int64)
-            self._path_links = np.zeros(0, dtype=np.int64)
-            self._path_weights = np.zeros(0, dtype=np.float64)
-            self._num_paths = 0
-        # (key, count) -> materialized Python path lists (shared, immutable)
-        self._pylists: Dict[Tuple[int, int], List[List[int]]] = {}
-        _obs.counter("routing.tables_built").inc()
+        # Pair index over the routed pairs, sorted by key.
+        self._keys = np.zeros(0, dtype=np.int64)
+        self._first = np.zeros(0, dtype=np.int64)
+        self._npaths = np.zeros(0, dtype=np.int64)
+        # Leading paths of the pair that are minimal (== npaths except UGAL).
+        self._nmin = np.zeros(0, dtype=np.int64)
+        # CSR storage, grown geometrically.
+        self._offsets = np.zeros(1, dtype=np.int64)
+        self._links = np.zeros(0, dtype=np.int64)
+        self._weights = np.zeros(0, dtype=np.float64)
+        self._num_paths = 0
+        # (key, max_paths) -> materialized Python path lists (shared, immutable)
+        self._pylists: Dict[Tuple[int, Optional[int]], List[List[int]]] = {}
         # routing.csr_mem_bytes tracks the estimated bytes of *live* tables:
         # growth is reported as gauge deltas, and a finalizer releases the
         # table's last-reported contribution when it is garbage collected.
@@ -597,33 +468,15 @@ class RouteTable:
         self._builder_pid = os.getpid()
         self._reported_bytes = [0]
         weakref.finalize(self, _release_csr_bytes, self._reported_bytes)
-        self._report_csr_bytes()
         register_route_cache_client(self)
 
-    @property
-    def is_sharded(self) -> bool:
-        """Whether the table uses sharded (budgeted) storage."""
-        return self._sharded
-
     def estimated_csr_bytes(self) -> int:
-        """Estimated bytes held by the table's index + CSR arrays.
+        """Bytes held by the table's pair index and CSR arrays.
 
-        Dominated by the three ``O(num_nodes**2)`` pair-index arrays in
-        eager mode; the number ROADMAP item 1 (10k+ endpoint scaling) is
-        judged against.  In sharded mode this is the *resident* byte count
-        (the quantity the memory budget bounds); spilled shards are on disk
-        and tracked by the ``routing.spill_bytes`` gauge instead.
+        O(routed pairs): 32 bytes of index per routed pair plus the CSR
+        arrays' capacity.  This is the quantity ``mem_budget`` caps.
         """
-        if self._sharded:
-            return int(self._resident_bytes)
-        return int(
-            self._pair_first.nbytes
-            + self._pair_npaths.nbytes
-            + self._pair_nmin.nbytes
-            + self._path_offsets.nbytes
-            + self._path_links.nbytes
-            + self._path_weights.nbytes
-        )
+        return int(sum(getattr(self, "_" + name).nbytes for name in _SHARED_ARRAYS))
 
     def _report_csr_bytes(self) -> None:
         now = self.estimated_csr_bytes() - self._csr_baseline
@@ -633,176 +486,26 @@ class RouteTable:
             _obs.gauge("routing.csr_mem_bytes").add(delta)
 
     def clear_route_caches(self) -> None:
-        """Drop derived route caches (the materialized Python path lists).
-
-        On a sharded table this additionally drops every resident shard,
-        deletes the spill files, and resets the memory-budget accounting —
-        routes re-enumerate deterministically on next contact, so a cleared
-        table can never serve stale shards or leak spill space.
-        """
+        """Drop derived route caches (the materialized Python path lists)."""
         self._pylists.clear()
-        if self._sharded:
-            self._shards.clear()
-            self._dropped_bases.clear()
-            self._resident_bytes = 0
-            self._pairs_routed = 0
-            # an attached table drops its shared views here; anything routed
-            # afterwards is private, so the attach-time baseline is void
-            self._csr_baseline = 0
-            _cleanup_spill(self._spill_state)
-            self._report_csr_bytes()
 
-    # ------------------------------------------------- sharded storage internals
-    def _spill_dir(self) -> str:
-        state = self._spill_state
-        directory = state.get("owned_dir")
-        if directory is None:
-            base = state.get("base_dir")
-            if base:
-                os.makedirs(base, exist_ok=True)  # type: ignore[arg-type]
-                directory = tempfile.mkdtemp(prefix="repro-routes-", dir=base)  # type: ignore[arg-type]
-            else:
-                directory = tempfile.mkdtemp(prefix="repro-routes-")
-            state["owned_dir"] = directory
-        return directory  # type: ignore[return-value]
-
-    def _spill_shard(self, si: int, shard: _RouteShard) -> None:
-        path = os.path.join(self._spill_dir(), f"shard{si}.npz")
-        count = len(shard.index)
-        keys = np.fromiter(shard.index.keys(), dtype=np.int64, count=count)
-        vals = np.array(list(shard.index.values()), dtype=np.int64).reshape(count, 3)
-        with open(path, "wb") as handle:
-            np.savez(
-                handle,
-                keys=keys,
-                vals=vals,
-                offsets=shard.offsets[: shard.num_paths + 1],
-                links=shard.links[: shard.offsets[shard.num_paths]],
-                weights=shard.weights[: shard.num_paths],
-                id_base=np.int64(shard.id_base),
-            )
-        nbytes = os.path.getsize(path)
-        files: Dict[int, Tuple[str, int]] = self._spill_state["files"]  # type: ignore[assignment]
-        previous = files.get(si)
-        files[si] = (path, nbytes)
-        _obs.gauge("routing.spill_bytes").add(nbytes - (previous[1] if previous else 0))
-
-    def _load_shard(self, si: int) -> _RouteShard:
-        path = self._spill_state["files"][si][0]  # type: ignore[index]
-        with np.load(path) as data:
-            shard = _RouteShard(id_base=int(data["id_base"]))
-            vals = data["vals"].tolist()
-            shard.index = {
-                int(k): (v[0], v[1], v[2]) for k, v in zip(data["keys"].tolist(), vals)
-            }
-            shard.offsets = data["offsets"]
-            shard.links = data["links"]
-            shard.weights = data["weights"]
-        shard.num_paths = len(shard.weights)
-        shard.dirty = False
-        return shard
-
-    def _evict_shard(self, si: int) -> None:
-        shard = self._shards.pop(si)
-        self._resident_bytes -= shard.nbytes()
-        self.shards_evicted += 1
-        _obs.counter("routing.shards_evicted").inc()
-        if self._spill_enabled:
-            if shard.dirty:
-                self._spill_shard(si, shard)
-        else:
-            # Routes re-enumerate (deterministically) on next contact; the id
-            # space advances so stale global path ids fail loudly instead of
-            # silently aliasing the re-enumerated paths.
-            self._dropped_bases[si] = shard.id_base + shard.num_paths
-            self._pairs_routed -= len(shard.index)
-
-    def _enforce_budget(self, keep: int) -> None:
-        if self.mem_budget is None:
-            return
-        while self._resident_bytes > self.mem_budget and len(self._shards) > 1:
-            victim = next((si for si in self._shards if si != keep), None)
-            if victim is None:
-                break
-            self._evict_shard(victim)
-        self._report_csr_bytes()
-
-    def _resident_shard(self, si: int, *, create: bool = False) -> Optional[_RouteShard]:
-        """The shard, made resident (reloaded from spill / freshly created)."""
-        shard = self._shards.get(si)
-        if shard is not None:
-            self._shards.move_to_end(si)
-            return shard
-        if si in self._spill_state["files"]:  # type: ignore[operator]
-            shard = self._load_shard(si)
-        elif create:
-            shard = _RouteShard(id_base=self._dropped_bases.get(si, 0))
-            self.shards_built += 1
-            _obs.counter("routing.shards_built").inc()
-        else:
-            return None
-        self._shards[si] = shard
-        self._resident_bytes += shard.nbytes()
-        self._enforce_budget(keep=si)
-        return shard
-
-    def _require_shard(self, si: int) -> _RouteShard:
-        shard = self._resident_shard(si)
-        if shard is None:
-            raise RuntimeError(
-                f"route shard {si} was evicted with spill disabled; its path ids "
-                "can no longer be resolved (enable spill or raise the memory budget)"
-            )
-        return shard
-
-    def _shard_rows(self, shard: _RouteShard, si: int, local_ids: np.ndarray) -> np.ndarray:
-        rows = local_ids - shard.id_base
-        if len(rows) and (int(rows.min()) < 0 or int(rows.max()) >= shard.num_paths):
-            raise RuntimeError(
-                f"stale path ids into route shard {si}: the shard was rebuilt after "
-                "a spill-disabled eviction (enable spill or raise the memory budget)"
-            )
-        return rows
-
-    def _shard_lookup(
-        self, src: int, dst: int, shard: Optional[_RouteShard] = None
-    ) -> Tuple[int, int, int, _RouteShard]:
-        """(first_global_path_id, npaths, nmin, shard) of a pair; populates on miss."""
-        si = src // self._shard_sources
-        if shard is None:
-            shard = self._resident_shard(si, create=True)
-        key = src * self.topo.num_nodes + dst
-        entry = shard.index.get(key)
-        if entry is not None:
-            self.stats.record_hits()
-        else:
-            self._route_keys([key], functools.partial(self._extend_shard, si, shard))
-            entry = shard.index[key]
-        first_local, npaths, nmin = entry
-        return si * _SHARD_STRIDE + first_local, npaths, nmin, shard
-
-    def _extend_shard(
-        self, si: int, shard: _RouteShard, keys: np.ndarray, block: RouteBlock
-    ) -> None:
-        before = shard.nbytes()
-        shard.extend(keys, block)
-        self._resident_bytes += shard.nbytes() - before
-        self._pairs_routed += len(keys)
-        self._enforce_budget(keep=si)
+    def __repr__(self) -> str:
+        return (
+            f"RouteTable({self.topo.name}, policy={self.policy.name!r}, "
+            f"max_paths={self.max_paths})"
+        )
 
     # ------------------------------------------------------------- population
-    def _route_keys(
-        self, keys: Sequence[int], store: Callable[[np.ndarray, RouteBlock], None]
-    ) -> None:
-        """Route the distinct, unrouted pair ``keys`` and pass them to
-        ``store(keys, block)`` in blocks of up to ``_ARRAY_BATCH`` pairs
-        when the provider and the policy route whole arrays, else
-        ``_ROUTE_BATCH``.
+    def _route_keys(self, keys: np.ndarray, pending: List[Tuple[np.ndarray, ...]]) -> None:
+        """Route the distinct, unrouted pair ``keys`` into the CSR arrays, in
+        blocks of up to ``_ARRAY_BATCH`` pairs when the provider and the
+        policy route whole arrays, else ``_ROUTE_BATCH``.
 
-        A pair without a path raises :class:`TopologyError` once the pairs
-        before it are stored, as routing them one at a time did.
+        Each stored block appends its ``(keys, first, npaths, nmin)`` to
+        ``pending`` for :meth:`_route` to index.  A pair without a path
+        raises :class:`TopologyError` once the pairs before it are stored,
+        as routing them one at a time did.
         """
-        keys = np.asarray(keys, dtype=np.int64)
         arrays = self.provider.array_routes and self.policy.array_blocks
         batch = _ARRAY_BATCH if arrays else _ROUTE_BATCH
         for start in range(0, len(keys), batch):
@@ -816,47 +519,105 @@ class RouteTable:
                 # halve the block until the failing pair is alone: the pairs
                 # before it are stored, then its error is raised
                 half = len(chunk) // 2
-                self._route_keys(chunk[:half], store)
-                self._route_keys(chunk[half:], store)
+                self._route_keys(chunk[:half], pending)
+                self._route_keys(chunk[half:], pending)
                 continue
             routed = int(np.argmin(block.counts)) if not block.counts.all() else len(chunk)
             if routed:
+                self._store(
+                    chunk[:routed], block if routed == len(chunk) else block.head(routed), pending
+                )
                 self.stats.record_misses(routed)
-                store(chunk[:routed], block if routed == len(chunk) else block.head(routed))
             if routed < len(chunk):
                 raise TopologyError(f"no path between nodes {src[routed]} and {dst[routed]}")
 
-    def _append_pairs(self, keys: np.ndarray, block: RouteBlock) -> None:
-        if not self._pair_first.flags.writeable:
-            # attached (shared, read-only) pair index: privatize on first
-            # miss — the shared segment itself is never written
-            self._pair_first = self._pair_first.copy()
-            self._pair_npaths = self._pair_npaths.copy()
-            self._pair_nmin = self._pair_nmin.copy()
-        self._path_offsets, self._path_links, self._path_weights, firsts = _append_csr(
-            self._path_offsets, self._path_links, self._path_weights, self._num_paths, block
+    def _store(
+        self, keys: np.ndarray, block: RouteBlock, pending: List[Tuple[np.ndarray, ...]]
+    ) -> None:
+        offsets, links, weights, firsts = _append_csr(
+            self._offsets, self._links, self._weights, self._num_paths, block
         )
-        self._pair_first[keys] = firsts
-        self._pair_npaths[keys] = block.counts
-        self._pair_nmin[keys] = block.num_minimal
+        if self.mem_budget is not None:
+            indexed = len(self._keys) + sum(len(p[0]) for p in pending) + len(keys)
+            needed = (
+                offsets.nbytes + links.nbytes + weights.nbytes
+                + _INDEX_BYTES_PER_PAIR * indexed
+            )
+            if needed > self.mem_budget:
+                raise RouteBudgetError(
+                    f"{self!r} needs {needed} bytes for {indexed} routed pairs, "
+                    f"above its mem_budget of {self.mem_budget} bytes"
+                )
+        self._offsets, self._links, self._weights = offsets, links, weights
         self._num_paths += len(block.lengths)
-        self._report_csr_bytes()
+        pending.append((keys, firsts, block.counts, block.num_minimal))
 
-    def _populate(self, src: int, dst: int) -> int:
-        """Ensure ``(src, dst)`` is routed; return its pair key."""
+    def _route(self, keys: np.ndarray) -> None:
+        """Route the distinct, unrouted pair ``keys`` and index them.
+
+        The index takes every routed pair in one merge at the end, also
+        when a block raises, so the pairs before a failing pair stay
+        stored and indexed.  The merge builds new index arrays, so an
+        attached table's shared index is copied, never written.
+        """
+        pending: List[Tuple[np.ndarray, ...]] = []
+        try:
+            self._route_keys(keys, pending)
+        finally:
+            if pending:
+                new_keys, first, npaths, nmin = (np.concatenate(p) for p in zip(*pending))
+                order = np.argsort(new_keys)
+                at = np.searchsorted(self._keys, new_keys[order])
+                self._keys = np.insert(self._keys, at, new_keys[order])
+                self._first = np.insert(self._first, at, first[order])
+                self._npaths = np.insert(self._npaths, at, npaths[order])
+                self._nmin = np.insert(self._nmin, at, nmin[order])
+            self._report_csr_bytes()
+
+    def _positions(self, keys: np.ndarray, *, count_hits: bool) -> np.ndarray:
+        """Index positions of the pair ``keys``, routing missing pairs first.
+
+        Missing pairs are routed in order of first occurrence, so path ids
+        and hit/miss counts equal those of looking the pairs up one at a
+        time; that holds when a pair has no path, too.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        pos = np.searchsorted(self._keys, keys)
+        found = np.zeros(len(keys), dtype=bool)
+        if len(self._keys):
+            found = self._keys[np.minimum(pos, len(self._keys) - 1)] == keys
+        new_keys = _first_occurrences(keys[~found]) if not found.all() else keys[:0]
+        if len(new_keys):
+            before = len(self._keys)
+            try:
+                self._route(new_keys)
+            except (TopologyError, RouteBudgetError):
+                stored = len(self._keys) - before
+                if count_hits and stored < len(new_keys):
+                    # the lookups before the failing pair's first one hit,
+                    # apart from the first lookups of the pairs stored
+                    failed_at = int(np.argmax(keys == new_keys[stored]))
+                    self.stats.record_hits(failed_at - stored)
+                raise
+            pos = np.searchsorted(self._keys, keys)
+        if count_hits:
+            self.stats.record_hits(len(keys) - len(new_keys))
+        return pos
+
+    def _position(self, src: int, dst: int) -> int:
+        """Index position of one pair, routing it on first contact."""
         key = src * self.topo.num_nodes + dst
-        if self._pair_first[key] >= 0:
+        i = int(np.searchsorted(self._keys, key))
+        if i < len(self._keys) and self._keys[i] == key:
             self.stats.record_hits()
-        else:
-            self._route_keys([key], self._append_pairs)
-        return key
+            return i
+        self._route(np.array([key], dtype=np.int64))
+        return int(np.searchsorted(self._keys, key))
 
     # ---------------------------------------------------------------- queries
     @property
     def num_pairs_routed(self) -> int:
-        if self._sharded:
-            return int(self._pairs_routed)
-        return int((self._pair_first >= 0).sum())
+        return len(self._keys)
 
     def paths(self, src: int, dst: int, max_paths: Optional[int] = None) -> List[List[int]]:
         """Candidate paths as lists of directed link indices.
@@ -867,40 +628,21 @@ class RouteTable:
         """
         if src == dst:
             return [[]]
-        if self._sharded:
-            gid, count, _nmin, shard = self._shard_lookup(src, dst)
-            if max_paths is not None:
-                count = min(count, max_paths)
-            row = (gid % _SHARD_STRIDE) - shard.id_base
-            return [
-                shard.links[shard.offsets[r] : shard.offsets[r + 1]].tolist()
-                for r in range(row, row + count)
-            ]
-        key = self._populate(src, dst)
-        first = int(self._pair_first[key])
-        count = int(self._pair_npaths[key])
+        first, count = self.pair_slice(src, dst)
         if max_paths is not None:
             count = min(count, max_paths)
-        out: List[List[int]] = []
-        for pid in range(first, first + count):
-            s, e = self._path_offsets[pid], self._path_offsets[pid + 1]
-            out.append(self._path_links[s:e].tolist())
-        return out
+        offsets, links = self._offsets, self._links
+        return [links[offsets[p] : offsets[p + 1]].tolist() for p in range(first, first + count)]
 
     def pair_slice(self, src: int, dst: int) -> Tuple[int, int]:
         """CSR slice of one pair: ``(first_path_id, num_paths)``.
 
         Populates the pair on first contact.  Path ``p`` of the pair
         (``first <= p < first + count``) occupies
-        ``path_links[path_offsets[p]:path_offsets[p+1]]`` in eager mode; in
-        sharded mode the ids are global (shard-encoded) and resolved by the
-        table's own gathers.
+        ``path_links[path_offsets[p]:path_offsets[p+1]]``.
         """
-        if self._sharded:
-            gid, count, _nmin, _shard = self._shard_lookup(src, dst)
-            return int(gid), int(count)
-        key = self._populate(src, dst)
-        return int(self._pair_first[key]), int(self._pair_npaths[key])
+        i = self._position(src, dst)
+        return int(self._first[i]), int(self._npaths[i])
 
     def pair_path_lists(
         self, src: int, dst: int, max_paths: Optional[int] = None
@@ -916,76 +658,25 @@ class RouteTable:
         """
         if src == dst:
             return [[]]
-        if self._sharded:
-            gid, count, _nmin, shard = self._shard_lookup(src, dst)
-            if max_paths is not None:
-                count = min(count, max_paths)
-            cache_key = (src * self.topo.num_nodes + dst, count)
-            cached = self._pylists.get(cache_key)
-            if cached is None:
-                row = (gid % _SHARD_STRIDE) - shard.id_base
-                cached = [
-                    shard.links[shard.offsets[r] : shard.offsets[r + 1]].tolist()
-                    for r in range(row, row + count)
-                ]
-                self._pylists[cache_key] = cached
-            return cached
-        first, count = self.pair_slice(src, dst)
-        if max_paths is not None:
-            count = min(count, max_paths)
-        cache_key = (src * self.topo.num_nodes + dst, count)
+        cache_key = (src * self.topo.num_nodes + dst, max_paths)
         cached = self._pylists.get(cache_key)
         if cached is None:
-            offsets, links = self._path_offsets, self._path_links
-            cached = [
-                links[offsets[pid] : offsets[pid + 1]].tolist()
-                for pid in range(first, first + count)
-            ]
-            self._pylists[cache_key] = cached
+            cached = self._pylists[cache_key] = self.paths(src, dst, max_paths)
+        else:
+            self.stats.record_hits()
         return cached
 
     def pair_arrays(self, src_nodes: np.ndarray, dst_nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """First path id and path count per ``(src, dst)`` pair, vectorized.
 
         Routes the call's missing pairs (the only Python-level loop, and
-        only on first contact with a pair) and appends them to the CSR
-        arrays in one batch, in order of first occurrence, so path ids and
-        hit/miss counts equal those of routing the pairs one at a time.
-        Then answers from the index arrays.  In sharded mode the lookups
-        are grouped by shard so each shard is made resident exactly once
-        per call, and each shard takes its new pairs in one batch.
+        only on first contact with a pair) in order of first occurrence, so
+        path ids and hit/miss counts equal those of routing the pairs one
+        at a time.  Then answers from the index arrays.
         """
-        if self._sharded:
-            return self._sharded_pair_arrays(src_nodes, dst_nodes)
-        keys = src_nodes * self.topo.num_nodes + dst_nodes
-        new_keys = _first_occurrences(keys[self._pair_first[keys] < 0])
-        if len(new_keys):
-            self._route_keys(new_keys, self._append_pairs)
-        self.stats.record_hits(len(keys) - len(new_keys))
-        return self._pair_first[keys], self._pair_npaths[keys]
-
-    def _sharded_pair_arrays(
-        self, src_nodes: np.ndarray, dst_nodes: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        src_nodes = np.asarray(src_nodes, dtype=np.int64)
-        keys = src_nodes * self.topo.num_nodes + np.asarray(dst_nodes, dtype=np.int64)
-        first = np.empty(len(keys), dtype=np.int64)
-        npaths = np.empty(len(keys), dtype=np.int64)
-        shard_ids = src_nodes // self._shard_sources
-        routed = 0
-        for si in np.unique(shard_ids).tolist():
-            positions = np.nonzero(shard_ids == si)[0]
-            shard = self._resident_shard(si, create=True)
-            group = keys[positions].tolist()
-            new_keys = list(dict.fromkeys(k for k in group if k not in shard.index))
-            if new_keys:
-                self._route_keys(new_keys, functools.partial(self._extend_shard, si, shard))
-                routed += len(new_keys)
-            entries = [shard.index[k] for k in group]
-            first[positions] = [si * _SHARD_STRIDE + e[0] for e in entries]
-            npaths[positions] = [e[1] for e in entries]
-        self.stats.record_hits(len(keys) - routed)
-        return first, npaths
+        keys = np.asarray(src_nodes, dtype=np.int64) * self.topo.num_nodes + dst_nodes
+        pos = self._positions(keys, count_hits=True)
+        return self._first[pos], self._npaths[pos]
 
     def gather_links(self, path_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Concatenated link indices and per-path lengths for ``path_ids``.
@@ -994,92 +685,35 @@ class RouteTable:
         every path's link indices in order — the CSR gather at the heart of
         :meth:`FlowSimulator.assign`.
         """
-        if self._sharded:
-            return self._sharded_gather_links(np.asarray(path_ids, dtype=np.int64))
-        idx, lengths = csr_range_indices(self._path_offsets, path_ids)
+        idx, lengths = csr_range_indices(self._offsets, path_ids)
         if len(idx) == 0:
             return np.zeros(0, dtype=np.int64), lengths
-        return self._path_links[idx], lengths
-
-    def _sharded_gather_links(self, path_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        k = len(path_ids)
-        lengths = np.empty(k, dtype=np.int64)
-        shard_ids = path_ids // _SHARD_STRIDE
-        local_ids = path_ids - shard_ids * _SHARD_STRIDE
-        gathered = []
-        for si in np.unique(shard_ids).tolist():
-            si = int(si)
-            shard = self._require_shard(si)
-            positions = np.nonzero(shard_ids == si)[0]
-            rows = self._shard_rows(shard, si, local_ids[positions])
-            idx, lens = csr_range_indices(shard.offsets, rows)
-            lengths[positions] = lens
-            # copy now (fancy indexing already copies): the shard may be
-            # evicted while a later shard is made resident
-            gathered.append((positions, lens, shard.links[idx]))
-        total = int(lengths.sum())
-        out = np.empty(total, dtype=np.int64)
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
-        for positions, lens, links in gathered:
-            out[_scatter_targets(starts[positions], lens)] = links
-        return out, lengths
+        return self._links[idx], lengths
 
     def gather_path_weights(self, path_ids: np.ndarray) -> np.ndarray:
         """Policy split weight of every path in ``path_ids`` (vectorized)."""
-        if self._sharded:
-            path_ids = np.asarray(path_ids, dtype=np.int64)
-            out = np.empty(len(path_ids), dtype=np.float64)
-            shard_ids = path_ids // _SHARD_STRIDE
-            local_ids = path_ids - shard_ids * _SHARD_STRIDE
-            for si in np.unique(shard_ids).tolist():
-                si = int(si)
-                shard = self._require_shard(si)
-                positions = np.nonzero(shard_ids == si)[0]
-                rows = self._shard_rows(shard, si, local_ids[positions])
-                out[positions] = shard.weights[rows]
-            return out
-        return self._path_weights[path_ids]
+        return self._weights[path_ids]
 
     def pair_weights(self, src: int, dst: int) -> List[float]:
         """Split weights of one pair's candidate paths (populates the pair)."""
         if src == dst:
             return [1.0]
-        if self._sharded:
-            gid, count, _nmin, shard = self._shard_lookup(src, dst)
-            row = (gid % _SHARD_STRIDE) - shard.id_base
-            return shard.weights[row : row + count].tolist()
         first, count = self.pair_slice(src, dst)
-        return self._path_weights[first : first + count].tolist()
+        return self._weights[first : first + count].tolist()
 
     def pair_minimal_counts(self, src_nodes: np.ndarray, dst_nodes: np.ndarray) -> np.ndarray:
         """Number of leading minimal paths per pair, vectorized.
 
-        Pairs must already be populated (call :meth:`pair_arrays` first;
-        a sharded table re-populates evicted pairs transparently).  Equals
-        the pair's path count under ``minimal``/``ecmp``, the
-        minimal-group size under ``ugal`` (whose trailing paths are the
-        Valiant alternates), and 0 under ``valiant`` (every stored path is
-        a detour).
+        Meant to follow :meth:`pair_arrays` on the same pairs, so its
+        lookups are not counted as hits; a pair not yet routed is routed
+        (and counted as a miss).  Equals the pair's path count under
+        ``minimal``/``ecmp``, the minimal-group size under ``ugal`` (whose
+        trailing paths are the Valiant alternates), and 0 under ``valiant``
+        (every stored path is a detour).
         """
-        if self._sharded:
-            out = np.empty(len(src_nodes), dtype=np.int64)
-            shard_ids = np.asarray(src_nodes, dtype=np.int64) // self._shard_sources
-            order = np.argsort(shard_ids, kind="stable")
-            current_si = -1
-            shard: Optional[_RouteShard] = None
-            for i in order.tolist():
-                si = int(shard_ids[i])
-                if si != current_si:
-                    shard = self._resident_shard(si, create=True)
-                    current_si = si
-                _gid, _count, nmin, shard = self._shard_lookup(
-                    int(src_nodes[i]), int(dst_nodes[i]), shard
-                )
-                out[i] = nmin
-            return out
-        keys = src_nodes * self.topo.num_nodes + dst_nodes
-        return self._pair_nmin[keys]
+        keys = np.asarray(src_nodes, dtype=np.int64) * self.topo.num_nodes + dst_nodes
+        pos = self._positions(keys, count_hits=False)  # may replace self._nmin
+        return self._nmin[pos]
 
     # ---------------------------------------------------------- shared memory
     def share(self) -> SharedRouteHandle:
@@ -1096,62 +730,25 @@ class RouteTable:
             return handle
         from multiprocessing import shared_memory
 
+        n = self._num_paths
+        arrays = [  # the index arrays are exact; the CSR arrays are trimmed
+            ("keys", self._keys),
+            ("first", self._first),
+            ("npaths", self._npaths),
+            ("nmin", self._nmin),
+            ("offsets", self._offsets[: n + 1]),
+            ("links", self._links[: self._offsets[n]]),
+            ("weights", self._weights[:n]),
+        ]
+        specs = []
         offset = 0
-        flat: List[Tuple[int, np.ndarray]] = []
-
-        def pack(arrays) -> Tuple[Tuple[str, int, int], ...]:
-            nonlocal offset
-            specs = []
-            for key, arr in arrays:
-                specs.append((key, offset, int(len(arr))))
-                flat.append((offset, arr))
-                offset += int(arr.nbytes)
-            return tuple(specs)
-
-        arrays_spec: Tuple[Tuple[str, int, int], ...] = ()
-        shards_spec: List[Tuple[int, int, Tuple[Tuple[str, int, int], ...]]] = []
-        if self._sharded:
-            spilled = self._spill_state["files"]
-            for si in sorted(set(self._shards) | set(spilled)):  # type: ignore[arg-type]
-                shard = self._shards.get(si)
-                if shard is None:
-                    shard = self._load_shard(si)
-                if not shard.index:
-                    continue
-                count = len(shard.index)
-                keys = np.fromiter(shard.index.keys(), dtype=np.int64, count=count)
-                vals = np.array(list(shard.index.values()), dtype=np.int64).reshape(count * 3)
-                shards_spec.append(
-                    (
-                        int(si),
-                        int(shard.id_base),
-                        pack(
-                            [
-                                ("keys", keys),
-                                ("vals", vals),
-                                ("offsets", np.ascontiguousarray(shard.offsets[: shard.num_paths + 1])),
-                                ("links", np.ascontiguousarray(shard.links[: shard.offsets[shard.num_paths]])),
-                                ("weights", np.ascontiguousarray(shard.weights[: shard.num_paths])),
-                            ]
-                        ),
-                    )
-                )
-        else:
-            arrays_spec = pack(
-                [
-                    ("pair_first", self._pair_first),
-                    ("pair_npaths", self._pair_npaths),
-                    ("pair_nmin", self._pair_nmin),
-                    ("offsets", np.ascontiguousarray(self._path_offsets[: self._num_paths + 1])),
-                    ("links", np.ascontiguousarray(self._path_links[: self._path_offsets[self._num_paths]])),
-                    ("weights", np.ascontiguousarray(self._path_weights[: self._num_paths])),
-                ]
-            )
+        for name, arr in arrays:
+            specs.append((name, offset, len(arr)))
+            offset += arr.nbytes
         total = max(offset, 8)  # zero-size segments are not allowed
         seg = shared_memory.SharedMemory(create=True, size=total)
-        for off, arr in flat:
-            if len(arr):
-                np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf, offset=off)[:] = arr
+        for (_, off, length), (_, arr) in zip(specs, arrays):
+            np.ndarray((length,), dtype=arr.dtype, buffer=seg.buf, offset=off)[:] = arr
         handle = SharedRouteHandle(
             name=seg.name,
             nbytes=total,
@@ -1160,12 +757,9 @@ class RouteTable:
             policy=self.policy,
             max_paths=self.max_paths,
             mem_budget=self.mem_budget,
-            sharded=self._sharded,
             owner_pid=os.getpid(),
             owner_tracker_pid=_tracker_pid(),
-            shard_sources=self._shard_sources if self._sharded else None,
-            arrays=arrays_spec,
-            shards=tuple(shards_spec),
+            arrays=tuple(specs),
         )
         lease = _new_lease(seg, total, owned=True)
         weakref.finalize(self, _release_segment, lease)
@@ -1216,70 +810,22 @@ class RouteTable:
             except Exception:
                 pass
 
-        def view(spec: Tuple[str, int, int]) -> np.ndarray:
-            key, off, length = spec
+        table = object.__new__(cls)
+        table._init_state(
+            topo, handle.max_paths, None, get_policy(handle.policy), handle.mem_budget
+        )
+        for name, off, length in handle.arrays:
             arr = np.ndarray(
-                (length,), dtype=_ARRAY_DTYPES.get(key, np.int64), buffer=seg.buf, offset=off
+                (length,), dtype=_ARRAY_DTYPES.get(name, np.int64), buffer=seg.buf, offset=off
             )
             arr.flags.writeable = False
-            return arr
-
-        table = object.__new__(cls)
-        table.topo = topo
-        table.max_paths = handle.max_paths
-        table.provider = path_provider_for(topo)
-        table.policy = get_policy(handle.policy)
-        table.stats = RouteTableStats()
-        table._pylists = {}
-        table._sharded = bool(handle.sharded)
-        if table._sharded:
-            table.mem_budget = None  # attached shards are never evicted or spilled
-            table._shard_sources = int(handle.shard_sources or DEFAULT_SHARD_SOURCES)
-            table._spill_enabled = False
-            table._shards = OrderedDict()
-            table._dropped_bases = {}
-            table._resident_bytes = 0
-            table._pairs_routed = 0
-            table.shards_built = 0
-            table.shards_evicted = 0
-            table._spill_state = {"files": {}, "owned_dir": None, "base_dir": None}
-            weakref.finalize(table, _cleanup_spill, table._spill_state)
-            for si, id_base, specs in handle.shards:
-                named = {spec[0]: spec for spec in specs}
-                shard = _RouteShard(id_base=int(id_base))
-                keys = view(named["keys"])
-                vals = view(named["vals"]).reshape(-1, 3)
-                shard.index = {
-                    int(k): (int(v[0]), int(v[1]), int(v[2]))
-                    for k, v in zip(keys.tolist(), vals.tolist())
-                }
-                shard.offsets = view(named["offsets"])
-                shard.links = view(named["links"])
-                shard.weights = view(named["weights"])
-                shard.num_paths = len(shard.weights)
-                shard.dirty = False
-                table._shards[int(si)] = shard
-                table._resident_bytes += shard.nbytes()
-                table._pairs_routed += len(shard.index)
-        else:
-            table.mem_budget = handle.mem_budget
-            named = {spec[0]: spec for spec in handle.arrays}
-            table._pair_first = view(named["pair_first"])
-            table._pair_npaths = view(named["pair_npaths"])
-            table._pair_nmin = view(named["pair_nmin"])
-            table._path_offsets = view(named["offsets"])
-            table._path_links = view(named["links"])
-            table._path_weights = view(named["weights"])
-            table._num_paths = len(table._path_weights)
+            setattr(table, "_" + name, arr)
+        table._num_paths = len(table._weights)
         table._attach_lease = _new_lease(seg, handle.nbytes, owned=False)
         weakref.finalize(table, _release_segment, table._attach_lease)
         table._shared_handle = handle
         table._csr_baseline = table.estimated_csr_bytes()
-        table._builder_pid = os.getpid()
-        table._reported_bytes = [0]
-        weakref.finalize(table, _release_csr_bytes, table._reported_bytes)
         _obs.counter("routing.tables_attached").inc()
-        register_route_cache_client(table)
         return table
 
 
@@ -1347,7 +893,7 @@ def route_table_for(
     *,
     max_paths: int = DEFAULT_MAX_PATHS,
     policy: Union[str, RoutingPolicy, None] = None,
-    mem_budget: Union[str, int, float, None] = _UNSET,
+    mem_budget: Union[str, int, float, None] = None,
 ) -> RouteTable:
     """The shared :class:`RouteTable` of ``(topo, policy, max_paths, budget)``.
 
@@ -1356,16 +902,12 @@ def route_table_for(
     enumeration work.  ``policy`` is a registered policy name or a
     :class:`~repro.sim.policy.RoutingPolicy` instance (``None`` ==
     ``"minimal"``); policies with equal :meth:`cache_key` share a table.
-    ``mem_budget`` (bytes or ``"4G"``-style string; default: the
-    ``REPRO_ROUTE_MEM_BUDGET`` environment variable) selects sharded
-    storage when the dense pair index would not fit — callers asking for
-    the same resolved budget share one table.
+    ``mem_budget`` (bytes or ``"4G"``-style string; default: none) caps
+    the table's bytes — callers asking for the same resolved budget share
+    one table.
     """
     resolved = get_policy(policy)
-    if mem_budget is _UNSET:
-        budget = default_mem_budget()
-    else:
-        budget = parse_mem_budget(mem_budget)
+    budget = parse_mem_budget(mem_budget)
     per_topo = _TABLES.get(topo)
     if per_topo is None:
         per_topo = {}
@@ -1383,9 +925,9 @@ def route_table_for(
 def live_route_tables() -> List[RouteTable]:
     """Every currently memoized :class:`RouteTable`, across all topologies.
 
-    Introspection for benchmarks and tests asserting memory-budget
-    behaviour: after an in-process run, the tables it built are exactly the
-    memoized ones (each table holds a strong reference to its topology, so
+    Introspection for benchmarks and tests asserting route-table memory:
+    after an in-process run, the tables it built are exactly the memoized
+    ones (each table holds a strong reference to its topology, so
     entries outlive the simulators that created them until
     :func:`clear_route_tables`).
     """
@@ -1419,8 +961,7 @@ def clear_route_tables() -> None:
 
     Besides the table memo itself, this clears the registered cache
     clients — live :class:`FlowSimulator` assignment LRUs, the tables'
-    materialized ``pair_path_lists``, packet-simulator scoring state, and
-    sharded tables' resident shards, spill files, and budget accounting.
+    materialized ``pair_path_lists`` and packet-simulator scoring state.
     Simulators constructed before the reset keep their (immutable, still
     valid) table object, but their derived caches are rebuilt on next use
     and every simulator constructed afterwards gets a fresh table.

@@ -399,6 +399,48 @@ class TestRecordingKnobs:
         from repro.exp import recording
 
         monkeypatch.setenv("REPRO_BENCH_MAX_SERIES", " 12 ")
-        assert recording._positive_int_knob("REPRO_BENCH_MAX_SERIES", 256) == 12
+        assert recording._positive_knob("REPRO_BENCH_MAX_SERIES", 256) == 12
         monkeypatch.delenv("REPRO_BENCH_MAX_SERIES")
-        assert recording._positive_int_knob("REPRO_BENCH_MAX_SERIES", 256) == 256
+        assert recording._positive_knob("REPRO_BENCH_MAX_SERIES", 256) == 256
+
+
+class TestRunnerKnobs:
+    @pytest.mark.parametrize(
+        "knob,flags,noun",
+        [
+            ("REPRO_EXP_WORKERS", [], "an integer >= 1"),
+            ("REPRO_EXP_CELL_TIMEOUT", ["--workers", "1"], "a number > 0"),
+        ],
+    )
+    def test_malformed_knob_fails_the_cli_with_one_line(self, knob, flags, noun):
+        env = dict(os.environ, **{knob: "abc"})
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.exp", "run", "fig7", "--no-cache", *flags],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"{knob} must be {noun}, got 'abc'"]
+
+    @pytest.mark.parametrize("value", ["0", "-2", "1.5", "nan"])
+    def test_workers_knob_rejects_non_positive_integers(self, value, monkeypatch):
+        monkeypatch.setenv("REPRO_EXP_WORKERS", value)
+        message = f"REPRO_EXP_WORKERS must be an integer >= 1, got '{value}'"
+        with pytest.raises(SystemExit, match=message):
+            Runner(cache=False)
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "-inf"])
+    def test_cell_timeout_knob_rejects_non_positive_seconds(self, value, monkeypatch):
+        monkeypatch.setenv("REPRO_EXP_CELL_TIMEOUT", value)
+        message = f"REPRO_EXP_CELL_TIMEOUT must be a number > 0, got '{value}'"
+        with pytest.raises(SystemExit, match=message):
+            Runner(workers=1, cache=False)
+
+    def test_knobs_parse_valid_values(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXP_WORKERS", " 3 ")
+        monkeypatch.setenv("REPRO_EXP_CELL_TIMEOUT", "2.5")
+        runner = Runner(cache=False)
+        assert (runner.workers, runner.cell_timeout) == (3, 2.5)
+        monkeypatch.delenv("REPRO_EXP_WORKERS")
+        monkeypatch.delenv("REPRO_EXP_CELL_TIMEOUT")
+        runner = Runner(cache=False)
+        assert (runner.workers, runner.cell_timeout) == (1, None)

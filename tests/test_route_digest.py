@@ -1,7 +1,7 @@
 """Golden digests of stored routes: enumeration changes must be bit-identical.
 
 Every ordered accelerator pair of a set of small topologies is routed
-through a :class:`RouteTable` (eager and sharded) and its stored paths,
+through a :class:`RouteTable` and its stored paths,
 their order, their split weights and the pair's ``num_minimal`` are hashed.
 The expected digests were recorded before the HxMesh router and the
 fat-tree segment code were restructured, so any change to a single stored
@@ -13,7 +13,8 @@ whole pair blocks.
 A second group checks that populating many pairs in one ``pair_arrays``
 call -- duplicates and already-routed pairs included -- assigns the same
 path ids and counts the same hits and misses as populating them one at a
-time.
+time, and that random interleavings of every lookup agree with looking
+each pair up alone.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.obs as obs
 from repro.core import HxMeshRouter, build_hammingmesh
@@ -175,13 +177,8 @@ def test_route_table_digest(name, policy, max_paths):
     topo = _topology(name)
     # the non-minimal policies enumerate several minimal routes per pair
     src, dst = _all_pairs(topo, NUM_SOURCES if policy in ("minimal", "ecmp") else 2)
-    eager = RouteTable(topo, max_paths=max_paths, policy=policy)
-    sharded = RouteTable(
-        topo, max_paths=max_paths, policy=policy, sharded=True, shard_sources=7
-    )
-    digest = _table_digest(eager, src, dst)
-    assert _table_digest(sharded, src, dst) == digest
-    assert digest == ROUTE_DIGESTS[(name, policy, max_paths)]
+    table = RouteTable(topo, max_paths=max_paths, policy=policy)
+    assert _table_digest(table, src, dst) == ROUTE_DIGESTS[(name, policy, max_paths)]
 
 
 _CLUSTER_CASES = [
@@ -195,11 +192,10 @@ _CLUSTER_CASES = [
 def test_cluster_route_digest(name, max_paths):
     """Sampled sources to every accelerator on cluster-sized HxMeshes.
 
-    The tables are sharded: the dense pair index of the 4,096-endpoint
-    mesh alone would take 428 MB.  That mesh samples half as many sources.
+    The 4,096-endpoint mesh samples half as many sources.
     """
     topo = _topology(name)
-    table = RouteTable(topo, max_paths=max_paths, sharded=True)
+    table = RouteTable(topo, max_paths=max_paths)
     num_sources = NUM_SOURCES // 2 if topo.num_accelerators > 1024 else NUM_SOURCES
     digest = _table_digest(table, *_all_pairs(topo, num_sources))
     assert digest == CLUSTER_DIGESTS[(name, max_paths)]
@@ -244,24 +240,26 @@ def _counter_values():
 
 
 @pytest.mark.parametrize("route_batch", [None, 7])
-@pytest.mark.parametrize("sharded", [False, True])
+@pytest.mark.parametrize("attached", [False, True])
 @pytest.mark.parametrize("name", ["hx2mesh-4x4", "fattree-3level"])
-def test_batched_population_matches_per_pair(name, sharded, route_batch, monkeypatch):
+def test_batched_population_matches_per_pair(name, attached, route_batch, monkeypatch):
     if route_batch is not None:  # appends split across many batches
         monkeypatch.setattr(routing, "_ROUTE_BATCH", route_batch)
         monkeypatch.setattr(routing, "_ARRAY_BATCH", route_batch)
     topo = _topology(name)
     src, dst = _batch(topo, seed=5)
     pre_src, pre_dst = _batch(topo, seed=6)
-    kwargs = {"sharded": True, "shard_sources": 5} if sharded else {}
-    batched = RouteTable(topo, max_paths=4, **kwargs)
-    single = RouteTable(topo, max_paths=4, **kwargs)
+    batched = RouteTable(topo, max_paths=4)
+    single = RouteTable(topo, max_paths=4)
     # some pairs of the batch are routed before it, by an earlier call
     batched.pair_arrays(pre_src[:60], pre_dst[:60])
     batched.pair_arrays(src[100:120], dst[100:120])
     for s, d in zip(np.concatenate([pre_src[:60], src[100:120]]),
                     np.concatenate([pre_dst[:60], dst[100:120]])):
         single.pair_arrays(np.array([s]), np.array([d]))
+    if attached:  # go on from read-only views of shared copies
+        owners = batched, single
+        batched, single = (RouteTable.attach(t.share()) for t in owners)
 
     before = _counter_values()
     first, npaths = batched.pair_arrays(src, dst)
@@ -371,18 +369,113 @@ class _NoPathFor:
 
 @pytest.mark.parametrize("raises", [False, True])
 @pytest.mark.parametrize("array_routes", [True, False])
-@pytest.mark.parametrize("sharded", [False, True])
-def test_pair_without_path_raises_after_earlier_pairs_are_stored(raises, array_routes, sharded):
+@pytest.mark.parametrize("prerouted", [False, True])
+def test_pair_without_path_raises_after_earlier_pairs_are_stored(raises, array_routes, prerouted):
     topo = _topology("hx2mesh-4x4")
     accs = topo.accelerators
     src, dst = np.array(accs[0:4]), np.array(accs[9:13])
     provider = _NoPathFor(topo, (accs[2], accs[11]), array_routes, raises)
-    kwargs = {"sharded": True, "shard_sources": 5} if sharded else {}
-    table = RouteTable(topo, max_paths=4, provider=provider, **kwargs)
+    table = RouteTable(topo, max_paths=4, provider=provider)
+    if prerouted:  # the call then hits its first pair and routes the second
+        table.pair_slice(accs[0], accs[9])
     message = "unroutable pair" if raises else f"no path between nodes {accs[2]} and {accs[11]}"
     with pytest.raises(TopologyError, match=message):
         table.pair_arrays(src, dst)
     assert table.num_pairs_routed == 2
     assert table.stats.misses == 2
+    assert table.stats.hits == int(prerouted)
     reference = RouteTable(topo, max_paths=4)
     assert _table_digest(table, src[:2], dst[:2]) == _table_digest(reference, src[:2], dst[:2])
+
+
+def test_attached_table_routes_misses_into_private_arrays():
+    """Misses on an attached table, one with no links included, go to
+    private copies: the shared segment keeps its snapshot."""
+    topo = _topology("hx2mesh-4x4")
+    src, dst = _batch(topo, seed=5)
+    owner = RouteTable(topo, max_paths=4)
+    owner.pair_arrays(src[:20], dst[:20])
+    handle = owner.share()
+    table = RouteTable.attach(handle)
+    accs = topo.accelerators
+    got = [table.pair_slice(accs[3], accs[3]), *zip(*table.pair_arrays(src, dst))]
+    want = [owner.pair_slice(accs[3], accs[3]), *zip(*owner.pair_arrays(src, dst))]
+    assert got == want
+    assert _table_digest(table, src, dst) == _table_digest(owner, src, dst)
+    snapshot = RouteTable.attach(handle)
+    assert snapshot.num_pairs_routed == len(set(zip(src[:20].tolist(), dst[:20].tolist())))
+
+
+# ------------------------------------------------------- interleaved lookups
+_LOOKUPS = ("pair_arrays", "pair_minimal_counts", "pair_slice", "paths", "pair_path_lists")
+
+
+def _lookup(table, op, pairs, max_paths):
+    """One lookup call over ``pairs``: the whole batch, or one pair per call."""
+    src, dst = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+    if op == "pair_arrays":
+        first, count = table.pair_arrays(src, dst)
+        return list(zip(first.tolist(), count.tolist()))
+    if op == "pair_minimal_counts":
+        return table.pair_minimal_counts(src, dst).tolist()
+    extra = () if op == "pair_slice" else (max_paths,)
+    return [getattr(table, op)(*pair, *extra) for pair in pairs]
+
+
+def _alone(table, op, pairs, max_paths):
+    """The same lookups made for one pair at a time, stopping at an error;
+    ``paths`` stands in for the memoized ``pair_path_lists``."""
+    op = "paths" if op == "pair_path_lists" else op
+    out = []
+    for pair in pairs:
+        out += _lookup(table, op, [pair], max_paths)
+    return out
+
+
+def _outcome(call):
+    try:
+        return call()
+    except TopologyError as err:
+        return str(err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(_LOOKUPS),
+            st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=7),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    max_paths=st.sampled_from([None, 2]),
+)
+def test_interleaved_lookups_match_one_pair_lookups(calls, max_paths):
+    """Any sequence of lookups -- duplicates, ``src == dst`` and a pair
+    without a path included -- stores the same paths under the same ids,
+    and counts the same hits, misses and routed pairs, as looking every
+    pair up alone."""
+    topo = _topology("hx2mesh-4x4")
+    accs = topo.accelerators
+    nodes = [accs[0], accs[2], accs[5], accs[11], topo.switches[0]]
+    provider = _NoPathFor(topo, (accs[2], accs[11]), array_routes=True, raises=False)
+    table = RouteTable(topo, max_paths=4, provider=provider)
+    alone = RouteTable(topo, max_paths=4, provider=provider)
+    for op, picks in calls:
+        pairs = [(nodes[a], nodes[b]) for a, b in picks]
+        got = _outcome(lambda: _lookup(table, op, pairs, max_paths))
+        assert got == _outcome(lambda: _alone(alone, op, pairs, max_paths)), op
+        assert (table.stats.hits, table.stats.misses) == (alone.stats.hits, alone.stats.misses)
+        assert table.num_pairs_routed == alone.num_pairs_routed
+    routed = np.arange(table._num_paths)
+    assert table._num_paths == alone._num_paths
+    for got, want in zip(table.gather_links(routed), alone.gather_links(routed)):
+        assert np.array_equal(got, want)
+    fresh = RouteTable(topo, max_paths=4)
+    for key, first, count in zip(*(a.tolist() for a in (table._keys, table._first, table._npaths))):
+        src, dst = divmod(key, topo.num_nodes)
+        stored = [table._links[table._offsets[p] : table._offsets[p + 1]].tolist()
+                  for p in range(first, first + count)]
+        if src != dst:
+            assert stored == fresh.paths(src, dst)

@@ -1,18 +1,16 @@
-"""Scale-out path tests: sharded route tables, batched max-min, wave kernels.
+"""Scale-out path tests: the route index, batched max-min, wave kernels.
 
-The three legs of the scale-out contract (ISSUE 7):
+The three legs of the scale-out contract:
 
-* sharded/budgeted route tables are **bit-identical** to the eager build on
-  every topology family, spill to disk under pressure, and clean up fully;
+* route tables store O(routed pairs) bytes, answer batched lookups
+  **bit-identically** to one-pair lookups on every topology family, and
+  fail with one line when they would outgrow their ``mem_budget``;
 * :meth:`FlowSimulator.maxmin_rates_batch` returns bit-identical results to
   per-scenario solves, both called directly and through the experiment
   engine's batch grouping;
 * the packet wave kernel registry resolves numpy/python (and numba only
   when importable), with exact cross-kernel parity.
 """
-
-import glob
-import os
 
 import numpy as np
 import pytest
@@ -24,6 +22,7 @@ from repro.exp.cells import maxmin_permutation_cell
 from repro.exp.recording import MemoryProbe
 from repro.sim import (
     FlowSimulator,
+    RouteBudgetError,
     RouteTable,
     available_wave_kernels,
     clear_route_tables,
@@ -46,85 +45,81 @@ def _has_numba() -> bool:
 
 
 # --------------------------------------------------------------------------
-# Sharded route tables
+# Route index: O(routed pairs) storage under a hard byte budget
 # --------------------------------------------------------------------------
-class TestShardedRouteTables:
+class TestRouteIndex:
     def test_paths_bit_identical_all_families(self, all_small_topologies):
+        """One batched lookup stores the paths that one-pair lookups do."""
         for name, topo in all_small_topologies.items():
-            eager = RouteTable(topo, max_paths=4)
-            sharded = RouteTable(topo, max_paths=4, sharded=True, shard_sources=8)
-            assert not eager.is_sharded
-            assert sharded.is_sharded
             accels = list(topo.accelerators)[:6]
-            for src in accels:
-                for dst in accels:
-                    if src == dst:
-                        continue
-                    assert eager.paths(src, dst) == sharded.paths(src, dst), (
-                        f"{name}: paths differ for pair ({src}, {dst})"
-                    )
+            pairs = [(s, d) for s in accels for d in accels if s != d]
+            batched = RouteTable(topo, max_paths=4)
+            src, dst = (np.array(side) for side in zip(*pairs))
+            batched.pair_arrays(src, dst)
+            single = RouteTable(topo, max_paths=4)
+            for src, dst in pairs:
+                assert batched.paths(src, dst) == single.paths(src, dst), (
+                    f"{name}: paths differ for pair ({src}, {dst})"
+                )
+            assert batched.stats.misses == single.stats.misses == len(pairs)
 
     def test_flow_rates_bit_identical_all_families(self, all_small_topologies):
+        """Rates do not depend on which pairs a table routed first."""
         for name, topo in all_small_topologies.items():
-            sim_eager = FlowSimulator(topo, max_paths=4, table=RouteTable(topo, max_paths=4))
-            sim_sharded = FlowSimulator(
-                topo,
-                max_paths=4,
-                table=RouteTable(topo, max_paths=4, sharded=True, shard_sources=8),
-            )
             flows = random_permutation(topo.num_accelerators, seed=3)
-            a = sim_eager.maxmin_rates(flows)
-            b = sim_sharded.maxmin_rates(flows)
+            warmed = RouteTable(topo, max_paths=4)
+            for flow in reversed(flows[::2]):  # other pairs, other id order
+                warmed.pair_slice(topo.accelerators[flow.dst], topo.accelerators[flow.src])
+            a = FlowSimulator(topo, table=RouteTable(topo, max_paths=4)).maxmin_rates(flows)
+            b = FlowSimulator(topo, table=warmed).maxmin_rates(flows)
             assert np.array_equal(a.flow_rates, b.flow_rates), name
             assert np.array_equal(a.link_utilization, b.link_utilization), name
             assert a.bottleneck_link == b.bottleneck_link, name
 
-    def test_budget_selects_sharded_and_bounds_residency(self, tmp_path):
-        topo = build_hammingmesh(2, 2, 4, 4)
-        budget = 16 << 10
-        table = RouteTable(
-            topo, max_paths=4, mem_budget=budget, shard_sources=8, spill_dir=str(tmp_path)
-        )
-        assert table.is_sharded  # dense index would not fit the budget
+    def test_storage_is_linear_in_routed_pairs(self):
+        """No per-node-pair term: an empty table holds a few bytes, and
+        each routed pair adds 32 bytes of index to the CSR arrays."""
+        topo = build_hammingmesh(2, 2, 16, 16)
+        table = RouteTable(topo, max_paths=4)
+        assert table.estimated_csr_bytes() < 64
         flows = random_permutation(topo.num_accelerators, seed=0)
         FlowSimulator(topo, table=table).maxmin_rates(flows)
-        assert table.estimated_csr_bytes() <= budget
-        assert table.shards_built > 0
+        csr = sum(a.nbytes for a in (table._offsets, table._links, table._weights))
+        assert table.num_pairs_routed == len(flows)
+        assert table.estimated_csr_bytes() == csr + 32 * len(flows)
+        assert table.estimated_csr_bytes() < 0.05 * 24 * topo.num_nodes**2
 
-    def test_spill_files_dropped_on_clear(self, tmp_path):
-        before_spill = obs.gauge("routing.spill_bytes").value
-        topo = build_hammingmesh(2, 2, 4, 4)
-        # A budget this tight forces evictions, which spill shards to disk.
-        table = RouteTable(
-            topo, max_paths=4, mem_budget=4096, shard_sources=4, spill_dir=str(tmp_path)
-        )
+    def test_mem_budget_is_a_hard_cap(self, hx2mesh_4x4):
+        topo = hx2mesh_4x4
         flows = random_permutation(topo.num_accelerators, seed=0)
-        FlowSimulator(topo, table=table).maxmin_rates(flows)
-        spilled = glob.glob(os.path.join(str(tmp_path), "repro-routes-*", "*.npz"))
-        assert table.shards_evicted > 0
-        assert spilled, "evictions under a tight budget must spill shards"
-        assert obs.gauge("routing.spill_bytes").value > before_spill
-        table.clear_route_caches()
-        assert table.estimated_csr_bytes() == 0
-        assert not glob.glob(os.path.join(str(tmp_path), "repro-routes-*", "*.npz"))
-        assert obs.gauge("routing.spill_bytes").value == before_spill
-        # Routes re-enumerate deterministically after the wipe.
-        assert table.paths(0, 5) == RouteTable(topo, max_paths=4).paths(0, 5)
+        table = RouteTable(topo, max_paths=4, mem_budget="4K")
+        with pytest.raises(RouteBudgetError) as err:
+            FlowSimulator(topo, table=table).maxmin_rates(flows)
+        message = str(err.value)
+        assert "\n" not in message
+        assert repr(table) in message and "mem_budget of 4096 bytes" in message
+        needed = int(message.split(" needs ")[1].split()[0])
+        assert needed > 4096
+        assert table.estimated_csr_bytes() <= 4096
+        assert table.num_pairs_routed == table.stats.misses == 0
+        # a budget the routes fit in changes nothing
+        fits = RouteTable(topo, max_paths=4, mem_budget="1M")
+        a = FlowSimulator(topo, table=fits).maxmin_rates(flows)
+        b = FlowSimulator(topo, table=RouteTable(topo, max_paths=4)).maxmin_rates(flows)
+        assert np.array_equal(a.flow_rates, b.flow_rates)
+        assert fits.estimated_csr_bytes() <= 1 << 20
 
-    def test_clear_route_tables_resets_live_tables(self, tmp_path):
+    def test_clear_route_tables_resets_live_tables(self):
         clear_route_tables()
         topo = build_hammingmesh(2, 2, 4, 4)
-        os.environ["REPRO_ROUTE_SPILL_DIR"] = str(tmp_path)
-        try:
-            sim = FlowSimulator(topo, max_paths=4, mem_budget=4096)
-            sim.maxmin_rates(random_permutation(topo.num_accelerators, seed=1))
-            tables = [t for t in live_route_tables() if t.is_sharded]
-            assert tables and any(t.estimated_csr_bytes() > 0 for t in tables)
-            clear_route_tables()
-            assert all(t.estimated_csr_bytes() == 0 for t in tables)
-            assert not glob.glob(os.path.join(str(tmp_path), "repro-routes-*", "*.npz"))
-        finally:
-            del os.environ["REPRO_ROUTE_SPILL_DIR"]
+        sim = FlowSimulator(topo, max_paths=4, mem_budget="1M")
+        sim.maxmin_rates(random_permutation(topo.num_accelerators, seed=1))
+        table = sim.table
+        table.pair_path_lists(topo.accelerators[0], topo.accelerators[5])
+        assert live_route_tables() == [table] and table._pylists
+        clear_route_tables()
+        assert live_route_tables() == [] and not table._pylists
+        assert route_table_for(topo, max_paths=4, mem_budget="1M") is not table
 
     def test_parse_mem_budget(self):
         assert parse_mem_budget(None) is None

@@ -60,6 +60,7 @@ def _child_attach_and_query(handle, pairs, flows):
     out["zero_private_bytes"] = (
         table.estimated_csr_bytes() == table._csr_baseline
     )
+    out["mem_budget"] = table.mem_budget
     return out
 
 
@@ -118,11 +119,12 @@ class TestCrossProcessBitIdentity:
             assert got["zero_private_bytes"], name
         clear_route_tables()
 
-    def test_sharded_table_matches_across_processes(self, hx2mesh_4x4, spawn_pool):
-        """The budget-sharded storage shares and attaches bit-identically."""
+    def test_budgeted_table_matches_across_processes(self, hx2mesh_4x4, spawn_pool):
+        """A table under a byte budget shares and attaches bit-identically,
+        and the attached copy keeps the budget."""
         clear_route_tables()
         table = route_table_for(hx2mesh_4x4, max_paths=4, mem_budget="64K")
-        assert table.is_sharded
+        assert table.mem_budget == 64 << 10
         pairs = _probe_pairs(hx2mesh_4x4)
         flows = random_permutation(hx2mesh_4x4.num_accelerators, seed=5)
         expected = _query_table(table, pairs, flows)
@@ -132,6 +134,7 @@ class TestCrossProcessBitIdentity:
         assert got["slices"] == expected["slices"]
         assert np.array_equal(got["links"], expected["links"])
         assert np.array_equal(got["flow_rates"], expected["flow_rates"])
+        assert got["mem_budget"] == table.mem_budget
         clear_route_tables()
 
     def test_seeded_factory_attaches_in_child(self, fat_tree_64, spawn_pool):
