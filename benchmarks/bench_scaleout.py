@@ -14,12 +14,10 @@ The large-N contract of the simulator substrate, asserted and recorded in
 * **Batched solver**: stacking a fig12-style permutation sweep into one
   :meth:`~repro.sim.flowsim.FlowSimulator.maxmin_rates_batch` call is at
   least 2x faster than per-scenario solves, with bit-identical rates.
-* **Zero-copy parallel**: the 4,096-endpoint sweep re-runs on a 2-worker
-  persistent pool seeded with the parent's shared-memory route table.
-  Workers attach instead of rebuilding: per-worker private route-table
-  bytes stay below 25% of the shared footprint (an unseeded pool's workers
-  rebuild their share of it), and the parallel payload is bit-identical to
-  the serial one.
+* **Parallel**: the 4,096-endpoint sweep re-runs on a 2-worker pool.
+  Its single-topology chunk splits across both workers, each routing its
+  own slice's pairs, and the parallel payload is bit-identical to the
+  serial one.
 * **Headline scale**: the 16,384-accelerator ``Hx2Mesh(2,2,64,64)`` sweep
   (whose dense pair index alone would need ~7.7 GB) runs under a 4 GB
   route-table budget.  It costs tens of seconds, so it only re-runs when
@@ -38,7 +36,6 @@ import os
 
 import pytest
 
-import repro.obs as obs
 from repro.exp import Runner, Scenario, run_sweep
 from repro.exp.cells import flowsim_batch_cell
 from repro.exp.scenario import kernel_ref
@@ -59,11 +56,8 @@ FULL_BUDGET = "4G"
 #: Resident route-table bytes must stay under this fraction of the dense
 #: pair index's projection: the table's storage is O(routed pairs).
 RESIDENT_FRACTION = 0.05
-#: Zero-copy parallel contract: workers in a seeded warm pool must keep
-#: their private route-table bytes below this fraction of the shared
-#: footprint (an unseeded worker rebuilds its share of the table).
+#: Worker count of the parallel pass.
 PARALLEL_WORKERS = 2
-PARALLEL_TABLE_FRACTION = 0.25
 
 
 def _eager_pair_index_bytes(a: int, b: int, x: int, y: int) -> int:
@@ -110,51 +104,27 @@ def _run_cell(kernel, **params):
     return report.values()[0]
 
 
-def _worker_memory(report) -> dict:
-    """Worst per-cell worker memory of a run (live cells only)."""
-    table_bytes = [(c.memory or {}).get("route_table_bytes") for c in report.cells]
-    anon = [(c.memory or {}).get("anon_growth_bytes") for c in report.cells]
-    table_bytes = [b for b in table_bytes if b is not None]
-    anon = [a for a in anon if a is not None]
-    return {
-        "route_table_bytes": max(table_bytes, default=None),
-        "anon_growth_bytes": max(anon, default=None),
-    }
-
-
 def _parallel_sweep(topo: dict, budget: str, num_permutations: int, workers: int) -> dict:
-    """Cold serial build -> seeded warm pool -> unseeded rebuild; evidence.
+    """The budgeted sweep serially, then on a ``workers`` pool; evidence.
 
-    The cold pass builds the route table in-process; the warm pass
-    re-runs the same grid on a persistent pool whose initializer seeds
-    every worker with the table's shared-memory handle (workers attach
-    zero-copy); the rebuild pass runs once more on an unseeded pool as the
-    per-worker-memory "before".  All three payloads must agree
-    bit-for-bit.
+    Both passes start from empty route tables, so every worker routes the
+    pairs of its own slices, as a CLI run does.
     """
     params = dict(mem_budget=budget, num_permutations=num_permutations, **topo)
     clear_route_tables()
-    cold = run_sweep(
+    serial = run_sweep(
         "scaleout_permutation", runner=Runner(workers=1, cache=False), **params
     )
-    footprint = max((t.estimated_csr_bytes() for t in live_route_tables()), default=0)
+    clear_route_tables()
     with Runner(workers=workers, cache=False) as runner:
-        warm = run_sweep("scaleout_permutation", runner=runner, **params)
-        shared_bytes = obs.snapshot()["gauges"].get("routing.shm_bytes", 0)
-    clear_route_tables()  # unseeded "before": each worker rebuilds its share
-    with Runner(workers=workers, cache=False) as runner:
-        rebuild = run_sweep("scaleout_permutation", runner=runner, **params)
+        parallel = run_sweep("scaleout_permutation", runner=runner, **params)
     evidence = {
         "workers": workers,
         "num_permutations": num_permutations,
-        "table_footprint_bytes": int(footprint),
-        "shared_segment_bytes": int(shared_bytes),
-        "warm_worker": _worker_memory(warm.report),
-        "rebuild_worker": _worker_memory(rebuild.report),
-        "cold_wall_seconds": cold.report.stats()["wall_seconds"],
-        "warm_wall_seconds": warm.report.stats()["wall_seconds"],
-        "warm_chunks": warm.report.chunks,
-        "bit_identical": cold.payload == warm.payload == rebuild.payload,
+        "serial_wall_seconds": serial.report.stats()["wall_seconds"],
+        "parallel_wall_seconds": parallel.report.stats()["wall_seconds"],
+        "chunks": parallel.report.chunks,
+        "bit_identical": serial.payload == parallel.payload,
     }
     clear_route_tables()
     return evidence
@@ -218,14 +188,11 @@ def test_scaleout_path(benchmark):
         f"batched {batch['after']['seconds'] * 1e3:.0f} ms "
         f"({batch['speedup']:.2f}x)"
     )
-    warm_tb = parallel["warm_worker"]["route_table_bytes"]
-    rebuild_tb = parallel["rebuild_worker"]["route_table_bytes"]
     print(
-        f"zero-copy parallel ({parallel['workers']} workers, "
-        f"{parallel['warm_chunks']} chunks): shared table "
-        f"{parallel['table_footprint_bytes'] / 1e6:.1f} MB, per-worker private "
-        f"{(warm_tb or 0) / 1e6:.2f} MB warm vs {(rebuild_tb or 0) / 1e6:.2f} MB "
-        f"rebuild, bit-identical={parallel['bit_identical']}"
+        f"parallel ({parallel['workers']} workers, {parallel['chunks']} chunks): "
+        f"{parallel['parallel_wall_seconds']:.2f}s vs serial "
+        f"{parallel['serial_wall_seconds']:.2f}s, "
+        f"bit-identical={parallel['bit_identical']}"
     )
 
     # -- memory-budget contract ------------------------------------------
@@ -245,24 +212,9 @@ def test_scaleout_path(benchmark):
         f"batched max-min is only {batch['speedup']:.2f}x the serial solver"
     )
 
-    # -- zero-copy parallel contract ---------------------------------------
-    assert parallel["bit_identical"], (
-        "parallel (warm + rebuild) payloads diverged from the serial run"
-    )
-    assert parallel["table_footprint_bytes"] > 0
-    assert parallel["warm_chunks"] >= 2, (
-        "single-topology sweep did not split across workers"
-    )
-    assert warm_tb is not None and rebuild_tb is not None
-    cap = PARALLEL_TABLE_FRACTION * parallel["table_footprint_bytes"]
-    assert warm_tb <= cap, (
-        f"seeded worker rebuilt {warm_tb / 1e6:.2f} MB of route table, above "
-        f"{PARALLEL_TABLE_FRACTION:.0%} of the {cap / PARALLEL_TABLE_FRACTION / 1e6:.1f} MB "
-        f"shared footprint"
-    )
-    assert warm_tb < rebuild_tb, (
-        "seeded workers should build strictly less route table than unseeded ones"
-    )
+    # -- parallel contract --------------------------------------------------
+    assert parallel["bit_identical"], "the parallel payload diverged from the serial run"
+    assert parallel["chunks"] >= 2, "single-topology sweep did not split across workers"
 
     # -- headline evidence ------------------------------------------------
     headline = data["headline"]

@@ -14,9 +14,9 @@ would need ~7.7 GB — by combining the two scale-out mechanisms of
   cell's batch companion and the permutations of a chunk are solved in one
   vectorized :meth:`~repro.sim.flowsim.FlowSimulator.maxmin_rates_batch`
   call.  A multi-worker runner splits oversized chunks into contiguous
-  slices (each slice batch-solves on its worker, seeded with the parent's
-  shared-memory route table), so one topology still fans out across the
-  pool.
+  slices (each slice batch-solves on its worker, which routes the
+  slice's pairs into its own table), so one topology still fans out
+  across the pool.
 
 Both mechanisms are bit-identical to the plain path, so this sweep's
 numbers agree exactly with an unbudgeted, per-cell run of the same grid.

@@ -23,6 +23,8 @@ import tracemalloc
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from .._knobs import number_knob
+
 __all__ = [
     "FLOAT_DIGITS",
     "MAX_SERIES",
@@ -36,27 +38,10 @@ __all__ = [
     "read_artifact",
 ]
 
-def _positive_knob(name: str, default: Any, kind: type = int) -> Any:
-    """A positive ``kind`` (``int`` or ``float``) from the environment
-    variable ``name``; a malformed, non-positive or NaN value stops the
-    program with one line naming the variable."""
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = kind(raw)
-    except ValueError:
-        value = 0
-    if not value > 0:  # NaN fails too
-        noun = "an integer >= 1" if kind is int else "a number > 0"
-        raise SystemExit(f"{name} must be {noun}, got {raw!r}")
-    return value
-
-
 #: significant digits kept for floats in committed artifacts
-FLOAT_DIGITS = _positive_knob("REPRO_BENCH_FLOAT_DIGITS", 6)
+FLOAT_DIGITS = number_knob("REPRO_BENCH_FLOAT_DIGITS", 6)
 #: longest numeric series kept verbatim; longer ones are decimated
-MAX_SERIES = _positive_knob("REPRO_BENCH_MAX_SERIES", 256)
+MAX_SERIES = number_knob("REPRO_BENCH_MAX_SERIES", 256)
 
 
 def to_jsonable(value: Any) -> Any:
@@ -145,9 +130,7 @@ def anon_rss_bytes() -> Optional[int]:
 
     Reads ``RssAnon`` from ``/proc/self/status``.  Unlike ``ru_maxrss``
     this is a current value, not a high-water mark, and it excludes
-    file-backed and shared-memory pages — attaching a shared route table
-    adds ~nothing here, which is exactly the per-worker overhead the
-    scale-out benchmarks assert on.
+    file-backed and shared-memory pages.
     """
     try:
         with open("/proc/self/status", encoding="ascii") as fh:
@@ -163,19 +146,9 @@ def host_metadata(*, workers: Optional[int] = None) -> Dict[str, Any]:
     """Host context for BENCH artifacts (pass as ``extra={"host": ...}``).
 
     Parallel numbers are meaningless without the machine they ran on:
-    records the CPU count, the worker count actually used, and the shared
-    route-table segments/bytes currently exported by this process (the
-    ``routing.shm_*`` gauges).
+    records the CPU count and the worker count actually used.
     """
-    from .. import obs
-
-    gauges = obs.snapshot().get("gauges", {})
-    return {
-        "cpu_count": os.cpu_count(),
-        "workers": workers,
-        "shm_segments": int(gauges.get("routing.shm_segments", 0) or 0),
-        "shm_bytes": int(gauges.get("routing.shm_bytes", 0) or 0),
-    }
+    return {"cpu_count": os.cpu_count(), "workers": workers}
 
 
 class MemoryProbe:
@@ -189,8 +162,7 @@ class MemoryProbe:
       reports the bigger peak.
     * ``anon_rss_bytes`` / ``anon_growth_bytes`` — current anonymous
       resident memory (Linux only, ``None`` elsewhere).  Excludes
-      shared-memory pages, so it isolates a worker's *private* footprint
-      from any attached route-table segments.
+      file-backed and shared-memory pages such as mapped libraries.
     * ``tracemalloc_peak_bytes`` — the peak of *Python* allocations inside
       the block, which resets per block and so isolates the block's own
       footprint.  Only measured when tracing is active: pass ``trace=True``

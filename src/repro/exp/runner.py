@@ -30,9 +30,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .. import obs
+from .._knobs import number_knob, switch_knob
+from ..sim.routing import RouteBudgetError
 from .cache import MISS, ResultCache, resolve_cache
 from .grid import scenarios_of
-from .recording import MemoryProbe, _positive_knob
+from .recording import MemoryProbe
 from .scenario import Scenario, canonical_json, resolve_kernel
 
 __all__ = ["CellResult", "RunReport", "Runner", "run_grid", "default_workers"]
@@ -43,12 +45,11 @@ _CELLS_BATCHED = obs.counter("exp.cells_batched")
 _WORKER_RETRIES = obs.counter("exp.worker_retries")
 _CELLS_QUARANTINED = obs.counter("exp.cells_quarantined")
 _CELL_TIMEOUTS = obs.counter("exp.cell_timeouts")
-_WORKERS_SEEDED = obs.counter("exp.workers_seeded")
 
 
 def default_workers() -> int:
     """Worker count when none is given: ``REPRO_EXP_WORKERS`` or 1 (serial)."""
-    return _positive_knob("REPRO_EXP_WORKERS", 1)
+    return number_knob("REPRO_EXP_WORKERS", 1)
 
 
 def _normalize(result: Any) -> Any:
@@ -56,38 +57,9 @@ def _normalize(result: Any) -> Any:
     return json.loads(canonical_json(result))
 
 
-def _seed_worker(handles: Sequence[Any]) -> None:
-    """Pool initializer: install the parent's shared route tables.
-
-    Workers never rebuild a table the parent already built — any
-    ``route_table_for`` matching a handle attaches the parent's
-    shared-memory segment (zero-copy, read-only) instead.  Module-level so
-    it pickles under every start method.
-    """
-    if handles:
-        from ..sim.routing import seed_shared_route_tables
-
-        seed_shared_route_tables(handles)
-
-
 def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
     """Finalizer: tear down a Runner's persistent pool when it is GC'd."""
     pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _route_table_bytes() -> Optional[int]:
-    """This process' private route-table bytes (None if unavailable).
-
-    Attached shared tables count only their above-baseline growth, so a
-    seeded worker reports ~0 here while a rebuilding worker reports the
-    table footprint — the per-worker memory axis of the scale-out bench.
-    """
-    try:
-        from ..sim.routing import private_route_table_bytes
-
-        return int(private_route_table_bytes())
-    except Exception:  # pragma: no cover - diagnostics must never fail a cell
-        return None
 
 
 def _run_cells(cells: Sequence[Tuple[int, str, Dict[str, Any]]], collect_obs: bool = False):
@@ -97,7 +69,7 @@ def _run_cells(cells: Sequence[Tuple[int, str, Dict[str, Any]]], collect_obs: bo
     ``((index, normalized result, elapsed seconds, memory) tuples, obs
     payload)``.  Each cell carries a :class:`~repro.exp.recording.MemoryProbe`
     snapshot (peak RSS always; tracemalloc peak when
-    ``REPRO_EXP_TRACE_MEMORY`` is set or tracing is already on).
+    ``REPRO_EXP_TRACE_MEMORY`` is on or tracing is already on).
 
     **Batching**: consecutive cells of a kernel that declares a batch
     companion (``@cell(batch=...)``) are handed to the companion in one
@@ -124,7 +96,7 @@ def _run_cells(cells: Sequence[Tuple[int, str, Dict[str, Any]]], collect_obs: bo
         marker = obs.capture()
     out = []
     worker = os.getpid()
-    trace_memory = os.environ.get("REPRO_EXP_TRACE_MEMORY", "") not in ("", "0")
+    trace_memory = switch_knob("REPRO_EXP_TRACE_MEMORY")
     n = len(cells)
     pos = 0
     while pos < n:
@@ -152,7 +124,6 @@ def _run_cells(cells: Sequence[Tuple[int, str, Dict[str, Any]]], collect_obs: bo
                 )
             share = elapsed / len(group)
             memory = probe.as_dict()
-            memory["route_table_bytes"] = _route_table_bytes()
             _CELLS_BATCHED.inc(len(group))
             for (cell_index, _, _), raw in zip(group, raws):
                 _CELLS_LIVE.inc()
@@ -166,9 +137,7 @@ def _run_cells(cells: Sequence[Tuple[int, str, Dict[str, Any]]], collect_obs: bo
                     raw = fn(**params)
                     elapsed = time.perf_counter() - start
             _CELLS_LIVE.inc()
-            memory = probe.as_dict()
-            memory["route_table_bytes"] = _route_table_bytes()
-            out.append((index, _normalize(raw), elapsed, memory))
+            out.append((index, _normalize(raw), elapsed, probe.as_dict()))
         pos = end
     payload = obs.export_delta(marker) if marker is not None else None
     return out, payload
@@ -283,14 +252,15 @@ class Runner:
     :func:`repro.exp.cache.resolve_cache` for the ``cache`` argument.
 
     The parallel path runs on a **persistent warm pool**: one
-    :class:`ProcessPoolExecutor` lives across :meth:`run` calls, and its
-    initializer seeds every worker with shared-memory handles for each
-    route table already built in the parent
-    (:meth:`repro.sim.routing.RouteTable.share`).  Workers attach those
-    segments zero-copy instead of rebuilding tables, so per-worker memory
-    stays ~flat in the number of workers.  Call :meth:`close` (or use the
-    runner as a context manager) to tear the pool down; an unclosed
-    runner's pool is shut down when the runner is garbage collected.
+    :class:`ProcessPoolExecutor` lives across :meth:`run` calls, so its
+    workers keep their imported modules and memoized route tables from
+    one chunk to the next.  Under the ``fork`` start method a worker also
+    inherits the tables the parent had built when the pool started,
+    copy-on-write; any other table it builds itself.  Oversized chunks are
+    split so one topology still fans out across every worker.  Call
+    :meth:`close` (or use the runner as a context manager) to tear the
+    pool down; an unclosed runner's pool is shut down when the runner is
+    garbage collected.
 
     The parallel path is hardened against misbehaving cells:
 
@@ -326,57 +296,27 @@ class Runner:
         self.workers = max(1, int(workers))
         self.cache: Optional[ResultCache] = resolve_cache(cache)
         if cell_timeout is None:
-            cell_timeout = _positive_knob("REPRO_EXP_CELL_TIMEOUT", None, float)
+            cell_timeout = number_knob("REPRO_EXP_CELL_TIMEOUT", None, float)
         self.cell_timeout = cell_timeout
         self.max_retries = max(0, int(max_retries))
         self.retry_backoff = max(0.0, float(retry_backoff))
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_finalizer: Optional[weakref.finalize] = None
-        self._seeded_bytes = 0
 
     # ------------------------------------------------------ persistent pool
-    def _share_handles(self) -> List[Any]:
-        """Export every built route table as a picklable shared handle.
-
-        ``share()`` is idempotent and memoizes the handle on the table, so
-        repeated pool (re)creation re-uses the same segments — replacing a
-        crashed pool re-seeds workers without copying any table bytes.
-        """
-        from ..sim.routing import live_route_tables
-
-        handles: List[Any] = []
-        for table in live_route_tables():
-            try:
-                if table.num_pairs_routed > 0:
-                    handles.append(table.share())
-            except Exception:
-                continue  # unshareable table: workers rebuild it as before
-        self._seeded_bytes = sum(h.nbytes for h in handles)
-        return handles
-
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        """Return the persistent worker pool, creating and seeding it lazily.
+        """Return the persistent worker pool, creating it lazily.
 
         The pool survives across :meth:`run` calls (warm workers keep their
-        attached route tables and imported modules).  It is replaced only
-        when a worker crashes or times out, and torn down by
-        :meth:`close` / garbage collection.
+        route tables and imported modules).  It is replaced only when a
+        worker crashes or times out, and torn down by :meth:`close` /
+        garbage collection.
         """
         if self._pool is None:
-            handles = self._share_handles()
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_seed_worker,
-                initargs=(handles,),
-            )
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
             self._pool_finalizer = weakref.finalize(
                 self, _shutdown_pool, self._pool
             )
-            if handles:
-                # Parent-side accounting: worker initializers run outside
-                # the per-chunk obs delta window, so their increments would
-                # otherwise be lost.
-                _WORKERS_SEEDED.inc(self.workers)
         return self._pool
 
     def _discard_pool(self, *, wait: bool = False, kill: bool = False) -> None:
@@ -504,7 +444,7 @@ class Runner:
 
         Uses the persistent warm pool: a clean pass leaves it running for
         the next pass (or the next :meth:`run`), while a crash or timeout
-        discards it so the caller resubmits on a freshly seeded one.
+        discards it so the caller resubmits on a fresh one.
         """
         timeout = self.cell_timeout
         pool = self._ensure_pool()
@@ -582,13 +522,18 @@ class Runner:
 
         Running one cell at a time pinpoints the poison cell — everything
         healthy in a chunk that shared a pool with a crasher still
-        completes, and only the cell that raises is quarantined.
+        completes, and only the cell that raises is quarantined.  A
+        :class:`RouteBudgetError` is raised instead: a ``mem_budget`` too
+        small for the sweep's parameters fails every retry alike, so the
+        run stops with it as a serial run does.
         """
         for chunk in chunks:
             for cell in chunk:
                 index = cell[0]
                 try:
                     triples, _ = _run_cells([cell])
+                except RouteBudgetError:
+                    raise
                 except Exception as exc:
                     self._quarantine_cell(
                         index, done, scenarios,
@@ -632,8 +577,8 @@ class Runner:
         Chunk order follows first appearance and cells keep scenario order
         within a chunk, so the serial fallback executes in declaration
         order.  Oversized chunks are then split so a single-topology grid
-        still fans out across all workers — with shared route tables,
-        chunks no longer need to be topology-homogeneous to be cheap.
+        still fans out across all workers; each worker routes only the
+        pairs of the slices it runs.
         """
         groups: Dict[str, List[Tuple[int, str, Dict[str, Any]]]] = {}
         order: List[str] = []

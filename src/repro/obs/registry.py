@@ -39,8 +39,9 @@ plain JSON structures with deterministically sorted keys.
 from __future__ import annotations
 
 import math
-import os
 from typing import Any, Dict, List, Optional, Tuple
+
+from .._knobs import switch_knob
 
 __all__ = [
     "Counter",
@@ -66,7 +67,7 @@ __all__ = [
 #: default sample capacity of a bounded time-series probe
 DEFAULT_PROBE_CAPACITY = 512
 
-_ENABLED = os.environ.get("REPRO_OBS", "").strip().lower() not in ("", "0", "false")
+_ENABLED = switch_knob("REPRO_OBS")
 
 
 def is_enabled() -> bool:
@@ -197,11 +198,8 @@ _DEFAULT_SCHEMA: Tuple[Tuple[str, str], ...] = (
     ("counter", "routing.pair_hits"),
     ("counter", "routing.pair_misses"),
     ("counter", "routing.tables_built"),
-    ("counter", "routing.tables_attached"),
     # bytes of live route tables' pair indexes and CSR arrays: O(routed pairs)
     ("gauge", "routing.csr_mem_bytes"),
-    ("gauge", "routing.shm_segments"),
-    ("gauge", "routing.shm_bytes"),
     ("counter", "flowsim.maxmin_solves"),
     ("histogram", "flowsim.batch_size"),
     ("histogram", "flowsim.active_links"),
@@ -242,7 +240,6 @@ _DEFAULT_SCHEMA: Tuple[Tuple[str, str], ...] = (
     ("counter", "exp.worker_retries"),
     ("counter", "exp.cells_quarantined"),
     ("counter", "exp.cell_timeouts"),
-    ("counter", "exp.workers_seeded"),
     ("counter", "cluster.jobs_completed"),
     ("counter", "cluster.evictions"),
     ("counter", "cluster.failures"),

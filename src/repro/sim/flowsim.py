@@ -15,13 +15,13 @@ injection capacity is 4.0 in every simulated configuration (Section III-D).
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .._knobs import number_knob
 from ..obs import registry as _obs
 from ..topology.base import Topology
 from .paths import DEFAULT_MAX_PATHS, PathProvider
@@ -76,18 +76,7 @@ _ASSIGNMENT_CACHE_SIZE = 64
 
 def _default_assignment_cache() -> int:
     """The assignment-LRU capacity from ``REPRO_ASSIGN_CACHE`` (or default)."""
-    raw = os.environ.get("REPRO_ASSIGN_CACHE")
-    if raw is None or not raw.strip():
-        return _ASSIGNMENT_CACHE_SIZE
-    try:
-        size = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_ASSIGN_CACHE must be an integer, got {raw!r}"
-        ) from None
-    if size < 0:
-        raise ValueError(f"REPRO_ASSIGN_CACHE must be >= 0, got {size}")
-    return size
+    return number_knob("REPRO_ASSIGN_CACHE", _ASSIGNMENT_CACHE_SIZE, zero=True)
 
 
 @dataclass

@@ -43,34 +43,16 @@ simulator's :class:`FlowAssignment` LRUs, the tables' materialized
 ``pair_path_lists`` and the packet simulator's per-pair scoring state), so
 a full reset can never serve stale routes out of a derived cache.
 
-**Zero-copy sharing across processes.**  A built table exports its index
-and CSR arrays into one ``multiprocessing.shared_memory`` segment with
-:meth:`RouteTable.share`, which returns a picklable
-:class:`SharedRouteHandle`; :meth:`RouteTable.attach` maps the same bytes
-in another process — read-only, zero-copy, bit-identical query results for
-every pair the snapshot contains (misses re-enumerate deterministically
-into process-private memory, never writing the segment).  The experiment
-runner seeds its worker pool with the parent's handles
-(:func:`seed_shared_route_tables`), and :func:`route_table_for` attaches a
-matching seed instead of rebuilding — the topology objects differ by
-identity across processes, so seeds are matched by structural signature
-``(name, nodes, links, accelerators, total capacity)`` plus
-``(policy, max_paths, budget)``.  Segment lifetime follows the owning
-table: a weakref finalizer closes and (owner-side only) unlinks the
-segment when the table is garbage collected — so :func:`clear_route_tables`
-releases segments with the tables it drops — and an ``atexit`` sweep
-catches tables still alive at interpreter exit.  Attached processes
-deregister the segment from their ``resource_tracker`` so a dying worker
-can never unlink a segment the parent still serves.
+Worker processes build their own tables: under the ``fork`` start method
+a pool worker inherits the parent's memoized tables copy-on-write, and
+under ``spawn`` it re-enumerates the routes it needs from the pickled
+topology, bit-identically (enumeration is deterministic).
 """
 
 from __future__ import annotations
 
-import atexit
-import os
 import weakref
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -82,14 +64,10 @@ from .policy import RouteBlock, RoutingPolicy, get_policy
 __all__ = [
     "RouteTable",
     "RouteTableStats",
-    "SharedRouteHandle",
     "route_table_for",
     "live_route_tables",
-    "private_route_table_bytes",
     "clear_route_tables",
     "register_route_cache_client",
-    "seed_shared_route_tables",
-    "clear_shared_route_seeds",
     "csr_range_indices",
     "parse_mem_budget",
     "RouteBudgetError",
@@ -172,14 +150,13 @@ def _reserve(arr: np.ndarray, needs: np.ndarray, floor: int, keep: int) -> np.nd
     ``needs`` is the non-decreasing size needed after each pair; a pair
     that overflows the array grows it to ``max(need, _GROW * max(size,
     floor))``.  Matching that sequence keeps capacities, and so memory and
-    budget accounting, independent of how pairs are batched.  A read-only
-    array (an attached table's shared view) is always copied.
+    budget accounting, independent of how pairs are batched.
     """
     size = len(arr)
     while needs[-1] > size:
         need = int(needs[np.searchsorted(needs, size, side="right")])
         size = max(need, _GROW * max(size, floor))
-    if size == len(arr) and arr.flags.writeable:
+    if size == len(arr):
         return arr
     out = np.zeros(size, dtype=arr.dtype)
     out[:keep] = arr[:keep]
@@ -241,124 +218,6 @@ def csr_range_indices(offsets: np.ndarray, ids: np.ndarray) -> Tuple[np.ndarray,
         + np.repeat(starts, lengths)
     )
     return indices, lengths
-
-
-# ------------------------------------------------------------- shared memory
-def _topo_signature(topo: Topology) -> Tuple:
-    """Structural identity of a topology for cross-process seed matching.
-
-    Topology objects never compare equal across processes (identity
-    semantics), so shared-table seeds are matched on the structure the
-    route enumeration actually depends on: the family/instance name, the
-    node/link/accelerator counts, and the total link capacity.
-    """
-    return (
-        topo.name,
-        int(topo.num_nodes),
-        int(topo.num_links),
-        int(topo.num_accelerators),
-        float(topo.link_capacity_array().sum()),
-    )
-
-
-#: the arrays a shared segment carries, by name; the table attribute is
-#: ``"_" + name``, and every array is int64 except per-path ``weights``
-_SHARED_ARRAYS = ("keys", "first", "npaths", "nmin", "offsets", "links", "weights")
-_ARRAY_DTYPES = {"weights": np.float64}
-
-
-@dataclass(frozen=True)
-class SharedRouteHandle:
-    """Picklable description of a route table exported to shared memory.
-
-    ``arrays`` carries ``(key, byte_offset, length)`` spans inside the
-    single shared segment ``name``; every array is int64 except per-path
-    ``weights`` (float64).  The handle embeds the (picklable) topology and
-    policy so :meth:`RouteTable.attach` is self-contained, and
-    :meth:`seed_key` is the structural memo key :func:`route_table_for`
-    uses to match a seed against a locally constructed topology.
-    """
-
-    name: str
-    nbytes: int
-    topo: Topology
-    signature: Tuple
-    policy: RoutingPolicy
-    max_paths: int
-    mem_budget: Optional[int]
-    owner_pid: int = -1
-    owner_tracker_pid: Optional[int] = None
-    arrays: Tuple[Tuple[str, int, int], ...] = ()
-
-    def seed_key(self) -> Tuple:
-        return (
-            self.signature,
-            get_policy(self.policy).cache_key(),
-            self.max_paths,
-            self.mem_budget,
-        )
-
-
-#: lease id -> lease dict for every shared segment this process holds open
-#: (owned or attached); the atexit sweep releases stragglers whose table is
-#: still alive at interpreter shutdown.
-_LIVE_SEGMENTS: Dict[int, Dict[str, object]] = {}
-
-
-def _release_segment(lease: Dict[str, object]) -> None:
-    """Finalizer: close a segment mapping; unlink it if this process owns it.
-
-    The owner-pid guard makes the finalizer safe under ``fork``: children
-    inherit the parent's finalizers and ``_LIVE_SEGMENTS`` entries and may
-    close their inherited mapping, but must never unlink the segment the
-    parent still serves.
-    """
-    if lease.get("released"):
-        return
-    lease["released"] = True
-    _LIVE_SEGMENTS.pop(lease["lease_id"], None)  # type: ignore[arg-type]
-    shm = lease["shm"]
-    try:
-        shm.close()  # type: ignore[union-attr]
-    except (OSError, BufferError):
-        pass
-    if lease.get("owner_pid") == os.getpid():
-        try:
-            shm.unlink()  # type: ignore[union-attr]
-        except (OSError, FileNotFoundError):
-            pass
-        _obs.gauge("routing.shm_segments").add(-1)
-        _obs.gauge("routing.shm_bytes").add(-int(lease["nbytes"]))  # type: ignore[call-overload]
-
-
-def _release_all_segments() -> None:
-    for lease in list(_LIVE_SEGMENTS.values()):
-        _release_segment(lease)
-
-
-atexit.register(_release_all_segments)
-
-
-def _tracker_pid() -> Optional[int]:
-    """Pid of this process's ``resource_tracker`` daemon (POSIX), if any."""
-    try:
-        from multiprocessing import resource_tracker
-
-        return resource_tracker._resource_tracker._pid  # type: ignore[attr-defined]
-    except Exception:
-        return None
-
-
-def _new_lease(shm, nbytes: int, *, owned: bool) -> Dict[str, object]:
-    lease: Dict[str, object] = {
-        "shm": shm,
-        "nbytes": int(nbytes),
-        "owner_pid": os.getpid() if owned else -1,
-        "released": False,
-    }
-    lease["lease_id"] = id(lease)
-    _LIVE_SEGMENTS[id(lease)] = lease
-    return lease
 
 
 class RouteTableStats:
@@ -424,27 +283,11 @@ class RouteTable:
     ):
         if max_paths < 1:
             raise ValueError("max_paths must be at least 1")
-        self._init_state(
-            topo, max_paths, provider, get_policy(policy), parse_mem_budget(mem_budget)
-        )
-        _obs.counter("routing.tables_built").inc()
-        self._report_csr_bytes()
-
-    def _init_state(
-        self,
-        topo: Topology,
-        max_paths: int,
-        provider: Optional[PathProvider],
-        policy: RoutingPolicy,
-        mem_budget: Optional[int],
-    ) -> None:
-        """Empty index and CSR arrays plus byte accounting (shared by
-        :meth:`__init__` and :meth:`attach`)."""
         self.topo = topo
         self.max_paths = max_paths
         self.provider = provider if provider is not None else path_provider_for(topo)
-        self.policy = policy
-        self.mem_budget = mem_budget
+        self.policy = get_policy(policy)
+        self.mem_budget = parse_mem_budget(mem_budget)
         self.stats = RouteTableStats()
         # Pair index over the routed pairs, sorted by key.
         self._keys = np.zeros(0, dtype=np.int64)
@@ -462,13 +305,11 @@ class RouteTable:
         # routing.csr_mem_bytes tracks the estimated bytes of *live* tables:
         # growth is reported as gauge deltas, and a finalizer releases the
         # table's last-reported contribution when it is garbage collected.
-        # Attached tables set a nonzero baseline so bytes the owning process
-        # already reported are not double counted.
-        self._csr_baseline = 0
-        self._builder_pid = os.getpid()
         self._reported_bytes = [0]
         weakref.finalize(self, _release_csr_bytes, self._reported_bytes)
         register_route_cache_client(self)
+        _obs.counter("routing.tables_built").inc()
+        self._report_csr_bytes()
 
     def estimated_csr_bytes(self) -> int:
         """Bytes held by the table's pair index and CSR arrays.
@@ -476,10 +317,14 @@ class RouteTable:
         O(routed pairs): 32 bytes of index per routed pair plus the CSR
         arrays' capacity.  This is the quantity ``mem_budget`` caps.
         """
-        return int(sum(getattr(self, "_" + name).nbytes for name in _SHARED_ARRAYS))
+        arrays = (
+            self._keys, self._first, self._npaths, self._nmin,
+            self._offsets, self._links, self._weights,
+        )
+        return int(sum(arr.nbytes for arr in arrays))
 
     def _report_csr_bytes(self) -> None:
-        now = self.estimated_csr_bytes() - self._csr_baseline
+        now = self.estimated_csr_bytes()
         delta = now - self._reported_bytes[0]
         if delta:
             self._reported_bytes[0] = now
@@ -557,8 +402,7 @@ class RouteTable:
 
         The index takes every routed pair in one merge at the end, also
         when a block raises, so the pairs before a failing pair stay
-        stored and indexed.  The merge builds new index arrays, so an
-        attached table's shared index is copied, never written.
+        stored and indexed.
         """
         pending: List[Tuple[np.ndarray, ...]] = []
         try:
@@ -715,119 +559,6 @@ class RouteTable:
         pos = self._positions(keys, count_hits=False)  # may replace self._nmin
         return self._nmin[pos]
 
-    # ---------------------------------------------------------- shared memory
-    def share(self) -> SharedRouteHandle:
-        """Export the table's current contents into a shared-memory segment.
-
-        Returns a picklable :class:`SharedRouteHandle`; repeated calls
-        return the same handle (one segment per table — the snapshot covers
-        the pairs routed so far, and attached processes re-enumerate later
-        pairs into private memory).  The segment is unlinked when this
-        table is garbage collected or the process exits.
-        """
-        handle = getattr(self, "_shared_handle", None)
-        if handle is not None:
-            return handle
-        from multiprocessing import shared_memory
-
-        n = self._num_paths
-        arrays = [  # the index arrays are exact; the CSR arrays are trimmed
-            ("keys", self._keys),
-            ("first", self._first),
-            ("npaths", self._npaths),
-            ("nmin", self._nmin),
-            ("offsets", self._offsets[: n + 1]),
-            ("links", self._links[: self._offsets[n]]),
-            ("weights", self._weights[:n]),
-        ]
-        specs = []
-        offset = 0
-        for name, arr in arrays:
-            specs.append((name, offset, len(arr)))
-            offset += arr.nbytes
-        total = max(offset, 8)  # zero-size segments are not allowed
-        seg = shared_memory.SharedMemory(create=True, size=total)
-        for (_, off, length), (_, arr) in zip(specs, arrays):
-            np.ndarray((length,), dtype=arr.dtype, buffer=seg.buf, offset=off)[:] = arr
-        handle = SharedRouteHandle(
-            name=seg.name,
-            nbytes=total,
-            topo=self.topo,
-            signature=_topo_signature(self.topo),
-            policy=self.policy,
-            max_paths=self.max_paths,
-            mem_budget=self.mem_budget,
-            owner_pid=os.getpid(),
-            owner_tracker_pid=_tracker_pid(),
-            arrays=tuple(specs),
-        )
-        lease = _new_lease(seg, total, owned=True)
-        weakref.finalize(self, _release_segment, lease)
-        _obs.gauge("routing.shm_segments").add(1)
-        _obs.gauge("routing.shm_bytes").add(total)
-        self._shared_handle = handle
-        self._shm_lease = lease
-        return handle
-
-    @classmethod
-    def attach(
-        cls, handle: SharedRouteHandle, topo: Optional[Topology] = None
-    ) -> "RouteTable":
-        """Map a shared table exported by :meth:`share` into this process.
-
-        Array payloads are zero-copy, read-only views into the shared
-        segment; queries over snapshot pairs are bit-identical to the
-        owning table's.  Misses re-enumerate deterministically into
-        process-private memory (the shared bytes are never written).
-        ``topo`` defaults to the handle's embedded topology; passing a
-        locally built topology with a different structural signature
-        raises ``ValueError``.
-        """
-        from multiprocessing import shared_memory
-
-        if topo is None:
-            topo = handle.topo
-        elif _topo_signature(topo) != handle.signature:
-            raise ValueError(
-                "topology does not match the shared route table "
-                f"(local {_topo_signature(topo)!r} != shared {handle.signature!r})"
-            )
-        seg = shared_memory.SharedMemory(name=handle.name)
-        # CPython registers *every* SharedMemory open with this process's
-        # resource tracker, which would unlink the owner's live segment when
-        # this (attaching) process exits.  Lifetime belongs to the owning
-        # table's finalizer, so deregister the attachment — unless this
-        # process *shares* the owner's tracker daemon (in-process attach,
-        # or a fork child that inherited the tracker pipe): there the
-        # registration is the owner's single entry, the shared tracker
-        # outlives this process, and deregistering here would orphan the
-        # owner's eventual ``unlink`` bookkeeping instead.
-        if _tracker_pid() != handle.owner_tracker_pid or handle.owner_tracker_pid is None:
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(seg._name, "shared_memory")  # type: ignore[attr-defined]
-            except Exception:
-                pass
-
-        table = object.__new__(cls)
-        table._init_state(
-            topo, handle.max_paths, None, get_policy(handle.policy), handle.mem_budget
-        )
-        for name, off, length in handle.arrays:
-            arr = np.ndarray(
-                (length,), dtype=_ARRAY_DTYPES.get(name, np.int64), buffer=seg.buf, offset=off
-            )
-            arr.flags.writeable = False
-            setattr(table, "_" + name, arr)
-        table._num_paths = len(table._weights)
-        table._attach_lease = _new_lease(seg, handle.nbytes, owned=False)
-        weakref.finalize(table, _release_segment, table._attach_lease)
-        table._shared_handle = handle
-        table._csr_baseline = table.estimated_csr_bytes()
-        _obs.counter("routing.tables_attached").inc()
-        return table
-
 
 # ------------------------------------------------------------------ memoization
 # topology -> {(policy key, max_paths): RouteTable}; weak keys so tables die
@@ -844,48 +575,6 @@ def register_route_cache_client(client) -> None:
     """Register an object whose ``clear_route_caches()`` must run when
     :func:`clear_route_tables` resets the routing state."""
     _CACHE_CLIENTS.add(client)
-
-
-# seed key (signature, policy key, max_paths, budget) -> SharedRouteHandle;
-# consulted by route_table_for on memo miss so worker processes attach the
-# parent's shared tables instead of rebuilding them.
-_SHARED_SEEDS: Dict[Tuple, SharedRouteHandle] = {}
-
-
-def seed_shared_route_tables(handles: Sequence[SharedRouteHandle]) -> None:
-    """Install shared-table seeds for :func:`route_table_for` to attach.
-
-    Called in pool workers (via the initializer) with the handles the
-    parent exported: any subsequent ``route_table_for`` whose
-    ``(topology signature, policy, max_paths, budget)`` matches a seed
-    attaches the shared segment instead of building a table.  Later seeds
-    with the same key replace earlier ones.
-    """
-    for handle in handles:
-        _SHARED_SEEDS[handle.seed_key()] = handle
-
-
-def clear_shared_route_seeds() -> None:
-    """Drop every installed shared-table seed (attached tables survive)."""
-    _SHARED_SEEDS.clear()
-
-
-def _attach_seed(
-    topo: Topology, policy: RoutingPolicy, max_paths: int, budget: Optional[int]
-) -> Optional[RouteTable]:
-    """Attach a matching seed, or ``None`` (stale seeds fail soft)."""
-    if not _SHARED_SEEDS:
-        return None
-    key = (_topo_signature(topo), policy.cache_key(), max_paths, budget)
-    handle = _SHARED_SEEDS.get(key)
-    if handle is None:
-        return None
-    try:
-        return RouteTable.attach(handle, topo=topo)
-    except (FileNotFoundError, ValueError, OSError):
-        # the owner died or dropped the table; fall back to a local build
-        _SHARED_SEEDS.pop(key, None)
-        return None
 
 
 def route_table_for(
@@ -915,9 +604,7 @@ def route_table_for(
     key = (resolved.cache_key(), max_paths, budget)
     table = per_topo.get(key)
     if table is None:
-        table = _attach_seed(topo, resolved, max_paths, budget)
-        if table is None:
-            table = RouteTable(topo, max_paths=max_paths, policy=resolved, mem_budget=budget)
+        table = RouteTable(topo, max_paths=max_paths, policy=resolved, mem_budget=budget)
         per_topo[key] = table
     return table
 
@@ -932,28 +619,6 @@ def live_route_tables() -> List[RouteTable]:
     :func:`clear_route_tables`).
     """
     return [table for per_topo in _TABLES.values() for table in per_topo.values()]
-
-
-def private_route_table_bytes() -> int:
-    """Route-table CSR bytes *private to this process*.
-
-    A table this process built counts in full; a table attached to another
-    process' shared segment counts only what it added beyond the zero-copy
-    views (privately routed misses).  Tables inherited through ``fork``
-    (built by the parent, still memoized in the child's copied module
-    state) are excluded — they are the parent's bytes, shared
-    copy-on-write.  This is the per-worker memory metric the scale-out
-    benchmarks assert on: a warm-pool worker solving against attached
-    tables reports ~0 where a rebuilding worker reports the table
-    footprint.
-    """
-    pid = os.getpid()
-    total = 0
-    for table in live_route_tables():
-        if getattr(table, "_builder_pid", None) != pid:
-            continue
-        total += max(0, table.estimated_csr_bytes() - table._csr_baseline)
-    return total
 
 
 def clear_route_tables() -> None:

@@ -331,15 +331,13 @@ class TestWarmPoolAndChunkSplitting:
             assert runner._pool is pool  # same executor, no respawn
         assert runner._pool is None  # close() tore it down
 
-    def test_workers_attach_seeded_route_tables(self, hx2mesh_4x4):
-        """A warm pool's initializer seeds workers with the parent's shared
-        tables: workers attach instead of rebuilding."""
-        from repro import obs
+    def test_pool_started_after_parent_routed_matches_serial(self, hx2mesh_4x4):
+        """A pool started once the parent has routed (its workers inherit
+        the parent's tables under fork) returns what a serial run does."""
         from repro.exp.cells import maxmin_permutation_cell
         from repro.sim import FlowSimulator, clear_route_tables, random_permutation
 
         clear_route_tables()
-        # Parent-side table with routed pairs (what run() will share).
         sim = FlowSimulator(hx2mesh_4x4, max_paths=8)
         sim.maxmin_rates(random_permutation(hx2mesh_4x4.num_accelerators, seed=1))
         cells = [
@@ -347,19 +345,9 @@ class TestWarmPoolAndChunkSplitting:
             for s in range(4)
         ]
         serial = Runner(workers=1, cache=False).run(cells)
-        attached = obs.counter("routing.tables_attached")
-        built = obs.counter("routing.tables_built")
-        seeded = obs.counter("exp.workers_seeded")
-        obs.enable()  # worker metric deltas only merge while enabled
-        try:
-            b_attached, b_built, b_seeded = attached.value, built.value, seeded.value
-            with Runner(workers=2, cache=False) as runner:
-                report = runner.run(cells)
-            assert seeded.value == b_seeded + 2
-            assert attached.value > b_attached, "no worker attached the seed"
-            assert built.value == b_built, "a seeded worker rebuilt the table"
-        finally:
-            obs.disable()
+        with Runner(workers=2, cache=False) as runner:
+            report = runner.run(cells)
+        assert report.chunks >= 2
         assert report.values() == serial.values()
         clear_route_tables()
 
@@ -384,6 +372,26 @@ class TestCliDiff:
         assert f"{missing} does not exist" in capsys.readouterr().err
 
 
+class TestCliRouteBudget:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_budget_error_prints_one_line_and_exits_2(self, workers):
+        """A mem_budget too small for the sweep stops the run with one
+        line, also when its cells run on a worker pool."""
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.exp", "run", "scaleout_permutation",
+                "--workers", workers, "--no-cache",
+                "--set", "x=4", "--set", "y=4", "--set", 'mem_budget="4K"',
+            ],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: RouteTable(4x4-Hx2Mesh")
+        assert lines[0].endswith("above its mem_budget of 4096 bytes")
+
+
 class TestRecordingKnobs:
     @pytest.mark.parametrize("value", ["abc", "0"])
     @pytest.mark.parametrize("knob", ["REPRO_BENCH_FLOAT_DIGITS", "REPRO_BENCH_MAX_SERIES"])
@@ -396,12 +404,47 @@ class TestRecordingKnobs:
         assert proc.stderr.splitlines() == [f"{knob} must be an integer >= 1, got {value!r}"]
 
     def test_knobs_parse_valid_values(self, monkeypatch):
-        from repro.exp import recording
+        from repro._knobs import number_knob
 
         monkeypatch.setenv("REPRO_BENCH_MAX_SERIES", " 12 ")
-        assert recording._positive_knob("REPRO_BENCH_MAX_SERIES", 256) == 12
+        assert number_knob("REPRO_BENCH_MAX_SERIES", 256) == 12
         monkeypatch.delenv("REPRO_BENCH_MAX_SERIES")
-        assert recording._positive_knob("REPRO_BENCH_MAX_SERIES", 256) == 256
+        assert number_knob("REPRO_BENCH_MAX_SERIES", 256) == 256
+
+
+class TestSwitchKnobs:
+    @pytest.mark.parametrize("knob", ["REPRO_OBS", "REPRO_EXP_TRACE_MEMORY"])
+    @pytest.mark.parametrize(
+        "value,on", [("", False), ("0", False), (" False ", False), ("1", True), ("TRUE", True)]
+    )
+    def test_switches_accept_the_documented_values(self, knob, value, on, monkeypatch):
+        from repro._knobs import switch_knob
+
+        monkeypatch.setenv(knob, value)
+        assert switch_knob(knob) is on
+
+    @pytest.mark.parametrize("value", ["yes", "2", "on"])
+    def test_malformed_obs_switch_fails_the_import_with_one_line(self, value):
+        env = dict(os.environ, REPRO_OBS=value)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import repro"], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"REPRO_OBS must be empty, 0, 1, false or true, got {value!r}"
+        ]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_malformed_trace_memory_switch_fails_the_cli_with_one_line(self, workers):
+        env = dict(os.environ, REPRO_EXP_TRACE_MEMORY="yes")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.exp", "run", "fig7", "--no-cache", "--workers", workers],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "REPRO_EXP_TRACE_MEMORY must be empty, 0, 1, false or true, got 'yes'"
+        ]
 
 
 class TestRunnerKnobs:

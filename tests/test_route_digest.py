@@ -240,9 +240,9 @@ def _counter_values():
 
 
 @pytest.mark.parametrize("route_batch", [None, 7])
-@pytest.mark.parametrize("attached", [False, True])
+@pytest.mark.parametrize("prerouted", [False, True])
 @pytest.mark.parametrize("name", ["hx2mesh-4x4", "fattree-3level"])
-def test_batched_population_matches_per_pair(name, attached, route_batch, monkeypatch):
+def test_batched_population_matches_per_pair(name, prerouted, route_batch, monkeypatch):
     if route_batch is not None:  # appends split across many batches
         monkeypatch.setattr(routing, "_ROUTE_BATCH", route_batch)
         monkeypatch.setattr(routing, "_ARRAY_BATCH", route_batch)
@@ -251,15 +251,12 @@ def test_batched_population_matches_per_pair(name, attached, route_batch, monkey
     pre_src, pre_dst = _batch(topo, seed=6)
     batched = RouteTable(topo, max_paths=4)
     single = RouteTable(topo, max_paths=4)
-    # some pairs of the batch are routed before it, by an earlier call
-    batched.pair_arrays(pre_src[:60], pre_dst[:60])
-    batched.pair_arrays(src[100:120], dst[100:120])
-    for s, d in zip(np.concatenate([pre_src[:60], src[100:120]]),
-                    np.concatenate([pre_dst[:60], dst[100:120]])):
-        single.pair_arrays(np.array([s]), np.array([d]))
-    if attached:  # go on from read-only views of shared copies
-        owners = batched, single
-        batched, single = (RouteTable.attach(t.share()) for t in owners)
+    if prerouted:  # some pairs of the batch are routed before it, by an earlier call
+        batched.pair_arrays(pre_src[:60], pre_dst[:60])
+        batched.pair_arrays(src[100:120], dst[100:120])
+        for s, d in zip(np.concatenate([pre_src[:60], src[100:120]]),
+                        np.concatenate([pre_dst[:60], dst[100:120]])):
+            single.pair_arrays(np.array([s]), np.array([d]))
 
     before = _counter_values()
     first, npaths = batched.pair_arrays(src, dst)
@@ -386,24 +383,6 @@ def test_pair_without_path_raises_after_earlier_pairs_are_stored(raises, array_r
     assert table.stats.hits == int(prerouted)
     reference = RouteTable(topo, max_paths=4)
     assert _table_digest(table, src[:2], dst[:2]) == _table_digest(reference, src[:2], dst[:2])
-
-
-def test_attached_table_routes_misses_into_private_arrays():
-    """Misses on an attached table, one with no links included, go to
-    private copies: the shared segment keeps its snapshot."""
-    topo = _topology("hx2mesh-4x4")
-    src, dst = _batch(topo, seed=5)
-    owner = RouteTable(topo, max_paths=4)
-    owner.pair_arrays(src[:20], dst[:20])
-    handle = owner.share()
-    table = RouteTable.attach(handle)
-    accs = topo.accelerators
-    got = [table.pair_slice(accs[3], accs[3]), *zip(*table.pair_arrays(src, dst))]
-    want = [owner.pair_slice(accs[3], accs[3]), *zip(*owner.pair_arrays(src, dst))]
-    assert got == want
-    assert _table_digest(table, src, dst) == _table_digest(owner, src, dst)
-    snapshot = RouteTable.attach(handle)
-    assert snapshot.num_pairs_routed == len(set(zip(src[:20].tolist(), dst[:20].tolist())))
 
 
 # ------------------------------------------------------- interleaved lookups

@@ -253,3 +253,91 @@ class TestScheduleBackends:
         t_legacy = schedule.time_flowsim(sim, 1e-6, bytes_per_unit=50e9)
         t_backend = schedule.time(FlowBackend(sim=sim), 1e-6, bytes_per_unit=50e9)
         assert t_legacy == pytest.approx(t_backend)
+
+
+# ------------------------------------------------------- cross-process tables
+PROBE_PAIRS = 12
+
+
+def _probe_pairs(topo, count=PROBE_PAIRS):
+    """A deterministic spread of (src, dst) accelerator pairs."""
+    accels = list(topo.accelerators)
+    step = max(1, len(accels) // count)
+    return [
+        (accels[i], accels[(i + len(accels) // 2) % len(accels)])
+        for i in range(0, step * count, step)
+    ]
+
+
+def _query_table(table, pairs, flows):
+    """The query battery both processes run: slices, link gathers, a solve."""
+    slices = [table.pair_slice(s, d) for s, d in pairs]
+    path_ids = np.concatenate(
+        [np.arange(first, first + count, dtype=np.int64) for first, count in slices]
+    )
+    links, lengths = table.gather_links(path_ids)
+    sim = FlowSimulator(table.topo, max_paths=table.max_paths, table=table)
+    res = sim.maxmin_rates(flows)
+    return {
+        "slices": slices,
+        "links": np.asarray(links),
+        "lengths": np.asarray(lengths),
+        "flow_rates": np.asarray(res.flow_rates),
+        "link_utilization": np.asarray(res.link_utilization),
+        "bottleneck_link": int(res.bottleneck_link),
+        "mem_budget": table.mem_budget,
+    }
+
+
+def _child_rebuild_and_query(topo, max_paths, mem_budget, pairs, flows):
+    """Spawned-child worker: build the table from the pickled topology."""
+    table = route_table_for(topo, max_paths=max_paths, mem_budget=mem_budget)
+    return _query_table(table, pairs, flows)
+
+
+@pytest.fixture(scope="module")
+def spawn_pool():
+    """One spawned worker shared by the module (spawn start-up is slow)."""
+    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=1, mp_context=mp.get_context("spawn")) as pool:
+        yield pool
+
+
+class TestCrossProcessBitIdentity:
+    """A spawned worker inherits nothing: it rebuilds its route tables from
+    the pickled topology, and must answer exactly as the parent does."""
+
+    @staticmethod
+    def _assert_same(got, expected, name):
+        assert got["slices"] == expected["slices"], name
+        for key in ("links", "lengths", "flow_rates", "link_utilization"):
+            assert np.array_equal(got[key], expected[key]), (name, key)
+        assert got["bottleneck_link"] == expected["bottleneck_link"], name
+        assert got["mem_budget"] == expected["mem_budget"], name
+
+    def test_all_families_match_across_processes(self, all_small_topologies, spawn_pool):
+        clear_route_tables()
+        for name, topo in all_small_topologies.items():
+            pairs = _probe_pairs(topo)
+            flows = random_permutation(topo.num_accelerators, seed=11)
+            expected = _query_table(route_table_for(topo, max_paths=4), pairs, flows)
+            got = spawn_pool.submit(
+                _child_rebuild_and_query, topo, 4, None, pairs, flows
+            ).result(timeout=120)
+            self._assert_same(got, expected, name)
+        clear_route_tables()
+
+    def test_budgeted_table_matches_across_processes(self, hx2mesh_4x4, spawn_pool):
+        clear_route_tables()
+        table = route_table_for(hx2mesh_4x4, max_paths=4, mem_budget="64K")
+        assert table.mem_budget == 64 << 10
+        pairs = _probe_pairs(hx2mesh_4x4)
+        flows = random_permutation(hx2mesh_4x4.num_accelerators, seed=5)
+        expected = _query_table(table, pairs, flows)
+        got = spawn_pool.submit(
+            _child_rebuild_and_query, hx2mesh_4x4, 4, "64K", pairs, flows
+        ).result(timeout=120)
+        self._assert_same(got, expected, "hx2mesh-4x4 @ 64K")
+        clear_route_tables()
