@@ -7,7 +7,7 @@ cluster twin (:mod:`repro.cluster`):
 * a process-local **metrics registry** (:mod:`repro.obs.registry`) of
   counters, gauges, histograms, and bounded time-series probes, named by
   ``family.metric`` convention (``routing.*``, ``flowsim.*``,
-  ``packet.*``, ``engine.*``, ``exp.*``, ``cluster.*``);
+  ``packet.*``, ``exp.*``, ``cluster.*``);
 * **span tracing** (:mod:`repro.obs.tracing`) with nested wall-clock spans
   and deterministic simulation-time spans;
 * a **global switch**: collection is disabled by default and near-zero

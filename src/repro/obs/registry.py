@@ -223,7 +223,6 @@ _DEFAULT_SCHEMA: Tuple[Tuple[str, str], ...] = (
     ("histogram", "packet.wave_size"),
     ("probe", "packet.queue_depth"),
     ("probe", "packet.link_utilization"),
-    ("histogram", "engine.wave_size"),
     ("counter", "faults.events"),
     ("counter", "faults.links_dead"),
     ("counter", "faults.tables_degraded"),

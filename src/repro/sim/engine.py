@@ -1,54 +1,27 @@
 """Discrete-event simulation core.
 
-A minimal but complete event engine with two kinds of events sharing one
-deterministic timeline:
+Events are ``(time, sequence, handle)`` tuples in a binary heap; the
+sequence number makes the ordering of simultaneous events stable and
+deterministic (schedule order).  Scheduling returns an
+:class:`EventHandle` that can be passed to :meth:`EventEngine.cancel`,
+which is how the cluster simulator (:mod:`repro.cluster`) resolves races
+such as "the job completed" vs "a board of the job failed": the loser of
+the race is cancelled instead of firing on stale state.  Cancellation is
+lazy (cancelled entries stay in the heap until they surface) so it is O(1)
+and never perturbs the deterministic ordering of the surviving events.
 
-* **Closure events** are ``(time, sequence, handle)`` tuples in a binary
-  heap; the sequence number makes the ordering stable and deterministic for
-  simultaneous events.  Scheduling returns an :class:`EventHandle` that can
-  be passed to :meth:`EventEngine.cancel`, which is how the cluster
-  simulator (:mod:`repro.cluster`) resolves races such as "the job
-  completed" vs "a board of the job failed": the loser of the race is
-  cancelled instead of firing on stale state.  Cancellation is lazy
-  (cancelled entries stay in the heap until they surface) so it is O(1) and
-  never perturbs the deterministic ordering of the surviving events.
-
-* **Typed records** are plain ``(time, sequence, tag, a, b, c)`` tuples in a
-  **time-bucketed calendar queue**: a heap of distinct timestamps plus a
-  dict mapping each timestamp to its list of records (in sequence order,
-  since pushes happen in sequence order).  No handle, no closure, no
-  per-event allocation beyond the tuple itself — and simultaneous records
-  cost one dict append instead of a heap sift, so heavily synchronized
-  simulations (the packet simulator's waves) bypass the O(log n) heap for
-  the majority of events.  Records are drained in **batches**:
-  :meth:`pop_record_batch` pops a whole timestamp bucket in one call, which
-  is what lets the packet simulator advance a whole wave of simultaneous
-  packets in vectorized array passes.  A single ``record_handler`` (set
-  with :meth:`set_record_handler`) interprets the tags; :meth:`run`
-  interleaves both event kinds in global ``(time, sequence)`` order, so
-  closure events and records can coexist on one engine.
-
-Both kinds share one sequence counter, so the deterministic tie-break among
-simultaneous events is global, exactly as if every event lived in one heap.
+The packet simulator (:mod:`repro.sim.network`) runs its hops from its own
+calendar and reports its clock and event counts through
+:meth:`EventEngine.account`, so ``now``, ``processed_events`` and
+``pending_events`` read the same on every simulator.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from ..obs import registry as _obs
-
-__all__ = ["EventEngine", "EventHandle", "RecordBatch"]
-
-#: Batch of typed records popped from the heap: ``(time, records)`` where
-#: ``records`` holds the raw ``(time, seq, tag, a, b, c)`` tuples in
-#: sequence order.  Raw tuples keep the pop loop allocation-free; handlers
-#: unpack them directly (or ``zip(*records)`` to columnarize a big wave).
-RecordBatch = Tuple[float, List[Tuple]]
-
-#: wave-size histogram of the generic run loop (no-op while obs is disabled)
-_WAVE_SIZE = _obs.histogram("engine.wave_size")
+__all__ = ["EventEngine", "EventHandle"]
 
 
 class EventHandle:
@@ -88,17 +61,11 @@ class EventEngine:
 
     def __init__(self) -> None:
         self._queue: List[Tuple[float, int, EventHandle]] = []
-        # Calendar queue of typed records: heap of distinct timestamps plus
-        # per-timestamp buckets of (time, seq, tag, a, b, c) tuples in
-        # sequence order.  Both containers are mutated in place only, so
-        # fast-path consumers (the packet simulator) may hold references.
-        self._record_times: List[float] = []
-        self._record_buckets: Dict[float, List[Tuple]] = {}
-        self._record_handler: Optional[Callable[..., None]] = None
         self._sequence = 0
         self._now = 0.0
         self._processed = 0
         self._live = 0  # scheduled and not yet executed or cancelled
+        self._external = 0  # pending on an accounted calendar (see `account`)
 
     # ---------------------------------------------------------------- queries
     @property
@@ -108,26 +75,22 @@ class EventEngine:
 
     @property
     def pending_events(self) -> int:
-        """Number of scheduled events that are neither executed nor cancelled."""
-        return self._live
+        """Scheduled events neither executed nor cancelled, plus the events
+        pending on an accounted calendar."""
+        return self._live + self._external
 
     @property
     def processed_events(self) -> int:
         return self._processed
 
     def peek(self) -> Optional[float]:
-        """Time of the next pending event (closure or record), or ``None``.
+        """Time of the next pending scheduled event, or ``None``.
 
         Cancelled events never influence the result; the engine's clock and
         event ordering are left untouched.
         """
         self._prune()
-        time = self._queue[0][0] if self._queue else None
-        if self._record_times:
-            rtime = self._record_times[0]
-            if time is None or rtime < time:
-                return rtime
-        return time
+        return self._queue[0][0] if self._queue else None
 
     # ------------------------------------------------------------- scheduling
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
@@ -148,91 +111,17 @@ class EventEngine:
         self._live += 1
         return handle
 
-    # ---------------------------------------------------------- typed records
-    def set_record_handler(self, handler: Optional[Callable[..., None]]) -> None:
-        """Install the interpreter for typed records.
+    def account(self, now: float, processed: int, pending: int) -> None:
+        """Fold in events run from a calendar outside this engine.
 
-        The handler is called as ``handler(time, records)`` with one batch
-        of simultaneous raw ``(time, seq, tag, a, b, c)`` record tuples (in
-        sequence order) whenever :meth:`run` reaches records; it must
-        process every entry.
+        A simulator that keeps its own calendar (the packet simulator)
+        reports its clock, the events it ran since its last report and the
+        events still on its calendar, so :attr:`now`,
+        :attr:`processed_events` and :attr:`pending_events` count both.
         """
-        self._record_handler = handler
-
-    def schedule_record(self, time: float, tag: int, a=0, b=0, c=0.0) -> None:
-        """Schedule a typed ``(tag, a, b, c)`` record at an absolute time.
-
-        Records are the allocation-free fast path of the engine: no
-        :class:`EventHandle` is created and they cannot be cancelled.  They
-        share the sequence counter (and therefore the deterministic
-        simultaneous-event ordering) with closure events.  A record whose
-        timestamp already has a bucket skips the heap entirely.
-        """
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule into the past (time={time}, now={self._now})"
-            )
-        bucket = self._record_buckets.get(time)
-        if bucket is None:
-            self._record_buckets[time] = [(time, self._sequence, tag, a, b, c)]
-            heapq.heappush(self._record_times, time)
-        else:
-            bucket.append((time, self._sequence, tag, a, b, c))
-        self._sequence += 1
-        self._live += 1
-
-    def pop_record_batch(self, limit: Optional[int] = None) -> Optional[RecordBatch]:
-        """Pop every record at the earliest record timestamp; advance the clock.
-
-        Returns ``(time, records)`` with the raw record tuples in sequence
-        order, or ``None`` when no record may run next — either the record
-        heap is empty or a closure event sorts earlier (records at the same
-        timestamp stop at a closure event with a smaller sequence number,
-        preserving the global ordering).  At most ``limit`` records are
-        popped when given; the remainder stay queued and a later call
-        continues the same timestamp, which is equivalent because
-        simultaneous records are processed in sequence order anyway.
-        """
-        times = self._record_times
-        if not times or (limit is not None and limit <= 0):
-            return None
-        self._prune()
-        time = times[0]
-        bucket = self._record_buckets[time]
-        barrier = None
-        if self._queue:
-            ctime, cseq, _ = self._queue[0]
-            if ctime < time or (ctime == time and cseq < bucket[0][1]):
-                return None
-            if ctime == time:
-                barrier = cseq
-        if barrier is None and (limit is None or limit >= len(bucket)):
-            # The hot path: take the whole bucket.
-            heapq.heappop(times)
-            records = self._record_buckets.pop(time)
-        else:
-            records = []
-            cut = len(bucket)
-            if barrier is not None:
-                for idx, rec in enumerate(bucket):
-                    if rec[1] >= barrier:
-                        cut = idx
-                        break
-            if limit is not None:
-                cut = min(cut, limit)
-            records = bucket[:cut]
-            if cut == len(bucket):
-                heapq.heappop(times)
-                del self._record_buckets[time]
-            else:
-                del bucket[:cut]
-            if not records:
-                return None
-        n = len(records)
-        self._now = time
-        self._processed += n
-        self._live -= n
-        return time, records
+        self._now = now
+        self._processed += processed
+        self._external = pending
 
     def cancel(self, handle: Optional[EventHandle]) -> bool:
         """Cancel a scheduled event; returns whether anything was cancelled.
@@ -267,51 +156,22 @@ class EventEngine:
         return True
 
     def run(self, *, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run until the queues drain, ``until`` is reached, or ``max_events``.
+        """Run until the queue drains, ``until`` is reached, or ``max_events``.
 
-        Closure events execute one at a time through :meth:`step`; typed
-        records are drained in simultaneous batches through the installed
-        record handler.  Both kinds interleave in global ``(time, sequence)``
-        order.  Returns the simulation time after the last processed event.
+        Returns the simulation time after the last processed event.
         """
         processed = 0
         while True:
             self._prune()
-            cq, rtimes = self._queue, self._record_times
-            if cq:
-                if rtimes and (
-                    rtimes[0] < cq[0][0]
-                    or (
-                        rtimes[0] == cq[0][0]
-                        and self._record_buckets[rtimes[0]][0][1] < cq[0][1]
-                    )
-                ):
-                    next_time, typed = rtimes[0], True
-                else:
-                    next_time, typed = cq[0][0], False
-            elif rtimes:
-                next_time, typed = rtimes[0], True
-            else:
+            if not self._queue:
                 break
-            if until is not None and next_time > until:
+            if until is not None and self._queue[0][0] > until:
                 self._now = until
                 break
             if max_events is not None and processed >= max_events:
                 break
-            if typed:
-                handler = self._record_handler
-                if handler is None:
-                    raise RuntimeError(
-                        "typed records are scheduled but no record handler is set"
-                    )
-                limit = None if max_events is None else max_events - processed
-                time, records = self.pop_record_batch(limit)
-                _WAVE_SIZE.observe(len(records))
-                handler(time, records)
-                processed += len(records)
-            else:
-                self.step()
-                processed += 1
+            self.step()
+            processed += 1
         return self._now
 
     def reset(self) -> None:
@@ -324,9 +184,8 @@ class EventEngine:
         for _, _, handle in self._queue:
             handle._cancelled = True
         self._queue.clear()
-        self._record_times.clear()
-        self._record_buckets.clear()
         self._now = 0.0
         self._sequence = 0
         self._processed = 0
         self._live = 0
+        self._external = 0

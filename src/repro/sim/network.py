@@ -16,23 +16,30 @@ table).
 
 Performance architecture (see DESIGN.md, "performance architecture"):
 
-* **No per-packet objects, no per-hop closures.**  Packet state is
-  struct-of-arrays: message id, payload size, and a CSR view (start/length
-  into one flat link array) of each packet's chosen path, exposed as NumPy
-  arrays via :meth:`PacketNetwork.packet_state`.  An in-flight hop is a
-  typed ``(time, seq, tag, packet, cursor, serialisation)`` record on the
-  engine's record heap (:meth:`EventEngine.schedule_record`) whose *cursor*
-  indexes the flat path array directly — scheduling a hop allocates one
-  plain tuple (no lambda, no :class:`EventHandle`), and every element is a
-  native Python scalar so heap sift comparisons never touch NumPy scalar
+* **The simulator owns its calendar.**  Pending events are plain records
+  in a time-bucketed calendar queue: a heap of distinct timestamps plus a
+  dict mapping each timestamp to its list of records in schedule order.
+  An in-flight hop is a ``(tag, packet, cursor, serialisation)`` tuple
+  whose *cursor* indexes the flat path array directly; an injection or a
+  delivery is ``(tag, message)``.  Scheduling allocates one plain tuple
+  (no closure, no :class:`EventHandle`), a timestamp that already has a
+  bucket skips the heap, and :meth:`PacketNetwork.run` pops whole buckets
+  in its one drive loop.  ``net.engine`` is an :class:`EventEngine` that
+  only mirrors the calendar's clock and event counts
+  (:meth:`EventEngine.account`); closure events scheduled on it are
+  refused by :meth:`PacketNetwork.run`.
+* **No per-packet objects.**  Packet state is struct-of-arrays: message
+  id, payload size, and a CSR view (start/length into one flat link array)
+  of each packet's chosen path, exposed as NumPy arrays via
+  :meth:`PacketNetwork.packet_state`.  Every record element is a native
+  Python scalar, so heap sift comparisons never touch NumPy scalar
   dispatch.
-* **Wave-based forwarding.**  The engine batch-pops every record sharing a
-  timestamp; a large wave of simultaneous packets (ubiquitous under
-  symmetric traffic, where equal serialisation times align whole packet
-  trains) advances in one array pass — a stable sort by link, per-link
-  segmented serialisation, and vectorized arrival/next-hop computation.
-  Small waves take a scalar fast path over pure-Python link state, since
-  array-call overhead dominates tiny batches.
+* **Wave-based forwarding.**  A large wave of simultaneous hops (common
+  under symmetric traffic, where equal serialisation times align whole
+  packet trains) advances in one array pass — a stable sort by link,
+  per-link segmented serialisation, and vectorized arrival/next-hop
+  computation.  Small waves take a scalar path over pure-Python link
+  state, since array-call overhead dominates tiny batches.
 * **Shared adaptive-scoring state.**  Candidate paths come from the
   memoized :class:`RouteTable` as shared Python lists
   (:meth:`RouteTable.pair_path_lists`), and per-train path scores are
@@ -65,11 +72,11 @@ from .packet import DEFAULT_PACKET_SIZE, Message
 from .paths import DEFAULT_MAX_PATHS, PathProvider
 from .routing import RouteTable, register_route_cache_client, route_table_for
 from .traffic import Flow
-from .wavekernel import resolve_wave_kernel
 
 __all__ = ["PacketSimConfig", "PacketNetwork", "PacketSimResult"]
 
-# Typed-record tags on the event engine's record heap.
+# Record tags on the calendar: (_INJECT, message), (_FORWARD, packet,
+# cursor, serialisation), (_DELIVER, message).
 _INJECT, _FORWARD, _DELIVER = 0, 1, 2
 
 _MASK64 = (1 << 64) - 1  # for the inlined SplitMix64 path-rotation hash
@@ -121,10 +128,6 @@ class PacketSimConfig:
     max_paths: int = DEFAULT_MAX_PATHS
     seed: int = 0
     policy: str = "minimal"
-    #: Wave-pass kernel backend ("numpy", "python", or "numba"); empty
-    #: string defers to ``REPRO_PACKET_KERNEL`` and then the default.  All
-    #: kernels are bit-identical (see :mod:`repro.sim.wavekernel`).
-    wave_kernel: str = ""
     #: Delay between a link dying and its in-flight packets being re-injected
     #: on a surviving path (models end-to-end loss detection + retransmission;
     #: see :meth:`PacketNetwork.schedule_link_faults`).
@@ -184,8 +187,6 @@ class PacketNetwork:
     ):
         self.topo = topo
         self.config = config
-        # Wave-pass serialization kernel (resolved once; see wavekernel.py).
-        self._wave_kernel = resolve_wave_kernel(config.wave_kernel)
         # Routes come from the same memoized per-(topology, policy,
         # max_paths) RouteTable the flow simulator uses, so candidate path
         # sets agree between fidelities and survive across simulator
@@ -202,7 +203,6 @@ class PacketNetwork:
             )
         self.provider = self.table.provider
         self.engine = EventEngine()
-        self.engine.set_record_handler(self._on_records)
         self.ranks = list(topo.accelerators)
         # Per-directed-link state.  The mutable hot fields (release time,
         # busy time) are Python float lists: the scalar event path and the
@@ -248,13 +248,11 @@ class PacketNetwork:
         self._np_factor = np.zeros(0, dtype=np.float64)
         self._np_path_end = np.zeros(0, dtype=np.int64)
         self._np_links = np.zeros(0, dtype=np.int64)
-        # Friend access to the engine's record calendar queue: while a batch
-        # is processed, follow-up hops are pushed directly with a locally
-        # threaded sequence counter, and the engine's counters are
-        # reconciled once per batch (both containers are mutated in place
-        # only, so the references survive `reset`).
-        self._rtimes = self.engine._record_times
-        self._rbuckets = self.engine._record_buckets
+        # The calendar: a heap of distinct record times plus each time's
+        # records in schedule order, and the number of records on it.
+        self._rtimes: List[float] = []
+        self._rbuckets: Dict[float, List[tuple]] = {}
+        self._pending = 0
         # Per-pair adaptive-scoring state: candidate paths (shared lists from
         # the route table) plus, per first-hop link, the indices of the
         # candidates starting with it — the incremental re-scoring set of a
@@ -294,6 +292,11 @@ class PacketNetwork:
         """Register a message between two accelerator ranks."""
         if src_rank == dst_rank:
             raise ValueError("messages need distinct endpoints")
+        if not 0.0 <= size < float("inf"):
+            raise ValueError(f"message size {size} must be finite and >= 0")
+        now = self.engine.now
+        if start_time < now:
+            raise ValueError(f"cannot schedule into the past (time={start_time}, now={now})")
         midx = len(self._messages)
         message = Message(
             message_id=midx,
@@ -307,7 +310,9 @@ class PacketNetwork:
         self._msg_total.append(0)
         self._msg_arrived.append(0)
         self._msg_completion.append(None)
-        self.engine.schedule_record(start_time, _INJECT, midx)
+        self._push(start_time, (_INJECT, midx))
+        self._pending += 1
+        self.engine.account(now, 0, self._pending)
         _MESSAGES.inc()
         return message
 
@@ -326,55 +331,53 @@ class PacketNetwork:
         for flow in flows:
             self.send(flow.src, flow.dst, size * flow.demand, start_time=start_time)
 
-    # ------------------------------------------------------- record dispatch
-    def _on_records(self, time, records) -> None:
-        """Engine record-handler: process one batch, reconcile counters.
+    # --------------------------------------------------------------- calendar
+    def _push(self, time: float, record: tuple) -> None:
+        """Put one record on the calendar (the hot loops inline this)."""
+        bucket = self._rbuckets.get(time)
+        if bucket is None:
+            self._rbuckets[time] = [record]
+            heappush(self._rtimes, time)
+        else:
+            bucket.append(record)
 
-        This is the generic entry point used when :meth:`EventEngine.run`
-        drives the simulation (e.g. with closure events mixed in);
-        :meth:`run` normally uses the inlined drive loop below instead.
-        """
-        engine = self.engine
-        seq = seq0 = engine._sequence
-        seq = self._process_batch(time, records, seq)
-        engine._live += seq - seq0
-        engine._sequence = seq
+    def _report(self, now: float, processed: int = 0) -> None:
+        """Mirror the calendar's clock and event counts onto ``self.engine``."""
+        self._pending = sum(map(len, self._rbuckets.values()))
+        self.engine.account(now, processed, self._pending)
 
-    def _process_batch(self, time, records, seq: int) -> int:
-        """Process one batch of simultaneous records in sequence order.
+    def _process_batch(self, time: float, records: List[tuple]) -> None:
+        """Process one batch of simultaneous records in schedule order.
 
         The batch is split into maximal same-tag runs; each run completes
         its state updates before the next starts, which is exactly the
         sequential semantics (simultaneous events run in schedule order).
-        Follow-up records are pushed with the locally threaded sequence
-        counter ``seq``; the caller reconciles the engine's counters.
         """
         k = len(records)
         i = 0
         while i < k:
-            tag = records[i][2]
+            tag = records[i][0]
             j = i + 1
-            while j < k and records[j][2] == tag:
+            while j < k and records[j][0] == tag:
                 j += 1
             run = records if j - i == k else records[i:j]
             if tag == _FORWARD:
                 _WAVE_SIZE.observe(j - i)
                 if j - i < _WAVE_THRESHOLD:
-                    seq = self._forward_scalar(time, run, seq)
+                    self._forward_scalar(time, run)
                 else:
-                    seq = self._forward_wave(time, run, seq)
+                    self._forward_wave(time, run)
             elif tag == _DELIVER:
                 self._deliver_run(time, run)
             else:
                 for rec in run:
-                    seq = self._inject(rec[3], time, seq)
+                    self._inject(rec[1], time)
                 # Mirror the injected packets into the NumPy SoA arrays.
                 self._flush_soa()
             i = j
-        return seq
 
     # -------------------------------------------------------------- injection
-    def _inject(self, midx: int, now: float, seq: int) -> int:
+    def _inject(self, midx: int, now: float) -> None:
         """Inject one message: adaptive path choice + first-hop serialisation.
 
         Packets of a train are placed sequentially (each choice sees the
@@ -416,7 +419,7 @@ class PacketNetwork:
                     # lost (reported via counters; it never completes).
                     self.packets_lost += num_packets
                     _PKT_LOST.inc(num_packets)
-                    return seq
+                    return
             by_first: Dict[int, List[int]] = {}
             for q, p in enumerate(paths):
                 by_first.setdefault(p[0], []).append(q)
@@ -524,18 +527,16 @@ class PacketNetwork:
                 ser1 = ser_list[path[1]]
                 if factor != 1.0:
                     ser1 = ser1 * factor
-                rec = (arrival, seq, _FORWARD, pid, start + 1, ser1)
+                rec = (_FORWARD, pid, start + 1, ser1)
             else:
-                rec = (arrival, seq, _DELIVER, pid, midx, 0.0)
+                rec = (_DELIVER, midx)
             bucket = bucket_get(arrival)
             if bucket is None:
                 rbuckets[arrival] = [rec]
                 heappush(rtimes, arrival)
             else:
                 bucket.append(rec)
-            seq += 1
             pid += 1
-        return seq
 
     def _flush_soa(self) -> None:
         """Mirror newly injected packets into the NumPy SoA arrays."""
@@ -571,7 +572,7 @@ class PacketNetwork:
         self._links_flushed = total_links
 
     # ------------------------------------------------------------- forwarding
-    def _forward_scalar(self, time, records, seq: int) -> int:
+    def _forward_scalar(self, time: float, records: List[tuple]) -> None:
         """Advance a small run of packets one at a time (sequence order)."""
         link_free = self._link_free
         link_busy = self._link_busy
@@ -585,10 +586,7 @@ class PacketNetwork:
         rtimes = self._rtimes
         rbuckets = self._rbuckets
         bucket_get = rbuckets.get
-        for rec in records:
-            pid = rec[3]
-            cursor = rec[4]
-            ser = rec[5]
+        for _, pid, cursor, ser in records:
             li = pkt_links[cursor]
             free = link_free[li]
             depart = free if free > time else time
@@ -598,32 +596,26 @@ class PacketNetwork:
             arrival = end + lat_list[li] + buffer
             cursor += 1
             if cursor < path_end[pid]:
-                nxt = (arrival, seq, _FORWARD, pid, cursor,
-                       ser_list[pkt_links[cursor]] * factor[pid])
+                nxt = (_FORWARD, pid, cursor, ser_list[pkt_links[cursor]] * factor[pid])
             else:
-                nxt = (arrival, seq, _DELIVER, pid, msg[pid], 0.0)
+                nxt = (_DELIVER, msg[pid])
             bucket = bucket_get(arrival)
             if bucket is None:
                 rbuckets[arrival] = [nxt]
                 heappush(rtimes, arrival)
             else:
                 bucket.append(nxt)
-            seq += 1
-        return seq
 
-    def _forward_wave(self, time, records, seq: int) -> int:
+    def _forward_wave(self, time: float, records: List[tuple]) -> None:
         """Advance a large wave of simultaneous packets in one array pass.
 
         Packets are stably sorted by link; per link the wave serialises
-        back-to-back in sequence order.  The per-segment serialization scan
-        is delegated to the configured wave kernel (``numpy`` by default;
-        see :mod:`repro.sim.wavekernel`) — every kernel performs the same
-        left-to-right float adds, so the pass is bit-identical to the
-        reference implementation no matter which backend computes it.  Link
-        bookkeeping (release time, busy time) stays here, per-entry, in the
-        reference's exact IEEE accumulation order.
+        back-to-back in schedule order, so each packet's serialisation end
+        is its link's release time plus a left-to-right running sum of the
+        serialisation times — the reference's exact IEEE additions, as is
+        the per-link busy-time accumulation.
         """
-        _, _, _, pids, cursors, sers = zip(*records)
+        _, pids, cursors, sers = zip(*records)
         k = len(pids)
         pid = np.array(pids, dtype=np.int64)
         cursor = np.array(cursors, dtype=np.int64)
@@ -641,25 +633,26 @@ class PacketNetwork:
         start_links = sli[starts].tolist()
         base = np.array([link_free[l] for l in start_links])
         np.maximum(time, base, out=base)
-        counts = np.diff(np.append(starts, k))
-        ends = self._wave_kernel(base, sser, starts, counts)
         sser_l = sser.tolist()
-        if len(starts) == k:
+        if len(start_links) == k:
             # Every link serialises exactly one packet of this wave.
-            ends_l = ends.tolist()
-            for t, l in enumerate(start_links):
-                link_free[l] = ends_l[t]
+            ends = base + sser
+            for t, (l, end) in enumerate(zip(start_links, ends.tolist())):
+                link_free[l] = end
                 link_busy[l] += sser_l[t]
         else:
-            starts_l = starts.tolist()
-            counts_l = counts.tolist()
-            ends_l = ends.tolist()
-            for s_idx, s in enumerate(starts_l):
-                l = start_links[s_idx]
-                c = counts_l[s_idx]
-                for t in range(s, s + c):
+            # Native-float adds beat NumPy scalar dispatch ~10x and round
+            # identically.
+            ends_l = [0.0] * k
+            bounds = np.append(starts, k).tolist()
+            for i, end in enumerate(base.tolist()):
+                l = start_links[i]
+                for t in range(bounds[i], bounds[i + 1]):
+                    end = end + sser_l[t]
+                    ends_l[t] = end
                     link_busy[l] += sser_l[t]
-                link_free[l] = ends_l[s + c - 1]
+                link_free[l] = end
+            ends = np.array(ends_l)
         arrival_sorted = ends + self._latency[sli] + self._buffer
         arrival = np.empty(k)
         arrival[order] = arrival_sorted
@@ -669,37 +662,31 @@ class PacketNetwork:
         nli = self._np_links[np.where(alive, next_cursor, 0)]
         nser = self._serialization[nli] * self._np_factor[pid]
         mids = self._np_msg[pid]
-        # Push follow-up records in pop (sequence) order, as the reference
+        # Push follow-up records in pop (schedule) order, as the reference
         # implementation would have while processing events one by one.
         rtimes = self._rtimes
         rbuckets = self._rbuckets
         bucket_get = rbuckets.get
-        arrival_l = arrival.tolist()
-        alive_l = alive.tolist()
         cursor_l = next_cursor.tolist()
         nser_l = nser.tolist()
         mids_l = mids.tolist()
-        for t in range(k):
-            at = arrival_l[t]
-            if alive_l[t]:
-                nxt = (at, seq, _FORWARD, pids[t], cursor_l[t], nser_l[t])
+        for t, (at, go) in enumerate(zip(arrival.tolist(), alive.tolist())):
+            if go:
+                nxt = (_FORWARD, pids[t], cursor_l[t], nser_l[t])
             else:
-                nxt = (at, seq, _DELIVER, pids[t], mids_l[t], 0.0)
+                nxt = (_DELIVER, mids_l[t])
             bucket = bucket_get(at)
             if bucket is None:
                 rbuckets[at] = [nxt]
                 heappush(rtimes, at)
             else:
                 bucket.append(nxt)
-            seq += 1
-        return seq
 
-    def _deliver_run(self, time, records) -> None:
+    def _deliver_run(self, time: float, records: List[tuple]) -> None:
         arrived = self._msg_arrived
         total = self._msg_total
         completion = self._msg_completion
-        for rec in records:
-            m = rec[4]
+        for _, m in records:
             count = arrived[m] + 1
             arrived[m] = count
             if count >= total[m]:
@@ -719,9 +706,8 @@ class PacketNetwork:
         hop = (end - start).copy()
         for bucket in self._rbuckets.values():
             for rec in bucket:
-                tag = rec[2]
-                if tag == _FORWARD:
-                    hop[rec[3]] = rec[4] - start[rec[3]]
+                if rec[0] == _FORWARD:
+                    hop[rec[1]] = rec[2] - start[rec[1]]
         return {
             "message": np.asarray(self._pkt_msg, dtype=np.int64),
             "size": np.asarray(self._pkt_size, dtype=np.float64),
@@ -798,35 +784,29 @@ class PacketNetwork:
         newset = set(new)
         pkt_links = self._pkt_links
         path_end = self._pkt_path_end
-        engine = self.engine
-        seq = engine._sequence
         victims: List[int] = []
-        removed = 0
-        # Sweep the pending record queue: a _FORWARD record whose packet's
-        # remaining hops cross a dead link is removed (the packet is dropped
-        # mid-flight).  Buckets are rewritten in place; emptied buckets stay
-        # registered (the drive loops tolerate zero-record batches).
-        for t, bucket in self._rbuckets.items():
+        # Sweep the calendar: a _FORWARD record whose packet's remaining
+        # hops cross a dead link is removed (the packet is dropped
+        # mid-flight).  Buckets are rewritten in place.
+        for bucket in self._rbuckets.values():
             keep = None
             for i, rec in enumerate(bucket):
                 doomed = False
-                if rec[2] == _FORWARD:
-                    pid = rec[3]
-                    for c in range(rec[4], path_end[pid]):
+                if rec[0] == _FORWARD:
+                    pid = rec[1]
+                    for c in range(rec[2], path_end[pid]):
                         if pkt_links[c] in newset:
                             doomed = True
                             break
                 if doomed:
                     if keep is None:
                         keep = bucket[:i]
-                    victims.append(rec[3])
-                    removed += 1
+                    victims.append(rec[1])
                 elif keep is not None:
                     keep.append(rec)
             if keep is not None:
                 bucket[:] = keep
-        # Purge emptied buckets (the engine's generic paths index bucket[0]),
-        # mutating the shared containers in place so live references survive.
+        # Purge emptied buckets, so the clock only stops at real events.
         emptied = [t for t, bucket in self._rbuckets.items() if not bucket]
         if emptied:
             for t in emptied:
@@ -834,16 +814,12 @@ class PacketNetwork:
             self._rtimes[:] = [t for t in self._rtimes if t in self._rbuckets]
             heapify(self._rtimes)
         retry_at = now + self.config.fault_retry_timeout
-        added = 0
         for pid in victims:
-            seq2 = self._retransmit(pid, retry_at, seq)
-            added += seq2 - seq
-            seq = seq2
+            self._retransmit(pid, retry_at)
         self._flush_soa()
-        engine._sequence = seq
-        engine._live += added - removed
+        self._report(self.engine.now)
 
-    def _retransmit(self, pid: int, retry_at: float, seq: int) -> int:
+    def _retransmit(self, pid: int, retry_at: float) -> None:
         """Re-inject a dropped packet from its source over a surviving path."""
         midx = self._pkt_msg[pid]
         message = self._messages[midx]
@@ -854,7 +830,7 @@ class PacketNetwork:
         if not paths:
             self.packets_lost += 1
             _PKT_LOST.inc()
-            return seq
+            return
         # Deterministic adaptive choice at retransmit time: least projected
         # completion over the surviving candidates (queueing + serialisation
         # along the path), ties broken by candidate order.
@@ -884,54 +860,53 @@ class PacketNetwork:
         ser0 = ser_list[path[0]]
         if factor != 1.0:
             ser0 = ser0 * factor
-        rec = (retry_at, seq, _FORWARD, new_pid, start, ser0)
-        bucket = self._rbuckets.get(retry_at)
-        if bucket is None:
-            self._rbuckets[retry_at] = [rec]
-            heappush(self._rtimes, retry_at)
-        else:
-            bucket.append(rec)
+        self._push(retry_at, (_FORWARD, new_pid, start, ser0))
         self.packets_retried += 1
         _PKT_RETRIED.inc()
-        return seq + 1
 
     def _drive_segment(self, until: Optional[float], max_events: Optional[int]) -> float:
-        if self.engine._queue:
-            return self.engine.run(until=until, max_events=max_events)
         if _obs.is_enabled():
             return self._drive_sampled(until, max_events)
         return self._drive(until, max_events)
 
     def _run_with_faults(self, until: Optional[float], max_events: Optional[int]) -> float:
-        """Drive in segments split at the scheduled fault times."""
+        """Drive in segments split at the scheduled fault times.
+
+        A fault at ``t`` applies once every event at or before ``t`` has
+        run.  ``max_events`` bounds all segments together; a run that
+        spends it before a fault time leaves that fault for the next run.
+        """
         self._fault_events.sort()
-        finish = self.engine._now
+        left = max_events
         while self._fault_events:
             t, links = self._fault_events[0]
             if until is not None and t > until:
                 break
-            finish = self._drive_segment(t, None)
+            before = self.engine.processed_events
+            finish = self._drive_segment(t, left)
+            if left is not None:
+                left -= self.engine.processed_events - before
+                if self._rtimes and self._rtimes[0] <= t:
+                    return finish
             self._fault_events.pop(0)
             self._apply_link_faults(t, links)
-        return self._drive_segment(until, max_events)
+        return self._drive_segment(until, left)
 
     # ------------------------------------------------------------------- run
     def _drive(self, until: Optional[float], max_events: Optional[int]) -> float:
-        """Inlined record drive loop (the common case: records only).
+        """The drive loop: pop the earliest calendar bucket and run it.
 
-        Equivalent to :meth:`EventEngine.run` but with the singleton-forward
-        hop — the dominant event in steady state — fully inlined: pop,
-        serialise, push, with no batch list, handler call, or dispatch in
-        between.  Simultaneous events (a timestamp tie at the heap head) fall
-        back to batch processing, preserving the exact sequential semantics.
-        The engine's clock and counters are reconciled on exit.
+        A lone forward hop — the dominant event in steady state — is fully
+        inlined (serialise, push the next hop), as is a lone delivery; any
+        other bucket goes through :meth:`_process_batch`, preserving the
+        exact sequential semantics.  ``max_events`` may cut a bucket: its
+        rest stays on the calendar and runs first next time.  The clock and
+        event counts are mirrored onto ``self.engine`` on exit.
         """
-        engine = self.engine
         rtimes = self._rtimes
         rbuckets = self._rbuckets
         bucket_get = rbuckets.get
-        now = engine._now
-        seq = seq0 = engine._sequence
+        now = self.engine.now
         processed = 0
         link_free = self._link_free
         link_busy = self._link_busy
@@ -959,15 +934,13 @@ class PacketNetwork:
             now = t
             if len(records) == 1:
                 rec = records[0]
-                tag = rec[2]
+                tag = rec[0]
             else:
                 tag = -1
             if tag == _FORWARD:
                 # Lone forward hop: serialise on the link and push the next
                 # hop (or the delivery) — the entire steady-state fast path.
-                pid = rec[3]
-                cursor = rec[4]
-                ser = rec[5]
+                _, pid, cursor, ser = rec
                 li = pkt_links[cursor]
                 free = link_free[li]
                 depart = free if free > t else t
@@ -977,21 +950,19 @@ class PacketNetwork:
                 arrival = end + lat_list[li] + buffer
                 cursor += 1
                 if cursor < path_end[pid]:
-                    nxt = (arrival, seq, _FORWARD, pid, cursor,
-                           ser_list[pkt_links[cursor]] * factor[pid])
+                    nxt = (_FORWARD, pid, cursor, ser_list[pkt_links[cursor]] * factor[pid])
                 else:
-                    nxt = (arrival, seq, _DELIVER, pid, msg[pid], 0.0)
+                    nxt = (_DELIVER, msg[pid])
                 bucket = bucket_get(arrival)
                 if bucket is None:
                     rbuckets[arrival] = [nxt]
                     heappush(rtimes, arrival)
                 else:
                     bucket.append(nxt)
-                seq += 1
                 processed += 1
                 continue
             if tag == _DELIVER:
-                m = rec[4]
+                m = rec[1]
                 count = arrived[m] + 1
                 arrived[m] = count
                 if count >= total[m]:
@@ -1005,11 +976,8 @@ class PacketNetwork:
                 heappush(rtimes, t)
                 records = records[:cut]
             processed += len(records)
-            seq = self._process_batch(t, records, seq)
-        engine._now = now
-        engine._processed += processed
-        engine._live += (seq - seq0) - processed
-        engine._sequence = seq
+            self._process_batch(t, records)
+        self._report(now, processed)
         return now
 
     def _drive_sampled(self, until: Optional[float], max_events: Optional[int]) -> float:
@@ -1026,12 +994,11 @@ class PacketNetwork:
         depth_probe = _obs.probe("packet.queue_depth")
         util_probe = _obs.probe("packet.link_utilization")
         done = 0
-        finish = engine._now
         while True:
             budget = _SAMPLE_CHUNK if max_events is None else min(_SAMPLE_CHUNK, max_events - done)
-            before = engine._processed
+            before = engine.processed_events
             finish = self._drive(until, budget)
-            done += engine._processed - before
+            done += engine.processed_events - before
             self._sample_link_state(depth_probe, util_probe)
             if not self._rtimes:
                 break
@@ -1043,7 +1010,7 @@ class PacketNetwork:
 
     def _sample_link_state(self, depth_probe: "_obs.Probe", util_probe: "_obs.Probe") -> None:
         """Record one time-series sample of per-link backlog and utilization."""
-        now = self.engine._now
+        now = self.engine.now
         free = np.asarray(self._link_free, dtype=np.float64)
         if not len(free):
             return
@@ -1057,18 +1024,17 @@ class PacketNetwork:
 
     def run(self, *, until: Optional[float] = None, max_events: Optional[int] = None) -> PacketSimResult:
         """Run the simulation and return the aggregate result."""
-        events_before = self.engine._processed
+        if self.engine.peek() is not None:
+            raise RuntimeError(
+                "a closure event is pending on net.engine; PacketNetwork.run() "
+                "runs only its own packet calendar"
+            )
+        events_before = self.engine.processed_events
         if self._fault_events:
             finish = self._run_with_faults(until, max_events)
-        elif self.engine._queue:
-            # Closure events are mixed in (user extensions): let the engine
-            # interleave both kinds through the generic handler path.
-            finish = self.engine.run(until=until, max_events=max_events)
-        elif _obs.is_enabled():
-            finish = self._drive_sampled(until, max_events)
         else:
-            finish = self._drive(until, max_events)
-        _EVENTS.inc(self.engine._processed - events_before)
+            finish = self._drive_segment(until, max_events)
+        _EVENTS.inc(self.engine.processed_events - events_before)
         arrived = self._msg_arrived
         completion = self._msg_completion
         for midx, message in enumerate(self._messages):

@@ -322,6 +322,48 @@ class TestPacketFaults:
         assert result.packets_lost == 0
         assert result.finish_time >= horizon - 1e-12
 
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_max_events_bounds_a_faulted_run_and_resumes_exactly(
+        self, hx2mesh_4x4, sampled, monkeypatch, request
+    ):
+        if sampled:  # with obs on, runs drive in slices of _SAMPLE_CHUNK events
+            import repro.obs as obs
+            import repro.sim.network as netmod
+
+            monkeypatch.setattr(netmod, "_SAMPLE_CHUNK", 64)
+            obs.enable()
+            request.addfinalizer(obs.disable)
+        topo = hx2mesh_4x4
+        table = route_table_for(topo, max_paths=2)
+
+        def load():
+            net = PacketNetwork(topo, config=PacketSimConfig(max_paths=2), table=table)
+            for i in range(16):
+                net.send(i, (i + 7) % len(net.ranks), 64 * 1024)
+            return net
+
+        clean = load().run()
+        # two fabric cables that carry traffic, killed at 30% of the makespan
+        busy = [li for li in fault_candidate_links(topo, seed=0) if clean.link_busy_time[li] > 0]
+
+        def faulted():
+            net = load()
+            net.schedule_link_faults(0.3 * clean.finish_time, busy[:2])
+            return net
+
+        whole = faulted().run()
+        assert whole.packets_dropped > 0
+        for budget in (50, 200, 400):  # stops before and after the fault time
+            net = faulted()
+            net.run(max_events=budget)
+            assert net.engine.processed_events == budget
+            resumed = net.run()
+            assert [m.completion_time for m in resumed.messages] == [
+                m.completion_time for m in whole.messages
+            ]
+            assert np.array_equal(resumed.link_busy_time, whole.link_busy_time)
+            assert resumed.packets_dropped == whole.packets_dropped
+
     def test_disconnected_destination_counts_lost_packets(self, hx2mesh_4x4):
         topo = hx2mesh_4x4
         victim_rank = 2

@@ -81,7 +81,7 @@ class TestRegistry:
             + list(snap["probes"])
         )
         families = {name.split(".", 1)[0] for name in names}
-        assert {"routing", "flowsim", "packet", "engine", "exp", "cluster"} <= families
+        assert {"routing", "flowsim", "packet", "faults", "exp", "cluster"} <= families
 
     def test_reset_keeps_live_instrument_references(self, disabled):
         counter = obs.counter("test.live_ref")

@@ -72,6 +72,17 @@ class TestEventEngine:
         assert engine.pending_events == 0
         assert engine.now == 0.0
 
+    def test_account_folds_in_an_outside_calendar(self):
+        engine = EventEngine()
+        engine.schedule(5.0, lambda: None)
+        engine.account(2.0, 7, 3)
+        assert (engine.now, engine.processed_events, engine.pending_events) == (2.0, 7, 4)
+        assert engine.peek() == 5.0  # only scheduled events are peeked
+        engine.account(3.0, 3, 0)
+        assert (engine.now, engine.processed_events, engine.pending_events) == (3.0, 10, 1)
+        engine.reset()
+        assert engine.pending_events == 0
+
 
 class TestPacketNetwork:
     @pytest.mark.parametrize(
@@ -117,6 +128,41 @@ class TestPacketNetwork:
         net = PacketNetwork(fat_tree_64)
         with pytest.raises(ValueError):
             net.send(3, 3, 100)
+
+    def test_empty_message_completes_with_one_packet(self, fat_tree_64):
+        net = PacketNetwork(fat_tree_64)
+        msg = net.send(0, 1, 0)
+        net.run()
+        assert msg.finished and msg.packets_total == 1
+
+    @pytest.mark.parametrize("size", [-5.0, float("nan"), float("inf")])
+    def test_rejects_a_negative_or_non_finite_size(self, fat_tree_64, size):
+        net = PacketNetwork(fat_tree_64)
+        with pytest.raises(ValueError, match=r"^message size .* must be finite and >= 0$"):
+            net.send(0, 1, size)
+        assert net.engine.pending_events == 0
+
+    def test_engine_counts_the_calendar(self, fat_tree_64):
+        net = PacketNetwork(fat_tree_64)
+        net.send(0, 1, 100)
+        net.send(2, 3, 100, start_time=1e-6)
+        assert net.engine.pending_events == 2
+        assert net.engine.peek() is None  # no closure events
+        net.run(until=5e-7)
+        assert net.engine.now == 5e-7
+        assert net.engine.pending_events == 1
+        assert net.engine.processed_events == 3  # inject, hop, delivery
+        net.run()
+        assert net.engine.pending_events == 0
+        assert net.engine.processed_events == 6
+
+    def test_rejects_a_start_in_the_past(self, fat_tree_64):
+        net = PacketNetwork(fat_tree_64)
+        net.send(0, 1, 1 << 16)
+        net.run(until=1e-7)
+        with pytest.raises(ValueError, match="cannot schedule into the past"):
+            net.send(2, 3, 100, start_time=5e-8)
+        assert net.send(2, 3, 100, start_time=1e-7).start_time == 1e-7
 
     def test_contention_slows_messages_down(self, fat_tree_64):
         # Two senders to the same destination share its ejection link.

@@ -1,15 +1,13 @@
-"""Scale-out path tests: the route index, batched max-min, wave kernels.
+"""Scale-out path tests: the route index and batched max-min.
 
-The three legs of the scale-out contract:
+The two legs of the scale-out contract:
 
 * route tables store O(routed pairs) bytes, answer batched lookups
   **bit-identically** to one-pair lookups on every topology family, and
   fail with one line when they would outgrow their ``mem_budget``;
 * :meth:`FlowSimulator.maxmin_rates_batch` returns bit-identical results to
   per-scenario solves, both called directly and through the experiment
-  engine's batch grouping;
-* the packet wave kernel registry resolves numpy/python (and numba only
-  when importable), with exact cross-kernel parity.
+  engine's batch grouping.
 """
 
 import numpy as np
@@ -24,24 +22,12 @@ from repro.sim import (
     FlowSimulator,
     RouteBudgetError,
     RouteTable,
-    available_wave_kernels,
     clear_route_tables,
     live_route_tables,
     parse_mem_budget,
     random_permutation,
-    resolve_wave_kernel,
     route_table_for,
 )
-from repro.sim.wavekernel import wave_ends_numpy, wave_ends_python
-
-
-def _has_numba() -> bool:
-    try:
-        import numba  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
 
 
 # --------------------------------------------------------------------------
@@ -236,43 +222,3 @@ class TestEngineBatching:
         assert probe.peak_rss_bytes > 0
         assert probe.rss_growth_bytes >= 0
         assert ballast.shape == (1 << 16,)
-
-
-# --------------------------------------------------------------------------
-# Wave kernels
-# --------------------------------------------------------------------------
-class TestWaveKernels:
-    def test_registry_always_has_portable_kernels(self):
-        kernels = available_wave_kernels()
-        assert kernels["numpy"] is wave_ends_numpy
-        assert kernels["python"] is wave_ends_python
-        assert ("numba" in kernels) == _has_numba()
-
-    def test_resolution_order(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PACKET_KERNEL", raising=False)
-        assert resolve_wave_kernel() is wave_ends_numpy
-        monkeypatch.setenv("REPRO_PACKET_KERNEL", "python")
-        assert resolve_wave_kernel() is wave_ends_python
-        # An explicit name wins over the environment.
-        assert resolve_wave_kernel("numpy") is wave_ends_numpy
-        with pytest.raises(ValueError):
-            resolve_wave_kernel("fortran")
-
-    @pytest.mark.skipif(_has_numba(), reason="numba importable: request succeeds")
-    def test_numba_request_fails_loudly_when_missing(self):
-        with pytest.raises(RuntimeError, match="numba"):
-            resolve_wave_kernel("numba")
-
-    def test_kernel_parity_exact(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            k = int(rng.integers(1, 60))
-            counts = rng.integers(1, 5, size=int(rng.integers(1, 12)))
-            counts = counts[: np.searchsorted(np.cumsum(counts), k) + 1]
-            total = int(counts.sum())
-            starts = np.concatenate(([0], np.cumsum(counts[:-1]))).astype(np.int64)
-            base = rng.random(total)
-            sser = rng.random(total)
-            out_np = wave_ends_numpy(base, sser, starts, counts.astype(np.int64))
-            out_py = wave_ends_python(base, sser, starts, counts.astype(np.int64))
-            assert np.array_equal(out_np, out_py)

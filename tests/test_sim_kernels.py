@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.sim import (
-    EventEngine,
     Flow,
     FlowSimulator,
     PacketNetwork,
@@ -24,102 +23,6 @@ from repro.sim import (
     ring_neighbor_flows,
 )
 from repro.topology import Topology
-
-
-# --------------------------------------------------------------------- engine
-class TestTypedRecords:
-    def test_records_dispatch_in_batches(self):
-        engine = EventEngine()
-        seen = []
-        engine.set_record_handler(lambda t, recs: seen.append((t, [r[2:] for r in recs])))
-        engine.schedule_record(2.0, 1, 10)
-        engine.schedule_record(1.0, 0, 7, 8, 9.5)
-        engine.schedule_record(2.0, 2, 11)
-        engine.run()
-        assert seen == [
-            (1.0, [(0, 7, 8, 9.5)]),
-            (2.0, [(1, 10, 0, 0.0), (2, 11, 0, 0.0)]),
-        ]
-        assert engine.processed_events == 3
-        assert engine.pending_events == 0
-
-    def test_records_interleave_with_closures(self):
-        engine = EventEngine()
-        order = []
-        engine.set_record_handler(
-            lambda t, recs: order.extend(("rec", r[3]) for r in recs)
-        )
-        engine.schedule(1.0, lambda: order.append(("closure", "a")))  # seq 0
-        engine.schedule_record(1.0, 0, "b")                           # seq 1
-        engine.schedule(1.0, lambda: order.append(("closure", "c")))  # seq 2
-        engine.schedule_record(1.0, 0, "d")                           # seq 3
-        engine.schedule_record(0.5, 0, "early")
-        engine.run()
-        # Global (time, sequence) order: the closure barrier at seq 2 splits
-        # the records at t=1.0 into two batches.
-        assert order == [
-            ("rec", "early"),
-            ("closure", "a"),
-            ("rec", "b"),
-            ("closure", "c"),
-            ("rec", "d"),
-        ]
-
-    def test_handler_can_schedule_followups(self):
-        engine = EventEngine()
-        times = []
-
-        def handler(t, recs):
-            times.append(t)
-            for rec in recs:
-                if rec[3] < 3:
-                    engine.schedule_record(t + 1.0, 0, rec[3] + 1)
-
-        engine.set_record_handler(handler)
-        engine.schedule_record(0.0, 0, 0)
-        finish = engine.run()
-        assert times == [0.0, 1.0, 2.0, 3.0]
-        assert finish == 3.0
-
-    def test_peek_and_pending_cover_records(self):
-        engine = EventEngine()
-        engine.schedule_record(2.0, 0)
-        engine.schedule(3.0, lambda: None)
-        assert engine.peek() == 2.0
-        assert engine.pending_events == 2
-
-    def test_cannot_schedule_record_in_the_past(self):
-        engine = EventEngine()
-        engine.set_record_handler(lambda t, recs: None)
-        engine.schedule_record(1.0, 0)
-        engine.run()
-        with pytest.raises(ValueError):
-            engine.schedule_record(0.5, 0)
-
-    def test_run_without_handler_raises(self):
-        engine = EventEngine()
-        engine.schedule_record(1.0, 0)
-        with pytest.raises(RuntimeError):
-            engine.run()
-
-    def test_reset_clears_records(self):
-        engine = EventEngine()
-        engine.schedule_record(1.0, 0)
-        engine.reset()
-        assert engine.pending_events == 0
-        assert engine.peek() is None
-
-    def test_max_events_splits_a_batch(self):
-        engine = EventEngine()
-        seen = []
-        engine.set_record_handler(lambda t, recs: seen.extend(r[3] for r in recs))
-        for i in range(5):
-            engine.schedule_record(1.0, 0, i)
-        engine.run(max_events=2)
-        assert seen == [0, 1]
-        assert engine.pending_events == 3
-        engine.run()
-        assert seen == [0, 1, 2, 3, 4]
 
 
 # ------------------------------------------------------------- packet parity
@@ -187,11 +90,22 @@ class TestPacketParityAllFamilies:
 
         At the shipped threshold (4096) no in-repo workload reaches the
         vectorized pass, so force it low and pin it to the reference on
-        every family — including fractional payload factors.
+        every family — including fractional payload factors, and waves
+        with one packet per link as well as waves where packets share a
+        link and serialise back to back.
         """
         import repro.sim.network as netmod
 
         monkeypatch.setattr(netmod, "_WAVE_THRESHOLD", 2)
+        shares_a_link = []
+        wave = netmod.PacketNetwork._forward_wave
+
+        def spy(net, time, records):
+            links = net._np_links[[rec[2] for rec in records]]
+            shares_a_link.append(len(np.unique(links)) < len(links))
+            wave(net, time, records)
+
+        monkeypatch.setattr(netmod.PacketNetwork, "_forward_wave", spy)
         for name, topo in all_small_topologies.items():
             flows = random_permutation(topo.num_accelerators, seed=11)
             (ref, rr), (vec, rv) = _run_pair(
@@ -200,16 +114,37 @@ class TestPacketParityAllFamilies:
             assert np.array_equal(_completion_times(rr), _completion_times(rv)), name
             assert np.array_equal(rr.link_busy_time, rv.link_busy_time), name
             assert ref.engine.processed_events == vec.engine.processed_events, name
+        assert any(shares_a_link) and not all(shares_a_link)
 
-    def test_run_with_closure_events_mixed_in(self, fat_tree_64):
-        """User closures on the packet engine still interleave correctly."""
+    def test_max_events_cut_inside_a_wave_resumes_exactly(self, hx2mesh_4x4, monkeypatch):
+        """A run stopped inside a bucket of simultaneous events resumes
+        where it stopped: the rest of the bucket runs first."""
+        import repro.sim.network as netmod
+
+        monkeypatch.setattr(netmod, "_WAVE_THRESHOLD", 2)
+        flows = random_permutation(hx2mesh_4x4.num_accelerators, seed=2)
+        config = PacketSimConfig(max_paths=4)
+        whole = PacketNetwork(hx2mesh_4x4, config=config)
+        whole.send_flows(flows, 1 << 15)
+        expected = whole.run()
+        for budget in (10, 200, 333):  # 64 injections share t=0; then hop waves
+            net = PacketNetwork(hx2mesh_4x4, config=config)
+            net.send_flows(flows, 1 << 15)
+            net.run(max_events=budget)
+            assert net.engine.processed_events == budget
+            assert net.engine.pending_events > 0
+            result = net.run()
+            assert np.array_equal(_completion_times(result), _completion_times(expected))
+            assert np.array_equal(result.link_busy_time, expected.link_busy_time)
+            assert result.finish_time == expected.finish_time
+            assert net.engine.processed_events == whole.engine.processed_events
+
+    def test_pending_closure_fails_the_run(self, fat_tree_64):
         net = PacketNetwork(fat_tree_64)
-        msg = net.send(0, 1, 1 << 14)
-        fired = []
-        net.engine.schedule(1e-9, lambda: fired.append(net.engine.now))
-        result = net.run()
-        assert fired == [1e-9]
-        assert msg.finished and result.all_finished
+        net.send(0, 1, 1 << 14)
+        net.engine.schedule(1e-9, lambda: None)
+        with pytest.raises(RuntimeError, match="closure event is pending on net.engine"):
+            net.run()
 
     def test_run_until_and_resume(self, fat_tree_64):
         net = PacketNetwork(fat_tree_64)
