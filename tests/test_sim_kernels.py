@@ -139,12 +139,15 @@ class TestPacketParityAllFamilies:
             assert result.finish_time == expected.finish_time
             assert net.engine.processed_events == whole.engine.processed_events
 
-    def test_pending_closure_fails_the_run(self, fat_tree_64):
+    def test_run_with_closure_events_mixed_in(self, fat_tree_64):
+        """A closure pending on the packet engine fails the run with one
+        line instead of being silently dropped."""
         net = PacketNetwork(fat_tree_64)
         net.send(0, 1, 1 << 14)
         net.engine.schedule(1e-9, lambda: None)
-        with pytest.raises(RuntimeError, match="closure event is pending on net.engine"):
+        with pytest.raises(RuntimeError, match="closure event is pending on net.engine") as err:
             net.run()
+        assert "\n" not in str(err.value)
 
     def test_run_until_and_resume(self, fat_tree_64):
         net = PacketNetwork(fat_tree_64)
@@ -167,6 +170,37 @@ class TestPacketParityAllFamilies:
         np.testing.assert_array_equal(fast.phase_rates(flows), slow.phase_rates(flows))
         with pytest.raises(ValueError):
             get_backend("packet", hx2mesh_4x4, impl="bogus")
+
+
+class TestTypedRecords:
+    """Packet calendar records and closure events share one engine's counts."""
+
+    def test_records_interleave_with_closures(self, fat_tree_64):
+        """Records and closures interleave in the engine's counts, never in
+        execution: a refused run leaves the calendar intact, and once the
+        closure is cancelled the run equals one that never saw it."""
+        net = PacketNetwork(fat_tree_64)
+        msg = net.send(0, 1, 1 << 14)
+        records = net.engine.pending_events
+        assert records > 0
+        fired = []
+        handle = net.engine.schedule(1e-9, lambda: fired.append(net.engine.now))
+        assert net.engine.pending_events == records + 1
+        with pytest.raises(RuntimeError):
+            net.run()
+        assert net.engine.pending_events == records + 1
+        assert net.engine.processed_events == 0 and not msg.finished
+        assert net.engine.cancel(handle)
+        assert net.engine.pending_events == records
+        result = net.run()
+        assert fired == [] and result.all_finished
+        solo = PacketNetwork(fat_tree_64)
+        solo.send(0, 1, 1 << 14)
+        expected = solo.run()
+        assert result.finish_time == expected.finish_time
+        assert np.array_equal(result.link_busy_time, expected.link_busy_time)
+        assert net.engine.processed_events == solo.engine.processed_events
+        assert net.engine.pending_events == 0
 
 
 class TestPayloadExactness:
