@@ -10,8 +10,8 @@ with the same board grid as the cluster, and every board failure also
 kills that board's accelerators and links via
 :meth:`~repro.sim.faults.FaultSet.from_boards`.  A seeded permutation
 probe workload is re-solved through the shared
-:class:`~repro.sim.faults.FaultEventSolver` (warm delta re-solves on
-failures, cold re-solves on the non-monotone repairs), and the mean
+:class:`~repro.sim.faults.FaultEventSolver` (one cold re-solve per
+failure or repair), and the mean
 rate of the *surviving* probe flows relative to their fault-free rates
 becomes the cluster's bandwidth factor: running jobs' remaining service
 time stretches by ``old_factor / new_factor`` when a board dies and

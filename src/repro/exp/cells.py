@@ -24,7 +24,6 @@ __all__ = [
     "flowsim_maxmin_cell",
     "flowsim_batch_cell",
     "flowsim_delta_cell",
-    "fault_delta_cell",
     "maxmin_permutation_cell",
     "maxmin_permutation_batch",
     "route_table_reuse_cell",
@@ -367,91 +366,6 @@ def flowsim_delta_cell(
         "delta_ms_per_eval": 1e3 * delta_seconds / num_moves,
         "cold_ms_per_eval": 1e3 * cold_seconds / num_moves,
         "speedup": cold_seconds / max(delta_seconds, 1e-12),
-        "max_abs_diff": max_abs_diff,
-    }
-
-
-@cell(version=1, cacheable=False)
-def fault_delta_cell(
-    *,
-    topo_key: str = "fattree_tapered",
-    policy: str = "minimal",
-    num_events: int = 6,
-    max_paths: int = 8,
-    seed: int = 3,
-    repeats: int = 3,
-) -> dict:
-    """Fault-event replay cost: warm delta re-solves vs per-event cold solves.
-
-    Builds one routing-policy-study topology, solves its hand-built
-    adversarial permutation, then replays a cumulative ``num_events``-cable
-    fault schedule two ways: through :class:`FaultEventSolver` (each event
-    warm delta re-solves only the flows whose routes crossed the newly-dead
-    cable) and through one cold :meth:`FlowSimulator.maxmin_rates` per
-    event over the degraded table.  Every degraded table is built once
-    outside the clock — table construction is memoized and identical for
-    both engines, so the timing compares solver work.  Reports per-event
-    times, the speedup, the warm-event count, and the worst rate
-    disagreement across the schedule.  Never cached: the result is a
-    timing.
-    """
-    import numpy as np
-
-    from ..analysis.figures import _routing_policy_topo
-    from ..sim import FlowSimulator, adversarial_permutation, link_fault_schedule
-    from ..sim.faults import FaultEventSolver, degraded_route_table, split_connected
-
-    topo = _routing_policy_topo(topo_key)
-    flows = adversarial_permutation(topo)
-    #: events with >= 1 dead cable — the baseline (schedule[0]) solve is the
-    #: solver's constructor and stays outside the clock on both engines.
-    events = link_fault_schedule(topo, num_events, seed=seed)[1:]
-
-    def make_solver():
-        return FaultEventSolver(topo, flows, policy=policy, max_paths=max_paths)
-
-    def eval_warm(solver):
-        return solver.apply_schedule(events)
-
-    def eval_cold():
-        out = []
-        for faults in events:
-            table = degraded_route_table(
-                topo, faults, max_paths=max_paths, policy=policy
-            )
-            sim = FlowSimulator(topo, table=table)
-            ranks = sim.ranks
-            pairs = [(ranks[f.src], ranks[f.dst]) for f in flows]
-            ok, _ = split_connected(table, pairs)
-            active = [flows[i] for i in ok]
-            rates = np.zeros(len(flows))
-            if active:
-                rates[ok] = sim.maxmin_rates(active).flow_rates
-            out.append(rates)
-        return out
-
-    warm_reports = eval_warm(make_solver())  # clock-free: memoize every table
-    cold_rates = eval_cold()
-    max_abs_diff = max(
-        float(np.abs(r.rates - c).max()) for r, c in zip(warm_reports, cold_rates)
-    )
-    warm_seconds = cold_seconds = float("inf")
-    for _ in range(max(1, repeats)):
-        solver = make_solver()  # baseline solve outside the clock
-        start = time.perf_counter()
-        eval_warm(solver)
-        warm_seconds = min(warm_seconds, time.perf_counter() - start)
-        start = time.perf_counter()
-        eval_cold()
-        cold_seconds = min(cold_seconds, time.perf_counter() - start)
-    return {
-        "topo_key": topo_key,
-        "policy": policy,
-        "num_events": num_events,
-        "warm_events": sum(1 for r in warm_reports if r.warm),
-        "delta_ms_per_event": 1e3 * warm_seconds / len(events),
-        "cold_ms_per_event": 1e3 * cold_seconds / len(events),
-        "speedup": cold_seconds / max(warm_seconds, 1e-12),
         "max_abs_diff": max_abs_diff,
     }
 

@@ -210,7 +210,6 @@ _DEFAULT_SCHEMA: Tuple[Tuple[str, str], ...] = (
     ("counter", "flowsim.delta_solves"),
     ("counter", "flowsim.delta_warm_hits"),
     ("counter", "flowsim.delta_fallbacks"),
-    ("counter", "flowsim.delta_assignments"),
     ("histogram", "flowsim.delta_changed_flows"),
     ("histogram", "flowsim.delta_active_subflows"),
     ("histogram", "flowsim.delta_batch_size"),
@@ -228,8 +227,6 @@ _DEFAULT_SCHEMA: Tuple[Tuple[str, str], ...] = (
     ("counter", "faults.tables_degraded"),
     ("counter", "faults.pairs_rerouted"),
     ("counter", "faults.pairs_disconnected"),
-    ("counter", "faults.delta_resolves"),
-    ("counter", "faults.cold_resolves"),
     ("counter", "faults.packets_dropped"),
     ("counter", "faults.packets_retried"),
     ("counter", "faults.packets_lost"),

@@ -19,12 +19,10 @@ set of dead directed links and dead nodes; it never mutates a
   route through the same provider — automatically avoids dead links.
   An **empty** fault set returns the shared memoized fault-free table,
   which pins the degraded path bit-identical to the fault-free one.
-* :class:`FaultEventSolver` replays a growing fault schedule against one
-  flow set, re-solving each event incrementally with
-  :meth:`~repro.sim.flowsim.FlowSimulator.maxmin_rates_delta`: only the
-  flows whose current routes touch newly-dead links are re-routed, and
-  the warm-started candidate is verified exactly (cold fallback on
-  failure, and on any non-monotone event such as a repair).
+* :class:`FaultEventSolver` replays a fault schedule against one flow
+  set: each event drops the flows it disconnects and cold-solves the
+  survivors over that event's degraded table, so every report equals an
+  independent solve of the same fault set, bit for bit.
 
 Fault *sampling* is deterministic and nested: :func:`sample_link_faults`
 orders the eligible cables by a seeded hash, so the ``k``-fault sample is
@@ -87,8 +85,6 @@ _LINKS_DEAD = _obs.counter("faults.links_dead")
 _TABLES_DEGRADED = _obs.counter("faults.tables_degraded")
 _PAIRS_REROUTED = _obs.counter("faults.pairs_rerouted")
 _PAIRS_DISCONNECTED = _obs.counter("faults.pairs_disconnected")
-_DELTA_RESOLVES = _obs.counter("faults.delta_resolves")
-_COLD_RESOLVES = _obs.counter("faults.cold_resolves")
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +528,7 @@ def split_connected(
 
 
 # ---------------------------------------------------------------------------
-#  Incremental re-solve over fault events
+#  Re-solve over fault events
 # ---------------------------------------------------------------------------
 @dataclass
 class FaultStepReport:
@@ -540,16 +536,14 @@ class FaultStepReport:
 
     ``rates`` is indexed by the solver's *original* flow list;
     disconnected flows carry rate 0.0 and are listed in
-    ``disconnected``.  ``warm`` is True when the event was absorbed by a
-    verified warm delta solve; ``rerouted`` counts the flows whose
-    routes were re-spliced by the event.
+    ``disconnected``.  ``rerouted`` counts the flows whose previous routes
+    crossed a link the event killed.
     """
 
     faults: FaultSet
     rates: np.ndarray
     disconnected: Tuple[int, ...] = ()
     rerouted: int = 0
-    warm: bool = True
 
     @property
     def connected_rates(self) -> np.ndarray:
@@ -572,20 +566,15 @@ class FaultStepReport:
 
 
 class FaultEventSolver:
-    """Warm-started max-min re-solves across a sequence of fault events.
+    """Max-min re-solves of one flow set across a sequence of fault events.
 
-    Holds one flow set and replays cumulative :class:`FaultSet`\\ s
-    against it.  For a monotone event (faults only grow, no flow newly
-    disconnected) only the flows whose current routes touch newly-dead
-    links are re-routed, via
-    :meth:`~repro.sim.flowsim.FlowSimulator.maxmin_rates_delta`;
-    disconnections, repairs (fault sets shrinking), group-selecting
-    policies (UGAL), and policies whose per-pair choice shifts when an
-    *unused* candidate dies (ECMP, Valiant — see
-    :attr:`~repro.sim.policy.RoutingPolicy.local_reroutes`) re-solve
-    cold on the surviving flow list.  Either
-    way the result is exact — ``warm`` on the report only records which
-    path produced it.
+    Holds one flow set and replays :class:`FaultSet`\\ s against it
+    (cumulative schedules, repairs and disconnections alike).  Each event
+    routes over its degraded table (:func:`degraded_route_table`) and
+    cold-solves the still-connected flows with
+    :meth:`~repro.sim.flowsim.FlowSimulator.maxmin_warm_state`, so a
+    report's rates are exactly those of an independent solve of the same
+    fault set.
     """
 
     def __init__(
@@ -602,12 +591,11 @@ class FaultEventSolver:
         self.max_paths = max_paths
         self.faults = FaultSet.empty()
         self._active: Tuple[int, ...] = tuple(range(len(self.flows)))
-        self._sim = self._sim_for(self.faults)
         self._state: Optional[WarmState] = (
-            self._sim.maxmin_warm_state(self.flows) if self.flows else None
+            self._sim_for(self.faults).maxmin_warm_state(self.flows) if self.flows else None
         )
         #: fault-free solution of the flow set (step 0 of every schedule)
-        self.baseline = self._report(self.faults, warm=True, rerouted=0)
+        self.baseline = self._report(self.faults, rerouted=0)
 
     def _sim_for(self, faults: FaultSet) -> FlowSimulator:
         table = degraded_route_table(
@@ -643,42 +631,24 @@ class FaultEventSolver:
         else:
             active = tuple(range(len(self.flows)))
         newly_dead = faults.dead_links - self.faults.dead_links
-        monotone = (
-            not (self.faults.dead_links - faults.dead_links)
-            and not (self.faults.dead_nodes - faults.dead_nodes)
-        )
         active_flows = [self.flows[i] for i in active]
-        warm = False
-        if (
-            monotone
-            and active == self._active
-            and self._state is not None
-            and not self.policy.selects_group
-            and self.policy.local_reroutes
-        ):
-            changed = self._touched(self._state, newly_dead)
-            rerouted = len(changed)
-            ds = sim.maxmin_rates_delta(self._state, active_flows, changed=changed)
-            state, warm = ds.state, ds.warm
-        elif active_flows:
+        if active_flows:
             rerouted = len(self._touched(self._state, newly_dead)) if self._state else len(active_flows)
             state = sim.maxmin_warm_state(active_flows)
         else:
             rerouted = 0
             state = None
-        (_DELTA_RESOLVES if warm else _COLD_RESOLVES).inc()
         _EVENTS.inc()
-        self._sim = sim
         self._state = state
         self.faults = faults
         self._active = active
-        return self._report(faults, warm=warm, rerouted=rerouted)
+        return self._report(faults, rerouted=rerouted)
 
     def apply_schedule(self, schedule: Sequence[FaultSet]) -> List[FaultStepReport]:
         """Replay a cumulative schedule (see :func:`link_fault_schedule`)."""
         return [self.apply(fs) for fs in schedule]
 
-    def _report(self, faults: FaultSet, *, warm: bool, rerouted: int) -> FaultStepReport:
+    def _report(self, faults: FaultSet, *, rerouted: int) -> FaultStepReport:
         n = len(self.flows)
         rates = np.zeros(n)
         if self._state is not None and self._active:
@@ -690,5 +660,4 @@ class FaultEventSolver:
             rates=rates,
             disconnected=disconnected,
             rerouted=rerouted,
-            warm=warm,
         )

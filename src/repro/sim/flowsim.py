@@ -58,7 +58,6 @@ _BATCH_SIZE = _obs.histogram("flowsim.batch_size")
 _DELTA_SOLVES = _obs.counter("flowsim.delta_solves")
 _DELTA_WARM = _obs.counter("flowsim.delta_warm_hits")
 _DELTA_FALLBACKS = _obs.counter("flowsim.delta_fallbacks")
-_DELTA_ASSIGNS = _obs.counter("flowsim.delta_assignments")
 _DELTA_CHANGED = _obs.histogram("flowsim.delta_changed_flows")
 _DELTA_ACTIVE = _obs.histogram("flowsim.delta_active_subflows")
 _DELTA_BATCH = _obs.histogram("flowsim.delta_batch_size")
@@ -107,8 +106,9 @@ class FlowAssignment:
     _link_entry_offsets: Optional[np.ndarray] = None
     _link_entry_ids: Optional[np.ndarray] = None
     _link_entry_order: Optional[np.ndarray] = None
-    # Lazily-built indexes for the delta path (see flow_subflow_offsets /
-    # subflow_weights / entry_weights); None until first used.
+    # Lazily-built indexes for the delta batch and the fill (see
+    # flow_subflow_offsets / subflow_weights / entry_weights); None until
+    # first used.
     _flow_subflow_offsets: Optional[np.ndarray] = None
     _subflow_weights: Optional[np.ndarray] = None
     _entry_weights: Optional[np.ndarray] = None
@@ -189,11 +189,6 @@ class FlowAssignment:
             ).astype(np.int64)
         return self._flow_subflow_offsets
 
-    def flow_entry_offsets(self) -> np.ndarray:
-        """Entry-range offsets per flow (a flow's subflows are contiguous, so
-        its entries are too)."""
-        return self.subflow_offsets()[self.flow_subflow_offsets()]
-
     def subflow_weights(self) -> np.ndarray:
         """Per-subflow demand share: path weight times the flow's demand."""
         if self._subflow_weights is None:
@@ -205,108 +200,6 @@ class FlowAssignment:
         if self._entry_weights is None:
             self._entry_weights = self.subflow_weights()[self.entry_subflow]
         return self._entry_weights
-
-    def apply_delta(
-        self,
-        changed: np.ndarray,
-        num_flows: int,
-        seg_demand: np.ndarray,
-        seg_counts: np.ndarray,
-        seg_weights: np.ndarray,
-        seg_links: np.ndarray,
-        seg_lengths: np.ndarray,
-    ) -> "FlowAssignment":
-        """A new assignment with the routed state of ``changed`` flows replaced.
-
-        ``changed`` (sorted, unique) indexes flows in the *new* flow list of
-        ``num_flows`` flows: indices past the old flow count describe appended
-        flows (all of which must be listed), while old flows past
-        ``num_flows`` are dropped.  The ``seg_*`` arrays hold the changed
-        flows' new routing concatenated in ``changed`` order — demand and
-        path count per flow, then per-subflow weights and entry counts, then
-        the concatenated entry links — exactly the per-pair arrays a cold
-        :meth:`FlowSimulator.assign` gathers.  Unchanged flows' CSR rows are
-        spliced in verbatim, so the result is element-wise identical to a
-        cold assignment of the new flow list (same flow-major order, same
-        per-pair path order); only O(changed) routing work is done.
-        """
-        changed = np.asarray(changed, dtype=np.int64)
-        if len(changed) and (int(changed[0]) < 0 or int(changed[-1]) >= num_flows):
-            raise ValueError("changed flow indices out of range")
-        if num_flows > self.num_flows:
-            appended = np.arange(self.num_flows, num_flows, dtype=np.int64)
-            if not np.isin(appended, changed).all():
-                raise ValueError("appended flows must all be listed as changed")
-        n_common = min(self.num_flows, num_flows)
-        fso = self.flow_subflow_offsets()
-        seo = self.subflow_offsets()
-        old_counts = np.diff(fso)
-        old_lengths = np.diff(seo)
-        seg_counts = np.asarray(seg_counts, dtype=np.int64)
-        seg_lengths = np.asarray(seg_lengths, dtype=np.int64)
-        seg_sub_off = np.concatenate(([0], np.cumsum(seg_counts))).astype(np.int64)
-        seg_entry_off = np.concatenate(([0], np.cumsum(seg_lengths))).astype(np.int64)
-        # Entry offset of each changed flow's segment (its subflows'
-        # entry counts are contiguous in seg_lengths).
-        seg_flow_entry = seg_entry_off[seg_sub_off]
-        w_parts: List[np.ndarray] = []
-        len_parts: List[np.ndarray] = []
-        link_parts: List[np.ndarray] = []
-        cnt_parts: List[np.ndarray] = []
-        dem_parts: List[np.ndarray] = []
-
-        def _old_chunk(lo: int, hi: int) -> None:
-            s0, s1 = int(fso[lo]), int(fso[hi])
-            w_parts.append(self.subflow_weight[s0:s1])
-            len_parts.append(old_lengths[s0:s1])
-            link_parts.append(self.entry_link[int(seo[s0]) : int(seo[s1])])
-            cnt_parts.append(old_counts[lo:hi])
-            dem_parts.append(self.flow_demand[lo:hi])
-
-        prev = 0
-        for k, fi in enumerate(changed.tolist()):
-            hi = min(fi, n_common)
-            if hi > prev:
-                _old_chunk(prev, hi)
-            w_parts.append(seg_weights[seg_sub_off[k] : seg_sub_off[k + 1]])
-            len_parts.append(seg_lengths[seg_sub_off[k] : seg_sub_off[k + 1]])
-            link_parts.append(seg_links[seg_flow_entry[k] : seg_flow_entry[k + 1]])
-            cnt_parts.append(seg_counts[k : k + 1])
-            dem_parts.append(seg_demand[k : k + 1])
-            prev = fi + 1
-        if n_common > prev:
-            _old_chunk(prev, n_common)
-        subflow_weight = np.concatenate(w_parts) if w_parts else np.zeros(0)
-        sub_lengths = (
-            np.concatenate(len_parts) if len_parts else np.zeros(0, dtype=np.int64)
-        )
-        entry_link = (
-            np.concatenate(link_parts) if link_parts else np.zeros(0, dtype=np.int64)
-        )
-        counts = (
-            np.concatenate(cnt_parts) if cnt_parts else np.zeros(0, dtype=np.int64)
-        )
-        if sub_lengths.dtype != np.int64:
-            sub_lengths = sub_lengths.astype(np.int64)
-        if entry_link.dtype != np.int64:
-            entry_link = entry_link.astype(np.int64)
-        if counts.dtype != np.int64:
-            counts = counts.astype(np.int64)
-        flow_demand = np.concatenate(dem_parts) if dem_parts else np.zeros(0)
-        num_subflows = int(counts.sum())
-        out = FlowAssignment(
-            num_flows=num_flows,
-            num_subflows=num_subflows,
-            entry_link=entry_link,
-            entry_subflow=np.repeat(np.arange(num_subflows, dtype=np.int64), sub_lengths),
-            subflow_flow=np.repeat(np.arange(num_flows, dtype=np.int64), counts),
-            subflow_weight=subflow_weight,
-            flow_demand=flow_demand,
-        )
-        # The splice already knows both CSR layouts; seed the lazy indexes.
-        out._subflow_offsets = np.concatenate(([0], np.cumsum(sub_lengths))).astype(np.int64)
-        out._flow_subflow_offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        return out
 
 
 def _gather_ranges(offsets: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -327,29 +220,6 @@ def _gather_ranges(offsets: np.ndarray, ids: np.ndarray) -> np.ndarray:
     out = np.arange(int(ends[-1]), dtype=np.int64)
     out += np.repeat(starts - (ends - counts), counts)
     return out
-
-
-def _splice_flow_array(
-    old_vals: np.ndarray,
-    old_off: np.ndarray,
-    new_off: np.ndarray,
-    changed_idx: np.ndarray,
-    n_common: int,
-) -> np.ndarray:
-    """Splice a per-flow CSR payload across a delta: old chunks for unchanged
-    flows (flow ids below ``n_common`` keep their numbering), zero-filled
-    chunks (sized by ``new_off``) for every changed or appended flow."""
-    parts = []
-    prev = 0
-    for fi in changed_idx.tolist():
-        hi = fi if fi < n_common else n_common
-        if hi > prev:
-            parts.append(old_vals[old_off[prev] : old_off[hi]])
-        parts.append(np.zeros(int(new_off[fi + 1] - new_off[fi])))
-        prev = fi + 1
-    if n_common > prev:
-        parts.append(old_vals[old_off[prev] : old_off[n_common]])
-    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def _pair_range_path_ids(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -385,9 +255,8 @@ class WarmState:
     path needs to re-verify a perturbed instance: the routed assignment, the
     per-subflow freeze levels, the per-entry rates they imply, and the
     per-link used bandwidth.  Produced by
-    :meth:`FlowSimulator.maxmin_warm_state` and by every
-    :meth:`FlowSimulator.maxmin_rates_delta` call (chainable: each delta
-    solve returns the state of the *new* flow list).
+    :meth:`FlowSimulator.maxmin_warm_state` (a cold solve); every
+    :meth:`FlowSimulator.maxmin_rates_delta_batch` candidate perturbs one.
     """
 
     src: np.ndarray
@@ -406,17 +275,15 @@ class WarmState:
 
 @dataclass
 class DeltaSolve:
-    """Result of one :meth:`FlowSimulator.maxmin_rates_delta` call.
+    """One candidate's result from :meth:`FlowSimulator.maxmin_rates_delta_batch`.
 
     ``warm`` is True when the warm-started candidate passed the exact
     max-min verification; False means the solve fell back to the cold
     progressive filling (the rates are correct either way).  ``attempts``
-    counts relaxed-fill rounds tried before success or fallback.  ``state``
-    is ``None`` when the solve was invoked with ``want_state=False``.
+    counts relaxed-fill rounds tried before success or fallback.
     """
 
     result: PhaseResult
-    state: Optional[WarmState]
     warm: bool
     changed: int
     attempts: int
@@ -777,7 +644,7 @@ class FlowSimulator:
         subflow froze at and the per-link remaining capacity at the fixed
         point.  Every cold solve goes through here — :meth:`maxmin_rates`,
         :meth:`maxmin_warm_state`, :meth:`maxmin_rates_batch` and the exact
-        fallbacks of the delta solvers.
+        fallbacks of :meth:`maxmin_rates_delta_batch`.
 
         The state of scenario ``s`` is row ``s`` of fixed-shape ``(S, W)``
         arrays.  The row holds the links the scenario loads, ascending
@@ -994,24 +861,14 @@ class FlowSimulator:
         """Cold-solve ``flows`` and capture the fixed point for delta solves.
 
         The returned :class:`WarmState` seeds
-        :meth:`maxmin_rates_delta`; its ``result`` field holds the same
-        :class:`PhaseResult` a plain :meth:`maxmin_rates` call produces.
+        :meth:`maxmin_rates_delta_batch`; its ``result`` field holds the
+        same :class:`PhaseResult` a plain :meth:`maxmin_rates` call produces.
         """
         flows = list(flows)
         asg = self.assign(flows)
         [(levels, remaining)] = self._water_fill([asg], max_iterations=max_iterations)
         result = self._phase_result(asg, levels, remaining)
-        return self._warm_state_from(asg, levels, result, *self._flow_arrays(flows))
-
-    def _warm_state_from(
-        self,
-        asg: FlowAssignment,
-        levels: np.ndarray,
-        result: PhaseResult,
-        src: np.ndarray,
-        dst: np.ndarray,
-        demand: np.ndarray,
-    ) -> WarmState:
+        src, dst, demand = self._flow_arrays(flows)
         entry_rate = (asg.subflow_weights() * levels)[asg.entry_subflow]
         used = np.bincount(asg.entry_link, weights=entry_rate, minlength=len(self.capacity))
         return WarmState(
@@ -1046,647 +903,6 @@ class FlowSimulator:
             lam[ul[sat]] = gmax[sat]
         return lam
 
-    def maxmin_rates_delta(
-        self,
-        state: WarmState,
-        flows: Sequence[Flow],
-        *,
-        changed: Optional[Sequence[int]] = None,
-        max_iterations: int = 100000,
-        max_attempts: int = 3,
-        max_active_fraction: float = 0.85,
-        want_state: bool = True,
-    ) -> DeltaSolve:
-        """Max-min rates of ``flows`` warm-started from a previous fixed point.
-
-        ``state`` is the solved state of a *similar* flow list (from
-        :meth:`maxmin_warm_state` or a previous delta solve).  The changed
-        flows' routes are spliced into the previous assignment
-        (:meth:`FlowAssignment.apply_delta`) instead of re-gathering every
-        pair, and their freeze levels are re-solved against the previous
-        solution's per-link residuals (the *relaxed fill*: every unchanged
-        subflow keeps its prior level).  The candidate is then verified
-        against the exact max-min optimality conditions over the **whole**
-        instance — feasibility on every link, and a saturated bottleneck
-        link on which its level is maximal for every positive-weight subflow
-        (the Bertsekas–Gallager characterisation, whose satisfaction pins
-        the unique max-min point).  Candidates that fail grow the re-solved
-        set once or twice (``max_attempts``); if verification still fails,
-        or the perturbation is too large a fraction of the instance, the
-        solve **falls back to the cold solver exactly** — results agree with
-        :meth:`maxmin_rates` to well under 1e-12 either way.
-
-        ``changed`` optionally lists the indices of flows that differ (it
-        must cover every difference; same-length flow lists only) to skip
-        the O(flows) diff.  Policies with per-flow group selection (UGAL)
-        always solve cold: their routing depends on the global load, so no
-        local perturbation argument applies.
-
-        ``want_state=False`` skips building the chainable
-        :class:`WarmState` (``DeltaSolve.state`` is then ``None``); the
-        :class:`PhaseResult` is still returned.  Search loops use this for
-        proposals they are likely to reject — evaluating the objective does
-        not need the state — and re-solve with ``want_state=True`` only on
-        acceptance.
-        """
-        flows = list(flows)
-        n_new = len(flows)
-        n_old = int(state.asg.num_flows)
-        changed_idx, src, dst, demand = self._changed_flows(state, flows, changed)
-        _DELTA_SOLVES.inc()
-        _DELTA_CHANGED.observe(len(changed_idx))
-        if n_new == n_old and not len(changed_idx):
-            _DELTA_WARM.inc()
-            return DeltaSolve(result=state.result, state=state, warm=True, changed=0, attempts=0)
-        if n_new == 0 or n_old == 0 or self.policy.selects_group:
-            # UGAL re-selects per-flow path groups from the *global* load, so
-            # no local perturbation argument applies; degenerate sizes (all
-            # flows new or all gone) have nothing to reuse either.
-            _DELTA_FALLBACKS.inc()
-            new_state = self.maxmin_warm_state(flows, max_iterations=max_iterations)
-            return DeltaSolve(
-                result=new_state.result,
-                state=new_state,
-                warm=False,
-                changed=len(changed_idx),
-                attempts=0,
-            )
-        # The splice is valid regardless of how the solve goes.
-        new_asg = self._assign_delta(state.asg, changed_idx, n_new, src, dst, demand)
-        attempts = 0
-        levels = used = link_lam = ae = ae_rate = active_set = None
-        if len(changed_idx) <= max(4.0, max_active_fraction * n_new):
-            (
-                levels,
-                used,
-                link_lam,
-                ae,
-                ae_rate,
-                active_set,
-                attempts,
-            ) = self._warm_levels(
-                state, new_asg, changed_idx, max_attempts, max_active_fraction
-            )
-        if levels is not None:
-            _DELTA_WARM.inc()
-            cap = self.capacity
-            if n_new == n_old:
-                # Only the active subflows' rates moved: patch the prior
-                # per-flow totals instead of re-reducing the whole instance.
-                flow_rates = state.result.flow_rates.copy()
-                new_fso = new_asg.flow_subflow_offsets()
-                fpatch = np.unique(new_asg.subflow_flow[active_set])
-                ps = _gather_ranges(new_fso, fpatch)
-                plen = new_fso[fpatch + 1] - new_fso[fpatch]
-                p_off = np.concatenate(([0], np.cumsum(plen[:-1]))).astype(np.int64)
-                sw_ps = new_asg.subflow_weight[ps] * new_asg.flow_demand[
-                    new_asg.subflow_flow[ps]
-                ]
-                flow_rates[fpatch] = np.add.reduceat(sw_ps * levels[ps], p_off)
-            else:
-                flow_rates = np.bincount(
-                    new_asg.subflow_flow,
-                    weights=new_asg.subflow_weights() * levels,
-                    minlength=n_new,
-                )
-            link_util = np.where(cap > 0, used / cap, 0.0)
-            bottleneck = int(np.argmax(link_util)) if len(cap) else -1
-            result = PhaseResult(
-                flow_rates=flow_rates,
-                link_utilization=link_util,
-                bottleneck_link=bottleneck,
-            )
-            new_state = None
-            if want_state:
-                entry_rate = _splice_flow_array(
-                    state.entry_rate,
-                    state.asg.flow_entry_offsets(),
-                    new_asg.flow_entry_offsets(),
-                    changed_idx,
-                    min(n_old, n_new),
-                )
-                entry_rate[ae] = ae_rate
-                new_state = WarmState(
-                    src=src,
-                    dst=dst,
-                    demand=demand,
-                    asg=new_asg,
-                    levels=levels,
-                    entry_rate=entry_rate,
-                    used=used,
-                    link_lam=link_lam,
-                    result=result,
-                )
-            return DeltaSolve(
-                result=result,
-                state=new_state,
-                warm=True,
-                changed=len(changed_idx),
-                attempts=attempts,
-            )
-        # Exact fallback: the cold fill on the spliced assignment.
-        _DELTA_FALLBACKS.inc()
-        [(lv, remaining)] = self._water_fill([new_asg], max_iterations=max_iterations)
-        result = self._phase_result(new_asg, lv, remaining)
-        new_state = None
-        if want_state:
-            new_state = self._warm_state_from(new_asg, lv, result, src, dst, demand)
-        return DeltaSolve(
-            result=result,
-            state=new_state,
-            warm=False,
-            changed=len(changed_idx),
-            attempts=attempts,
-        )
-
-    def _assign_delta(
-        self,
-        asg: FlowAssignment,
-        changed_idx: np.ndarray,
-        n_new: int,
-        src: np.ndarray,
-        dst: np.ndarray,
-        demand: np.ndarray,
-    ) -> FlowAssignment:
-        """Route only the changed pairs and splice them into ``asg``."""
-        csrc = src[changed_idx]
-        cdst = dst[changed_idx]
-        if (csrc == cdst).any():
-            raise ValueError("flows must have distinct endpoints")
-        first, npaths = self.table.pair_arrays(
-            self._rank_nodes[csrc], self._rank_nodes[cdst]
-        )
-        path_ids = _pair_range_path_ids(first, npaths)
-        seg_weights = self.table.gather_path_weights(path_ids)
-        seg_links, seg_lengths = self.table.gather_links(path_ids)
-        _DELTA_ASSIGNS.inc()
-        return asg.apply_delta(
-            changed_idx, n_new, demand[changed_idx], npaths, seg_weights, seg_links, seg_lengths
-        )
-
-    def _warm_levels(
-        self,
-        state: WarmState,
-        new_asg: FlowAssignment,
-        changed_idx: np.ndarray,
-        max_attempts: int,
-        max_active_fraction: float,
-    ):
-        """Warm-start candidate levels for the spliced assignment.
-
-        Carries every unchanged flow's freeze levels across the renumbering,
-        then seeds the *active set* — the subflows whose levels the
-        perturbation can move — by a directional closure over the prior
-        bottleneck hierarchy: starting from the saturated links the changed
-        flows touch, a link recruits the crossing subflows at (or above) its
-        water level, and a recruited subflow recruits its other saturated
-        links whose water level is at or above its own.  Max-min cascades
-        propagate upward through bottleneck levels, so the closure tracks
-        the true cascade instead of flooding the instance.  The active set
-        is re-solved against the prior solution's residual capacities
-        (:meth:`_relaxed_fill`) and verified against the exact optimality
-        conditions (:meth:`_verify_delta`).  On verification failure the
-        active set grows by the subflows crossing the violated links and the
-        fill is retried, up to ``max_attempts`` times.  Returns ``(levels,
-        used, link_lam, ae, ae_rate, active_set, attempts)`` or all-``None``
-        plus the attempt count when the cold solver must take over.
-        """
-        fail = (None, None, None, None, None, None)
-        old = state.asg
-        n_old, n_new = old.num_flows, new_asg.num_flows
-        n_common = min(n_old, n_new)
-        cap = self.capacity
-        L = len(cap)
-        old_fso = old.flow_subflow_offsets()
-        new_fso = new_asg.flow_subflow_offsets()
-        old_seo = old.subflow_offsets()
-        new_seo = new_asg.subflow_offsets()
-        changed_mask = np.zeros(n_new, dtype=bool)
-        changed_mask[changed_idx] = True
-        levels = _splice_flow_array(
-            state.levels, old_fso, new_fso, changed_idx, n_common
-        )
-        # Links whose load the perturbation touches: the changed flows' old
-        # routes (load leaves) and new routes (load arrives), plus dropped
-        # flows' routes on shrink.
-        changed_before = changed_idx[changed_idx < n_common]
-        dropped = (
-            np.arange(n_new, n_old, dtype=np.int64)
-            if n_old > n_new
-            else np.empty(0, dtype=np.int64)
-        )
-        gone_subs = _gather_ranges(old_fso, np.concatenate([changed_before, dropped]))
-        gone_e = _gather_ranges(old_seo, gone_subs)
-        seg_subs = _gather_ranges(new_fso, changed_idx)
-        seg_e = _gather_ranges(new_seo, seg_subs)
-        dirty = np.zeros(L, dtype=bool)
-        if len(gone_e):
-            dirty[old.entry_link[gone_e]] = True
-        dirty[new_asg.entry_link[seg_e]] = True
-        # Directional closure over the prior bottleneck hierarchy.  A dirty
-        # link's water level moves to roughly ``lam * W / (W + net_added)``
-        # (weight-proportional drop when the changed flows add net load, no
-        # drop when load only leaves), so residents at or above that
-        # estimate are recruited; from there, a moved subflow can shift load
-        # on its other links whose water level is at or above its own,
-        # recruiting the residents at (or filling above) those levels in
-        # turn.  Upward steps dominate real cascades, so the climb tracks
-        # them without flooding the instance.  This is a seed heuristic —
-        # exactness comes from :meth:`_verify_delta` plus expansion (which
-        # recruits *every* resident of a violated link) and cold fallback.
-        lam = state.link_lam
-        sat_link = lam < _NO_LAM
-        lo, ls = old.link_index(L)
-        start0 = np.flatnonzero(dirty & sat_link)
-        if len(start0):
-            # Water-level-drop estimate on the seeded links only (an
-            # underestimate recruits more residents — the safe direction).
-            seg_sub = new_asg.entry_subflow[seg_e]
-            seg_w = new_asg.subflow_weight[seg_sub] * new_asg.flow_demand[
-                new_asg.subflow_flow[seg_sub]
-            ]
-            # bincount of an empty input yields int64 even with weights.
-            add_w = np.bincount(
-                new_asg.entry_link[seg_e], weights=seg_w, minlength=L
-            ).astype(np.float64, copy=False)
-            if len(gone_e):
-                add_w -= np.bincount(
-                    old.entry_link[gone_e],
-                    weights=old.entry_weights()[gone_e],
-                    minlength=L,
-                )
-            np.maximum(add_w, 0.0, out=add_w)
-            lam_pos = np.where(sat_link & (lam > 0.0), lam, 1.0)
-            w_est = state.used / lam_pos
-            with np.errstate(divide="ignore", invalid="ignore"):
-                thr0 = np.where(add_w > 0.0, lam * w_est / (w_est + add_w), lam)
-        else:
-            thr0 = None
-        sub_seen = np.zeros(old.num_subflows, dtype=bool)
-        if len(gone_subs):
-            sub_seen[gone_subs] = True  # gone: accounted separately
-        link_seen = np.zeros(L, dtype=bool)
-        budget = max_active_fraction * max(new_asg.num_subflows, 1)
-        seen_count = [0]
-
-        def _closure(start_links: np.ndarray, thr: Optional[np.ndarray]) -> bool:
-            frontier = start_links
-            first = True
-            for _ in range(64):
-                if not len(frontier):
-                    return True
-                link_seen[frontier] = True
-                cross = ls[_gather_ranges(lo, frontier)]
-                if first:
-                    first = False
-                    if thr is None:
-                        cand = cross
-                    else:
-                        t_rep = np.repeat(
-                            thr[frontier], lo[frontier + 1] - lo[frontier]
-                        )
-                        cand = cross[
-                            state.levels[cross] >= t_rep - 1e-9 * (1.0 + np.abs(t_rep))
-                        ]
-                else:
-                    lam_rep = np.repeat(
-                        lam[frontier], lo[frontier + 1] - lo[frontier]
-                    )
-                    cand = cross[
-                        state.levels[cross] >= lam_rep - 1e-9 * (1.0 + lam_rep)
-                    ]
-                cand = cand[~sub_seen[cand]]
-                if not len(cand):
-                    return True
-                cand = np.unique(cand)
-                sub_seen[cand] = True
-                seen_count[0] += len(cand)
-                if seen_count[0] + len(seg_subs) > budget:
-                    return False
-                ce = _gather_ranges(old_seo, cand)
-                cl = old.entry_link[ce]
-                lvl_rep = np.repeat(
-                    state.levels[cand], old_seo[cand + 1] - old_seo[cand]
-                )
-                up = (
-                    sat_link[cl]
-                    & ~link_seen[cl]
-                    & (lam[cl] >= lvl_rep - 1e-9 * (1.0 + lvl_rep))
-                )
-                frontier = np.unique(cl[up])
-            return False  # no closure after 64 layers: effectively global
-
-        def _active_from_seen() -> np.ndarray:
-            seen = np.flatnonzero(sub_seen)
-            sf = old.subflow_flow[seen]
-            keep = sf < n_common
-            seen, sf = seen[keep], sf[keep]
-            keep = ~changed_mask[sf]
-            seen, sf = seen[keep], sf[keep]
-            return np.unique(
-                np.concatenate([seg_subs, seen + (new_fso[sf] - old_fso[sf])])
-            )
-
-        if not _closure(start0, thr0):
-            return fail + (0,)
-        active_set = _active_from_seen()
-        keep_old = np.ones(old.num_subflows, dtype=bool)
-        if len(gone_subs):
-            keep_old[gone_subs] = False
-        attempts = 0
-        while attempts < max_attempts:
-            attempts += 1
-            if len(active_set) > budget:
-                return fail + (attempts,)
-            # Per-link load the re-solved set (plus everything gone) held in
-            # the prior solution; subtracting it leaves the constants' load.
-            af = new_asg.subflow_flow[active_set]
-            unch = ~changed_mask[af]
-            old_active = active_set[unch] - (new_fso[af[unch]] - old_fso[af[unch]])
-            oe = _gather_ranges(old_seo, np.concatenate([old_active, gone_subs]))
-            freed = np.bincount(
-                old.entry_link[oe], weights=state.entry_rate[oe], minlength=L
-            )
-            base_used = state.used - freed
-            ae = _gather_ranges(new_seo, active_set)
-            ae_link = new_asg.entry_link[ae]
-            # Demand shares of the active subflows (and their entries),
-            # gathered directly: the O(entries) cached weight arrays of the
-            # candidate assignment are never materialised on the warm path.
-            aw = new_asg.subflow_weight[active_set] * new_asg.flow_demand[
-                new_asg.subflow_flow[active_set]
-            ]
-            ae_w = np.repeat(aw, new_seo[active_set + 1] - new_seo[active_set])
-            self._relaxed_fill(
-                new_asg, levels, active_set, ae, ae_link, ae_w, aw, base_used
-            )
-            ok, bad_links, used, link_lam, ae_rate = self._verify_delta(
-                state,
-                new_asg,
-                levels,
-                active_set,
-                ae,
-                ae_link,
-                ae_w,
-                aw,
-                base_used,
-                dirty,
-                keep_old,
-                old_active,
-            )
-            if ok:
-                _DELTA_ACTIVE.observe(len(active_set))
-                return levels, used, link_lam, ae, ae_rate, active_set, attempts
-            # Expansion: close over the violated links (all their residents,
-            # then the upward climb) — one attempt absorbs the whole reachable
-            # part of a mispredicted cascade instead of a single BFS layer.
-            if not _closure(np.flatnonzero(bad_links), None):
-                return fail + (attempts,)
-            grown = np.unique(
-                np.concatenate(
-                    [
-                        _active_from_seen(),
-                        new_asg.entry_subflow[
-                            np.flatnonzero(bad_links[new_asg.entry_link])
-                        ],
-                    ]
-                )
-            )
-            if len(grown) == len(active_set):  # no progress: give up
-                return fail + (attempts,)
-            active_set = grown
-        return fail + (attempts,)
-
-    def _relaxed_fill(
-        self,
-        new_asg: FlowAssignment,
-        levels: np.ndarray,
-        active_set: np.ndarray,
-        ae: np.ndarray,
-        ae_link: np.ndarray,
-        ae_w: np.ndarray,
-        aw: np.ndarray,
-        base_used: np.ndarray,
-    ) -> None:
-        """Progressive filling of ``active_set`` against residual capacities.
-
-        Non-active subflows are constants at their prior levels;
-        ``base_used`` carries their per-link load (the prior used bandwidth
-        minus everything re-solved or gone), so each crossed link offers
-        ``capacity - base_used`` of room.  Writes the solved levels into
-        ``levels[active_set]`` in place (zero-weight subflows get level 0;
-        their rate is 0 regardless).  This is a candidate generator —
-        correctness comes from :meth:`_verify_delta`.
-        """
-        cap = self.capacity
-        new_seo = new_asg.subflow_offsets()
-        uL, ae_clink = np.unique(ae_link, return_inverse=True)
-        nL = len(uL)
-        _ACTIVE_LINKS.observe(nL)
-        residual = cap[uL] - base_used[uL]
-        np.maximum(residual, 0.0, out=residual)
-        # Mini progressive fill on the compact link set (the cold loop's
-        # structure at O(active) scale).  The vectorised part of each round
-        # — the headroom scan and the load/residual updates — stays numpy;
-        # the per-event bookkeeping (which subflows freeze at which link)
-        # runs on python lists: events touch a handful of elements each, and
-        # at that size scalar indexing beats an array-dispatch cascade.
-        nA = len(active_set)
-        active = aw > 0.0
-        num_active = int(active.sum())
-        ae_lsub = active_set.searchsorted(new_asg.entry_subflow[ae])
-        order = np.argsort(ae_clink, kind="stable")
-        clink_off = np.concatenate(
-            ([0], np.cumsum(np.bincount(ae_clink, minlength=nL)))
-        ).astype(np.int64)
-        clink_sub_l = ae_lsub[order].tolist()
-        clink_off_l = clink_off.tolist()
-        a_lengths = new_seo[active_set + 1] - new_seo[active_set]
-        asub_off = np.concatenate(([0], np.cumsum(a_lengths))).astype(np.int64)
-        asub_off_l = asub_off.tolist()
-        ae_clink_l = ae_clink.tolist()
-        ae_w_l = ae_w.tolist()
-        active_l = active.tolist()
-        lvl_l = [0.0] * nA
-        load = np.bincount(ae_clink, weights=ae_w, minlength=nL)
-        remaining = residual
-        sat_thr_c = _EPS * (1.0 + cap[uL])
-        head = np.empty(nL)
-        tmp = np.empty(nL)
-        sat_ever = [False] * nL
-        inf = float("inf")
-        fill = 0.0
-        rounds = 0
-        max_rounds = 4 * nA + 16
-        while num_active and rounds <= max_rounds:
-            rounds += 1
-            head.fill(inf)
-            np.divide(remaining, load, out=head, where=load > _EPS)
-            inc = float(head.min()) if nL else inf
-            if not inc < inf:  # every crossed link drained: no constraint left
-                break
-            fill += inc
-            np.multiply(load, inc, out=tmp)
-            np.subtract(remaining, tmp, out=remaining)
-            newly = [
-                li for li in np.flatnonzero(remaining <= sat_thr_c).tolist()
-                if not sat_ever[li]
-            ]
-            if not newly:
-                break
-            frozen = []
-            for li in newly:
-                sat_ever[li] = True
-                for s in clink_sub_l[clink_off_l[li] : clink_off_l[li + 1]]:
-                    if active_l[s]:
-                        active_l[s] = False
-                        frozen.append(s)
-            if frozen:
-                num_active -= len(frozen)
-                if len(frozen) > 48:
-                    fr = np.asarray(frozen, dtype=np.int64)
-                    gone = _gather_ranges(asub_off, fr)
-                    load -= np.bincount(
-                        ae_clink[gone], weights=ae_w[gone], minlength=nL
-                    )
-                    for s in frozen:
-                        lvl_l[s] = fill
-                else:
-                    for s in frozen:
-                        lvl_l[s] = fill
-                        for e in range(asub_off_l[s], asub_off_l[s + 1]):
-                            load[ae_clink_l[e]] -= ae_w_l[e]
-            for li in newly:
-                load[li] = 0.0
-        lvl = np.asarray(lvl_l)
-        if num_active:
-            # Unfrozen active subflows have no saturated bottleneck in the
-            # relaxed instance; verification rejects them (correctly — they
-            # should have filled further against some link that must then be
-            # in the active set's closure).
-            lvl[np.asarray(active_l)] = fill
-        lvl[aw <= 0.0] = 0.0
-        levels[active_set] = lvl
-
-    def _verify_delta(
-        self,
-        state: WarmState,
-        new_asg: FlowAssignment,
-        levels: np.ndarray,
-        active_set: np.ndarray,
-        ae: np.ndarray,
-        ae_link: np.ndarray,
-        ae_w: np.ndarray,
-        aw: np.ndarray,
-        base_used: np.ndarray,
-        dirty: np.ndarray,
-        keep_old: np.ndarray,
-        old_active: np.ndarray,
-    ):
-        """Exact max-min optimality check, incremental over touched links.
-
-        A feasible allocation where every positive-weight subflow has a
-        saturated link on which its level is maximal *is* the unique max-min
-        fixed point (feasible use is monotone in the fill, so final
-        feasibility implies trajectory feasibility).  Every rate change is
-        confined to the touched links ``T`` — the dirty links plus the
-        active subflows' links — so elsewhere ``used``, saturation, and the
-        per-link water level carry over from ``state`` verbatim, and the
-        prior state's certificates keep holding for subflows crossing no
-        touched link.  Only the active subflows and the persisting constants
-        crossing ``T`` are re-checked (gathered via the old assignment's
-        link-to-entries index, so the check is O(T), not O(entries)).  The
-        tolerance is tight: the relaxed fill reproduces true levels to
-        ~1e-13, while structurally-wrong candidates miss by far more; a
-        false reject merely costs a retry or a cold solve.  Returns ``(ok,
-        bad_links, used, link_lam, ae_rate)``; on failure ``bad_links``
-        marks the oversubscribed links and every link of each
-        bottleneck-less subflow, for the active-set expansion (``link_lam``
-        and ``ae_rate`` are then None).
-        """
-        cap = self.capacity
-        L = len(cap)
-        sat_thr = _EPS * (1.0 + cap)
-        old = state.asg
-        old_seo = old.subflow_offsets()
-        new_seo = new_asg.subflow_offsets()
-        ae_lev = levels[new_asg.entry_subflow[ae]]
-        ae_rate = ae_w * ae_lev
-        used = base_used + np.bincount(ae_link, weights=ae_rate, minlength=L)
-        over = used > cap + sat_thr
-        satur = used >= cap - 2.0 * sat_thr
-        T = dirty.copy()
-        T[ae_link] = True
-        # Persisting constants' entries on touched links.  The re-solved
-        # subflows' old entries and gone flows' entries are excluded: the
-        # former are represented in ``ae`` at their new levels, the latter
-        # left the instance.
-        rep = keep_old.copy()
-        rep[old_active] = False
-        lo_e, _ = old.link_index(L)
-        sel = old.link_entry_order(L)[_gather_ranges(lo_e, np.flatnonzero(T))]
-        osub = old.entry_subflow[sel]
-        keep_sel = rep[osub]
-        sel = sel[keep_sel]
-        osub = osub[keep_sel]
-        olev = state.levels[osub]
-        # Water levels on touched links, from every crossing entry.
-        all_l = np.concatenate([old.entry_link[sel], ae_link])
-        all_v = np.concatenate([olev, ae_lev])
-        link_lam = state.link_lam.copy()
-        link_lam[T] = _NO_LAM
-        if len(all_l):
-            order = np.argsort(all_l, kind="stable")
-            l_s = all_l[order]
-            v_s = all_v[order]
-            starts = np.empty(len(l_s), dtype=bool)
-            starts[0] = True
-            np.not_equal(l_s[1:], l_s[:-1], out=starts[1:])
-            firsts = np.flatnonzero(starts)
-            gmax = np.maximum.reduceat(v_s, firsts)
-            ul = l_s[firsts]
-            sat_ul = satur[ul]
-            link_lam[ul[sat_ul]] = gmax[sat_ul]
-        # Condition B for the active subflows ...
-        a_len = new_seo[active_set + 1] - new_seo[active_set]
-        if len(active_set):
-            a_off = np.concatenate(([0], np.cumsum(a_len[:-1]))).astype(np.int64)
-            lam_ae = link_lam[ae_link]
-            ok_e = satur[ae_link] & (
-                ae_lev >= lam_ae - 1e-11 * (1.0 + np.minimum(lam_ae, 1.0e6))
-            )
-            okA = np.logical_or.reduceat(ok_e, a_off)
-            failA = (aw > 0.0) & ~okA
-        else:
-            # A pure removal can leave nothing to re-solve: the surviving
-            # flows' old certificates are re-checked below as constants.
-            failA = np.zeros(0, dtype=bool)
-        # ... and for the persisting constants crossing T: their own levels
-        # did not move, but their certificate links' water levels may have.
-        cs = np.unique(osub)
-        ce = _gather_ranges(old_seo, cs)
-        c_len = old_seo[cs + 1] - old_seo[cs]
-        cl = old.entry_link[ce]
-        lam_c = link_lam[cl]
-        ok_ce = satur[cl] & (
-            np.repeat(state.levels[cs], c_len)
-            >= lam_c - 1e-11 * (1.0 + np.minimum(lam_c, 1.0e6))
-        )
-        if len(ce):
-            c_off = np.concatenate(([0], np.cumsum(c_len[:-1]))).astype(np.int64)
-            okC = np.logical_or.reduceat(ok_ce, c_off)
-        else:
-            okC = np.zeros(0, dtype=bool)
-        failC = (old.subflow_weights()[cs] > 0.0) & ~okC
-        if not over.any() and not failA.any() and not failC.any():
-            return True, None, used, link_lam, ae_rate
-        bad = over.copy()
-        if failA.any():
-            bad[ae_link[np.repeat(failA, a_len)]] = True
-        if failC.any():
-            bad[cl[np.repeat(failC, c_len)]] = True
-        return False, bad, used, None, None
-
     def maxmin_rates_delta_batch(
         self,
         state: WarmState,
@@ -1699,11 +915,22 @@ class FlowSimulator:
     ) -> List[DeltaSolve]:
         """Warm-started delta solves of **many candidates at once**.
 
-        Every candidate perturbs the *same* prior fixed point ``state``, so
-        the warm machinery of :meth:`maxmin_rates_delta` — the directional
-        closure that seeds each candidate's active set, the relaxed fill of
-        those sets against the prior residuals, and the exact optimality
-        verification — runs **batched** in virtual link space
+        Every candidate perturbs the *same* prior fixed point ``state``
+        (from :meth:`maxmin_warm_state`).  Each candidate's changed flows are
+        routed afresh and seed an *active set* by a directional closure over
+        the prior bottleneck hierarchy: a saturated link the changed flows
+        touch recruits the crossing subflows at or above its water level, and
+        a recruited subflow recruits its other saturated links at or above
+        its own level (max-min cascades propagate upward through bottleneck
+        levels).  The active sets are re-filled against the prior per-link
+        residuals (every other subflow keeps its prior level) and the
+        candidate is verified against the exact max-min optimality
+        conditions over the whole instance — feasibility on every link, and
+        a saturated bottleneck link on which its level is maximal for every
+        positive-weight subflow (the Bertsekas–Gallager characterisation,
+        which pins the unique max-min point).  A failing candidate grows its
+        active set by the subflows crossing the violated links and retries.
+        Closure, fill and verification run **batched** in virtual link space
         (``candidate * num_links + link``): each BFS layer, fill round, and
         verification pass costs one set of NumPy dispatches for the whole
         batch instead of one per candidate.  This is what makes per-neighbor
@@ -1716,14 +943,14 @@ class FlowSimulator:
         returned result matches :meth:`maxmin_rates` to well under 1e-12,
         warm or not.
 
-        ``changed[j]`` optionally lists candidate ``j``'s changed flow
-        indices (same contract as :meth:`maxmin_rates_delta`).  Results are
-        objective-only: ``DeltaSolve.state`` is always ``None`` — re-solve
-        an accepted candidate with ``maxmin_rates_delta(want_state=True)``
-        to advance the chain.  Under a group-selecting policy (UGAL) every
-        changed candidate is solved cold, all in one batch.  Candidates with
-        a different flow count than ``state`` are solved through the
-        sequential path.
+        ``changed[j]`` optionally lists the indices of candidate ``j``'s
+        flows that may differ from ``state`` (it must cover every difference)
+        to skip the O(flows) diff; an index outside the flow list raises.
+        Results are objective-only: cold-solve an accepted candidate with
+        :meth:`maxmin_warm_state` to advance a chain.  Under a
+        group-selecting policy (UGAL), or when any candidate's flow count
+        differs from ``state``'s, every changed candidate is solved cold,
+        all in one batch.
         """
         flow_sets = [list(fs) for fs in flow_sets]
         C = len(flow_sets)
@@ -1734,23 +961,10 @@ class FlowSimulator:
         changed_list = list(changed) if changed is not None else [None] * C
         if len(changed_list) != C:
             raise ValueError("changed must align with flow_sets")
-        if self.policy.selects_group:
+        if self.policy.selects_group or n == 0 or any(len(fs) != n for fs in flow_sets):
             return self._cold_delta_batch(
                 state, flow_sets, changed_list, max_iterations=max_iterations
             )
-        if n == 0 or any(len(fs) != n for fs in flow_sets):
-            return [
-                self.maxmin_rates_delta(
-                    state,
-                    fs,
-                    changed=ch,
-                    max_iterations=max_iterations,
-                    max_attempts=max_attempts,
-                    max_active_fraction=max_active_fraction,
-                    want_state=False,
-                )
-                for fs, ch in zip(flow_sets, changed_list)
-            ]
         old = state.asg
         cap = self.capacity
         L = len(cap)
@@ -1769,9 +983,9 @@ class FlowSimulator:
         olev = state.levels
         # Exact at-level weight per saturated link (the weight the new
         # segment traffic competes with): one O(entries) pass, amortised
-        # over the whole batch.  Tighter than the used/lam overestimate
-        # the sequential path uses, so the layer-0 recruitment threshold
-        # under-recruits less and verification retries are rarer.
+        # over the whole batch.  Tighter than a used/lam overestimate, so
+        # the layer-0 recruitment threshold under-recruits less and
+        # verification retries are rarer.
         lam_e = lam[old_el]
         at_lam = (lam_e < _NO_LAM) & (
             olev[old_es] >= lam_e - 1e-9 * (1.0 + lam_e)
@@ -1783,13 +997,10 @@ class FlowSimulator:
         # Evaluation candidates never materialise the spliced assignment:
         # the active set is described by old-CSR slices plus the changed
         # pairs' freshly gathered segment routes, and the warm finalize
-        # patches flow rates by delta.  Only fallbacks splice for real.
+        # patches flow rates by delta.  Only fallbacks assign in full.
         out: List[Optional[DeltaSolve]] = [None] * C
         chg_idx: List[Optional[np.ndarray]] = [None] * C
         chg_mask_c: List[Optional[np.ndarray]] = [None] * C
-        chg_src: List[Optional[np.ndarray]] = [None] * C
-        chg_dst: List[Optional[np.ndarray]] = [None] * C
-        chg_dem: List[Optional[np.ndarray]] = [None] * C
         gone_subs_c: List[Optional[np.ndarray]] = [None] * C
         gone_e_c: List[Optional[np.ndarray]] = [None] * C
         npaths_c: List[Optional[np.ndarray]] = [None] * C
@@ -1807,15 +1018,10 @@ class FlowSimulator:
             _DELTA_SOLVES.inc()
             _DELTA_CHANGED.observe(len(cidx))
             chg_idx[j] = cidx
-            chg_src[j], chg_dst[j], chg_dem[j] = src, dst, dem
             if not len(cidx):
                 _DELTA_WARM.inc()
                 out[j] = DeltaSolve(
-                    result=state.result,
-                    state=state,
-                    warm=True,
-                    changed=0,
-                    attempts=0,
+                    result=state.result, warm=True, changed=0, attempts=0
                 )
                 continue
             if len(cidx) > max(4.0, max_active_fraction * n):
@@ -2091,8 +1297,8 @@ class FlowSimulator:
                 c["lvl"] = lvl_cat[a_off[i] : a_off[i + 1]]
 
         def _verify_batch(ctxs: List[dict]) -> None:
-            """Batched exact optimality check (see :meth:`_verify_delta`);
-            sets ``ok``/``used``/``bad`` on every context."""
+            """Batched exact optimality check (the conditions above); sets
+            ``ok``/``used``/``bad`` on every context."""
             k = len(ctxs)
             lenA = [len(c["aw"]) for c in ctxs]
             a_len_cat = np.concatenate([c["a_len"] for c in ctxs])
@@ -2231,7 +1437,6 @@ class FlowSimulator:
                     link_utilization=link_util,
                     bottleneck_link=bottleneck,
                 ),
-                state=None,
                 warm=True,
                 changed=len(chg_idx[j]),
                 attempts=int(attempts_arr[j]),
@@ -2304,19 +1509,13 @@ class FlowSimulator:
         # --------------------------- batched exact fallback for the rest
         if fallbacks:
             fb_results = self._cold_results(
-                [
-                    self._assign_delta(
-                        old, chg_idx[j], n, chg_src[j], chg_dst[j], chg_dem[j]
-                    )
-                    for j in fallbacks
-                ],
+                [self.assign(flow_sets[j]) for j in fallbacks],
                 max_iterations=max_iterations,
             )
             for j, res in zip(fallbacks, fb_results):
                 _DELTA_FALLBACKS.inc()
                 out[j] = DeltaSolve(
                     result=res,
-                    state=None,
                     warm=False,
                     changed=len(chg_idx[j]),
                     attempts=int(attempts_arr[j]),
@@ -2332,9 +1531,10 @@ class FlowSimulator:
         max_iterations: int,
     ) -> List[DeltaSolve]:
         """Delta solves that cannot reuse ``state``: UGAL re-selects each
-        flow's path group from the *global* load, so every changed
-        candidate is routed afresh and all of them are solved as one cold
-        batch (unchanged candidates return ``state`` as is)."""
+        flow's path group from the *global* load, and a changed flow count
+        renumbers the subflows, so every changed candidate is routed afresh
+        and all of them are solved as one cold batch (unchanged candidates
+        return ``state.result`` as is)."""
         out: List[Optional[DeltaSolve]] = [None] * len(flow_sets)
         cold: List[Tuple[int, int]] = []
         for j, fs in enumerate(flow_sets):
@@ -2343,9 +1543,7 @@ class FlowSimulator:
             _DELTA_CHANGED.observe(len(cidx))
             if len(fs) == state.asg.num_flows and not len(cidx):
                 _DELTA_WARM.inc()
-                out[j] = DeltaSolve(
-                    result=state.result, state=state, warm=True, changed=0, attempts=0
-                )
+                out[j] = DeltaSolve(result=state.result, warm=True, changed=0, attempts=0)
             else:
                 cold.append((j, len(cidx)))
         results = self._cold_results(
@@ -2354,7 +1552,7 @@ class FlowSimulator:
         for (j, num_changed), res in zip(cold, results):
             _DELTA_FALLBACKS.inc()
             out[j] = DeltaSolve(
-                result=res, state=None, warm=False, changed=num_changed, attempts=0
+                result=res, warm=False, changed=num_changed, attempts=0
             )
         return out
 

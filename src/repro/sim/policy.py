@@ -113,13 +113,6 @@ class RoutingPolicy:
     #: True when the flow simulator should choose between the minimal and the
     #: non-minimal group per flow by estimated congestion (UGAL)
     selects_group: bool = False
-    #: True when a pair's routes can only change if one of its currently
-    #: used links dies.  Policies whose choice depends on the candidate
-    #: set's *size* (ECMP's hash modulus, Valiant's capped detour
-    #: composition) break this: removing an unused candidate re-routes the
-    #: pair, so warm fault-event splicing cannot prove parity and must
-    #: re-solve cold.
-    local_reroutes: bool = True
     #: True when :meth:`routes_block` builds no per-pair lists over a
     #: provider whose ``array_routes`` is set, so route tables may hand it
     #: large blocks (a block of fresh lists adds garbage collections)
@@ -227,7 +220,6 @@ class EcmpPolicy(RoutingPolicy):
     baseline of the paper's minimal-vs-adaptive discussion.
     """
 
-    local_reroutes = False  # the hash modulus shifts when a candidate dies
     array_blocks = True
 
     def __init__(self, seed: int = 0):
@@ -267,8 +259,6 @@ class ValiantPolicy(RoutingPolicy):
     traffic splits evenly over the candidates.  Falls back to the minimal
     candidates on degenerate topologies with no usable intermediate.
     """
-
-    local_reroutes = False  # capped detour composition shifts under shrink
 
     def __init__(self, seed: int = 0):
         self.seed = seed

@@ -10,16 +10,18 @@ closed over permutations) and whose objective is the worst per-destination
 receive fraction, the same number :meth:`NetworkModel.permutation_sample`
 reports.
 
-Each neighbour evaluation is a full max-min solve, so the search leans on
-the delta-solve engine: proposals are evaluated **speculatively in
-batches** through :meth:`FlowSimulator.maxmin_rates_delta_batch` — every
-candidate perturbs the same accepted fixed point, the batch shares its
-closure / fill / verification dispatches, and the first Metropolis winner
-(in proposal order) advances the chain while the remaining evaluations are
-discarded.  That is the standard speculative-annealing construction: the
-accepted trajectory is identical to a sequential annealer consuming the
-same proposal stream, because every proposal is genuinely evaluated
-against the state it would have seen.
+Proposals are evaluated **speculatively in batches** through
+:meth:`FlowSimulator.maxmin_rates_delta_batch`: every candidate of a batch
+perturbs the same accepted fixed point, is warm-started from it and
+verified exactly (or solved cold), and the batch shares its dispatches.
+The first Metropolis winner (in proposal order) is accepted and the rest
+of the batch is discarded.  That is the standard speculative-annealing
+construction: the accepted trajectory is identical to a sequential
+annealer consuming the same proposal stream, because every proposal is
+genuinely evaluated against the state it would have seen.  The accepted
+candidate is then cold-solved with
+:meth:`FlowSimulator.maxmin_warm_state`, which gives the fixed point the
+next batch perturbs.
 
 The hand-built adversary seeds the walk and is evaluated first, so
 ``searched_worst <= hand_built_worst`` holds by construction (lower is
@@ -107,10 +109,10 @@ def anneal_adversary(
     fractions).  ``steps`` counts proposal evaluations, each a full
     max-min solve; proposals are evaluated in speculative batches of
     ``batch`` through :meth:`FlowSimulator.maxmin_rates_delta_batch`, and
-    an accepted move is re-solved with
-    :meth:`FlowSimulator.maxmin_rates_delta` (``want_state=True``) to
-    advance the warm state.  The best candidate ever evaluated — accepted
-    or not — is tracked and returned.
+    an accepted move is cold-solved with
+    :meth:`FlowSimulator.maxmin_warm_state` to advance the warm state.  The
+    best candidate ever evaluated — accepted or not — is tracked and
+    returned.
 
     Deterministic for a given ``(sim, flows, steps, seed, batch,
     t_initial, t_final)``: proposals come from a seeded generator and the
@@ -197,15 +199,7 @@ def anneal_adversary(
         if winner >= 0:
             accepted += 1
             _SEARCH_ACCEPTS.inc()
-            adv = sim.maxmin_rates_delta(
-                state,
-                cands[winner],
-                changed=moves[winner],
-                max_attempts=max_attempts,
-                max_active_fraction=max_active_fraction,
-                want_state=True,
-            )
-            state = adv.state
+            state = sim.maxmin_warm_state(cands[winner])
             cur = cands[winner]
             cur_obj = worst_receive_fraction(
                 topo, cur, state.result.flow_rates

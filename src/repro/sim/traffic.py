@@ -216,7 +216,11 @@ def swap_destinations(flows: Sequence[Flow], i: int, j: int) -> List[Flow]:
     """The neighbour move of the adversary search: flows ``i`` and ``j``
     trade destinations (sources and demands stay put), so a permutation
     stays a permutation.  Returns a new list; ``flows`` is not modified.
+    Indices must lie in ``[0, len(flows))``; negative ones are rejected.
     """
+    for k in (i, j):
+        if not 0 <= k < len(flows):
+            raise ValueError(f"swap_destinations index {k} is outside [0, {len(flows)})")
     if i == j:
         raise ValueError("swap_destinations needs two distinct flow indices")
     fi, fj = flows[i], flows[j]

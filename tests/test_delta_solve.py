@@ -62,12 +62,21 @@ def _random_moves(rng, flows, p, count):
     return seq
 
 
+def _solve_one(sim, state, flows, changed=None):
+    """One candidate through the batched delta engine (a batch of one)."""
+    [ds] = sim.maxmin_rates_delta_batch(
+        state, [flows], changed=None if changed is None else [changed]
+    )
+    return ds
+
+
 class TestDeltaParity:
     @pytest.mark.parametrize("policy", ["minimal", "ecmp"])
     def test_randomized_move_sequences_all_families(
         self, all_small_topologies, policy
     ):
-        """Chained delta solves match a fresh cold solve after every move."""
+        """Delta solves match a fresh cold solve after every move; the
+        state advances by a cold solve of each move, as the search does."""
         warm_total = 0
         for name, topo in all_small_topologies.items():
             sim = FlowSimulator(topo, policy=policy, assign_cache=0)
@@ -79,15 +88,15 @@ class TestDeltaParity:
                 state.result.flow_rates, sim.maxmin_rates(flows).flow_rates
             ) <= PARITY
             for cand in _random_moves(rng, flows, p, 8):
-                ds = sim.maxmin_rates_delta(state, cand)
+                ds = _solve_one(sim, state, cand)
                 cold = sim.maxmin_rates(cand)
                 assert _max_diff(ds.result.flow_rates, cold.flow_rates) <= PARITY, (
                     name,
                     policy,
                 )
                 warm_total += int(ds.warm)
-                assert ds.state is not None
-                state = ds.state
+                state = sim.maxmin_warm_state(cand)
+                assert np.array_equal(state.result.flow_rates, cold.flow_rates)
         # The warm path must actually be exercised somewhere in the sweep.
         assert warm_total > 0
 
@@ -96,8 +105,8 @@ class TestDeltaParity:
         flows = adversarial_permutation(hx2mesh_4x4)
         state = sim.maxmin_warm_state(flows)
         cand = swap_destinations(flows, 0, 1)
-        hinted = sim.maxmin_rates_delta(state, cand, changed=(0, 1))
-        diffed = sim.maxmin_rates_delta(state, cand)
+        hinted = _solve_one(sim, state, cand, changed=(0, 1))
+        diffed = _solve_one(sim, state, cand)
         cold = sim.maxmin_rates(cand)
         assert _max_diff(hinted.result.flow_rates, cold.flow_rates) <= PARITY
         assert _max_diff(diffed.result.flow_rates, cold.flow_rates) <= PARITY
@@ -106,20 +115,9 @@ class TestDeltaParity:
         sim = FlowSimulator(fat_tree_64, assign_cache=0)
         flows = random_permutation(fat_tree_64.num_accelerators, seed=1)
         state = sim.maxmin_warm_state(flows)
-        ds = sim.maxmin_rates_delta(state, flows)
+        ds = _solve_one(sim, state, flows)
         assert ds.warm and ds.changed == 0
-        assert ds.state is state
-
-    def test_want_state_false_skips_state(self, hx2mesh_4x4):
-        sim = FlowSimulator(hx2mesh_4x4, assign_cache=0)
-        flows = random_permutation(hx2mesh_4x4.num_accelerators, seed=2)
-        state = sim.maxmin_warm_state(flows)
-        cand = swap_destinations(flows, 1, 5)
-        ds = sim.maxmin_rates_delta(state, cand, want_state=False)
-        assert ds.state is None
-        assert _max_diff(
-            ds.result.flow_rates, sim.maxmin_rates(cand).flow_rates
-        ) <= PARITY
+        assert ds.result is state.result
 
     def test_forced_fallback_is_exact(self, hx2mesh_4x4):
         """A corrupted warm state fails verification but the rates stay exact."""
@@ -132,7 +130,7 @@ class TestDeltaParity:
         state.used += 1.0 + state.used.max()
         cand = swap_destinations(flows, 0, 3)
         before = obs.snapshot()["counters"]["flowsim.delta_fallbacks"]
-        ds = sim.maxmin_rates_delta(state, cand)
+        ds = _solve_one(sim, state, cand)
         after = obs.snapshot()["counters"]["flowsim.delta_fallbacks"]
         assert not ds.warm
         assert after == before + 1
@@ -145,7 +143,7 @@ class TestDeltaParity:
         flows = random_permutation(hx2mesh_4x4.num_accelerators, seed=5)
         state = sim.maxmin_warm_state(flows)
         cand = swap_destinations(flows, 2, 9)
-        ds = sim.maxmin_rates_delta(state, cand)
+        ds = _solve_one(sim, state, cand)
         assert not ds.warm
         assert _max_diff(
             ds.result.flow_rates, sim.maxmin_rates(cand).flow_rates
@@ -158,14 +156,14 @@ class TestDeltaParity:
         bad = list(flows)
         bad[0] = Flow(bad[0].src, bad[0].src)
         with pytest.raises(ValueError):
-            sim.maxmin_rates_delta(state, bad)
+            _solve_one(sim, state, bad)
 
     def test_changed_index_out_of_range(self, hx2mesh_4x4):
         sim = FlowSimulator(hx2mesh_4x4, assign_cache=0)
         flows = random_permutation(hx2mesh_4x4.num_accelerators, seed=6)
         state = sim.maxmin_warm_state(flows)
         with pytest.raises(ValueError):
-            sim.maxmin_rates_delta(state, flows, changed=[len(flows)])
+            _solve_one(sim, state, flows, changed=[len(flows)])
 
 
 class TestDeltaBatch:
@@ -193,18 +191,6 @@ class TestDeltaBatch:
                     name,
                     policy,
                 )
-
-    def test_batch_matches_sequential_delta(self, fat_tree_64):
-        """Batched and sequential delta solves agree candidate by candidate."""
-        sim = FlowSimulator(fat_tree_64, assign_cache=0)
-        flows = random_permutation(fat_tree_64.num_accelerators, seed=9)
-        state = sim.maxmin_warm_state(flows)
-        moves = [(0, 1), (5, 20), (33, 60)]
-        cands = [swap_destinations(flows, *mv) for mv in moves]
-        batch = sim.maxmin_rates_delta_batch(state, cands, changed=moves)
-        for mv, cand, ds in zip(moves, cands, batch):
-            solo = sim.maxmin_rates_delta(state, cand, changed=mv, want_state=False)
-            assert _max_diff(ds.result.flow_rates, solo.result.flow_rates) <= PARITY
 
     def test_empty_batch(self, hx2mesh_4x4):
         sim = FlowSimulator(hx2mesh_4x4, assign_cache=0)
@@ -296,6 +282,12 @@ class TestSwapDestinations:
     def test_rejects_same_index(self):
         with pytest.raises(ValueError):
             swap_destinations([Flow(0, 1), Flow(1, 0)], 1, 1)
+
+    @pytest.mark.parametrize("i, j, bad", [(63, -1, -1), (0, 64, 64), (-65, 3, -65)])
+    def test_rejects_out_of_range_index(self, i, j, bad):
+        flows = random_permutation(64, seed=0)
+        with pytest.raises(ValueError, match=rf"index {bad} is outside \[0, 64\)"):
+            swap_destinations(flows, i, j)
 
 
 class TestAnnealAdversary:

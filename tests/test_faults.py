@@ -223,20 +223,18 @@ class TestFaultEventSolver:
             active = list(flows)
         return sim.maxmin_rates(active).flow_rates
 
-    def test_schedule_replay_warm_and_exact(self, hx2mesh_4x4):
+    @pytest.mark.parametrize("policy", ["minimal", "ecmp", "valiant"])
+    def test_schedule_replay_matches_cold(self, hx2mesh_4x4, policy):
         topo = hx2mesh_4x4
         flows = random_permutation(topo.num_accelerators, seed=4)
-        solver = FaultEventSolver(topo, flows, max_paths=4)
+        solver = FaultEventSolver(topo, flows, policy=policy, max_paths=4)
         schedule = link_fault_schedule(topo, 5, seed=4)
         reports = solver.apply_schedule(schedule)
-        warm_steps = 0
         for fs, rep in zip(schedule, reports):
-            cold = self._cold_rates(topo, flows, fs)
-            assert np.allclose(
-                np.sort(rep.connected_rates), np.sort(cold), atol=1e-9
+            cold = self._cold_rates(topo, flows, fs, policy=policy)
+            assert np.array_equal(
+                rep.connected_rates, cold
             ), f"parity broke at {len(fs.dead_links) // 2} faults"
-            warm_steps += rep.warm
-        assert warm_steps >= len(schedule) - 1  # at most the first solve is cold
 
     def test_randomized_fault_sequences_match_cold(self, torus_4x4_boards):
         topo = torus_4x4_boards
@@ -250,7 +248,7 @@ class TestFaultEventSolver:
             cumulative = cumulative.union(FaultSet.from_links(topo, pick))
             rep = solver.apply(cumulative)
             cold = self._cold_rates(topo, flows, cumulative)
-            assert np.allclose(np.sort(rep.connected_rates), np.sort(cold), atol=1e-9)
+            assert np.array_equal(rep.connected_rates, cold)
 
     def test_repair_resolves_cold_and_exact(self, hx2mesh_4x4):
         topo = hx2mesh_4x4
@@ -260,9 +258,8 @@ class TestFaultEventSolver:
         small = sample_link_faults(topo, 2, seed=4)
         solver.apply(big)
         rep = solver.apply(small)  # repair: fault set shrinks
-        assert not rep.warm
         cold = self._cold_rates(topo, flows, small)
-        assert np.allclose(np.sort(rep.connected_rates), np.sort(cold), atol=1e-9)
+        assert np.array_equal(rep.connected_rates, cold)
 
     def test_disconnection_reported_with_zero_rates(self, hx2mesh_4x4):
         topo = hx2mesh_4x4

@@ -131,8 +131,8 @@ class TestMaxMin:
         assert (rates[demands > 0] > 0).all()
         assert (rates[demands == 0] == 0).all()
 
-        # A local move (usually solved warm) and a new demand for every flow
-        # (always the exact cold fallback).
+        # A local move (usually solved warm by the delta batch) and a new
+        # demand for every flow (always its exact cold fallback).
         i, j = (int(v) for v in rng.choice(p, size=2, replace=False))
         near = swap_destinations(flows, i, j)
         if any(f.src == f.dst for f in near):
@@ -141,25 +141,25 @@ class TestMaxMin:
         far = [
             Flow(f.src, f.dst, float(d) + 0.5) for f, d in zip(flows, demands[::-1])
         ]
-        deltas = [sim.maxmin_rates_delta(state, c, want_state=True) for c in (near, far)]
-        for ds in deltas:
-            certify_maxmin(sim, ds.state)
-            assert ds.state.result is ds.result
-        assert not deltas[1].warm
+        near_state = sim.maxmin_warm_state(near)
+        far_state = sim.maxmin_warm_state(far)
+        certify_maxmin(sim, near_state)
+        certify_maxmin(sim, far_state)
 
         # Cold entry points run the same kernel as maxmin_warm_state.
         assert_same_result(sim.maxmin_rates(flows), state.result)
         for got, ref in zip(
-            sim.maxmin_rates_batch([far, flows]), (deltas[1].result, state.result)
+            sim.maxmin_rates_batch([far, flows]), (far_state.result, state.result)
         ):
             assert_same_result(got, ref)
         batch = sim.maxmin_rates_delta_batch(state, [near, far, flows])
         assert batch[2].result is state.result
-        assert_same_result(batch[1].result, deltas[1].result)
-        # Warm candidates are re-filled in a different summation order by
-        # the sequential and the batched delta engines: equal to 1e-12.
+        assert not batch[1].warm
+        assert_same_result(batch[1].result, far_state.result)
+        # A warm candidate is re-filled in a different summation order than
+        # the cold solve: equal to 1e-12.
         np.testing.assert_allclose(
-            batch[0].result.flow_rates, deltas[0].result.flow_rates, rtol=0, atol=1e-12
+            batch[0].result.flow_rates, near_state.result.flow_rates, rtol=0, atol=1e-12
         )
 
 
@@ -242,8 +242,6 @@ class TestFlowValidation:
             lambda: sim.maxmin_rates_batch([flows, cand]),
             lambda: sim.maxmin_warm_state(cand),
             lambda: sim.symmetric_rate(cand),
-            lambda: sim.maxmin_rates_delta(state, cand),
-            lambda: sim.maxmin_rates_delta(state, cand, changed=[2]),
             lambda: sim.maxmin_rates_delta_batch(state, [flows, cand]),
             lambda: sim.maxmin_rates_delta_batch(state, [cand], changed=[[2]]),
         ):
