@@ -40,7 +40,7 @@ import numpy as np
 from .._hash import mix64, mix64_array, tuple_hash_array
 from ..topology.base import Topology, TopologyError
 from ..topology.board import BoardHandle, EAST, NORTH, SOUTH, WEST
-from ..topology.fattree import GlobalNetwork
+from ..topology.fattree import GlobalNetwork, TreeRoutes
 
 __all__ = [
     "HxMeshRouter",
@@ -244,6 +244,7 @@ class HxMeshRouter:
         self.link_hash = tuple_hash_array(np.arange(topo.num_links, dtype=np.int64))
         # layout -> (segment, offset in segment) of every padded path column
         self._columns: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        self._tree_routes = None
 
     # ------------------------------------------------------------ tables
     def _board_tables(self) -> None:
@@ -392,13 +393,29 @@ class HxMeshRouter:
         mask = offset < np.array(counts)[segment].T
         return mask.sum(1), np.concatenate(pieces, axis=1)[mask].astype(np.int64)
 
+    def _trees(self) -> TreeRoutes:
+        """The :class:`TreeRoutes` of every row and column network, built
+        on first use, and the index of each network in it by
+        ``(kind, global coordinate, line)``."""
+        if self._tree_routes is None:
+            nets = [(kind, key, net) for kind, networks in enumerate(self.networks)
+                    for key, net in networks.items()]
+            self._tree_index = np.zeros(
+                (2,) + tuple(np.max([key for _, key, _ in nets], 0) + 1), dtype=np.int64
+            )
+            for i, (kind, key, _) in enumerate(nets):
+                self._tree_index[(kind,) + key] = i
+            self._tree_routes = TreeRoutes([net for _, _, net in nets])
+        return self._tree_routes
+
     def mids(self, kind, glob, line, sg, dg, port) -> Tuple[np.ndarray, np.ndarray]:
         """Tree segments per (exit, entry, mid, crossing).
 
         ``GlobalNetwork.paths(exit, entry, 2)`` pairs the exit's and the
         entry's attachments in order and keeps the first two segments.
         When the attachments it pairs share a leaf, each pairing gives the
-        one segment ``[up, down]``; other cells call it directly.  Returns
+        one segment ``[up, down]``; the other cells are routed as one block
+        over the :class:`TreeRoutes` of every network.  Returns
         ``(links, lengths)``; links are padded to ``mid_width``.
         """
         # (port, crossing, attachment)
@@ -424,22 +441,20 @@ class HxMeshRouter:
             | (np.where(entry_two, leaf[:, None, :, 0], leaf[:, None, :, 1])
                == np.where(entry_two, dleaf[None, :, :, 1], dleaf[None, :, :, 0]))
         )
-        cells = np.nonzero(~one_leaf)
-        mid[cells[0], cells[1], :, cells[2]] = -1
-        mid_len[cells[0], cells[1], :, cells[2]] = 0
-        snode, dnode = self.node_of[sg, port].tolist(), self.node_of[dg, port].tolist()
-        kinds, globs, lines = kind.tolist(), glob.tolist(), line.tolist()
-        at, links, lengths = [], [], []
-        for e, n, x in zip(*(c.tolist() for c in cells)):
-            net = self.networks[kinds[x]][(globs[x], lines[x])]
-            for m, path in enumerate(net.paths(snode[e][x], dnode[n][x], max_paths=2)):
-                at.append((e, n, m, x))
-                links.append(path + [-1] * (self.mid_width - len(path)))
-                lengths.append(len(path))
-        if at:
-            e, n, m, x = np.array(at).T
-            mid[e, n, m, x] = links
-            mid_len[e, n, m, x] = lengths
+        e, n, x = np.nonzero(~one_leaf)
+        mid[e, n, :, x] = -1
+        mid_len[e, n, :, x] = 0
+        counts, lengths, links = self._trees().paths_block(
+            self._tree_index[kind[x], glob[x], line[x]],
+            self.node_of[sg[x], port[e, x]], self.node_of[dg[x], port[n, x]], 2,
+        )
+        cell = np.repeat(np.arange(len(counts)), counts)
+        m = np.arange(len(lengths)) - np.repeat(np.cumsum(counts) - counts, counts)
+        at = (e[cell], n[cell], m, x[cell])
+        padded = np.full((len(lengths), self.mid_width), -1, dtype=_ID)
+        padded[np.arange(self.mid_width) < lengths[:, None]] = links
+        mid[at] = padded
+        mid_len[at] = lengths
         return mid, mid_len
 
     # ------------------------------------------------------------- classes

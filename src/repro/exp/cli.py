@@ -29,10 +29,51 @@ from .recording import (
     to_jsonable,
     write_artifact,
 )
-from .registry import get_sweep, list_sweeps, run_sweeps
+from .registry import SweepSpec, get_sweep, list_sweeps, run_sweeps
 from .runner import Runner
 
 __all__ = ["main"]
+
+
+class _InputError(Exception):
+    """Bad command-line input: reported as one ``error:`` line, exit 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line in one line."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _worker_count(text: str) -> int:
+    """A ``--workers`` value: an integer >= 0, 0 meaning one per CPU."""
+    try:
+        workers: Optional[int] = int(text)
+    except ValueError:
+        workers = None
+    if workers is None or workers < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0 (0: one per CPU), got {text!r}")
+    return workers
+
+
+def _known_sweep(name: str) -> SweepSpec:
+    """The registered sweep ``name``; bad input if there is none."""
+    try:
+        return get_sweep(name)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
+
+
+def _read_against(path: str) -> Dict[str, Any]:
+    """The artifact at ``path``, which must be JSON with a ``result``."""
+    try:
+        artifact = read_artifact(path)
+    except ValueError as exc:
+        raise _InputError(f"{path} is not a JSON artifact: {exc}") from None
+    if not isinstance(artifact, dict) or "result" not in artifact:
+        raise _InputError(f"{path} is not an artifact: it has no 'result' entry")
+    return artifact
 
 
 class _RefreshCache(ResultCache):
@@ -110,6 +151,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------------- run
 def _cmd_run(args: argparse.Namespace) -> int:
+    for name in args.sweep:
+        _known_sweep(name)
     per_sweep = _params_for(args.sweep, _parse_set(args.set or []))
     if args.trace:
         obs.enable()
@@ -197,7 +240,7 @@ def _walk_diff(
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    spec = get_sweep(args.sweep)
+    spec = _known_sweep(args.sweep)
     params = _params_for([args.sweep], _parse_set(args.set or []))[args.sweep]
     against = (
         args.against
@@ -206,7 +249,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     if not Path(against).is_file():
         print(f"error: no artifact to diff {args.sweep} against: {against} does not exist", file=sys.stderr)
         return 2
-    artifact = read_artifact(against)
+    artifact = _read_against(against)
     runner = Runner(workers=args.workers, cache=_resolve_cache(args))
     runs, _ = run_sweeps({args.sweep: params}, runner=runner)
     compaction = artifact.get("compaction", {})
@@ -234,7 +277,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------------- parser
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=None, help="worker processes (default: REPRO_EXP_WORKERS or 1)")
+    parser.add_argument("--workers", type=_worker_count, default=None, help="worker processes; 0 means one per CPU (default: REPRO_EXP_WORKERS or 1)")
     parser.add_argument("--cache", metavar="DIR", default=None, help="result-cache directory (default: REPRO_EXP_CACHE or ~/.cache/repro-exp)")
     parser.add_argument("--no-cache", action="store_true", help="disable the result cache")
     parser.add_argument("--refresh", action="store_true", help="recompute every cell but refresh the cache")
@@ -242,7 +285,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro.exp",
         description="Run the reproduction's figure sweeps through the experiment engine.",
     )
@@ -276,6 +319,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except RouteBudgetError as exc:
+    except (_InputError, RouteBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

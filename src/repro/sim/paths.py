@@ -7,6 +7,12 @@ choices.  This module provides a uniform ``PathProvider`` interface and a
 structured (i.e. non-search-based) implementation per topology family, plus
 a generic BFS fallback used for tests and custom topologies.
 
+The family providers (:class:`ArrayPathProvider` subclasses) route whole
+arrays of pairs with NumPy in :meth:`~PathProvider.paths_block`; their
+``paths()`` is the block of one pair, so one-pair and block routing can
+never disagree.  The BFS provider enumerates one pair at a time
+(:class:`PathListProvider`).
+
 Besides the minimal candidate sets, :func:`valiant_paths` enumerates
 *non-minimal* two-phase candidates (minimal to a randomized intermediate,
 then minimal to the destination) used by the ``valiant`` and ``ugal``
@@ -27,7 +33,7 @@ from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .._hash import mix64
+from .._hash import mix64, mix64_array
 from ..core.routing import HxMeshRouter, csr_take, csr_to_path_lists
 from ..topology.base import Topology, TopologyError
 
@@ -35,6 +41,7 @@ __all__ = [
     "DEFAULT_MAX_PATHS",
     "PathProvider",
     "PathListProvider",
+    "ArrayPathProvider",
     "path_lists_to_csr",
     "GenericPathProvider",
     "FatTreePathProvider",
@@ -176,221 +183,39 @@ class GenericPathProvider(PathListProvider):
 
 
 # ---------------------------------------------------------------------------
-class FatTreePathProvider(PathListProvider):
-    """Paths through a standalone fat-tree cluster (up/down routing)."""
+class ArrayPathProvider:
+    """Base of the providers that route whole arrays of pairs.
 
-    def __init__(self, topo: Topology):
-        if topo.meta.get("family") != "fattree":
-            raise TopologyError("not a fat-tree topology")
-        self.topo = topo
-        self.network = topo.meta["network"]
-        self._fallback = GenericPathProvider(topo)
-
-    def paths(self, src: int, dst: int, max_paths: int = DEFAULT_MAX_PATHS) -> List[List[int]]:
-        if src == dst:
-            return [[]]
-        out = self.network.paths(src, dst, max_paths=max_paths)
-        if not out:
-            out = self._fallback.paths(src, dst, max_paths=max_paths)
-        return out
-
-
-# ---------------------------------------------------------------------------
-class DragonflyPathProvider(PathListProvider):
-    """Minimal (local-global-local) Dragonfly routing with channel multipath."""
-
-    def __init__(self, topo: Topology):
-        if topo.meta.get("family") != "dragonfly":
-            raise TopologyError("not a Dragonfly topology")
-        self.topo = topo
-        m = topo.meta
-        self.acc_router: Dict[int, int] = m["acc_router"]
-        self.router_group: Dict[int, int] = m["router_group"]
-        self.local_links: Dict[Tuple[int, int], Tuple[int, int]] = m["local_links"]
-        self.group_links: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = m["group_links"]
-        self.access_links: Dict[int, Tuple[int, int]] = m["access_links"]
-
-    def _local(self, r1: int, r2: int) -> List[int]:
-        if r1 == r2:
-            return []
-        return [self.local_links[(r1, r2)][0]]
-
-    def paths(self, src: int, dst: int, max_paths: int = DEFAULT_MAX_PATHS) -> List[List[int]]:
-        if src == dst:
-            return [[]]
-        up = self.access_links[src][0]
-        down = self.access_links[dst][1]
-        rs, rd = self.acc_router[src], self.acc_router[dst]
-        gs, gd = self.router_group[rs], self.router_group[rd]
-        if rs == rd:
-            return [[up, down]]
-        if gs == gd:
-            return [[up] + self._local(rs, rd) + [down]]
-        channels = self.group_links.get((gs, gd), [])
-        if not channels:
-            raise TopologyError(f"no global channel between groups {gs} and {gd}")
-        # Rotate the channel list by a pair-dependent offset so the capped
-        # path enumeration spreads different flows over different global
-        # channels (approximates adaptive routing's load balancing).
-        off = mix64(src * 1000003 + dst) % len(channels)
-        channels = channels[off:] + channels[:off]
-        candidates: List[List[int]] = []
-        for r1, r2, glink in channels:
-            path = [up] + self._local(rs, r1) + [glink] + self._local(r2, rd) + [down]
-            candidates.append(path)
-        candidates.sort(key=len)
-        shortest = len(candidates[0])
-        minimal = [p for p in candidates if len(p) == shortest]
-        # Keep some longer alternatives if there are few strictly minimal
-        # ones (approximates UGAL's willingness to take non-minimal paths).
-        if len(minimal) < max_paths:
-            minimal = candidates[: max(max_paths, len(minimal))]
-        return minimal[:max_paths]
-
-
-# ---------------------------------------------------------------------------
-class TorusPathProvider(PathListProvider):
-    """Dimension-ordered routing on the 2D torus with minimal wrap choice."""
-
-    def __init__(self, topo: Topology):
-        if topo.meta.get("family") != "torus":
-            raise TopologyError("not a torus topology")
-        self.topo = topo
-        m = topo.meta
-        self.rows: int = m["rows"]
-        self.cols: int = m["cols"]
-        self.coord_of: Dict[int, Tuple[int, int]] = m["coord_of"]
-        self.grid = m["grid"]
-        self.dir_links: Dict[Tuple[int, int, str], int] = m["dir_links"]
-
-    def _dim_moves(self, delta: int, size: int, pos_dir: str, neg_dir: str) -> List[Tuple[str, int]]:
-        """Candidate (direction, hop count) moves along one dimension."""
-        fwd = delta % size
-        back = (-delta) % size
-        moves: List[Tuple[str, int]] = []
-        if fwd == 0:
-            return [("", 0)]
-        if fwd <= back:
-            moves.append((pos_dir, fwd))
-        if back <= fwd:
-            moves.append((neg_dir, back))
-        return moves
-
-    def _walk(self, r: int, c: int, direction: str, hops: int) -> Tuple[List[int], int, int]:
-        links: List[int] = []
-        for _ in range(hops):
-            links.append(self.dir_links[(r, c, direction)])
-            if direction == "E":
-                c = (c + 1) % self.cols
-            elif direction == "W":
-                c = (c - 1) % self.cols
-            elif direction == "S":
-                r = (r + 1) % self.rows
-            elif direction == "N":
-                r = (r - 1) % self.rows
-        return links, r, c
-
-    def paths(self, src: int, dst: int, max_paths: int = DEFAULT_MAX_PATHS) -> List[List[int]]:
-        if src == dst:
-            return [[]]
-        (r1, c1), (r2, c2) = self.coord_of[src], self.coord_of[dst]
-        hmoves = self._dim_moves(c2 - c1, self.cols, "E", "W")
-        vmoves = self._dim_moves(r2 - r1, self.rows, "S", "N")
-        out: List[List[int]] = []
-        for (hd, hn), (vd, vn), order in itertools.product(hmoves, vmoves, ("xy", "yx")):
-            r, c = r1, c1
-            links: List[int] = []
-            steps = [(hd, hn), (vd, vn)] if order == "xy" else [(vd, vn), (hd, hn)]
-            for direction, hops in steps:
-                if hops == 0 or not direction:
-                    continue
-                seg, r, c = self._walk(r, c, direction, hops)
-                links.extend(seg)
-            if (r, c) != (r2, c2):  # pragma: no cover - defensive
-                continue
-            if links not in out:
-                out.append(links)
-            if len(out) >= max_paths:
-                break
-        return out
-
-
-# ---------------------------------------------------------------------------
-class HyperXPathProvider(PathListProvider):
-    """Minimal routing on the switch-based 2D HyperX.
-
-    A flow crosses at most two switch-to-switch links: one in the row
-    dimension and one in the column dimension, via either of the two corner
-    switches (dimension order is the adaptive choice).
-    """
-
-    def __init__(self, topo: Topology):
-        if topo.meta.get("family") != "hyperx":
-            raise TopologyError("not a HyperX topology")
-        self.topo = topo
-        m = topo.meta
-        self.acc_switch: Dict[int, int] = m["acc_switch"]
-        self.switch_coord: Dict[int, Tuple[int, int]] = m["switch_coord"]
-        self.switch_grid = m["switch_grid"]
-        self.switch_links: Dict[Tuple[int, int], int] = m["switch_links"]
-        self.access_links: Dict[int, Tuple[int, int]] = m["access_links"]
-
-    def paths(self, src: int, dst: int, max_paths: int = DEFAULT_MAX_PATHS) -> List[List[int]]:
-        if src == dst:
-            return [[]]
-        up = self.access_links[src][0]
-        down = self.access_links[dst][1]
-        s1, s2 = self.acc_switch[src], self.acc_switch[dst]
-        if s1 == s2:
-            return [[up, down]]
-        (r1, c1), (r2, c2) = self.switch_coord[s1], self.switch_coord[s2]
-        if r1 == r2 or c1 == c2:
-            return [[up, self.switch_links[(s1, s2)], down]]
-        mid_a = self.switch_grid[r1][c2]   # row first
-        mid_b = self.switch_grid[r2][c1]   # column first
-        out = [
-            [up, self.switch_links[(s1, mid_a)], self.switch_links[(mid_a, s2)], down],
-            [up, self.switch_links[(s1, mid_b)], self.switch_links[(mid_b, s2)], down],
-        ]
-        return out[:max_paths]
-
-
-# ---------------------------------------------------------------------------
-class HxMeshPathProvider(PathListProvider):
-    """Adaptive minimal routing on HammingMesh (wraps :class:`HxMeshRouter`).
-
-    Pairs the router cannot route (an endpoint that is not an accelerator)
-    fall back to BFS.
+    A subclass's :meth:`_block` routes a block of pairs by its family's
+    structure.  A pair it leaves without a path (an endpoint that is not an
+    accelerator, fat-tree leaves without a common spine) is routed by BFS,
+    in pair order.  :meth:`paths` is the block of one pair.
     """
 
     array_routes = True
+    topo: Topology
+    _fallback: Optional[GenericPathProvider] = None
 
-    def __init__(self, topo: Topology):
-        self.topo = topo
-        self.router = HxMeshRouter(topo)
-        self._fallback: Optional[GenericPathProvider] = None
-
-    def _bfs(self) -> GenericPathProvider:
-        if self._fallback is None:
-            self._fallback = GenericPathProvider(self.topo)
-        return self._fallback
+    def _block(self, src: np.ndarray, dst: np.ndarray, max_paths: int) -> PathBlock:
+        raise NotImplementedError
 
     def paths(self, src: int, dst: int, max_paths: int = DEFAULT_MAX_PATHS) -> List[List[int]]:
-        try:
-            return self.router.paths(src, dst, max_paths=max_paths)
-        except TopologyError:
-            return self._bfs().paths(src, dst, max_paths=max_paths)
+        return csr_to_path_lists(*self.paths_block(np.array([src]), np.array([dst]), max_paths))[0]
 
     def paths_block(
         self, src: np.ndarray, dst: np.ndarray, max_paths: int = DEFAULT_MAX_PATHS
     ) -> PathBlock:
-        counts, lengths, links = self.router.route_block(src, dst, max_paths)
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        counts, lengths, links = self._block(src, dst, max_paths)
         missing = np.flatnonzero(counts == 0)
         if not len(missing):
             return counts, lengths, links
+        if self._fallback is None:
+            self._fallback = GenericPathProvider(self.topo)
         # route the pairs without a route by BFS and splice them in
         fix = path_lists_to_csr([
-            self._bfs().paths(s, d, max_paths=max_paths)
+            self._fallback.paths(s, d, max_paths=max_paths)
             for s, d in zip(src[missing].tolist(), dst[missing].tolist())
         ])
         path_pair = np.concatenate([
@@ -402,6 +227,238 @@ class HxMeshPathProvider(PathListProvider):
             np.concatenate([lengths, fix[1]]), np.concatenate([links, fix[2]]),
             np.argsort(path_pair, kind="stable"),
         )
+
+
+def _first(valid: np.ndarray, max_paths: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Paths per pair and ``(pair, candidate)`` of the first ``max_paths``
+    valid candidates of every pair (a row of ``valid``), in order."""
+    taken = valid & (np.cumsum(valid, 1) <= max_paths)
+    return (taken.sum(1),) + np.nonzero(taken)
+
+
+# ---------------------------------------------------------------------------
+class FatTreePathProvider(ArrayPathProvider):
+    """Paths through a standalone fat-tree cluster (up/down routing, see
+    :class:`~repro.topology.fattree.TreeRoutes`)."""
+
+    def __init__(self, topo: Topology):
+        if topo.meta.get("family") != "fattree":
+            raise TopologyError("not a fat-tree topology")
+        self.topo = topo
+        self.network = topo.meta["network"]
+
+    def _block(self, src: np.ndarray, dst: np.ndarray, max_paths: int) -> PathBlock:
+        # a pair to itself has no tree path; the BFS gives it its empty path
+        return self.network.paths_block(src, dst, max_paths)
+
+
+# ---------------------------------------------------------------------------
+class DragonflyPathProvider(ArrayPathProvider):
+    """Minimal (local-global-local) Dragonfly routing with channel multipath.
+
+    A pair in two groups has one candidate per global channel between the
+    groups: the channel list is rotated by a pair-dependent offset (so the
+    capped enumeration spreads flows over the channels, approximating
+    adaptive routing's load balancing) and stably sorted by path length,
+    and the first ``max_paths`` candidates are kept.  That prefix is the
+    strictly minimal candidates (the first ``max_paths`` of them when there
+    are more), topped up with longer ones when there are fewer
+    (approximating UGAL's willingness to take non-minimal paths).  A pair
+    whose groups share no channel raises :class:`TopologyError`.
+    """
+
+    def __init__(self, topo: Topology):
+        if topo.meta.get("family") != "dragonfly":
+            raise TopologyError("not a Dragonfly topology")
+        self.topo = topo
+        m = topo.meta
+        n = topo.num_nodes
+        self.router_of, self.up, self.down, self.group, self.index = (
+            np.full(n, -1, dtype=np.int64) for _ in range(5)
+        )
+        self.router_of[list(m["acc_router"])] = list(m["acc_router"].values())
+        for acc, links in m["access_links"].items():
+            self.up[acc], self.down[acc] = links
+        for g, routers in enumerate(m["routers"]):
+            self.group[routers] = g
+            self.index[routers] = np.arange(len(routers))
+        groups = len(m["routers"])
+        #: local link between the routers of a group, by their indices
+        self.local = np.full((groups, m["routers_per_group"], m["routers_per_group"]), -1,
+                             dtype=np.int64)
+        for (r1, r2), (link, _) in m["local_links"].items():
+            self.local[self.group[r1], self.index[r1], self.index[r2]] = link
+        #: (source router, destination router, link) of every global
+        #: channel of a group pair, padded, and the channels per group pair
+        width = max([1] + [len(chans) for chans in m["group_links"].values()])
+        self.channels = np.full((groups, groups, width, 3), -1, dtype=np.int64)
+        self.num_channels = np.zeros((groups, groups), dtype=np.int64)
+        for (g1, g2), chans in m["group_links"].items():
+            self.channels[g1, g2, : len(chans)] = chans
+            self.num_channels[g1, g2] = len(chans)
+
+    def _block(self, src: np.ndarray, dst: np.ndarray, max_paths: int) -> PathBlock:
+        rs, rd = self.router_of[src], self.router_of[dst]
+        routed = (rs >= 0) & (rd >= 0)
+        gs, gd = self.group[rs], self.group[rd]
+        far = routed & (gs != gd)
+        count = np.where(far, self.num_channels[gs, gd], 1)
+        if (count == 0).any():
+            i = int(np.argmax(count == 0))
+            raise TopologyError(f"no global channel between groups {gs[i]} and {gd[i]}")
+        # candidate axes (pair, rotated channel); a pair in one group has
+        # one candidate, through no channel
+        k = np.arange(self.channels.shape[2])
+        off = (mix64_array(src * 1000003 + dst) % count.astype(np.uint64)).astype(np.int64)
+        chan = self.channels[gs[:, None], gd[:, None], (off[:, None] + k) % count[:, None]]
+        length = 3 + (chan[..., 0] != rs[:, None]) + (chan[..., 1] != rd[:, None])
+        ranked = np.argsort(np.where(k < count[:, None], length, 6), axis=1, kind="stable")
+        counts, q, j = _first((k < count[:, None]) & routed[:, None], max_paths)
+        chan = chan[q, ranked[q, j]]
+        rs, rd, far, src, dst = rs[q], rd[q], far[q], src[q], dst[q]
+        # a pair in one group crosses "to" its destination router locally
+        r1, r2 = np.where(far, chan[:, 0], rd), chan[:, 1]
+        hops = np.stack([
+            self.up[src],
+            self.local[self.group[rs], self.index[rs], self.index[r1]],
+            chan[:, 2],
+            self.local[self.group[rd], self.index[r2], self.index[rd]],
+            self.down[dst],
+        ], 1)
+        moves = src != dst
+        present = np.stack([moves, r1 != rs, far, far & (r2 != rd), moves], 1)
+        return counts, present.sum(1), hops[present]
+
+
+# ---------------------------------------------------------------------------
+class TorusPathProvider(ArrayPathProvider):
+    """Dimension-ordered routing on the 2D torus with minimal wrap choice.
+
+    A dimension's minimal move goes forward, or backward when that is
+    shorter, and both ways when they tie (half-way round an even ring).
+    The candidates are every horizontal move x vertical move x order (xy,
+    then yx), in that nesting; yx is left out when a dimension has no
+    hops, where it equals xy.
+    """
+
+    #: (row, column) step of the directions E, W, S, N
+    _STEPS = np.array([[0, 1], [0, -1], [1, 0], [-1, 0]])
+
+    def __init__(self, topo: Topology):
+        if topo.meta.get("family") != "torus":
+            raise TopologyError("not a torus topology")
+        self.topo = topo
+        m = topo.meta
+        self.rows: int = m["rows"]
+        self.cols: int = m["cols"]
+        self.coord = np.full((topo.num_nodes, 2), -1, dtype=np.int64)
+        self.coord[list(m["coord_of"])] = list(m["coord_of"].values())
+        #: the link leaving (row, column) in direction E, W, S or N
+        self.link = np.full((self.rows, self.cols, 4), -1, dtype=np.int64)
+        for (r, c, d), li in m["dir_links"].items():
+            self.link[r, c, "EWSN".index(d)] = li
+
+    def _block(self, src: np.ndarray, dst: np.ndarray, max_paths: int) -> PathBlock:
+        (r1, c1), (r2, c2) = self.coord[src].T, self.coord[dst].T
+        # per dimension, (pair, move) directions, hops and existence
+        moves = []
+        for a, b, size, forward in ((c1, c2, self.cols, 0), (r1, r2, self.rows, 2)):
+            fwd, back = (b - a) % size, (a - b) % size
+            moves.append((
+                np.stack([np.where(fwd <= back, forward, forward + 1),
+                          np.full(len(a), forward + 1)], 1),
+                np.stack([np.minimum(fwd, back), back], 1),
+                np.stack([np.ones(len(a), dtype=bool), (fwd == back) & (fwd > 0)], 1),
+            ))
+        (hd, hn, hok), (vd, vn, vok) = moves
+        # candidate axes (pair, horizontal move, vertical move, order)
+        turns = (hn[:, :, None, None] > 0) & (vn[:, None, :, None] > 0)
+        valid = hok[:, :, None, None] & vok[:, None, :, None] & (turns | (np.arange(2) == 0))
+        valid &= ((r1 >= 0) & (r2 >= 0))[:, None, None, None]
+        counts, q, c = _first(valid.reshape(len(src), 8), max_paths)
+        h, v, xy = c >> 2, (c >> 1) & 1, (c & 1) == 0
+        hd, hn, vd, vn = hd[q, h], hn[q, h], vd[q, v], vn[q, v]
+        # the first leg from the source, the second from the turn: xy turns
+        # at (r1, c2), yx at (r2, c1)
+        n1 = np.where(xy, hn, vn)[:, None]
+        j = np.arange(max(1, self.rows // 2 + self.cols // 2))
+        first = j < n1
+        step = np.where(first, j, j - n1)
+        d = np.where(first, np.where(xy, hd, vd)[:, None], np.where(xy, vd, hd)[:, None])
+        r = np.where(first, r1[q][:, None], np.where(xy, r1[q], r2[q])[:, None])
+        c = np.where(first, c1[q][:, None], np.where(xy, c2[q], c1[q])[:, None])
+        r = (r + self._STEPS[d, 0] * step) % self.rows
+        c = (c + self._STEPS[d, 1] * step) % self.cols
+        return counts, hn + vn, self.link[r, c, d][j < (hn + vn)[:, None]]
+
+
+# ---------------------------------------------------------------------------
+class HyperXPathProvider(ArrayPathProvider):
+    """Minimal routing on the switch-based 2D HyperX.
+
+    A flow crosses at most two switch-to-switch links: one in the row
+    dimension and one in the column dimension, via either of the two corner
+    switches (dimension order is the adaptive choice): row first, then
+    column first.
+    """
+
+    def __init__(self, topo: Topology):
+        if topo.meta.get("family") != "hyperx":
+            raise TopologyError("not a HyperX topology")
+        self.topo = topo
+        m = topo.meta
+        n = topo.num_nodes
+        self.switch_of, self.up, self.down = (np.full(n, -1, dtype=np.int64) for _ in range(3))
+        self.switch_of[list(m["acc_switch"])] = list(m["acc_switch"].values())
+        for acc, links in m["access_links"].items():
+            self.up[acc], self.down[acc] = links
+        self.coord = np.full((n, 2), -1, dtype=np.int64)
+        self.coord[list(m["switch_coord"])] = list(m["switch_coord"].values())
+        x, y = m["x"], m["y"]
+        #: link from column c1 to column c2 of row r, by (r, c1, c2); from
+        #: row r1 to row r2 of column c, by (c, r1, r2)
+        self.row_link = np.full((y, x, x), -1, dtype=np.int64)
+        self.col_link = np.full((x, y, y), -1, dtype=np.int64)
+        num = len(m["switch_links"])
+        ends = np.fromiter(itertools.chain.from_iterable(m["switch_links"]), dtype=np.int64,
+                           count=2 * num).reshape(num, 2)
+        links = np.fromiter(m["switch_links"].values(), dtype=np.int64, count=num)
+        (ra, ca), (rb, cb) = self.coord[ends[:, 0]].T, self.coord[ends[:, 1]].T
+        row = ra == rb
+        self.row_link[ra[row], ca[row], cb[row]] = links[row]
+        self.col_link[ca[~row], ra[~row], rb[~row]] = links[~row]
+
+    def _block(self, src: np.ndarray, dst: np.ndarray, max_paths: int) -> PathBlock:
+        s1, s2 = self.switch_of[src], self.switch_of[dst]
+        (r1, c1), (r2, c2) = self.coord[s1].T, self.coord[s2].T
+        row, col = c1 != c2, r1 != r2
+        num = np.where((s1 >= 0) & (s2 >= 0), 1 + (row & col), 0)
+        counts, q, p = _first(np.arange(2) < num[:, None], max_paths)
+        r1, c1, r2, c2, row, col = (arr[q] for arr in (r1, c1, r2, c2, row, col))
+        col_first = p == 1
+        hops = np.stack([
+            self.up[src[q]],
+            np.where(col_first, self.col_link[c1, r1, r2], self.row_link[r1, c1, c2]),
+            np.where(col_first, self.row_link[r2, c1, c2], self.col_link[c2, r1, r2]),
+            self.down[dst[q]],
+        ], 1)
+        moves = src[q] != dst[q]
+        present = np.stack(
+            [moves, np.where(col_first, col, row), np.where(col_first, row, col), moves], 1
+        )
+        return counts, present.sum(1), hops[present]
+
+
+# ---------------------------------------------------------------------------
+class HxMeshPathProvider(ArrayPathProvider):
+    """Adaptive minimal routing on HammingMesh (wraps :class:`HxMeshRouter`)."""
+
+    def __init__(self, topo: Topology):
+        self.topo = topo
+        self.router = HxMeshRouter(topo)
+
+    def _block(self, src: np.ndarray, dst: np.ndarray, max_paths: int) -> PathBlock:
+        return self.router.route_block(src, dst, max_paths)
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,15 @@ Two things live here:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .._hash import mix64
+import numpy as np
+
+from .._hash import mix64_array
 from .base import CableClass, Topology, TopologyError, register_topology
 
-__all__ = ["GlobalNetwork", "build_fat_tree", "fat_tree_levels_for"]
+__all__ = ["GlobalNetwork", "TreeRoutes", "build_fat_tree", "fat_tree_levels_for"]
 
 
 def fat_tree_levels_for(num_ports: int, radix: int = 64) -> int:
@@ -135,9 +136,12 @@ class GlobalNetwork:
 
         for idx, att in enumerate(self.attachments):
             self.node_attachments.setdefault(att.node, []).append(idx)
-        # node -> tuple of its attachments; built on the first ``paths``
-        # call so route enumeration, not topology construction, pays for it
-        self._node_atts: Optional[Dict[int, Tuple[_Attachment, ...]]] = None
+        # the network's TreeRoutes (node attachments and up/down link
+        # tables); built on the first ``paths_block`` call so route
+        # enumeration, not topology construction, pays for it.  The name
+        # predates TreeRoutes: tests/test_topology_digest.py hashes every
+        # attribute of a built network.
+        self._node_atts: Optional["TreeRoutes"] = None
 
     # ------------------------------------------------------------------ build
     def _new_switch(self, role: str, index: int) -> int:
@@ -293,103 +297,238 @@ class GlobalNetwork:
     def has_port(self, node: int) -> bool:
         return node in self.node_attachments
 
-    @staticmethod
-    def _rotated(seq: List, key: int) -> List:
-        """Deterministically rotate ``seq`` by a hash of ``key``.
-
-        Candidate paths are enumerated starting at a flow-dependent offset so
-        that different flows spread their (capped) path choices over all
-        parallel spines/cores, approximating adaptive routing's load
-        balancing instead of always hammering the first few switches.
-        """
-        if len(seq) <= 1:
-            return list(seq)
-        off = mix64(key) % len(seq)
-        return list(seq[off:]) + list(seq[:off])
-
-    def _leaf_to_leaf_paths(self, leaf_a: int, leaf_b: int, max_paths: int, key: int = 0) -> List[List[int]]:
-        """Switch-level up/down paths from ``leaf_a`` to ``leaf_b`` (link lists).
-
-        ``key`` (typically derived from the flow endpoints) rotates the spine
-        and parallel-link enumeration so that different flows between the
-        same leaf pair exercise different parallel resources.  Paths are
-        enumerated spine-first: one path per distinct spine before a second
-        parallel link of any spine is used.
-        """
-        if leaf_a == leaf_b:
-            return [[]]
-        paths: List[List[int]] = []
-        pod_a = self.leaf_pod.get(leaf_a, 0)
-        pod_b = self.leaf_pod.get(leaf_b, 0)
-        if self.levels == 2 or pod_a == pod_b:
-            spines = self._rotated(self.spines_of_leaf.get(leaf_a, []), key)
-            up_hash, down_hash = mix64(key ^ 0xA5), mix64(key ^ 0x5A)
-            # Round-robin over parallel (up, down) link pairs per spine.
-            for round_idx in range(4):
-                for spine in spines:
-                    if (leaf_b, spine) not in self.leaf_spine:
-                        continue
-                    ups = self.leaf_spine[(leaf_a, spine)]
-                    downs = self.leaf_spine[(leaf_b, spine)]
-                    if round_idx >= max(len(ups), len(downs)):
-                        continue
-                    u = ups[(round_idx + up_hash) % len(ups)][0]
-                    d = downs[(round_idx + down_hash) % len(downs)][1]
-                    paths.append([u, d])
-                    if len(paths) >= max_paths:
-                        return paths
-                if paths and round_idx == 0:
-                    # one full spine round already gives the needed diversity
-                    break
-            return paths
-        # three-level, different pods: leaf_a -> spine s -> core -> spine s' -> leaf_b
-        hashes = [mix64(key ^ i) for i in range(4)]
-        for spine_a in self._rotated(self.spines_of_leaf.get(leaf_a, []), key):
-            for spine_b in self.spines_of_leaf.get(leaf_b, []):
-                if self.spine_index.get(spine_a) != self.spine_index.get(spine_b):
-                    continue
-                for core in self._rotated(self.cores_of_spine.get(spine_a, []), key):
-                    if (spine_b, core) not in self.spine_core:
-                        continue
-                    ups1 = self.leaf_spine[(leaf_a, spine_a)]
-                    ups2 = self.spine_core[(spine_a, core)]
-                    downs2 = self.spine_core[(spine_b, core)]
-                    downs1 = self.leaf_spine[(leaf_b, spine_b)]
-                    up1 = ups1[hashes[0] % len(ups1)][0]
-                    up2 = ups2[hashes[1] % len(ups2)][0]
-                    down2 = downs2[hashes[2] % len(downs2)][1]
-                    down1 = downs1[hashes[3] % len(downs1)][1]
-                    paths.append([up1, up2, down2, down1])
-                    if len(paths) >= max_paths:
-                        return paths
-                    break  # one core per (spine_a, spine_b) pair, move to next spine
-        return paths
+    def paths_block(
+        self, src: np.ndarray, dst: np.ndarray, max_paths: int = 4
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Minimal up/down paths from node ``src[i]`` to node ``dst[i]``
+        through this network, including the access links at both ends, as
+        CSR arrays ``(counts, lengths, links)`` (see :class:`TreeRoutes`).
+        A pair with no up/down path (an endpoint without a port, or leaves
+        that share no spine) has none."""
+        if self._node_atts is None:
+            self._node_atts = TreeRoutes([self])
+        src = np.asarray(src, dtype=np.int64)
+        return self._node_atts.paths_block(
+            np.zeros(len(src), dtype=np.int64), src, np.asarray(dst, dtype=np.int64), max_paths
+        )
 
     def paths(self, src: int, dst: int, max_paths: int = 4) -> List[List[int]]:
-        """Minimal up/down paths (as directed-link index lists) from node
-        ``src`` to node ``dst`` through this network, including the access
-        links at both ends."""
-        table = self._node_atts
-        if table is None:
-            table = self._node_atts = {
-                node: tuple(self.attachments[i] for i in idxs)
-                for node, idxs in self.node_attachments.items()
-            }
-        out: List[List[int]] = []
-        key = (src * 1000003 + dst) & 0x7FFFFFFF
-        for att_s in table.get(src, ()):
-            for att_d in table.get(dst, ()):
-                if att_d is att_s:
-                    continue
-                for mid in self._leaf_to_leaf_paths(att_s.leaf, att_d.leaf, max_paths, key=key):
-                    out.append([att_s.up_link] + mid + [att_d.down_link])
-                    if len(out) >= max_paths:
-                        return out
-        return out
+        """:meth:`paths_block` of one pair, as directed-link index lists."""
+        _, lengths, links = self.paths_block(np.array([src]), np.array([dst]), max_paths)
+        flat, ends = links.tolist(), np.cumsum(lengths).tolist()
+        return [flat[end - n : end] for end, n in zip(ends, lengths.tolist())]
 
     def entry_paths(self, src: int, leaf_target: Optional[int] = None) -> List[_Attachment]:
         """Attachments usable to enter the network from ``src``."""
         return self.attachments_of(src)
+
+
+def _padded(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """``rows`` as one ``int64`` array, each row padded with -1."""
+    width = max([1] + [len(row) for row in rows])
+    out = np.full((max(1, len(rows)), width), -1, dtype=np.int64)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
+
+
+#: flow-hash salts of the hops (leaf up, spine up, spine down, leaf down)
+#: of a path across pods, and of a path within one (which has no spine hops)
+_HOP_SALTS = np.array([[0, 1, 2, 3], [0xA5, 0, 0, 0x5A]])[:, :, None]
+
+
+class TreeRoutes:
+    """The up/down routes of one or several :class:`GlobalNetwork` s, over
+    padded arrays.
+
+    Switches and attachments of all the networks are numbered in one
+    sequence.  A leaf's uplinks are *slots*: slot ``k`` is the ``k``-th
+    spine of ``spines_of_leaf[leaf]`` and holds that spine's parallel
+    links; a spine's core uplinks are slots likewise.  A spine has a
+    *position* (its index in a two-level network, its ``spine_index`` in a
+    three-level one) and a core its index in its network, so that
+    ``spine_slot[leaf, position]`` finds the slot of a leaf's spine at a
+    position, and ``core_slot[spine, index]`` that of a spine's core.
+
+    :meth:`paths_block` enumerates what per-pair up/down routing does:
+    every pairing of a source attachment with a different destination
+    attachment, in attachment order; for each, the leaf-to-leaf segments,
+    spine first, from a flow-hashed rotation of the source leaf's spines,
+    skipping spines without a link to the destination leaf; at most
+    ``max_paths`` paths in all.  Each spine gives one segment (its
+    parallel links picked by a flow hash), so a further round over the
+    spines' other parallel links could only add a path if the first round
+    found none, and then it finds none either.  Across pods of a three-level
+    tree, a source spine pairs with the destination leaf's spine of the
+    same position and crosses the first core, in a flow-hashed rotation of
+    its cores, that the destination spine links to.
+    """
+
+    def __init__(self, networks: Sequence["GlobalNetwork"]):
+        self.num_nodes = networks[0].topo.num_nodes
+        leaf_ix: Dict[int, int] = {}
+        spine_ix: Dict[int, int] = {}
+        core_ix: Dict[int, int] = {}
+        spine_pos: List[int] = []
+        core_pos: List[int] = []
+        leaf_pod: List[int] = []
+        att_leaf: List[int] = []
+        att_up: List[int] = []
+        att_down: List[int] = []
+        port_key: List[int] = []
+        port_atts: List[List[int]] = []
+        for i, net in enumerate(networks):
+            for leaf in net.leaf_switches:
+                leaf_ix[leaf] = len(leaf_ix)
+                leaf_pod.append(net.leaf_pod.get(leaf, 0))
+            for pos, spine in enumerate(net.spine_switches):
+                spine_ix[spine] = len(spine_ix)
+                spine_pos.append(net.spine_index.get(spine, pos))
+            for pos, core in enumerate(net.core_switches):
+                core_ix[core] = len(core_ix)
+                core_pos.append(pos)
+            base = len(att_leaf)
+            for att in net.attachments:
+                att_leaf.append(leaf_ix[att.leaf])
+                att_up.append(att.up_link)
+                att_down.append(att.down_link)
+            for node, idxs in net.node_attachments.items():
+                port_key.append(i * self.num_nodes + node)
+                port_atts.append([base + j for j in idxs])
+        order = np.argsort(port_key)
+        self.port_key = np.array(port_key, dtype=np.int64)[order]
+        self.port_atts = _padded(port_atts)[order]
+        self.att_leaf = np.array(att_leaf, dtype=np.int64)
+        self.att_up = np.array(att_up, dtype=np.int64)
+        self.att_down = np.array(att_down, dtype=np.int64)
+        self.leaf_pod = np.array(leaf_pod, dtype=np.int64)
+        # one extra entry, so that a missing switch (-1) indexes them
+        self.spine_pos = np.array(spine_pos + [0], dtype=np.int64)
+        self.core_pos = np.array(core_pos + [0], dtype=np.int64)
+        self.leaf_spines, self.leaf_num_spines, self.spine_slot, self.leaf_links = (
+            self._slots(networks, "spines_of_leaf", "leaf_spine", leaf_ix, spine_ix, spine_pos)
+        )
+        self.spine_cores, self.spine_num_cores, self.core_slot, self.spine_links = (
+            self._slots(networks, "cores_of_spine", "spine_core", spine_ix, core_ix, core_pos)
+        )
+
+    @staticmethod
+    def _slots(networks, uppers_of: str, store: str, lo_ix, hi_ix, hi_pos):
+        """Per lower switch: its upper switches by slot, their count, the
+        slot of the upper switch at each position, and each slot's parallel
+        links as ``(up, down)`` arrays padded to the most parallel links."""
+        rows = [[] for _ in lo_ix]
+        links: List[List[List[Tuple[int, int]]]] = [[] for _ in lo_ix]
+        for net in networks:
+            for lo, his in getattr(net, uppers_of).items():
+                rows[lo_ix[lo]] = [hi_ix[hi] for hi in his]
+                links[lo_ix[lo]] = [getattr(net, store)[(lo, hi)] for hi in his]
+        uppers = _padded(rows)
+        slot = np.full((len(uppers), max(hi_pos + [0]) + 1), -1, dtype=np.int64)
+        for lo, row in enumerate(rows):
+            for k, hi in enumerate(row):
+                if slot[lo, hi_pos[hi]] >= 0:
+                    raise TopologyError("a switch links two upper switches at one position")
+                slot[lo, hi_pos[hi]] = k
+        width = max([1] + [len(pl) for per_lo in links for pl in per_lo])
+        pairs = np.full((len(uppers), uppers.shape[1], width, 2), -1, dtype=np.int64)
+        count = np.zeros(uppers.shape, dtype=np.int64)
+        for lo, per_lo in enumerate(links):
+            for k, parallel in enumerate(per_lo):
+                pairs[lo, k, : len(parallel)] = parallel
+                count[lo, k] = len(parallel)
+        num = np.zeros(len(uppers), dtype=np.int64)
+        num[: len(rows)] = [len(row) for row in rows]
+        return uppers, num, slot, (pairs, count)
+
+    def paths_block(self, net, src, dst, max_paths: int):
+        """Up/down paths of every pair ``(src[i], dst[i])`` through network
+        ``net[i]`` (an index into the networks), as CSR arrays ``(counts,
+        lengths, links)``."""
+        n = len(src)
+        atts = []
+        for node in (src, dst):
+            key = net * self.num_nodes + node
+            row = np.minimum(np.searchsorted(self.port_key, key), len(self.port_key) - 1)
+            atts.append(np.where((self.port_key[row] == key)[:, None], self.port_atts[row], -1))
+        key = (src * 1_000_003 + dst) & 0x7FFFFFFF
+        spread = mix64_array(key)
+        # candidate axes (pair, source attachment, destination attachment,
+        # source leaf slot, in rotated order)
+        a_s, a_d = atts[0][:, :, None, None], atts[1][:, None, :, None]
+        la, lb = self.att_leaf[a_s], self.att_leaf[a_d]
+        paired = (a_s >= 0) & (a_d >= 0) & (a_s != a_d)
+        ns = np.maximum(self.leaf_num_spines[la], 1)
+        k = np.arange(self.leaf_spines.shape[1])
+        slot_a = ((spread[:, None, None, None] % ns.astype(np.uint64)).astype(np.int64) + k) % ns
+        sa = self.leaf_spines[la, slot_a]
+        slot_b = self.spine_slot[lb, self.spine_pos[sa]]
+        sb = self.leaf_spines[lb, slot_b]
+        far = self.leaf_pod[la] != self.leaf_pod[lb]
+        up = (paired & (la != lb) & (k < self.leaf_num_spines[la])
+              & (slot_b >= 0) & (far | (sb == sa)))
+        slot_a, sa = (np.broadcast_to(arr, up.shape) for arr in (slot_a, sa))
+        core_a = np.full(up.shape, -1, dtype=np.int64)
+        core_b = core_a.copy()
+        far = up & far
+        if far.any():
+            core_a[far], core_b[far] = self._cores(sa[far], sb[far], spread[np.nonzero(far)[0]])
+            up[far] = core_a[far] >= 0
+        valid = (up | (paired & (la == lb) & (k == 0))).reshape(n, np.prod(up.shape[1:]))
+        taken = valid & (np.cumsum(valid, 1) <= max_paths)
+        counts = taken.sum(1)
+        q, c = np.nonzero(taken)
+        i, j, k = np.unravel_index(c, up.shape[1:])
+        a_s, a_d, key = atts[0][q, i], atts[1][q, j], key[q]
+        la, lb = self.att_leaf[a_s], self.att_leaf[a_d]
+        at = (q, i, j, k)
+        slot_a, slot_b, sa, sb, core_a, core_b = (
+            arr[at] for arr in (slot_a, slot_b, sa, sb, core_a, core_b)
+        )
+        far = core_a >= 0
+        mid_len = np.where(la == lb, 0, np.where(far, 4, 2))
+        # the parallel links of each hop, picked by flow hashes: a hop's
+        # salt is its index across pods, 0xA5 up and 0x5A down within one
+        hashes = mix64_array(key ^ np.where(far, _HOP_SALTS[0], _HOP_SALTS[1]))
+
+        def link(table, lo, slot, h, end):
+            pairs, count = table
+            pick = (hashes[h] % np.maximum(count[lo, slot], 1).astype(np.uint64)).astype(np.int64)
+            return pairs[lo, slot, pick, end]
+
+        hops = np.stack([
+            link(self.leaf_links, la, slot_a, 0, 0),
+            link(self.spine_links, sa, core_a, 1, 0),
+            link(self.spine_links, sb, core_b, 2, 1),
+            link(self.leaf_links, lb, slot_b, 3, 1),
+        ], 1)
+        # a two-hop segment is the first and the last hop
+        hops[:, 1] = np.where(far, hops[:, 1], hops[:, 3])
+        rows = np.arange(len(q))
+        path = np.empty((len(q), 6), dtype=np.int64)
+        path[:, 0] = self.att_up[a_s]
+        path[:, 1:5] = hops
+        path[rows, mid_len + 1] = self.att_down[a_d]
+        lengths = mid_len + 2
+        return counts, lengths, path[np.arange(6) < lengths[:, None]]
+
+    def _cores(self, sa, sb, spread):
+        """Per cross-pod candidate: the slots, at ``sa`` and at ``sb``, of the
+        first core in ``sa``'s rotated cores that ``sb`` links to (-1: none)."""
+        nc = self.spine_num_cores[sa]
+        off = (spread % np.maximum(nc, 1).astype(np.uint64)).astype(np.int64)
+        slot_a = np.full(len(sa), -1, dtype=np.int64)
+        slot_b = slot_a.copy()
+        for j in range(self.spine_cores.shape[1]):
+            left = (slot_a < 0) & (j < nc)
+            if not left.any():
+                break
+            ca = (off + j) % np.maximum(nc, 1)
+            core = self.spine_cores[sa, ca]
+            cb = self.core_slot[sb, self.core_pos[core]]
+            hit = left & (cb >= 0) & (self.spine_cores[sb, cb] == core)
+            slot_a[hit], slot_b[hit] = ca[hit], cb[hit]
+        return slot_a, slot_b
 
 
 # --------------------------------------------------------------------------

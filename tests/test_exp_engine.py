@@ -372,6 +372,67 @@ class TestCliDiff:
         assert f"{missing} does not exist" in capsys.readouterr().err
 
 
+class TestCliBadInput:
+    """Bad sweep names, artifacts and worker counts stop the CLI with one
+    ``error:`` line and exit status 2, before any sweep runs."""
+
+    @pytest.fixture(autouse=True)
+    def _no_sweep(self, monkeypatch):
+        from repro.exp import cli
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep ran on bad input")
+
+        monkeypatch.setattr(cli, "run_sweeps", no_sweep)
+        return cli
+
+    def _fails(self, cli, capsys, argv, message):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
+
+    @pytest.mark.parametrize("command", ["run", "diff"])
+    def test_unknown_sweep(self, _no_sweep, capsys, command):
+        self._fails(_no_sweep, capsys, [command, "nosuch", "--no-cache"], "unknown sweep 'nosuch'")
+
+    def test_unknown_sweep_among_known_ones(self, _no_sweep, capsys):
+        self._fails(_no_sweep, capsys, ["run", "fig7", "nosuch"], "unknown sweep 'nosuch'")
+
+    def test_against_file_that_is_not_json(self, _no_sweep, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json\n")
+        self._fails(_no_sweep, capsys, ["diff", "fig7", "--no-cache", "--against", str(bad)],
+                    f"{bad} is not a JSON artifact")
+
+    @pytest.mark.parametrize("content", ['{"x": 1}', "[1, 2]"])
+    def test_against_json_without_result(self, _no_sweep, capsys, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        self._fails(_no_sweep, capsys, ["diff", "fig7", "--no-cache", "--against", str(bad)],
+                    "has no 'result' entry")
+
+    @pytest.mark.parametrize("command", [["run", "fig7"], ["diff", "fig7"]])
+    @pytest.mark.parametrize("workers", ["-3", "-1", "two"])
+    def test_bad_worker_count_is_one_argparse_error(self, _no_sweep, capsys, command, workers):
+        with pytest.raises(SystemExit) as exit_info:
+            _no_sweep.main(command + ["--workers", workers])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"python -m repro.exp {command[0]}: error: argument --workers: "
+            f"must be an integer >= 0 (0: one per CPU), got '{workers}'"
+        ]
+
+    def test_zero_workers_means_one_per_cpu(self, _no_sweep, capsys):
+        assert _no_sweep.build_parser().parse_args(["run", "fig7", "--workers", "0"]).workers == 0
+        with pytest.raises(SystemExit):
+            _no_sweep.main(["run", "--help"])
+        assert "0 means one per CPU" in " ".join(capsys.readouterr().out.split())
+
+
 class TestCliRouteBudget:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_budget_error_prints_one_line_and_exits_2(self, workers):
