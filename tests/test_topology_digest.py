@@ -56,6 +56,10 @@ TOPOLOGIES = {
     "hx2mesh-multilevel": (build_hammingmesh, (2, 2, 6, 3), {"radix": 4}),
     # radix 4, tapered two-level row and column trees
     "hx2mesh-tapered": (build_hammingmesh, (2, 2, 4, 4), {"radix": 4, "global_taper": 0.5}),
+    # the 4,096-endpoint scale-out Hx2Mesh and a 16,384-endpoint
+    # three-level tapered fat tree, recorded before the block builders
+    "hx2mesh-4096": (build_hammingmesh, (2, 2, 32, 32), {}),
+    "fattree-16384-tapered": (build_fat_tree, (16384,), {"taper": 0.5}),
     **{
         f"small-{config.key}": (config.build, (), {})
         for config in small_cluster_configs()
@@ -86,6 +90,8 @@ TOPOLOGY_DIGESTS = {
     'small-hx2mesh': 'c1e69cdeb9b5c8e20555e3c3605272478ee89ff5e9c107e36747f0fa5601d1eb',
     'small-hx4mesh': '4b7de1ec57d414ee1321ba0aee6dfc9cea4af54f4a91088b3be1813f8d8bb1f8',
     'small-torus': 'd7c4b0617b69c1d1d8cef40d2b1205ccff9a2ea5ea845709d57fd83042ee1101',
+    'hx2mesh-4096': 'fe11905a0681c7d2b400f55c63090cd3a45dade691616b6528bffd15f56134b4',
+    'fattree-16384-tapered': '1daf5a7463376e4ee25dab85242285e41d5d5d1040e3bbce974a215420a31182',
 }
 
 
