@@ -16,16 +16,20 @@ the collectives mapper rely on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import itertools
+from typing import Tuple
 
-from ..topology.base import CableClass, Topology, TopologyError, register_topology
-from ..topology.board import BoardHandle, add_board
+import numpy as np
+
+from ..topology.base import CableClass, Topology, TopologyError, bulk_build, register_topology
+from ..topology.board import add_boards
 from ..topology.fattree import GlobalNetwork
 from .params import HxMeshParams
 
 __all__ = ["build_hammingmesh", "build_hammingmesh_params", "accelerator_coordinates"]
 
 
+@bulk_build()
 def build_hammingmesh_params(params: HxMeshParams) -> Topology:
     """Build a HammingMesh from an :class:`HxMeshParams` object."""
     a, b, x, y = params.a, params.b, params.x, params.y
@@ -33,10 +37,11 @@ def build_hammingmesh_params(params: HxMeshParams) -> Topology:
     topo = Topology(params.name.replace(" ", "-"))
 
     # ---------------------------------------------------------------- boards
-    boards: Dict[Tuple[int, int], BoardHandle] = {}
-    for gr in range(y):
-        for gc in range(x):
-            boards[(gr, gc)] = add_board(topo, (gr, gc), a, b, capacity=cap)
+    coords = list(itertools.product(range(y), range(x)))
+    handles = add_boards(topo, coords, a, b, capacity=cap)
+    boards = dict(zip(coords, handles))
+    # node[gr, gc, br, bc]: accelerator at on-board (br, bc) of board (gr, gc)
+    node = np.array([h.nodes for h in handles], dtype=np.int64).reshape(y, x, b, a)
 
     # ------------------------------------------------------- global networks
     # One row network per (board row gr, on-board row br): it connects the
@@ -44,57 +49,33 @@ def build_hammingmesh_params(params: HxMeshParams) -> Topology:
     # the global row.  Analogously one column network per (board column gc,
     # on-board column bc).  Access links use DAC in the row dimension and
     # AoC in the column dimension, inter-switch links are always AoC
-    # (Section III-D).
-    row_networks: Dict[Tuple[int, int], GlobalNetwork] = {}
-    col_networks: Dict[Tuple[int, int], GlobalNetwork] = {}
-
+    # (Section III-D).  All row networks have 2x ports and all column
+    # networks 2y, so each dimension is one GlobalNetwork family.
+    options = dict(radix=params.radix, taper=params.global_taper, access_capacity=cap,
+                   trunk_capacity=cap, trunk_cable=CableClass.AOC)
+    row_networks = {}
+    col_networks = {}
     if x > 1:
-        for gr in range(y):
-            for br in range(b):
-                ports: List[int] = []
-                for gc in range(x):
-                    handle = boards[(gr, gc)]
-                    ports.append(handle.node_at(br, 0))        # West port
-                    ports.append(handle.node_at(br, a - 1))    # East port
-                row_networks[(gr, br)] = GlobalNetwork(
-                    topo,
-                    ports,
-                    radix=params.radix,
-                    taper=params.global_taper,
-                    access_capacity=cap,
-                    trunk_capacity=cap,
-                    access_cable=CableClass.DAC,
-                    trunk_cable=CableClass.AOC,
-                    tag=f"row{gr}.{br}",
-                )
+        # (gr, br) -> West, East port of every board gc of the row
+        ports = np.stack([node[..., 0], node[..., a - 1]], -1).transpose(0, 2, 1, 3)
+        keys = list(itertools.product(range(y), range(b)))
+        row_networks = dict(zip(keys, GlobalNetwork.family(
+            topo, ports.reshape(y * b, 2 * x), [f"row{gr}.{br}" for gr, br in keys],
+            access_cable=CableClass.DAC, **options,
+        )))
     if y > 1:
-        for gc in range(x):
-            for bc in range(a):
-                ports = []
-                for gr in range(y):
-                    handle = boards[(gr, gc)]
-                    ports.append(handle.node_at(0, bc))         # North port
-                    ports.append(handle.node_at(b - 1, bc))     # South port
-                col_networks[(gc, bc)] = GlobalNetwork(
-                    topo,
-                    ports,
-                    radix=params.radix,
-                    taper=params.global_taper,
-                    access_capacity=cap,
-                    trunk_capacity=cap,
-                    access_cable=CableClass.AOC,
-                    trunk_cable=CableClass.AOC,
-                    tag=f"col{gc}.{bc}",
-                )
+        # (gc, bc) -> North, South port of every board gr of the column
+        ports = np.stack([node[:, :, 0], node[:, :, b - 1]], -1).transpose(1, 2, 0, 3)
+        keys = list(itertools.product(range(x), range(a)))
+        col_networks = dict(zip(keys, GlobalNetwork.family(
+            topo, ports.reshape(x * a, 2 * y), [f"col{gc}.{bc}" for gc, bc in keys],
+            access_cable=CableClass.AOC, **options,
+        )))
 
     if not row_networks and not col_networks:
         raise TopologyError("HxMesh with a single board has no global network")
 
-    coord_of: Dict[int, Tuple[int, int, int, int]] = {}
-    for (gr, gc), handle in boards.items():
-        for br in range(b):
-            for bc in range(a):
-                coord_of[handle.node_at(br, bc)] = (gr, gc, br, bc)
+    coord_of = dict(zip(node.ravel().tolist(), itertools.product(range(y), range(x), range(b), range(a))))
 
     topo.meta.update(
         family="hammingmesh",

@@ -10,19 +10,21 @@ the cost model, and both simulators can treat them uniformly.
 
 The module intentionally avoids heavyweight per-node and per-link Python
 objects: node attributes live in plain dictionaries, and directed links are
-stored as parallel columns indexed by link id (endpoints, capacity, cable,
-plane, tag), so that building a topology creates no object per link and the
-simulators can convert the columns to NumPy arrays cheaply.  :class:`Link`
+stored as NumPy columns indexed by link id (endpoints, capacity, cable,
+plane, tag), which builders append a whole block at a time.  Per-node
+adjacency is a CSR built on the first query that needs it.  :class:`Link`
 values are built on demand by :meth:`Topology.link`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
-import itertools
-from array import array
+import gc
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "NodeKind",
@@ -33,6 +35,7 @@ __all__ = [
     "register_topology",
     "build_topology",
     "available_topologies",
+    "bulk_build",
 ]
 
 
@@ -64,6 +67,9 @@ class CableClass(enum.Enum):
 #: cable column code -> class, and back
 _CABLES: Tuple[CableClass, ...] = tuple(CableClass)
 _CABLE_CODE: Dict[CableClass, int] = {c: i for i, c in enumerate(_CABLES)}
+
+#: dtypes of the link columns: src, dst, capacity, cable code, plane, tag code
+_COLUMN_DTYPES = (np.int64, np.int64, np.float64, np.int8, np.int64, np.int32)
 
 
 @dataclass(frozen=True)
@@ -100,9 +106,9 @@ class Topology:
 
     Nodes are integers assigned on creation.  Every physical cable is added
     as a *bidirectional* connection, i.e. two directed links, via
-    :meth:`add_link` or, for a batch of cables with the same attributes,
-    :meth:`add_links`.  Directed links can be added explicitly with
-    :meth:`add_directed_link` (used for asymmetric constructions in tests).
+    :meth:`add_link` or, for a block of cables, :meth:`add_links`.  Directed
+    links can be added explicitly with :meth:`add_directed_link` (used for
+    asymmetric constructions in tests).
     """
 
     def __init__(self, name: str):
@@ -110,78 +116,128 @@ class Topology:
         self._kinds: List[NodeKind] = []
         self._labels: List[str] = []
         self._attrs: List[Dict[str, Any]] = []
-        # directed links as parallel columns indexed by link id: endpoints,
-        # planes and tags are lists (cheap element reads in Python loops),
-        # capacities and cable codes are typed arrays (cheap NumPy export)
-        self._src: List[int] = []
-        self._dst: List[int] = []
-        self._capacity = array("d")
-        self._cable = array("b")
-        self._plane: List[int] = []
-        self._tag: List[str] = []
-        # adjacency: node -> list of link indices leaving that node
-        self._out: List[List[int]] = []
-        self._in: List[List[int]] = []
         self._accelerators: List[int] = []
         self._switches: List[int] = []
+        # directed links as NumPy column blocks, one block per add call,
+        # concatenated into one on the first read (see _columns)
+        self._blocks: List[Tuple[np.ndarray, ...]] = [
+            tuple(np.empty(0, dtype=dt) for dt in _COLUMN_DTYPES)
+        ]
+        self._num_links = 0
+        # tag column code -> tag, and back
+        self._tags: List[str] = []
+        self._tag_code: Dict[str, int] = {}
         # number of physical (bidirectional) cables per cable class,
         # maintained incrementally by add_links for the cost model.
         self._cable_counts: Dict[CableClass, int] = {c: 0 for c in CableClass}
+        # read caches, dropped by every add: the endpoint columns as lists
+        # (for Python loops) and the adjacency CSR
+        self._endpoints: Any = None
+        self._csr: Any = None
         self.meta: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------ nodes
-    def _add_node(self, kind: NodeKind, label: str, attrs: Dict[str, Any]) -> int:
-        node = len(self._kinds)
-        self._kinds.append(kind)
-        self._labels.append(label)
-        self._attrs.append(attrs)
-        self._out.append([])
-        self._in.append([])
-        if kind is NodeKind.ACCELERATOR:
-            self._accelerators.append(node)
+    def add_nodes(
+        self,
+        kind: Union[NodeKind, Sequence[NodeKind]],
+        labels: Sequence[str],
+        attrs: Sequence[Dict[str, Any]],
+    ) -> int:
+        """Add one node per label and return the first new node id.
+
+        ``kind`` is one :class:`NodeKind` for every node or one per node;
+        ``attrs`` holds one attribute dict per node.  Ids are consecutive.
+        """
+        if len(labels) != len(attrs):
+            raise TopologyError(f"{len(labels)} labels but {len(attrs)} attribute dicts")
+        first = len(self._kinds)
+        if isinstance(kind, NodeKind):
+            kinds: Sequence[NodeKind] = [kind] * len(labels)
+            ids = range(first, first + len(labels))
+            (self._accelerators if kind is NodeKind.ACCELERATOR else self._switches).extend(ids)
         else:
-            self._switches.append(node)
-        return node
+            kinds = list(kind)
+            if len(kinds) != len(labels):
+                raise TopologyError(f"{len(labels)} labels but {len(kinds)} node kinds")
+            for node, k in enumerate(kinds, first):
+                (self._accelerators if k is NodeKind.ACCELERATOR else self._switches).append(node)
+        self._kinds += kinds
+        self._labels += labels
+        self._attrs += attrs
+        self._csr = None
+        return first
 
     def add_accelerator(self, label: str = "", **attrs: Any) -> int:
         """Add an accelerator endpoint and return its node id."""
-        return self._add_node(NodeKind.ACCELERATOR, label, attrs)
+        return self.add_nodes(NodeKind.ACCELERATOR, [label], [attrs])
 
     def add_switch(self, label: str = "", **attrs: Any) -> int:
         """Add a packet switch and return its node id."""
-        return self._add_node(NodeKind.SWITCH, label, attrs)
+        return self.add_nodes(NodeKind.SWITCH, [label], [attrs])
 
     # ------------------------------------------------------------------ links
-    def _check_links(self, pairs: Sequence[Tuple[int, int]], capacity: float) -> None:
-        """Raise on the first pair successive single-link calls would reject."""
+    def _check_links(self, src: np.ndarray, dst: np.ndarray, capacity: np.ndarray) -> None:
+        """Raise on the first link successive single-link calls would reject:
+        per link, endpoint range, then self link, then capacity."""
         n = len(self._kinds)
-        for a, b in pairs:
-            if not (0 <= a < n and 0 <= b < n):
-                raise TopologyError(f"link endpoints out of range: {a}->{b}")
-            if a == b:
-                raise TopologyError("self links are not allowed")
-            if capacity <= 0:
-                raise TopologyError("link capacity must be positive")
+        out_of_range = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        bad = out_of_range | (src == dst) | (capacity <= 0)
+        if not bad.any():
+            return
+        k = int(np.argmax(bad))
+        if out_of_range[k]:
+            raise TopologyError(f"link endpoints out of range: {src[k]}->{dst[k]}")
+        if src[k] == dst[k]:
+            raise TopologyError("self links are not allowed")
+        raise TopologyError("link capacity must be positive")
 
-    def _append_columns(
-        self,
-        srcs: List[int],
-        dsts: List[int],
-        capacity: float,
-        cable: CableClass,
-        plane: int,
-        tag: str,
-    ) -> int:
-        """Append validated directed links to the columns; return the first id."""
-        first = len(self._src)
-        m = len(srcs)
-        self._src += srcs
-        self._dst += dsts
-        self._capacity += array("d", [capacity]) * m
-        self._cable += array("b", [_CABLE_CODE[cable]]) * m
-        self._plane += [plane] * m
-        self._tag += [tag] * m
+    def _tag_codes(self, tag: Union[str, Sequence[str]], m: int) -> np.ndarray:
+        """Tag column codes of ``m`` links: one tag for all, or one each."""
+        if isinstance(tag, str):
+            tags: Sequence[str] = (tag,)
+            pick = np.zeros(m, dtype=np.int32)
+        else:
+            tags = list(dict.fromkeys(tag))
+            pick = np.fromiter(map({t: i for i, t in enumerate(tags)}.__getitem__, tag),
+                               dtype=np.int32, count=m)
+        for t in tags:
+            if t not in self._tag_code:
+                self._tag_code[t] = len(self._tags)
+                self._tags.append(t)
+        return np.array([self._tag_code[t] for t in tags], dtype=np.int32)[pick]
+
+    @staticmethod
+    def _cable_codes(cable: Union[CableClass, Sequence[CableClass]], m: int) -> np.ndarray:
+        """Cable column codes of ``m`` links: one class for all, or one each.
+        Classes are matched by identity, as ``==`` on an object array does."""
+        if isinstance(cable, CableClass):
+            return np.full(m, _CABLE_CODE[cable], dtype=np.int8)
+        cables = np.array(cable, dtype=object).reshape(m)
+        codes = np.full(m, -1, dtype=np.int8)
+        for code, c in enumerate(_CABLES):
+            codes[cables == c] = code
+        if (codes < 0).any():
+            raise TopologyError(f"not a CableClass: {cables[np.argmax(codes < 0)]!r}")
+        return codes
+
+    def _append(self, src, dst, capacity, cable, plane, tag) -> int:
+        """Append validated directed links; return the first new link id."""
+        m = len(src)
+        block = tuple(
+            np.broadcast_to(np.asarray(col, dtype=dt), (m,))
+            for col, dt in zip((src, dst, capacity, cable, plane, tag), _COLUMN_DTYPES)
+        )
+        first = self._num_links
+        self._blocks.append(block)
+        self._num_links += m
+        self._endpoints = self._csr = None
         return first
+
+    def _columns(self) -> Tuple[np.ndarray, ...]:
+        """The link columns ``(src, dst, capacity, cable, plane, tag)``."""
+        if len(self._blocks) > 1:
+            self._blocks = [tuple(np.concatenate(col) for col in zip(*self._blocks))]
+        return self._blocks[0]
 
     def add_directed_link(
         self,
@@ -194,49 +250,49 @@ class Topology:
         tag: str = "",
     ) -> int:
         """Add a single directed link and return its link index."""
-        self._check_links(((src, dst),), capacity)
-        li = self._append_columns([src], [dst], capacity, cable, plane, tag)
-        self._out[src].append(li)
-        self._in[dst].append(li)
-        return li
+        ends = np.array([[src, dst]], dtype=np.int64)
+        self._check_links(ends[:, 0], ends[:, 1], np.float64(capacity))
+        return self._append(
+            ends[:, 0], ends[:, 1], capacity, _CABLE_CODE[cable], plane, self._tag_codes(tag, 1)
+        )
 
     def add_links(
         self,
-        pairs: Iterable[Tuple[int, int]],
+        pairs: Union[Iterable[Tuple[int, int]], np.ndarray],
         *,
-        capacity: float = 1.0,
-        cable: CableClass = CableClass.DAC,
+        capacity: Union[float, Sequence[float], np.ndarray] = 1.0,
+        cable: Union[CableClass, Sequence[CableClass]] = CableClass.DAC,
         plane: int = 0,
-        tag: str = "",
+        tag: Union[str, Sequence[str]] = "",
         count_cable: bool = True,
     ) -> int:
-        """Add one bidirectional connection per ``(a, b)`` pair, all alike.
+        """Add one bidirectional connection per ``(a, b)`` pair.
 
-        The whole batch is validated before anything is added, with the
-        errors successive :meth:`add_link` calls would raise.  Link ids are
-        laid out as those calls would lay them out: the ``k``-th pair gets
-        ``a -> b`` at ``first + 2k`` and ``b -> a`` at ``first + 2k + 1``,
-        where ``first`` (the returned id) is :attr:`num_links` before the
-        call.  ``count_cable`` is as for :meth:`add_link`.
+        ``pairs`` is an iterable of pairs or an ``(m, 2)`` integer array.
+        ``capacity``, ``cable`` and ``tag`` are one value for the whole
+        block or one value per pair.  The whole batch is validated before
+        anything is added, with the errors successive :meth:`add_link`
+        calls would raise.  Link ids are laid out as those calls would lay
+        them out: the ``k``-th pair gets ``a -> b`` at ``first + 2k`` and
+        ``b -> a`` at ``first + 2k + 1``, where ``first`` (the returned id)
+        is :attr:`num_links` before the call.  ``count_cable`` is as for
+        :meth:`add_link`.
         """
-        pairs = list(pairs)
-        self._check_links(pairs, capacity)
-        srcs = list(itertools.chain.from_iterable(pairs))
-        dsts = srcs[:]
-        dsts[0::2] = srcs[1::2]
-        dsts[1::2] = srcs[0::2]
+        ends = np.array(
+            pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64
+        ).reshape(-1, 2)
+        m = len(ends)
+        capacity = np.broadcast_to(np.asarray(capacity, dtype=np.float64), (m,))
+        self._check_links(ends[:, 0], ends[:, 1], capacity)
+        codes = self._cable_codes(cable, m)
+        tags = self._tag_codes(tag, m)
         if count_cable:
-            self._cable_counts[cable] += len(pairs)
-        first = li = self._append_columns(srcs, dsts, capacity, cable, plane, tag)
-        out, into = self._out, self._in
-        for a, b in pairs:
-            out[a].append(li)
-            into[b].append(li)
-            li += 1
-            out[b].append(li)
-            into[a].append(li)
-            li += 1
-        return first
+            for code, count in enumerate(np.bincount(codes, minlength=len(_CABLES)).tolist()):
+                self._cable_counts[_CABLES[code]] += count
+        return self._append(
+            ends.ravel(), ends[:, ::-1].ravel(), np.repeat(capacity, 2),
+            np.repeat(codes, 2), plane, np.repeat(tags, 2),
+        )
 
     def add_link(
         self,
@@ -268,7 +324,7 @@ class Topology:
 
     @property
     def num_links(self) -> int:
-        return len(self._src)
+        return self._num_links
 
     @property
     def accelerators(self) -> Sequence[int]:
@@ -288,27 +344,39 @@ class Topology:
 
     @property
     def links(self) -> Sequence[Link]:
-        return tuple(map(self.link, range(len(self._src))))
+        src, dst, capacity, cable, plane, tag = self._columns()
+        return tuple(map(
+            Link, src.tolist(), dst.tolist(), capacity.tolist(),
+            np.array(_CABLES, dtype=object)[cable].tolist(), plane.tolist(),
+            np.array(self._tags, dtype=object)[tag].tolist(),
+        ))
 
     def link(self, index: int) -> Link:
+        src, dst, capacity, cable, plane, tag = self._columns()
         return Link(
-            self._src[index],
-            self._dst[index],
-            self._capacity[index],
-            _CABLES[self._cable[index]],
-            self._plane[index],
-            self._tag[index],
+            int(src[index]),
+            int(dst[index]),
+            float(capacity[index]),
+            _CABLES[cable[index]],
+            int(plane[index]),
+            self._tags[tag[index]],
         )
+
+    def _endpoint_lists(self) -> Tuple[List[int], List[int]]:
+        if self._endpoints is None:
+            src, dst = self._columns()[:2]
+            self._endpoints = (src.tolist(), dst.tolist())
+        return self._endpoints
 
     @property
     def link_src(self) -> Sequence[int]:
         """Source node of every directed link, indexed by link id (read only)."""
-        return self._src
+        return self._endpoint_lists()[0]
 
     @property
     def link_dst(self) -> Sequence[int]:
         """Destination node of every directed link, indexed by link id (read only)."""
-        return self._dst
+        return self._endpoint_lists()[1]
 
     def kind(self, node: int) -> NodeKind:
         return self._kinds[node]
@@ -325,22 +393,38 @@ class Topology:
     def attrs(self, node: int) -> Dict[str, Any]:
         return self._attrs[node]
 
+    def _adjacency(self) -> Tuple[List[int], List[int], List[int], List[int]]:
+        """Out and in adjacency as CSR ``(out_ptr, out_ids, in_ptr, in_ids)``
+        lists: a stable argsort keeps each node's links in id order."""
+        if self._csr is None:
+            n = len(self._kinds)
+            csr: List[List[int]] = []
+            for ends in self._columns()[:2]:
+                ptr = np.zeros(n + 1, dtype=np.int64)
+                np.cumsum(np.bincount(ends, minlength=n), out=ptr[1:])
+                csr += [ptr.tolist(), np.argsort(ends, kind="stable").tolist()]
+            self._csr = tuple(csr)
+        return self._csr
+
     def out_links(self, node: int) -> Sequence[int]:
         """Indices of directed links leaving ``node``."""
-        return tuple(self._out[node])
+        ptr, ids = self._adjacency()[:2]
+        return tuple(ids[ptr[node] : ptr[node + 1]])
 
     def in_links(self, node: int) -> Sequence[int]:
         """Indices of directed links entering ``node``."""
-        return tuple(self._in[node])
+        ptr, ids = self._adjacency()[2:]
+        return tuple(ids[ptr[node] : ptr[node + 1]])
 
     def neighbors(self, node: int) -> List[int]:
         """Unique successor nodes of ``node``."""
-        dst = self._dst
-        return list(dict.fromkeys(dst[li] for li in self._out[node]))
+        dst = self.link_dst
+        return list(dict.fromkeys(dst[li] for li in self.out_links(node)))
 
     def degree(self, node: int) -> int:
         """Number of outgoing directed links (port count on that plane)."""
-        return len(self._out[node])
+        ptr = self._adjacency()[0]
+        return ptr[node + 1] - ptr[node]
 
     def cable_count(self, cable: CableClass) -> int:
         """Number of physical bidirectional cables of the given class."""
@@ -348,8 +432,8 @@ class Topology:
 
     def find_links(self, src: int, dst: int) -> List[int]:
         """All directed link indices from ``src`` to ``dst``."""
-        to = self._dst
-        return [li for li in self._out[src] if to[li] == dst]
+        to = self.link_dst
+        return [li for li in self.out_links(src) if to[li] == dst]
 
     # ------------------------------------------------------------- validation
     def validate(self) -> None:
@@ -359,35 +443,33 @@ class Topology:
         incoming link, link endpoint indices are in range, and capacities are
         positive (the latter two are enforced at construction already).
         """
-        for node in self._accelerators:
-            if not self._out[node] or not self._in[node]:
-                raise TopologyError(
-                    f"accelerator {node} ({self._labels[node]!r}) is disconnected"
-                )
+        n = len(self._kinds)
+        acc = np.array(self._accelerators, dtype=np.int64)
+        src, dst = self._columns()[:2]
+        bad = (np.bincount(src, minlength=n)[acc] == 0) | (np.bincount(dst, minlength=n)[acc] == 0)
+        if bad.any():
+            node = int(acc[np.argmax(bad)])
+            raise TopologyError(f"accelerator {node} ({self._labels[node]!r}) is disconnected")
 
     def is_connected(self) -> bool:
         """True if the underlying undirected graph is connected."""
         if self.num_nodes == 0:
             return True
-        src, dst = self._src, self._dst
+        src, dst = self._endpoint_lists()
+        out_ptr, out_ids, in_ptr, in_ids = self._adjacency()
         seen = [False] * self.num_nodes
         stack = [0]
         seen[0] = True
         count = 1
         while stack:
             u = stack.pop()
-            for li in self._out[u]:
-                v = dst[li]
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-            for li in self._in[u]:
-                v = src[li]
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
+            for ends, ptr, ids in ((dst, out_ptr, out_ids), (src, in_ptr, in_ids)):
+                for li in ids[ptr[u] : ptr[u + 1]]:
+                    v = ends[li]
+                    if not seen[v]:
+                        seen[v] = True
+                        count += 1
+                        stack.append(v)
         return count == self.num_nodes
 
     # ------------------------------------------------------------ conversions
@@ -403,17 +485,13 @@ class Topology:
                        cable=link.cable.value, plane=link.plane, tag=link.tag)
         return g
 
-    def link_capacity_array(self):
+    def link_capacity_array(self) -> np.ndarray:
         """Per-directed-link capacity as a NumPy array (flow simulator input)."""
-        import numpy as np
+        return self._columns()[2].copy()
 
-        return np.array(self._capacity, dtype=np.float64)
-
-    def link_cable_mask(self, cable: CableClass):
+    def link_cable_mask(self, cable: CableClass) -> np.ndarray:
         """Per-directed-link NumPy bool array: True where the link is ``cable``."""
-        import numpy as np
-
-        return np.frombuffer(self._cable, dtype=np.int8) == _CABLE_CODE[cable]
+        return self._columns()[3] == _CABLE_CODE[cable]
 
     def accelerator_index(self) -> Dict[int, int]:
         """Map node id -> dense accelerator rank (0..P-1)."""
@@ -425,6 +503,27 @@ class Topology:
             f"<Topology {self.name!r}: {self.num_accelerators} accelerators, "
             f"{self.num_switches} switches, {self.num_links} directed links>"
         )
+
+
+@contextlib.contextmanager
+def bulk_build() -> Iterator[None]:
+    """Pause the cyclic garbage collector while a topology is built.
+
+    A builder allocates tens of thousands of small containers that outlive
+    it (node attribute dicts, ``meta`` handles, network attachments) and
+    frees none.  Left running, the collector starts a pass every 700 such
+    allocations, and every pass scans the handles built so far again; in a
+    process with a large heap some of them are full collections.  Used as
+    a decorator on every builder; nests, and restores the collector's
+    previous state.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # --------------------------------------------------------------------- registry

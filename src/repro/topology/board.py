@@ -15,11 +15,13 @@ boards with discounted local connectivity) and by the HyperX baseline
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .base import CableClass, Topology
+import numpy as np
 
-__all__ = ["BoardHandle", "add_board", "EAST", "WEST", "NORTH", "SOUTH"]
+from .base import CableClass, NodeKind, Topology
+
+__all__ = ["BoardHandle", "add_board", "add_boards", "mesh_link_ids", "EAST", "WEST", "NORTH", "SOUTH"]
 
 # Directional tags for on-board ports.  East/West span the ``a`` (column)
 # dimension, North/South the ``b`` (row) dimension, matching Figure 3.
@@ -27,6 +29,9 @@ EAST = "E"
 WEST = "W"
 NORTH = "N"
 SOUTH = "S"
+
+#: direction order of the last axis of :func:`mesh_link_ids`
+DIRECTIONS = (EAST, WEST, SOUTH, NORTH)
 
 
 @dataclass
@@ -87,6 +92,76 @@ class BoardHandle:
         return (node, direction) in self.mesh_links
 
 
+def _traces(a: int, b: int) -> Tuple[np.ndarray, int]:
+    """The PCB traces of one ``a`` x ``b`` board in cable order, as ``(u, v)``
+    pairs of on-board positions (``row * a + col``), and how many of them
+    run East-West: first the East-West traces (``u`` West of ``v``) row by
+    row, then the North-South traces (``u`` North of ``v``) column by
+    column."""
+    pos = np.arange(a * b).reshape(b, a)
+    ew = np.stack([pos[:, :-1].ravel(), pos[:, 1:].ravel()], 1)
+    ns = np.stack([pos[:-1].T.ravel(), pos[1:].T.ravel()], 1)
+    return np.concatenate([ew, ns]), len(ew)
+
+
+def mesh_link_ids(first: int, boards: int, a: int, b: int) -> np.ndarray:
+    """``(boards, b, a, 4)`` ids of the on-board links leaving every
+    accelerator towards :data:`DIRECTIONS` (-1 at a board edge), for
+    ``boards`` boards that :func:`add_boards` wired from link id ``first``
+    on: every board's traces follow the previous board's."""
+    traces, num_ew = _traces(a, b)
+    fwd = (first + 2 * len(traces) * np.arange(boards))[:, None] + 2 * np.arange(len(traces))
+    ew = np.arange(len(traces)) < num_ew
+    ids = np.full((boards, a * b, len(DIRECTIONS)), -1, dtype=np.int64)
+    ids[:, traces[:, 0], np.where(ew, 0, 2)] = fwd
+    ids[:, traces[:, 1], np.where(ew, 1, 3)] = fwd + 1
+    return ids.reshape(boards, b, a, len(DIRECTIONS))
+
+
+def add_boards(
+    topo: Topology,
+    coords: Sequence[Tuple[int, int]],
+    a: int,
+    b: int,
+    *,
+    capacity: float = 1.0,
+    plane: int = 0,
+    label_prefix: str = "acc",
+) -> List[BoardHandle]:
+    """Create one ``a`` x ``b`` accelerator board per coordinate in ``topo``.
+
+    Accelerators are added board after board, row-major on each board, with
+    attributes ``board=coord`` and ``pos=(br, bc)``; then the PCB mesh
+    links of every board, board after board, in the layout of
+    :func:`mesh_link_ids`.  Degenerate boards (``a == 1`` and/or
+    ``b == 1``) simply have no links along the degenerate dimension.
+    """
+    if a < 1 or b < 1:
+        raise ValueError(f"board dimensions must be >= 1, got {a}x{b}")
+    positions = [(br, bc) for br in range(b) for bc in range(a)]
+    first = topo.add_nodes(
+        NodeKind.ACCELERATOR,
+        [f"{label_prefix}[{gr},{gc}][{br},{bc}]" for gr, gc in coords for br, bc in positions],
+        [{"board": coord, "pos": pos} for coord in coords for pos in positions],
+    )
+    traces, num_ew = _traces(a, b)
+    base = first + a * b * np.arange(len(coords))[:, None, None]
+    li = topo.add_links(
+        (traces + base).reshape(-1, 2), capacity=capacity, cable=CableClass.PCB, plane=plane,
+        tag=(["board-EW"] * num_ew + ["board-NS"] * (len(traces) - num_ew)) * len(coords),
+        count_cable=False,
+    )
+    # mesh_links keys in link-id order: (u, East or South), (v, West or North)
+    directions = [EAST, WEST] * num_ew + [SOUTH, NORTH] * (len(traces) - num_ew)
+    nodes = (first + np.arange(len(coords) * a * b)).reshape(len(coords), b, a).tolist()
+    ends = (traces.ravel() + base[:, 0]).tolist()
+    ids = (li + np.arange(2 * len(traces) * len(coords))).reshape(len(coords), -1).tolist()
+    return [
+        BoardHandle(coord=coord, a=a, b=b, nodes=rows, mesh_links=dict(zip(zip(u, directions), i)))
+        for coord, rows, u, i in zip(coords, nodes, ends, ids)
+    ]
+
+
 def add_board(
     topo: Topology,
     coord: Tuple[int, int],
@@ -97,46 +172,9 @@ def add_board(
     plane: int = 0,
     label_prefix: str = "acc",
 ) -> BoardHandle:
-    """Create an ``a`` x ``b`` accelerator board inside ``topo``.
-
-    Accelerators are added with attributes ``board=coord`` and
-    ``pos=(br, bc)``; PCB mesh links are added between horizontal and
-    vertical neighbours.  Degenerate boards (``a == 1`` and/or ``b == 1``)
-    simply have no links along the degenerate dimension.
-    """
-    if a < 1 or b < 1:
-        raise ValueError(f"board dimensions must be >= 1, got {a}x{b}")
-    gr, gc = coord
-    nodes: List[List[int]] = []
-    for br in range(b):
-        row: List[int] = []
-        for bc in range(a):
-            node = topo.add_accelerator(
-                f"{label_prefix}[{gr},{gc}][{br},{bc}]",
-                board=coord,
-                pos=(br, bc),
-            )
-            row.append(node)
-        nodes.append(row)
-
-    mesh_links: Dict[Tuple[int, str], int] = {}
-
-    def wire(pairs: List[Tuple[int, int]], fwd: str, back: str, tag: str) -> None:
-        li = topo.add_links(
-            pairs, capacity=capacity, cable=CableClass.PCB, plane=plane,
-            tag=tag, count_cable=False,
-        )
-        for u, v in pairs:
-            mesh_links[(u, fwd)] = li
-            mesh_links[(v, back)] = li + 1
-            li += 2
-
-    # East-West PCB links (within an on-board row).
-    wire([(row[bc], row[bc + 1]) for row in nodes for bc in range(a - 1)], EAST, WEST, "board-EW")
-    # North-South PCB links (within an on-board column).  Row 0 is North.
-    wire(
-        [(nodes[br][bc], nodes[br + 1][bc]) for bc in range(a) for br in range(b - 1)],
-        SOUTH, NORTH, "board-NS",
+    """Create one ``a`` x ``b`` accelerator board inside ``topo`` (see
+    :func:`add_boards`)."""
+    (handle,) = add_boards(
+        topo, [coord], a, b, capacity=capacity, plane=plane, label_prefix=label_prefix
     )
-
-    return BoardHandle(coord=coord, a=a, b=b, nodes=nodes, mesh_links=mesh_links)
+    return handle

@@ -13,14 +13,18 @@ accelerator has a total injection bandwidth of 4.0 units (1.6 Tb/s).
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Tuple
 
-from .base import CableClass, Topology, TopologyError, register_topology
+import numpy as np
+
+from .base import CableClass, NodeKind, Topology, TopologyError, bulk_build, register_topology
 
 __all__ = ["build_dragonfly", "dragonfly_small", "dragonfly_large"]
 
 
 @register_topology("dragonfly")
+@bulk_build()
 def build_dragonfly(
     num_groups: int,
     *,
@@ -47,71 +51,64 @@ def build_dragonfly(
 
     topo = Topology(f"dragonfly-g{g}-a{a}-p{p}-h{h}")
 
-    routers: List[List[int]] = []
-    acc_router: Dict[int, int] = {}
-    router_group: Dict[int, int] = {}
-    for gi in range(g):
-        group_routers: List[int] = []
-        for ri in range(a):
-            sw = topo.add_switch(f"df-g{gi}-r{ri}", group=gi, router=ri)
-            group_routers.append(sw)
-            router_group[sw] = gi
-            for ei in range(p):
-                acc = topo.add_accelerator(
-                    f"acc-g{gi}-r{ri}-e{ei}", group=gi, router=ri, endpoint=ei
-                )
-                acc_router[acc] = sw
-        routers.append(group_routers)
-    li = topo.add_links(
-        acc_router.items(), capacity=link_capacity, cable=CableClass.DAC, tag="df-access"
+    # router (gi, ri) followed by its endpoints, group by group
+    cells = list(itertools.product(range(g), range(a)))
+    first = topo.add_nodes(
+        [NodeKind.SWITCH, *[NodeKind.ACCELERATOR] * p] * len(cells),
+        [label for gi, ri in cells
+         for label in (f"df-g{gi}-r{ri}", *(f"acc-g{gi}-r{ri}-e{ei}" for ei in range(p)))],
+        [attrs for gi, ri in cells
+         for attrs in ({"group": gi, "router": ri},
+                       *({"group": gi, "router": ri, "endpoint": ei} for ei in range(p)))],
     )
-    access_links: Dict[int, Tuple[int, int]] = {}
-    for acc in acc_router:
-        access_links[acc] = (li, li + 1)
-        li += 2
+    node = first + np.arange(len(cells) * (p + 1)).reshape(g, a, p + 1)
+    router = node[:, :, 0]
+    accs = node[:, :, 1:].ravel()
+    acc_sw = np.repeat(router.ravel(), p)
+    li = topo.add_links(
+        np.stack([accs, acc_sw], 1), capacity=link_capacity, cable=CableClass.DAC, tag="df-access"
+    )
+    acc_router = dict(zip(accs.tolist(), acc_sw.tolist()))
+    fwd = (li + 2 * np.arange(len(accs))).tolist()
+    access_links = dict(zip(accs.tolist(), zip(fwd, [f + 1 for f in fwd])))
+    routers = router.tolist()
+    router_group = dict(zip(router.ravel().tolist(), np.repeat(np.arange(g), a).tolist()))
 
     # Local links: all-to-all within each group (DAC inside the group).
-    local_links: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    pairs = [(grp[i], grp[j]) for grp in routers for i in range(a) for j in range(i + 1, a)]
+    i, j = np.triu_indices(a, 1)
+    pairs = np.stack([router[:, i], router[:, j]], -1).reshape(-1, 2)
     up = topo.add_links(pairs, capacity=link_capacity, cable=CableClass.DAC, tag="df-local")
-    for r1, r2 in pairs:
-        local_links[(r1, r2)] = (up, up + 1)
-        local_links[(r2, r1)] = (up + 1, up)
-        up += 2
+    ends = np.stack([pairs, pairs[:, ::-1]], 1).reshape(-1, 2).T.tolist()
+    ids = up + np.arange(2 * len(pairs))
+    local_links: Dict[Tuple[int, int], Tuple[int, int]] = dict(
+        zip(zip(*ends), zip(ids.tolist(), ids.reshape(-1, 2)[:, ::-1].ravel().tolist()))
+    )
 
     # Global links: each group owns a*h global channels distributed as evenly
-    # as possible over the other g-1 groups; channel endpoints are assigned to
-    # routers round-robin.  ``group_links[(g1, g2)]`` lists the physical
+    # as possible over the other g-1 groups (the q-th channel to the
+    # (q mod g-1)-th other group); channel endpoints are assigned to routers
+    # round-robin.  ``group_links[(g1, g2)]`` lists the physical
     # router-to-router channels between the two groups (both orders stored).
-    group_links: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
-    total_channels = a * h
-    # Desired number of channels between every unordered pair of groups.
-    pair_count: Dict[Tuple[int, int], int] = {}
-    for gi in range(g):
-        others = [x for x in range(g) if x != gi]
-        for q in range(total_channels):
-            peer = others[q % len(others)]
-            key = (min(gi, peer), max(gi, peer))
-            pair_count[key] = pair_count.get(key, 0) + 1
+    per, extra = divmod(a * h, g - 1)
+    gi, k = np.arange(g)[:, None], np.arange(g - 1)
+    directed = np.zeros((g, g), dtype=np.int64)
+    directed[gi, k + (k >= gi)] = per + (k < extra)
     # Every channel was counted from both sides; two ports make one cable.
-    next_port = [0] * g  # round-robin router assignment per group
-    channels: List[Tuple[int, int, int, int]] = []  # (g1, g2, r1, r2)
-    for (g1, g2), cnt in sorted(pair_count.items()):
-        cables = max(1, cnt // 2)
-        for _ in range(cables):
-            r1 = routers[g1][next_port[g1] % a]
-            r2 = routers[g2][next_port[g2] % a]
-            next_port[g1] += 1
-            next_port[g2] += 1
-            channels.append((g1, g2, r1, r2))
-    up = topo.add_links(
-        [(r1, r2) for _, _, r1, r2 in channels],
-        capacity=link_capacity, cable=CableClass.AOC, tag="df-global",
-    )
-    for g1, g2, r1, r2 in channels:
-        group_links.setdefault((g1, g2), []).append((r1, r2, up))
-        group_links.setdefault((g2, g1), []).append((r2, r1, up + 1))
-        up += 2
+    count = directed + directed.T
+    g1, g2 = np.nonzero(np.triu(count, 1))
+    cables = np.maximum(1, count[g1, g2] // 2)
+    ends = np.stack([np.repeat(g1, cables), np.repeat(g2, cables)], 1)
+    # a channel end's port: how many earlier channel ends its group has
+    flat = ends.ravel()
+    order = np.argsort(flat, kind="stable")
+    port = np.empty_like(flat)
+    port[order] = np.arange(len(flat)) - np.searchsorted(flat[order], flat[order])
+    chan = router[flat, port % a].reshape(-1, 2)
+    up = topo.add_links(chan, capacity=link_capacity, cable=CableClass.AOC, tag="df-global")
+    group_links: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
+    for (c1, c2), (r1, r2), li in zip(ends.tolist(), chan.tolist(), range(up, up + 2 * len(chan), 2)):
+        group_links.setdefault((c1, c2), []).append((r1, r2, li))
+        group_links.setdefault((c2, c1), []).append((r2, r1, li + 1))
 
     topo.meta.update(
         family="dragonfly",

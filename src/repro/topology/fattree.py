@@ -18,12 +18,12 @@ Two things live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .._hash import mix64_array
-from .base import CableClass, Topology, TopologyError, register_topology
+from .base import CableClass, NodeKind, Topology, TopologyError, bulk_build, register_topology
 
 __all__ = ["GlobalNetwork", "TreeRoutes", "build_fat_tree", "fat_tree_levels_for"]
 
@@ -47,7 +47,7 @@ def fat_tree_levels_for(num_ports: int, radix: int = 64) -> int:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class _Attachment:
     """One port attachment of a node to the network edge."""
 
@@ -57,13 +57,243 @@ class _Attachment:
     down_link: int   # leaf -> node
 
 
+@dataclass
+class _Shape:
+    """The switches and cables of one network, numbered locally.
+
+    Local switch ``s`` is the ``s``-th switch created; ``roles[s]`` is its
+    ``(role, label index)``.  Cable ``k`` joins ``lo[k]`` to ``hi[k]``: for an
+    access cable (``kind[k] == 0``) ``lo`` is a port position and ``hi`` its
+    leaf, for a leaf-spine (1) or spine-core (2) trunk both are switches.
+    """
+
+    levels: int
+    roles: List[Tuple[str, int]]
+    leaves: np.ndarray
+    spines: np.ndarray
+    cores: np.ndarray
+    #: pod of each leaf and spine (a single switch records none)
+    leaf_pod: np.ndarray
+    spine_pod: np.ndarray
+    #: position of each spine in its pod (three levels only)
+    spine_index: Optional[np.ndarray]
+    kind: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _shape(
+    n: int,
+    radix: int,
+    taper: float,
+    leaf_down_ports: Optional[int],
+    leaf_up_ports: Optional[int],
+) -> _Shape:
+    """The :class:`_Shape` of a network over ``n`` ports."""
+    levels = fat_tree_levels_for(n, radix)
+    none = np.zeros(0, dtype=np.int64)
+    ports = np.arange(n)
+    if levels == 1:
+        return _Shape(1, [("leaf", 0)], np.zeros(1, dtype=np.int64), none, none, none, none,
+                      None, np.zeros(n, dtype=np.int64), ports, np.zeros(n, dtype=np.int64))
+    if levels == 2:
+        down = leaf_down_ports if leaf_down_ports is not None else radix // 2
+        up = leaf_up_ports if leaf_up_ports is not None else max(1, round(down * taper))
+        if down + up > radix:
+            raise TopologyError(f"leaf switch needs {down}+{up} ports but radix is {radix}")
+        num_leaves = -(-n // down)
+        num_spines = max(1, -(-(num_leaves * up) // radix))
+        # each leaf's uplinks go round robin over the spines
+        trunk_lo = np.repeat(np.arange(num_leaves), up)
+        trunk_hi = num_leaves + np.arange(num_leaves * up) % num_spines
+        _check_two_level(trunk_lo, trunk_hi - num_leaves, num_spines, down, up)
+        return _Shape(
+            2,
+            [("leaf", i) for i in range(num_leaves)] + [("spine", i) for i in range(num_spines)],
+            np.arange(num_leaves), num_leaves + np.arange(num_spines), none,
+            np.zeros(num_leaves, dtype=np.int64), np.zeros(num_spines, dtype=np.int64), None,
+            np.repeat([0, 1], [n, len(trunk_lo)]),
+            np.concatenate([ports, trunk_lo]),
+            np.concatenate([ports // down, trunk_hi]),
+        )
+    half = radix // 2
+    pod_capacity = half * half          # endpoints per pod (nonblocking)
+    num_pods = -(-n // pod_capacity)
+    down = half
+    # Each leaf has ``up`` uplinks, one to each of its pod's ``up`` spines,
+    # so every two leaves share every pod spine.  Every spine has ``half``
+    # core uplinks: a pod's core-uplink capacity is ``half * up`` links, the
+    # leaves' total, so the taper applies once, at the leaves.
+    up = max(1, round(down * taper))
+    cores_per_index = max(1, -(-(half * num_pods) // radix))
+    num_cores = up * cores_per_index
+    roles = [("core", i) for i in range(num_cores)]
+    leaves, spines, leaf_pod, spine_pod, kind, lo, hi = ([] for _ in range(7))
+    for pod in range(num_pods):
+        pod_ports = ports[pod * pod_capacity : (pod + 1) * pod_capacity]
+        num_leaves = -(-len(pod_ports) // down)
+        pod_leaves = len(roles) + np.arange(num_leaves)
+        pod_spines = len(roles) + num_leaves + np.arange(up)
+        roles += [("leaf", pod * half + i) for i in range(num_leaves)]
+        roles += [("spine", pod * half + i) for i in range(up)]
+        leaves.append(pod_leaves)
+        spines.append(pod_spines)
+        leaf_pod.append(np.full(num_leaves, pod))
+        spine_pod.append(np.full(up, pod))
+        # access cables; every leaf to every pod spine; spine with index s
+        # to the core group [s*cores_per_index, (s+1)*cores_per_index), so
+        # that same-index spines of different pods share cores (valid
+        # up/down paths exist between any two pods)
+        core_of = (np.arange(up)[:, None] * cores_per_index
+                   + np.arange(half) % cores_per_index).ravel()
+        for k, (a, b) in enumerate((
+            (pod_ports, pod_leaves[(pod_ports - pod_ports[0]) // down]),
+            (np.repeat(pod_leaves, up), np.tile(pod_spines, num_leaves)),
+            (np.repeat(pod_spines, half), core_of),
+        )):
+            kind.append(np.full(len(a), k))
+            lo.append(a)
+            hi.append(b)
+    return _Shape(
+        3, roles, *map(np.concatenate, (leaves, spines)), np.arange(num_cores),
+        *map(np.concatenate, (leaf_pod, spine_pod)), np.arange(len(np.concatenate(spines))) % up,
+        *map(np.concatenate, (kind, lo, hi)),
+    )
+
+
+def _check_two_level(leaf: np.ndarray, spine: np.ndarray, num_spines: int, down: int, up: int) -> None:
+    """Raise unless the leaf -> spine incidence ``(leaf[k], spine[k])``
+    joins every leaf to leaf 0 through shared spines."""
+    num_leaves = int(leaf.max()) + 1
+    group = np.arange(num_leaves)
+    while True:
+        # every spine takes its lowest leaf group, every leaf its lowest spine's
+        low = np.full(num_spines, num_leaves)
+        np.minimum.at(low, spine, group[leaf])
+        joined = group.copy()
+        np.minimum.at(joined, leaf, low[spine])
+        if np.array_equal(joined, group):
+            break
+        group = joined
+    if group.any():
+        raise TopologyError(
+            f"two-level fat tree is disconnected: {num_leaves} leaves with {down} down "
+            f"and {up} up ports wire {num_spines} spines round robin into "
+            f"{len(np.unique(group))} groups that share no spine (leaf "
+            f"{int(np.argmax(group > 0))} cannot reach leaf 0)"
+        )
+
+
+def _build_family(
+    nets: Sequence["GlobalNetwork"],
+    topo: Topology,
+    ports: Sequence[Sequence[int]],
+    tags: Sequence[str],
+    *,
+    radix: int = 64,
+    taper: float = 1.0,
+    access_capacity: float = 1.0,
+    trunk_capacity: float = 1.0,
+    access_cable: CableClass = CableClass.DAC,
+    trunk_cable: CableClass = CableClass.AOC,
+    plane: int = 0,
+    leaf_down_ports: Optional[int] = None,
+    leaf_up_ports: Optional[int] = None,
+) -> None:
+    """Build network ``nets[i]`` over ``ports[i]``, tagged ``tags[i]``: one
+    node block for every switch and one link block for every cable, by
+    offsetting one :class:`_Shape` per network."""
+    ports = np.array(ports, dtype=np.int64).reshape(len(nets), -1)
+    if ports.shape[1] == 0:
+        raise TopologyError("GlobalNetwork needs at least one port")
+    if not (0.0 < taper <= 1.0):
+        raise TopologyError(f"taper must be in (0, 1], got {taper}")
+    shape = _shape(ports.shape[1], radix, taper, leaf_down_ports, leaf_up_ports)
+    num, size = len(nets), len(shape.kind)
+    off = topo.add_nodes(
+        NodeKind.SWITCH,
+        [f"{tag}-{role}{i}" for tag in tags for role, i in shape.roles],
+        [{"role": role, "network": tag, "plane": plane} for tag in tags for role, _ in shape.roles],
+    ) + len(shape.roles) * np.arange(num)[:, None]
+    access = shape.kind == 0
+    src = off + shape.lo
+    src[:, access] = ports[:, shape.lo[access]]
+    trunk = (~access).tolist()
+    names = [(f"{tag}-access", f"{tag}-trunk") for tag in tags]
+    first = topo.add_links(
+        np.stack([src, off + shape.hi], -1).reshape(-1, 2),
+        capacity=np.tile(np.where(access, access_capacity, trunk_capacity), num),
+        cable=[trunk_cable if t else access_cable for t in trunk] * num,
+        plane=plane,
+        tag=[pair[t] for pair in names for t in trunk],
+    )
+    fwd = first + 2 * np.arange(num * size).reshape(num, size)
+
+    # the trunks of each store, (lo, hi) -> cable positions, and each lower
+    # switch's upper switches in first-cable order (local switch ids)
+    stores: Tuple[Dict[Tuple[int, int], List[int]], ...] = ({}, {})
+    for k, (kind, lo, hi) in enumerate(zip(shape.kind.tolist(), shape.lo.tolist(), shape.hi.tolist())):
+        if kind:
+            stores[kind - 1].setdefault((lo, hi), []).append(k)
+    uppers: Tuple[Dict[int, List[int]], ...] = (
+        {lo: [] for lo in shape.leaves.tolist()} if shape.levels > 1 else {},
+        {lo: [] for lo in shape.spines.tolist()} if shape.levels > 2 else {},
+    )
+    for store, upper in zip(stores, uppers):
+        for lo, hi in store:
+            upper[lo].append(hi)
+
+    columns = zip(
+        ports.tolist(), (off + shape.hi[access]).tolist(), fwd[:, access].tolist(),
+        (fwd[:, access] + 1).tolist(), fwd.tolist(), off[:, 0].tolist(),
+        *((off + ids).tolist() for ids in (shape.leaves, shape.spines, shape.cores)),
+    )
+    spine_index = shape.spine_index.tolist() if shape.spine_index is not None else []
+    for net, tag, (nodes, leaf, up, down, links, o, leaves, spines, cores) in zip(nets, tags, columns):
+        net.radix = radix
+        net.taper = taper
+        net.plane = plane
+        net.tag = tag
+        net._access_capacity = access_capacity
+        net._trunk_capacity = trunk_capacity
+        net._access_cable = access_cable
+        net._trunk_cable = trunk_cable
+        net.attachments = list(map(_Attachment, nodes, leaf, up, down))
+        net.node_attachments = {}
+        for idx, node in enumerate(nodes):
+            net.node_attachments.setdefault(node, []).append(idx)
+        net.leaf_switches = leaves
+        net.spine_switches = spines
+        net.core_switches = cores
+        # (leaf, spine) -> [(up link, down link), ...]; analogous for spine/core
+        net.leaf_spine, net.spine_core = (
+            {(o + lo, o + hi): [(links[k], links[k] + 1) for k in ks] for (lo, hi), ks in store.items()}
+            for store in stores
+        )
+        net.spines_of_leaf, net.cores_of_spine = (
+            {o + lo: [o + hi for hi in his] for lo, his in upper.items()} for upper in uppers
+        )
+        net.leaf_pod = dict(zip(leaves, shape.leaf_pod.tolist()))
+        net.spine_pod = dict(zip(spines, shape.spine_pod.tolist()))
+        net.spine_index = dict(zip(spines, spine_index))
+        net.levels = shape.levels
+        # the network's TreeRoutes (node attachments and up/down link
+        # tables); built on the first ``paths_block`` call so route
+        # enumeration, not topology construction, pays for it.  The name
+        # predates TreeRoutes: tests/test_topology_digest.py hashes every
+        # attribute of a built network.
+        net._node_atts = None
+
+
 class GlobalNetwork:
     """A logically fully-connected switch network over a set of port nodes.
 
     Parameters
     ----------
     topo:
-        Topology the switches and links are created in.
+        Topology the switches and links are created in.  The network keeps
+        no reference to it, so a topology holding its networks in ``meta``
+        is freed as soon as it is dropped, without the cycle collector.
     ports:
         Node ids to attach.  A node may appear multiple times if it attaches
         with several physical ports (e.g. the single accelerator of a 1x1
@@ -79,6 +309,8 @@ class GlobalNetwork:
         normalised 400 Gb/s units.
     access_cable / trunk_cable:
         Cable classes used for the cost census.
+
+    :meth:`family` builds many networks of the same port count at once.
     """
 
     def __init__(
@@ -97,190 +329,28 @@ class GlobalNetwork:
         leaf_down_ports: Optional[int] = None,
         leaf_up_ports: Optional[int] = None,
     ):
-        if not ports:
-            raise TopologyError("GlobalNetwork needs at least one port")
-        if not (0.0 < taper <= 1.0):
-            raise TopologyError(f"taper must be in (0, 1], got {taper}")
-        self.topo = topo
-        self.radix = radix
-        self.taper = taper
-        self.plane = plane
-        self.tag = tag
-        self._access_capacity = access_capacity
-        self._trunk_capacity = trunk_capacity
-        self._access_cable = access_cable
-        self._trunk_cable = trunk_cable
-
-        self.attachments: List[_Attachment] = []
-        self.node_attachments: Dict[int, List[int]] = {}
-        self.leaf_switches: List[int] = []
-        self.spine_switches: List[int] = []
-        self.core_switches: List[int] = []
-        # (leaf, spine) -> [(up link, down link), ...]; analogous for spine/core
-        self.leaf_spine: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        self.spine_core: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-        self.spines_of_leaf: Dict[int, List[int]] = {}
-        self.cores_of_spine: Dict[int, List[int]] = {}
-        self.leaf_pod: Dict[int, int] = {}
-        self.spine_pod: Dict[int, int] = {}
-        self.spine_index: Dict[int, int] = {}
-
-        n = len(ports)
-        self.levels = fat_tree_levels_for(n, radix)
-        if self.levels == 1:
-            self._build_single_switch(ports)
-        elif self.levels == 2:
-            self._build_two_level(ports, leaf_down_ports, leaf_up_ports)
-        else:
-            self._build_three_level(ports)
-
-        for idx, att in enumerate(self.attachments):
-            self.node_attachments.setdefault(att.node, []).append(idx)
-        # the network's TreeRoutes (node attachments and up/down link
-        # tables); built on the first ``paths_block`` call so route
-        # enumeration, not topology construction, pays for it.  The name
-        # predates TreeRoutes: tests/test_topology_digest.py hashes every
-        # attribute of a built network.
-        self._node_atts: Optional["TreeRoutes"] = None
-
-    # ------------------------------------------------------------------ build
-    def _new_switch(self, role: str, index: int) -> int:
-        return self.topo.add_switch(
-            f"{self.tag}-{role}{index}", role=role, network=self.tag, plane=self.plane
+        _build_family(
+            [self], topo, [list(ports)], [tag], radix=radix, taper=taper,
+            access_capacity=access_capacity, trunk_capacity=trunk_capacity,
+            access_cable=access_cable, trunk_cable=trunk_cable, plane=plane,
+            leaf_down_ports=leaf_down_ports, leaf_up_ports=leaf_up_ports,
         )
 
-    def _attach(self, pairs: List[Tuple[int, int]]) -> None:
-        """Connect every ``(node, leaf)`` pair with an access cable."""
-        li = self.topo.add_links(
-            pairs,
-            capacity=self._access_capacity,
-            cable=self._access_cable,
-            plane=self.plane,
-            tag=f"{self.tag}-access",
-        )
-        for node, leaf in pairs:
-            self.attachments.append(_Attachment(node, leaf, li, li + 1))
-            li += 2
+    @classmethod
+    def family(
+        cls, topo: Topology, ports: Sequence[Sequence[int]], tags: Sequence[str], **options: Any
+    ) -> List["GlobalNetwork"]:
+        """One network per row of ``ports`` (all rows of one length), tagged
+        ``tags[i]``, with the other parameters as for the constructor.
 
-    def _trunk(
-        self,
-        pairs: List[Tuple[int, int]],
-        store: Dict[Tuple[int, int], List[Tuple[int, int]]],
-        uppers: Dict[int, List[int]],
-    ) -> None:
-        """Cable every ``(lo, hi)`` pair; record it in ``store`` and ``uppers``."""
-        li = self.topo.add_links(
-            pairs,
-            capacity=self._trunk_capacity,
-            cable=self._trunk_cable,
-            plane=self.plane,
-            tag=f"{self.tag}-trunk",
-        )
-        for lo, hi in pairs:
-            store.setdefault((lo, hi), []).append((li, li + 1))
-            li += 2
-            if hi not in uppers[lo]:
-                uppers[lo].append(hi)
-
-    def _build_single_switch(self, ports: Sequence[int]) -> None:
-        if len(ports) > self.radix:
-            raise TopologyError("too many ports for a single switch")
-        sw = self._new_switch("leaf", 0)
-        self.leaf_switches.append(sw)
-        self._attach([(node, sw) for node in ports])
-
-    def _build_two_level(
-        self,
-        ports: Sequence[int],
-        leaf_down_ports: Optional[int],
-        leaf_up_ports: Optional[int],
-    ) -> None:
-        n = len(ports)
-        down = leaf_down_ports if leaf_down_ports is not None else self.radix // 2
-        up = (
-            leaf_up_ports
-            if leaf_up_ports is not None
-            else max(1, round(down * self.taper))
-        )
-        if down + up > self.radix:
-            raise TopologyError(
-                f"leaf switch needs {down}+{up} ports but radix is {self.radix}"
-            )
-        num_leaves = -(-n // down)
-        num_spines = max(1, -(-(num_leaves * up) // self.radix))
-        leaves = [self._new_switch("leaf", i) for i in range(num_leaves)]
-        spines = [self._new_switch("spine", i) for i in range(num_spines)]
-        self.leaf_switches.extend(leaves)
-        self.spine_switches.extend(spines)
-        self._attach([(node, leaves[i // down]) for i, node in enumerate(ports)])
-        for leaf in leaves:
-            self.spines_of_leaf[leaf] = []
-            self.leaf_pod[leaf] = 0
-        # each leaf's uplinks go round robin over the spines
-        self._trunk(
-            [
-                (leaf, spines[(li * up + u) % num_spines])
-                for li, leaf in enumerate(leaves) for u in range(up)
-            ],
-            self.leaf_spine,
-            self.spines_of_leaf,
-        )
-        for spine in spines:
-            self.spine_pod[spine] = 0
-
-    def _build_three_level(self, ports: Sequence[int]) -> None:
-        n = len(ports)
-        half = self.radix // 2
-        pod_capacity = half * half          # endpoints per pod (nonblocking)
-        num_pods = -(-n // pod_capacity)
-        down = half
-        # Each leaf has ``up`` uplinks, one to each of its pod's ``up``
-        # spines, so every two leaves share every pod spine.  Every spine has
-        # ``half`` core uplinks: a pod's core-uplink capacity is ``half * up``
-        # links, the leaves' total, so the taper applies once, at the leaves.
-        up = max(1, round(down * self.taper))
-        cores_per_index = max(1, -(-(half * num_pods) // self.radix))
-        num_cores = up * cores_per_index
-        cores = [self._new_switch("core", i) for i in range(num_cores)]
-        self.core_switches.extend(cores)
-
-        ports = list(ports)
-        for pod in range(num_pods):
-            pod_ports = ports[pod * pod_capacity : (pod + 1) * pod_capacity]
-            if not pod_ports:
-                continue
-            num_leaves = -(-len(pod_ports) // down)
-            leaves = [self._new_switch("leaf", pod * half + i) for i in range(num_leaves)]
-            spines = [self._new_switch("spine", pod * half + i) for i in range(up)]
-            self.leaf_switches.extend(leaves)
-            self.spine_switches.extend(spines)
-            for leaf in leaves:
-                self.leaf_pod[leaf] = pod
-            for si, spine in enumerate(spines):
-                self.spine_pod[spine] = pod
-                self.spine_index[spine] = si
-            self._attach([(node, leaves[i // down]) for i, node in enumerate(pod_ports)])
-            for leaf in leaves:
-                self.spines_of_leaf[leaf] = []
-            self._trunk(
-                [(leaf, spine) for leaf in leaves for spine in spines],
-                self.leaf_spine,
-                self.spines_of_leaf,
-            )
-            # pod spine <-> core links: spine with index s connects only to the
-            # core group [s*cores_per_index, (s+1)*cores_per_index), so that
-            # same-index spines of different pods share cores (valid up/down
-            # paths exist between any two pods).
-            for spine in spines:
-                self.cores_of_spine[spine] = []
-            self._trunk(
-                [
-                    (spine, cores[si * cores_per_index + u % cores_per_index])
-                    for si, spine in enumerate(spines) for u in range(half)
-                ],
-                self.spine_core,
-                self.cores_of_spine,
-            )
+        The result is the same as constructing the networks one after
+        another: the switches of every network, network after network, then
+        the cables of every network, network after network, each network's
+        in the order its constructor would add them.
+        """
+        nets = [cls.__new__(cls) for _ in tags]
+        _build_family(nets, topo, ports, tags, **options)
+        return nets
 
     # ------------------------------------------------------------------ paths
     @property
@@ -332,6 +402,9 @@ def _padded(rows: Sequence[Sequence[int]]) -> np.ndarray:
     return out
 
 
+#: bound on node ids: ``network * _NODE_SPAN + node`` keys a port
+_NODE_SPAN = 1 << 32
+
 #: flow-hash salts of the hops (leaf up, spine up, spine down, leaf down)
 #: of a path across pods, and of a path within one (which has no spine hops)
 _HOP_SALTS = np.array([[0, 1, 2, 3], [0xA5, 0, 0, 0x5A]])[:, :, None]
@@ -365,7 +438,6 @@ class TreeRoutes:
     """
 
     def __init__(self, networks: Sequence["GlobalNetwork"]):
-        self.num_nodes = networks[0].topo.num_nodes
         leaf_ix: Dict[int, int] = {}
         spine_ix: Dict[int, int] = {}
         core_ix: Dict[int, int] = {}
@@ -393,7 +465,7 @@ class TreeRoutes:
                 att_up.append(att.up_link)
                 att_down.append(att.down_link)
             for node, idxs in net.node_attachments.items():
-                port_key.append(i * self.num_nodes + node)
+                port_key.append(i * _NODE_SPAN + node)
                 port_atts.append([base + j for j in idxs])
         order = np.argsort(port_key)
         self.port_key = np.array(port_key, dtype=np.int64)[order]
@@ -448,7 +520,7 @@ class TreeRoutes:
         n = len(src)
         atts = []
         for node in (src, dst):
-            key = net * self.num_nodes + node
+            key = net * _NODE_SPAN + node
             row = np.minimum(np.searchsorted(self.port_key, key), len(self.port_key) - 1)
             atts.append(np.where((self.port_key[row] == key)[:, None], self.port_atts[row], -1))
         key = (src * 1_000_003 + dst) & 0x7FFFFFFF
@@ -535,6 +607,7 @@ class TreeRoutes:
 #  Standalone fat-tree cluster (baseline topology of Table II)
 # --------------------------------------------------------------------------
 @register_topology("fattree")
+@bulk_build()
 def build_fat_tree(
     num_accelerators: int,
     *,
@@ -557,7 +630,12 @@ def build_fat_tree(
     if num_accelerators < 2:
         raise TopologyError("a fat tree needs at least two accelerators")
     topo = Topology(f"fattree-{num_accelerators}-taper{taper:g}")
-    accs = [topo.add_accelerator(f"acc{i}", index=i) for i in range(num_accelerators)]
+    first = topo.add_nodes(
+        NodeKind.ACCELERATOR,
+        [f"acc{i}" for i in range(num_accelerators)],
+        [{"index": i} for i in range(num_accelerators)],
+    )
+    accs = range(first, first + num_accelerators)
     network = GlobalNetwork(
         topo,
         accs,

@@ -19,14 +19,17 @@ EXPERIMENTS.md discusses the discrepancy between the two views.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import itertools
 
-from .base import CableClass, Topology, TopologyError, register_topology
+import numpy as np
+
+from .base import CableClass, NodeKind, Topology, TopologyError, bulk_build, register_topology
 
 __all__ = ["build_hyperx2d", "build_hx1mesh"]
 
 
 @register_topology("hyperx2d")
+@bulk_build()
 def build_hyperx2d(
     x: int,
     y: int,
@@ -50,50 +53,41 @@ def build_hyperx2d(
         raise TopologyError("terminals per switch must be >= 1")
     topo = Topology(f"hyperx2d-{x}x{y}t{terminals}")
 
-    switch_grid: List[List[int]] = []
-    acc_switch: Dict[int, int] = {}
-    switch_coord: Dict[int, Tuple[int, int]] = {}
-    for r in range(y):
-        row: List[int] = []
-        for c in range(x):
-            sw = topo.add_switch(f"hx-sw[{r},{c}]", coord=(r, c))
-            row.append(sw)
-            switch_coord[sw] = (r, c)
-            for t in range(terminals):
-                acc = topo.add_accelerator(f"acc[{r},{c},{t}]", coord=(r, c), terminal=t)
-                acc_switch[acc] = sw
-        switch_grid.append(row)
+    # switch (r, c) followed by its terminals, row by row
+    cells = list(itertools.product(range(y), range(x)))
+    first = topo.add_nodes(
+        [NodeKind.SWITCH, *[NodeKind.ACCELERATOR] * terminals] * len(cells),
+        [label for r, c in cells
+         for label in (f"hx-sw[{r},{c}]", *(f"acc[{r},{c},{t}]" for t in range(terminals)))],
+        [attrs for r, c in cells
+         for attrs in ({"coord": (r, c)}, *({"coord": (r, c), "terminal": t} for t in range(terminals)))],
+    )
+    node = first + np.arange(len(cells) * (terminals + 1)).reshape(y, x, terminals + 1)
+    grid = node[:, :, 0]
+    accs = node[:, :, 1:].ravel()
+    sws = np.repeat(grid.ravel(), terminals)
     li = topo.add_links(
-        acc_switch.items(), capacity=access_capacity, cable=CableClass.DAC, tag="hx-access"
+        np.stack([accs, sws], 1), capacity=access_capacity, cable=CableClass.DAC, tag="hx-access"
     )
-    access_links: Dict[int, Tuple[int, int]] = {}
-    for acc in acc_switch:
-        access_links[acc] = (li, li + 1)
-        li += 2
+    acc_switch = dict(zip(accs.tolist(), sws.tolist()))
+    fwd = (li + 2 * np.arange(len(accs))).tolist()
+    access_links = dict(zip(accs.tolist(), zip(fwd, [f + 1 for f in fwd])))
 
+    # Row links (DAC within a row per the Hx1Mesh cost convention), row by
+    # row, then column links (AoC, longer runs), column by column; every
+    # pair (c1 < c2, resp. r1 < r2) in triu_indices order.
+    c1, c2 = np.triu_indices(x, 1)
+    r1, r2 = np.triu_indices(y, 1)
+    rows = np.stack([grid[:, c1], grid[:, c2]], -1).reshape(-1, 2)
+    cols = np.stack([grid[r1].T, grid[r2].T], -1).reshape(-1, 2)
+    li = topo.add_links(rows, capacity=link_capacity, cable=CableClass.DAC, tag="hx-row")
+    topo.add_links(cols, capacity=link_capacity, cable=CableClass.AOC, tag="hx-col")
+    pairs = np.concatenate([rows, cols])
     # (switch_a, switch_b) -> directed link a->b
-    switch_links: Dict[Tuple[int, int], int] = {}
-
-    def wire(pairs: List[Tuple[int, int]], cable: CableClass, tag: str) -> None:
-        li = topo.add_links(pairs, capacity=link_capacity, cable=cable, tag=tag)
-        for a, b in pairs:
-            switch_links[(a, b)] = li
-            switch_links[(b, a)] = li + 1
-            li += 2
-
-    # Row links (DAC within a row per the Hx1Mesh cost convention).
-    wire(
-        [(row[c1], row[c2]) for row in switch_grid for c1 in range(x) for c2 in range(c1 + 1, x)],
-        CableClass.DAC, "hx-row",
-    )
-    # Column links (AoC, longer runs).
-    wire(
-        [
-            (switch_grid[r1][c], switch_grid[r2][c])
-            for c in range(x) for r1 in range(y) for r2 in range(r1 + 1, y)
-        ],
-        CableClass.AOC, "hx-col",
-    )
+    ends = np.stack([pairs, pairs[:, ::-1]], 1).reshape(-1, 2).T.tolist()
+    switch_links = dict(zip(zip(*ends), range(li, li + 2 * len(pairs))))
+    switch_grid = grid.tolist()
+    switch_coord = dict(zip(grid.ravel().tolist(), cells))
 
     topo.meta.update(
         family="hyperx",

@@ -10,15 +10,18 @@ normalisation used for all topologies (see DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import itertools
 
-from .base import CableClass, Topology, TopologyError, register_topology
-from .board import add_board
+import numpy as np
+
+from .base import CableClass, Topology, TopologyError, bulk_build, register_topology
+from .board import add_boards, mesh_link_ids
 
 __all__ = ["build_torus2d"]
 
 
 @register_topology("torus2d")
+@bulk_build()
 def build_torus2d(
     board_cols: int,
     board_rows: int,
@@ -46,42 +49,48 @@ def build_torus2d(
         )
 
     topo = Topology(f"torus2d-{cols}x{rows}")
-    grid: List[List[int]] = [[-1] * cols for _ in range(rows)]
-    boards = {}
-    for gr in range(board_rows):
-        for gc in range(board_cols):
-            handle = add_board(topo, (gr, gc), board_a, board_b, capacity=link_capacity)
-            boards[(gr, gc)] = handle
-            for br in range(board_b):
-                for bc in range(board_a):
-                    grid[gr * board_b + br][gc * board_a + bc] = handle.node_at(br, bc)
+    coords = list(itertools.product(range(board_rows), range(board_cols)))
+    first = topo.num_links
+    handles = add_boards(topo, coords, board_a, board_b, capacity=link_capacity)
+    boards = dict(zip(coords, handles))
 
-    # Directed link lookup: (row, col, direction) -> link index.  Directions:
-    # "E" = +col, "W" = -col, "S" = +row, "N" = -row (all modulo grid size).
-    dir_links: Dict[Tuple[int, int, str], int] = {}
+    def on_grid(per_board: np.ndarray) -> np.ndarray:
+        """``(boards, b, a, ...)`` board-major values as ``(rows, cols, ...)``."""
+        tail = per_board.shape[3:]
+        return (per_board.reshape(board_rows, board_cols, board_b, board_a, *tail)
+                .swapaxes(1, 2).reshape(rows, cols, *tail))
 
-    def wire(steps: List[Tuple[int, int, int, int]], fwd: str, back: str, tag: str) -> None:
-        """Cable the ``(r, c) -> (nr, nc)`` steps that have no on-board link
-        and record every step's two directed links in ``dir_links``."""
-        pairs = [(grid[r][c], grid[nr][nc]) for r, c, nr, nc in steps]
-        # inter-board or wrap-around cables
-        topo.add_links(
-            [(u, v) for u, v in pairs if not topo.find_links(u, v)],
+    grid = on_grid(np.array([h.nodes for h in handles], dtype=np.int64))
+    # links[r, c, d]: directed link leaving (r, c) towards direction d of
+    # board.DIRECTIONS ("E" = +col, "W" = -col, "S" = +row, "N" = -row, all
+    # modulo grid size): the on-board trace, or the DAC cable added below
+    # from every board's East and South edge to the next board (wrapping)
+    links = on_grid(mesh_link_ids(first, len(handles), board_a, board_b))
+    r, c = np.indices((rows, cols))
+    for fwd, edge, tag in ((0, c % board_a == board_a - 1, "torus-EW"),
+                           (2, r % board_b == board_b - 1, "torus-NS")):
+        # cables row by row East-West, column by column North-South
+        er, ec = (r[edge], c[edge]) if fwd == 0 else (r.T[edge.T], c.T[edge.T])
+        nr, nc = (er, (ec + 1) % cols) if fwd == 0 else ((er + 1) % rows, ec)
+        li = topo.add_links(
+            np.stack([grid[er, ec], grid[nr, nc]], 1),
             capacity=link_capacity, cable=CableClass.DAC, tag=tag,
-        )
-        for (r, c, nr, nc), (u, v) in zip(steps, pairs):
-            dir_links[(r, c, fwd)] = topo.find_links(u, v)[0]
-            dir_links[(nr, nc, back)] = topo.find_links(v, u)[0]
+        ) + 2 * np.arange(len(er))
+        links[er, ec, fwd] = li
+        links[nr, nc, fwd + 1] = li + 1
 
-    # Horizontal links (East direction = increasing column, wrapping).
-    wire([(r, c, r, (c + 1) % cols) for r in range(rows) for c in range(cols)], "E", "W", "torus-EW")
-    # Vertical links (South direction = increasing row, wrapping).
-    wire([(r, c, (r + 1) % rows, c) for c in range(cols) for r in range(rows)], "S", "N", "torus-NS")
-
-    coord_of: Dict[int, Tuple[int, int]] = {}
-    for r in range(rows):
-        for c in range(cols):
-            coord_of[grid[r][c]] = (r, c)
+    # Directed link lookup (row, col, direction) -> link index, step by
+    # step: every East step (row by row) with its West return, then every
+    # South step (column by column) with its North return.
+    east = np.stack([links[:, :, 0], np.roll(links[:, :, 1], -1, 1)], -1)
+    south = np.stack([links[:, :, 2], np.roll(links[:, :, 3], -1, 0)], -1).swapaxes(0, 1)
+    keys = [key for i, j in itertools.product(range(rows), range(cols))
+            for key in ((i, j, "E"), (i, (j + 1) % cols, "W"))]
+    keys += [key for j, i in itertools.product(range(cols), range(rows))
+             for key in ((i, j, "S"), ((i + 1) % rows, j, "N"))]
+    dir_links = dict(zip(keys, np.concatenate([east.ravel(), south.ravel()]).tolist()))
+    coord_of = dict(zip(grid.ravel().tolist(), itertools.product(range(rows), range(cols))))
+    grid = grid.tolist()
 
     topo.meta.update(
         family="torus",
