@@ -156,7 +156,7 @@ def _shape(
             hi.append(b)
     return _Shape(
         3, roles, *map(np.concatenate, (leaves, spines)), np.arange(num_cores),
-        *map(np.concatenate, (leaf_pod, spine_pod)), np.arange(len(np.concatenate(spines))) % up,
+        *map(np.concatenate, (leaf_pod, spine_pod)), np.tile(np.arange(up), num_pods),
         *map(np.concatenate, (kind, lo, hi)),
     )
 
@@ -243,13 +243,17 @@ def _build_family(
         for lo, hi in store:
             upper[lo].append(hi)
 
+    # per network: its ports, their leaves and access links, all its links,
+    # its first switch and its switches by level
     columns = zip(
         ports.tolist(), (off + shape.hi[access]).tolist(), fwd[:, access].tolist(),
         (fwd[:, access] + 1).tolist(), fwd.tolist(), off[:, 0].tolist(),
         *((off + ids).tolist() for ids in (shape.leaves, shape.spines, shape.cores)),
     )
+    leaf_pod, spine_pod = shape.leaf_pod.tolist(), shape.spine_pod.tolist()
     spine_index = shape.spine_index.tolist() if shape.spine_index is not None else []
     for net, tag, (nodes, leaf, up, down, links, o, leaves, spines, cores) in zip(nets, tags, columns):
+        # attributes in the order the topology digests hash vars() in
         net.radix = radix
         net.taper = taper
         net.plane = plane
@@ -273,8 +277,8 @@ def _build_family(
         net.spines_of_leaf, net.cores_of_spine = (
             {o + lo: [o + hi for hi in his] for lo, his in upper.items()} for upper in uppers
         )
-        net.leaf_pod = dict(zip(leaves, shape.leaf_pod.tolist()))
-        net.spine_pod = dict(zip(spines, shape.spine_pod.tolist()))
+        net.leaf_pod = dict(zip(leaves, leaf_pod))
+        net.spine_pod = dict(zip(spines, spine_pod))
         net.spine_index = dict(zip(spines, spine_index))
         net.levels = shape.levels
         # the network's TreeRoutes (node attachments and up/down link

@@ -2,7 +2,9 @@
 
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.topology import (
     CableClass,
@@ -192,6 +194,153 @@ class TestAddLinks:
         with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
             for a, b in pairs:
                 topo.add_link(a, b, capacity=capacity, cable=CableClass.AOC)
+
+
+class _Model:
+    """Per-node link lists, the way a topology adds links one at a time."""
+
+    def __init__(self):
+        self.kinds, self.links, self.out, self.into = [], [], [], []
+        self.cables = {c: 0 for c in CableClass}
+
+    def add_node(self, kind):
+        self.kinds.append(kind)
+        self.out.append([])
+        self.into.append([])
+
+    def error(self, a, b, capacity):
+        n = len(self.kinds)
+        if not (0 <= a < n and 0 <= b < n):
+            return f"link endpoints out of range: {a}->{b}"
+        if a == b:
+            return "self links are not allowed"
+        if capacity <= 0:
+            return "link capacity must be positive"
+        return None
+
+    def add(self, a, b, capacity, cable, tag):
+        self.out[a].append(len(self.links))
+        self.into[b].append(len(self.links))
+        self.links.append(Link(a, b, capacity, cable, 0, tag))
+
+
+#: an endpoint: mostly an existing node (``v % n``), else out of range
+_NODE = st.integers(0, 99)
+_CAPACITY = st.sampled_from([1.0, 2.5, 4.0, 1.0, 2.5, 0.0, -1.0])
+_CABLE = st.sampled_from(list(CableClass))
+_TAG = st.sampled_from(["", "x", "tree-up"])
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["accelerator", "switch"])),
+        st.tuples(
+            st.just("links"),
+            st.lists(st.tuples(_NODE, _NODE, _CAPACITY, _CABLE, _TAG), max_size=5),
+            # per-pair attributes, or the first pair's for the whole block
+            st.booleans(),
+            st.booleans(),  # pairs as an (m, 2) array
+            st.booleans(),  # count_cable
+        ),
+        st.tuples(st.just("directed"), _NODE, _NODE, _CAPACITY, _TAG),
+        st.tuples(
+            st.just("query"),
+            st.sampled_from(["out", "in", "find", "neighbors", "degree"]),
+            st.integers(0, 99),
+            st.integers(0, 99),
+        ),
+    ),
+    max_size=60,
+)
+
+
+def _endpoint(v, n):
+    if v < 90:
+        return v % max(n, 1)
+    return n + v - 90 if v < 95 else 94 - v
+
+
+class TestAdjacencyModel:
+    @settings(max_examples=300, deadline=None)
+    @given(_OPS)
+    def test_interleaved_adds_and_queries_match_per_node_lists(self, ops):
+        topo, model = Topology("t"), _Model()
+        for op in ops:
+            if op[0] in ("accelerator", "switch"):
+                add = topo.add_accelerator if op[0] == "accelerator" else topo.add_switch
+                assert add() == len(model.kinds)
+                model.add_node(NodeKind(op[0]))
+            elif op[0] == "links":
+                _, rows, per_pair, as_array, count_cable = op
+                n = len(model.kinds)
+                pairs = [(_endpoint(a, n), _endpoint(b, n)) for a, b, *_ in rows]
+                caps, cables, tags = ([row[k] for row in rows] for k in (2, 3, 4))
+                if not per_pair:
+                    caps, cables, tags = (
+                        [col[0]] * len(rows) if rows else [default]
+                        for col, default in ((caps, 1.0), (cables, CableClass.DAC), (tags, ""))
+                    )
+                before = _snapshot(topo)
+                message = next(
+                    filter(None, (model.error(a, b, c) for (a, b), c in zip(pairs, caps))), None
+                )
+                args = dict(
+                    capacity=caps if per_pair else caps[0],
+                    cable=cables if per_pair else cables[0],
+                    tag=tags if per_pair else tags[0],
+                    count_cable=count_cable,
+                )
+                block = np.array(pairs, dtype=np.int64).reshape(-1, 2) if as_array else pairs
+                if message is not None:
+                    with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+                        topo.add_links(block, **args)
+                    assert _snapshot(topo) == before
+                    continue
+                assert topo.add_links(block, **args) == len(model.links)
+                for (a, b), c, cable, tag in zip(pairs, caps, cables, tags):
+                    model.add(a, b, c, cable, tag)
+                    model.add(b, a, c, cable, tag)
+                    model.cables[cable] += count_cable
+            elif op[0] == "directed":
+                _, a, b, c, tag = op
+                a, b = _endpoint(a, len(model.kinds)), _endpoint(b, len(model.kinds))
+                message = model.error(a, b, c)
+                if message is not None:
+                    before = _snapshot(topo)
+                    with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+                        topo.add_directed_link(a, b, capacity=c, tag=tag)
+                    assert _snapshot(topo) == before
+                    continue
+                assert topo.add_directed_link(a, b, capacity=c, tag=tag) == len(model.links)
+                model.add(a, b, c, CableClass.DAC, tag)
+            elif model.kinds:
+                _, query, i, j = op
+                u, v = i % len(model.kinds), j % len(model.kinds)
+                dst = [link.dst for link in model.links]
+                expected = {
+                    "out": tuple(model.out[u]),
+                    "in": tuple(model.into[u]),
+                    "find": [li for li in model.out[u] if dst[li] == v],
+                    "neighbors": list(dict.fromkeys(dst[li] for li in model.out[u])),
+                    "degree": len(model.out[u]),
+                }[query]
+                got = {
+                    "out": topo.out_links,
+                    "in": topo.in_links,
+                    "find": lambda u: topo.find_links(u, v),
+                    "neighbors": topo.neighbors,
+                    "degree": topo.degree,
+                }[query](u)
+                assert got == expected
+        nodes = range(len(model.kinds))
+        assert _snapshot(topo) == (
+            len(model.links),
+            tuple(model.links),
+            [tuple(model.out[n]) for n in nodes],
+            [tuple(model.into[n]) for n in nodes],
+            [model.cables[c] for c in CableClass],
+        )
+        assert [topo.kind(n) for n in nodes] == model.kinds
+        assert list(topo.link_src) == [link.src for link in model.links]
+        assert list(topo.link_dst) == [link.dst for link in model.links]
 
 
 class TestValidation:

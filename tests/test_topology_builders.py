@@ -162,6 +162,43 @@ class TestFatTreeBuilder:
         with pytest.raises(TopologyError):
             build_fat_tree(1)
 
+    def test_disconnected_leaf_spine_split_raises(self):
+        # 15 leaves with 5 uplinks each, round robin over 10 spines: the even
+        # leaves reach spines 0-4 and the odd ones spines 5-9
+        with pytest.raises(TopologyError) as info:
+            build_fat_tree(30, radix=8, leaf_down_ports=2, leaf_up_ports=5)
+        assert str(info.value) == (
+            "two-level fat tree is disconnected: 15 leaves with 2 down and 5 up "
+            "ports wire 10 spines round robin into 2 groups that share no spine "
+            "(leaf 1 cannot reach leaf 0)"
+        )
+
+    @pytest.mark.parametrize("n", [9, 20, 32])
+    @pytest.mark.parametrize("down,up", [(1, 1), (2, 2), (2, 3), (2, 5), (3, 2), (3, 5), (4, 4), (5, 3)])
+    def test_two_level_tree_builds_iff_leaves_share_spines(self, n, down, up):
+        radix = 8
+        assert fat_tree_levels_for(n, radix) == 2
+        # reference: union-find over the round-robin leaf -> spine uplinks
+        leaves = -(-n // down)
+        spines = max(1, -(-(leaves * up) // radix))
+        group = list(range(leaves + spines))
+
+        def find(i):
+            while group[i] != i:
+                i = group[i]
+            return i
+
+        for leaf in range(leaves):
+            for u in range(up):
+                group[find(leaves + (leaf * up + u) % spines)] = find(leaf)
+        connected = len({find(leaf) for leaf in range(leaves)}) == 1
+        if not connected:
+            with pytest.raises(TopologyError, match="^two-level fat tree is disconnected"):
+                build_fat_tree(n, radix=radix, leaf_down_ports=down, leaf_up_ports=up)
+            return
+        topo = build_fat_tree(n, radix=radix, leaf_down_ports=down, leaf_up_ports=up)
+        assert topo.is_connected()
+
     @pytest.mark.parametrize(
         "n,kwargs", [(40, {"radix": 8, "taper": 0.5}), (4096, {"taper": 0.25})]
     )
