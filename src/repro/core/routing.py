@@ -250,7 +250,7 @@ class HxMeshRouter:
     def _board_tables(self) -> None:
         """Node coordinates, board link bases and board-local DOR walks.
 
-        ``add_board`` lays each board's mesh links out contiguously and in
+        ``add_boards`` lays each board's mesh links out contiguously and in
         the same order, so a walk's global link ids are the board's first
         link id plus the walk's local offsets on any board.
         """

@@ -150,17 +150,12 @@ class Topology:
         """
         if len(labels) != len(attrs):
             raise TopologyError(f"{len(labels)} labels but {len(attrs)} attribute dicts")
+        kinds = [kind] * len(labels) if isinstance(kind, NodeKind) else list(kind)
+        if len(kinds) != len(labels):
+            raise TopologyError(f"{len(labels)} labels but {len(kinds)} node kinds")
         first = len(self._kinds)
-        if isinstance(kind, NodeKind):
-            kinds: Sequence[NodeKind] = [kind] * len(labels)
-            ids = range(first, first + len(labels))
-            (self._accelerators if kind is NodeKind.ACCELERATOR else self._switches).extend(ids)
-        else:
-            kinds = list(kind)
-            if len(kinds) != len(labels):
-                raise TopologyError(f"{len(labels)} labels but {len(kinds)} node kinds")
-            for node, k in enumerate(kinds, first):
-                (self._accelerators if k is NodeKind.ACCELERATOR else self._switches).append(node)
+        for node, k in enumerate(kinds, first):
+            (self._accelerators if k is NodeKind.ACCELERATOR else self._switches).append(node)
         self._kinds += kinds
         self._labels += labels
         self._attrs += attrs
