@@ -154,8 +154,9 @@ class Topology:
         if len(kinds) != len(labels):
             raise TopologyError(f"{len(labels)} labels but {len(kinds)} node kinds")
         first = len(self._kinds)
-        for node, k in enumerate(kinds, first):
-            (self._accelerators if k is NodeKind.ACCELERATOR else self._switches).append(node)
+        ids = range(first, first + len(kinds))
+        self._accelerators += [i for i, k in zip(ids, kinds) if k is NodeKind.ACCELERATOR]
+        self._switches += [i for i, k in zip(ids, kinds) if k is not NodeKind.ACCELERATOR]
         self._kinds += kinds
         self._labels += labels
         self._attrs += attrs
@@ -171,6 +172,15 @@ class Topology:
         return self.add_nodes(NodeKind.SWITCH, [label], [attrs])
 
     # ------------------------------------------------------------------ links
+    @staticmethod
+    def _endpoint_array(pairs: Any) -> np.ndarray:
+        """``pairs`` as an ``(m, 2)`` int64 array (a copy); raise unless
+        every endpoint is an integer."""
+        ends = np.array(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+        if ends.size and ends.dtype.kind not in "iu":
+            raise TopologyError(f"link endpoints must be integers, got {ends.dtype} values")
+        return ends.astype(np.int64, copy=False).reshape(-1, 2)
+
     def _check_links(self, src: np.ndarray, dst: np.ndarray, capacity: np.ndarray) -> None:
         """Raise on the first link successive single-link calls would reject:
         per link, endpoint range, then self link, then capacity."""
@@ -245,7 +255,7 @@ class Topology:
         tag: str = "",
     ) -> int:
         """Add a single directed link and return its link index."""
-        ends = np.array([[src, dst]], dtype=np.int64)
+        ends = self._endpoint_array([(src, dst)])
         self._check_links(ends[:, 0], ends[:, 1], np.float64(capacity))
         return self._append(
             ends[:, 0], ends[:, 1], capacity, _CABLE_CODE[cable], plane, self._tag_codes(tag, 1)
@@ -273,9 +283,7 @@ class Topology:
         is :attr:`num_links` before the call.  ``count_cable`` is as for
         :meth:`add_link`.
         """
-        ends = np.array(
-            pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64
-        ).reshape(-1, 2)
+        ends = self._endpoint_array(pairs)
         m = len(ends)
         capacity = np.broadcast_to(np.asarray(capacity, dtype=np.float64), (m,))
         self._check_links(ends[:, 0], ends[:, 1], capacity)

@@ -171,6 +171,16 @@ class TestAddLinks:
         assert topo.cable_count(CableClass.PCB) == 0
         assert topo.add_links([]) == topo.num_links == 6
 
+    @pytest.mark.parametrize("pairs", [[(0, 1.5)], [(0, 2), (1.0, 0)], np.array([[0.0, 1.0]])])
+    def test_non_integer_endpoints_rejected(self, pairs):
+        topo, _ = make_line(3)
+        before = _snapshot(topo)
+        with pytest.raises(TopologyError, match="^link endpoints must be integers, got float64 values$"):
+            topo.add_links(pairs)
+        with pytest.raises(TopologyError, match="^link endpoints must be integers"):
+            topo.add_directed_link(*pairs[-1])
+        assert _snapshot(topo) == before
+
     @pytest.mark.parametrize(
         "pairs,capacity,message",
         [
