@@ -6,7 +6,11 @@ workload generator, upper-tree-level traffic estimation, and the failure /
 fragmentation experiments.
 """
 
-from .fragmentation import FailureExperimentResult, utilization_under_failures
+from .fragmentation import (
+    FailureExperimentResult,
+    utilization_under_failures,
+    utilization_under_failures_by_order,
+)
 from .greedy import AllocationResult, AllocatorOptions, GreedyAllocator
 from .grid import BoardGrid
 from .jobs import JobRequest, JobTrace, aspect_ratio_shapes, most_square_shape
@@ -32,4 +36,5 @@ __all__ = [
     "upper_level_fraction",
     "FailureExperimentResult",
     "utilization_under_failures",
+    "utilization_under_failures_by_order",
 ]

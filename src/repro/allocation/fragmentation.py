@@ -19,7 +19,11 @@ from .grid import BoardGrid
 from .jobs import JobTrace
 from .workload_gen import JobSizeDistribution, sample_job_mixes
 
-__all__ = ["FailureExperimentResult", "utilization_under_failures"]
+__all__ = [
+    "FailureExperimentResult",
+    "utilization_under_failures",
+    "utilization_under_failures_by_order",
+]
 
 
 @dataclass
@@ -60,14 +64,45 @@ def utilization_under_failures(
     number of *working* boards, allocate it (optionally sorted by size), and
     record the utilization of working boards.
     """
-    results: List[FailureExperimentResult] = []
+    return utilization_under_failures_by_order(
+        x,
+        y,
+        failed_counts,
+        (sort_jobs,),
+        num_trials=num_trials,
+        options=options,
+        distribution=distribution,
+        max_job_boards=max_job_boards,
+        seed=seed,
+    )[sort_jobs]
+
+
+def utilization_under_failures_by_order(
+    x: int,
+    y: int,
+    failed_counts: Sequence[int],
+    sort_modes: Sequence[bool],
+    *,
+    num_trials: int = 20,
+    options: AllocatorOptions = AllocatorOptions(transpose=True, aspect_ratio=True),
+    distribution: Optional[JobSizeDistribution] = None,
+    max_job_boards: Optional[int] = None,
+    seed: int = 0,
+) -> Dict[bool, List[FailureExperimentResult]]:
+    """:func:`utilization_under_failures` for several ``sort_jobs`` values at once.
+
+    Each trial's failed boards and job mix are drawn once and allocated
+    once per entry of ``sort_modes``, so every mode sees exactly what a
+    separate :func:`utilization_under_failures` call would draw.
+    """
+    modes = tuple(dict.fromkeys(bool(m) for m in sort_modes))
+    results: Dict[bool, List[FailureExperimentResult]] = {m: [] for m in modes}
     for num_failed in failed_counts:
-        utils: List[float] = []
+        utils: Dict[bool, List[float]] = {m: [] for m in modes}
         for trial in range(num_trials):
             trial_seed = seed * 7919 + num_failed * 131 + trial
             grid = BoardGrid(x, y)
-            if num_failed:
-                grid.fail_random(num_failed, seed=trial_seed)
+            failed = grid.fail_random(num_failed, seed=trial_seed) if num_failed else []
             mixes = sample_job_mixes(
                 grid.num_working,
                 1,
@@ -75,11 +110,14 @@ def utilization_under_failures(
                 max_job_boards=max_job_boards or grid.num_working,
                 seed=trial_seed + 1,
             )
-            trace: JobTrace = mixes[0]
-            if sort_jobs:
-                trace = trace.sorted_by_size()
-            allocator = GreedyAllocator(grid, options)
-            result = allocator.allocate_trace(trace)
-            utils.append(result.utilization)
-        results.append(FailureExperimentResult(num_failed, utils))
+            for i, sort_jobs in enumerate(modes):
+                if i:
+                    grid = BoardGrid(x, y)
+                    if failed:
+                        grid.fail_boards(failed)
+                trace: JobTrace = mixes[0].sorted_by_size() if sort_jobs else mixes[0]
+                result = GreedyAllocator(grid, options).allocate_trace(trace)
+                utils[sort_jobs].append(result.utilization)
+        for m in modes:
+            results[m].append(FailureExperimentResult(num_failed, utils[m]))
     return results

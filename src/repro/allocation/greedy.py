@@ -23,7 +23,7 @@ On top of this primitive the paper evaluates four heuristics (Figure 8):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.subnetwork import VirtualSubMesh, find_submesh_masks
 from .grid import BoardGrid
@@ -77,17 +77,21 @@ class AllocationResult:
 class GreedyAllocator:
     """Greedy allocator over a :class:`BoardGrid`.
 
-    The ``(u, v)`` shapes whose search found nothing are remembered until
-    the grid is next written (its :attr:`BoardGrid.version` moves): the
-    search depends only on the grid state, so on an unchanged grid it would
-    fail again.
+    Failed searches are remembered until the grid is next written (its
+    :attr:`BoardGrid.version` moves) as ``v -> smallest u`` that found
+    nothing.  The search depends only on the grid state, and from each
+    start row it adds the same rows whatever ``u`` is, stopping after
+    ``u`` of them; so when ``(u, v)`` fails, every ``(u' >= u, v)`` fails
+    too.  The search is not monotone in ``v`` (a wider request skips
+    other rows), so a miss says nothing about other widths.
     """
 
     def __init__(self, grid: BoardGrid, options: AllocatorOptions = AllocatorOptions()):
         self.grid = grid
         self.options = options
-        self._misses: Set[Tuple[int, int]] = set()
+        self._misses: Dict[int, int] = {}
         self._misses_version = grid.version
+        self._shapes: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
 
     # ------------------------------------------------------------ primitives
     def _find(self, u: int, v: int) -> Optional[VirtualSubMesh]:
@@ -97,22 +101,27 @@ class GreedyAllocator:
         if grid.version != self._misses_version:
             self._misses.clear()
             self._misses_version = grid.version
-        elif (u, v) in self._misses:
+        elif u >= self._misses.get(v, u + 1):
             return None
         found = find_submesh_masks(grid.row_masks, grid.row_free_counts, u, v, try_all_starts=True)
         if found is None:
-            self._misses.add((u, v))
+            self._misses[v] = u
         return found
 
-    def _candidate_shapes(self, job: JobRequest) -> List[Tuple[int, int]]:
-        shapes: List[Tuple[int, int]] = [(job.u, job.v)]
-        if self.options.transpose and job.v != job.u:
-            shapes.append((job.v, job.u))
-        if self.options.aspect_ratio:
-            for u, v in aspect_ratio_shapes(job.num_boards, self.options.max_aspect_ratio):
-                for shape in ((u, v), (v, u)):
-                    if shape not in shapes:
-                        shapes.append(shape)
+    def _candidate_shapes(self, job: JobRequest) -> Tuple[Tuple[int, int], ...]:
+        """Shapes to try for ``job``, in order; fixed per ``(u, v)`` for this allocator."""
+        key = (job.u, job.v)
+        shapes = self._shapes.get(key)
+        if shapes is None:
+            found: List[Tuple[int, int]] = [key]
+            if self.options.transpose and job.v != job.u:
+                found.append((job.v, job.u))
+            if self.options.aspect_ratio:
+                for u, v in aspect_ratio_shapes(job.num_boards, self.options.max_aspect_ratio):
+                    for shape in ((u, v), (v, u)):
+                        if shape not in found:
+                            found.append(shape)
+            shapes = self._shapes[key] = tuple(found)
         return shapes
 
     # ------------------------------------------------------------ allocation

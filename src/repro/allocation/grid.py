@@ -11,9 +11,11 @@ integer bitmask of free columns (bit ``c`` set iff board ``(r, c)`` is
 free) and its free count, plus grid-wide free and failed counters.  Only
 the five writers (:meth:`~BoardGrid.allocate`, :meth:`~BoardGrid.release`,
 :meth:`~BoardGrid.fail_boards`, :meth:`~BoardGrid.repair_boards` and
-:meth:`~BoardGrid.reset`) change the matrix, and they do so through one
-helper that updates the derived state with it, so searches and counting
-queries never rescan the matrix.
+:meth:`~BoardGrid.reset`) change the matrix, and they update the derived
+state with it, so searches and counting queries never rescan the matrix.
+Failures and repairs go board by board (:meth:`~BoardGrid._set`); a job
+covers whole rows of a sub-mesh, so allocating and releasing it update
+each row's mask and count once (:meth:`~BoardGrid._write_rows`).
 """
 
 from __future__ import annotations
@@ -29,6 +31,16 @@ FREE = -1
 FAILED = -2
 
 
+def _index_mask(indices: Sequence[int], limit: int) -> int:
+    """Bitmask of ``indices``; 0 unless they are distinct and in ``range(limit)``."""
+    mask = 0
+    for i in indices:
+        if not 0 <= i < limit or mask >> i & 1:
+            return 0
+        mask |= 1 << i
+    return mask
+
+
 class BoardGrid:
     """Allocation state of an ``x`` columns x ``y`` rows board grid."""
 
@@ -39,8 +51,8 @@ class BoardGrid:
         self.y = y
         # state[row][col] = FREE, FAILED, or job id (>= 0)
         self._state: List[List[int]] = [[FREE] * x for _ in range(y)]
-        self._job_boards: Dict[int, List[Coord]] = {}
-        # derived from _state, written only by _set
+        self._jobs: Dict[int, VirtualSubMesh] = {}
+        # derived from _state, written only by _set and _write_rows
         self._row_mask: List[int] = [(1 << x) - 1] * y
         self._row_free: List[int] = [x] * y
         self._num_free = x * y
@@ -84,10 +96,11 @@ class BoardGrid:
         return s if s >= 0 else None
 
     def boards_of(self, job_id: int) -> List[Coord]:
-        return list(self._job_boards.get(job_id, []))
+        submesh = self._jobs.get(job_id)
+        return submesh.boards() if submesh is not None else []
 
     def jobs(self) -> List[int]:
-        return list(self._job_boards)
+        return list(self._jobs)
 
     def _coords_where(self, predicate) -> List[Coord]:
         return [(r, c) for r in range(self.y) for c in range(self.x)
@@ -180,29 +193,62 @@ class BoardGrid:
             self._set(r, c, FREE)
 
     def allocate(self, job_id: int, submesh: VirtualSubMesh) -> None:
-        """Assign every board of ``submesh`` to ``job_id``."""
+        """Assign every board of ``submesh`` to ``job_id``.
+
+        The sub-mesh must name distinct, in-range rows and columns, and all
+        its boards must be free; otherwise a :class:`ValueError` leaves the
+        grid unchanged.
+        """
         if job_id < 0:
             raise ValueError("job ids must be non-negative")
-        if job_id in self._job_boards:
+        if job_id in self._jobs:
             raise ValueError(f"job {job_id} is already allocated")
-        boards = submesh.boards()
-        for coord in boards:
-            if not self.is_free(coord):
-                raise ValueError(f"board {coord} is not free")
+        rows, cols = submesh.rows, submesh.cols
+        colmask = _index_mask(cols, self.x)
+        if not colmask or not _index_mask(rows, self.y):
+            raise ValueError(
+                f"sub-mesh rows {rows} x cols {cols} must be distinct and non-empty,"
+                f" within {self.y} rows x {self.x} cols"
+            )
+        row_mask = self._row_mask
+        for r in rows:
+            if row_mask[r] & colmask != colmask:
+                state = self._state[r]
+                c = next(c for c in cols if state[c] != FREE)
+                raise ValueError(f"board {(r, c)} is not free")
         self._version += 1
-        for r, c in boards:
-            self._set(r, c, job_id)
-        self._job_boards[job_id] = boards
+        self._write_rows(rows, cols, colmask, job_id)
+        self._jobs[job_id] = submesh
 
     def release(self, job_id: int) -> None:
         """Free all boards of a job (checkpoint/shutdown)."""
         self._version += 1
-        for r, c in self._job_boards.pop(job_id):
-            self._set(r, c, FREE)
+        submesh = self._jobs.pop(job_id)
+        self._write_rows(submesh.rows, submesh.cols, _index_mask(submesh.cols, self.x), FREE)
+
+    def _write_rows(self, rows: Sequence[int], cols: Sequence[int], colmask: int, new: int) -> None:
+        """Write ``new`` to the ``rows`` x ``cols`` boards, all of them free or all one job's.
+
+        The row-wise counterpart of :meth:`_set` for :meth:`allocate` and
+        :meth:`release`: one mask and count update per row.
+        """
+        state, row_mask, row_free = self._state, self._row_mask, self._row_free
+        width = len(cols)
+        for r in rows:
+            row = state[r]
+            for c in cols:
+                row[c] = new
+            if new == FREE:
+                row_mask[r] |= colmask
+                row_free[r] += width
+            else:
+                row_mask[r] &= ~colmask
+                row_free[r] -= width
+        self._num_free += width * len(rows) if new == FREE else -width * len(rows)
 
     def reset(self, *, keep_failures: bool = True) -> None:
         """Release every job; optionally also clear failures."""
-        for job_id in list(self._job_boards):
+        for job_id in list(self._jobs):
             self.release(job_id)
         if not keep_failures:
             self._version += 1

@@ -14,7 +14,7 @@ columns of a row network (``boards_per_leaf``).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Dict, Sequence
 
 from ..core.subnetwork import VirtualSubMesh
 
@@ -26,23 +26,20 @@ def _pair_fraction(coords: Sequence[int], boards_per_leaf: int, pattern: str) ->
 
     ``coords`` are the physical row or column indices used by the job along
     one dimension.  For ``alltoall`` every ordered pair communicates equally;
-    for ``allreduce`` (pipelined ring) only consecutive coordinates of the
-    ring exchange data.
+    of the ``n(n-1)`` ordered pairs, ``c(c-1)`` stay under a leaf that
+    serves ``c`` of the coordinates.  For ``allreduce`` (pipelined ring)
+    only consecutive coordinates of the ring exchange data.
     """
     n = len(coords)
     if n < 2 or boards_per_leaf <= 0:
         return 0.0
     leaves = [c // boards_per_leaf for c in coords]
     if pattern == "alltoall":
-        crossing = total = 0
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                total += 1
-                if leaves[i] != leaves[j]:
-                    crossing += 1
-        return crossing / total if total else 0.0
+        per_leaf: Dict[int, int] = {}
+        for leaf in leaves:
+            per_leaf[leaf] = per_leaf.get(leaf, 0) + 1
+        total = n * (n - 1)
+        return (total - sum(c * (c - 1) for c in per_leaf.values())) / total
     if pattern == "allreduce":
         ordered = sorted(range(n), key=lambda i: coords[i])
         crossing = 0

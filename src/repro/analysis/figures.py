@@ -33,10 +33,11 @@ from ..allocation import (
     AllocatorOptions,
     BoardGrid,
     GreedyAllocator,
+    JobTrace,
     alibaba_like_distribution,
     sample_job_mixes,
     upper_level_fraction,
-    utilization_under_failures,
+    utilization_under_failures_by_order,
 )
 from ..collectives.cost_models import allreduce_bus_bandwidth
 from ..collectives.hamiltonian import disjoint_hamiltonian_cycles
@@ -241,21 +242,42 @@ FIG8_CLUSTERS = {
 }
 
 
-@cell(version=1)
-def fig8_cell(*, x: int, y: int, preset: str, sort: bool, num_traces: int, seed: int):
-    """Utilization of one (cluster, preset) pair over the sampled mixes.
+def _shared_mixes(param_list) -> List[List[JobTrace]]:
+    """The job mixes of each fig8/fig9 cell, drawn once per ``(x*y, num_traces, seed)``.
 
     Every preset of a cluster draws the same mixes (same explicit seed), as
     in the paper: presets differ only in the allocator's decisions.
     """
-    mixes = sample_job_mixes(x * y, num_traces, seed=seed, max_job_boards=x * y)
-    utils: List[float] = []
-    for mix in mixes:
-        grid = BoardGrid(x, y)
-        allocator = GreedyAllocator(grid, AllocatorOptions.named(preset))
-        trace = mix.sorted_by_size() if sort else mix
-        utils.append(allocator.allocate_trace(trace).utilization)
-    return utils
+    drawn: Dict[Tuple[int, int, int], List[JobTrace]] = {}
+    out = []
+    for p in param_list:
+        boards = p["x"] * p["y"]
+        key = (boards, p["num_traces"], p["seed"])
+        if key not in drawn:
+            drawn[key] = sample_job_mixes(boards, key[1], seed=key[2], max_job_boards=boards)
+        out.append(drawn[key])
+    return out
+
+
+@cell(version=1, batch="repro.analysis.figures:fig8_batch")
+def fig8_cell(*, x: int, y: int, preset: str, sort: bool, num_traces: int, seed: int):
+    """Utilization of one (cluster, preset) pair over the sampled mixes."""
+    params = dict(x=x, y=y, preset=preset, sort=sort, num_traces=num_traces, seed=seed)
+    return fig8_batch([params])[0]
+
+
+def fig8_batch(param_list) -> List[List[float]]:
+    """Batch companion of :func:`fig8_cell`: the cells share their mix draws."""
+    out = []
+    for p, mixes in zip(param_list, _shared_mixes(param_list)):
+        options = AllocatorOptions.named(p["preset"])
+        utils: List[float] = []
+        for mix in mixes:
+            allocator = GreedyAllocator(BoardGrid(p["x"], p["y"]), options)
+            trace = mix.sorted_by_size() if p["sort"] else mix
+            utils.append(allocator.allocate_trace(trace).utilization)
+        out.append(utils)
+    return out
 
 
 def fig8_grid(
@@ -310,7 +332,7 @@ FIG9_CLUSTERS = {
 }
 
 
-@cell(version=1)
+@cell(version=1, batch="repro.analysis.figures:fig9_batch")
 def fig9_cell(
     *,
     x: int,
@@ -322,29 +344,40 @@ def fig9_cell(
     seed: int,
 ):
     """Board-weighted upper-level traffic fractions of one preset."""
-    mixes = sample_job_mixes(x * y, num_traces, seed=seed, max_job_boards=x * y)
-    base = AllocatorOptions.named(preset)
-    options = AllocatorOptions(
-        transpose=base.transpose,
-        aspect_ratio=base.aspect_ratio,
-        locality=base.locality,
-        boards_per_leaf=boards_per_leaf,
+    params = dict(
+        x=x, y=y, boards_per_leaf=boards_per_leaf, preset=preset, sort=sort,
+        num_traces=num_traces, seed=seed,
     )
-    totals = {"alltoall": 0.0, "allreduce": 0.0}
-    weight = 0.0
-    for mix in mixes:
-        grid = BoardGrid(x, y)
-        allocator = GreedyAllocator(grid, options)
-        trace = mix.sorted_by_size() if sort else mix
-        result = allocator.allocate_trace(trace)
-        for submesh in result.placed.values():
-            w = submesh.num_boards
-            weight += w
-            for pattern in ("alltoall", "allreduce"):
-                totals[pattern] += w * upper_level_fraction(
-                    submesh, boards_per_leaf=boards_per_leaf, pattern=pattern
-                )
-    return {k: (v / weight if weight else 0.0) for k, v in totals.items()}
+    return fig9_batch([params])[0]
+
+
+def fig9_batch(param_list) -> List[Dict[str, float]]:
+    """Batch companion of :func:`fig9_cell`: the cells share their mix draws."""
+    out = []
+    for p, mixes in zip(param_list, _shared_mixes(param_list)):
+        boards_per_leaf = p["boards_per_leaf"]
+        base = AllocatorOptions.named(p["preset"])
+        options = AllocatorOptions(
+            transpose=base.transpose,
+            aspect_ratio=base.aspect_ratio,
+            locality=base.locality,
+            boards_per_leaf=boards_per_leaf,
+        )
+        totals = {"alltoall": 0.0, "allreduce": 0.0}
+        weight = 0.0
+        for mix in mixes:
+            allocator = GreedyAllocator(BoardGrid(p["x"], p["y"]), options)
+            trace = mix.sorted_by_size() if p["sort"] else mix
+            result = allocator.allocate_trace(trace)
+            for submesh in result.placed.values():
+                w = submesh.num_boards
+                weight += w
+                for pattern in ("alltoall", "allreduce"):
+                    totals[pattern] += w * upper_level_fraction(
+                        submesh, boards_per_leaf=boards_per_leaf, pattern=pattern
+                    )
+        out.append({k: (v / weight if weight else 0.0) for k, v in totals.items()})
+    return out
 
 
 def fig9_grid(
@@ -406,7 +439,7 @@ FIG10_CLUSTERS = {
 }
 
 
-@cell(version=1)
+@cell(version=1, batch="repro.analysis.figures:fig10_batch")
 def fig10_cell(
     *,
     x: int,
@@ -417,10 +450,31 @@ def fig10_cell(
     seed: int,
 ):
     """Median utilization vs failed-board count for one (cluster, mode)."""
-    results = utilization_under_failures(
-        x, y, tuple(counts), num_trials=num_trials, sort_jobs=sort_jobs, seed=seed
+    params = dict(
+        x=x, y=y, counts=counts, sort_jobs=sort_jobs, num_trials=num_trials, seed=seed
     )
-    return [[r.num_failed, r.median] for r in results]
+    return fig10_batch([params])[0]
+
+
+def fig10_batch(param_list) -> List[List[list]]:
+    """Batch companion of :func:`fig10_cell`.
+
+    The sorted and unsorted cells of one cluster share each trial's failed
+    boards and job mix (:func:`utilization_under_failures_by_order`).
+    """
+    groups: Dict[tuple, List[int]] = {}
+    for i, p in enumerate(param_list):
+        key = (p["x"], p["y"], tuple(p["counts"]), p["num_trials"], p["seed"])
+        groups.setdefault(key, []).append(i)
+    out: List[List[list]] = [[] for _ in param_list]
+    for (x, y, counts, num_trials, seed), members in groups.items():
+        modes = [bool(param_list[i]["sort_jobs"]) for i in members]
+        by_mode = utilization_under_failures_by_order(
+            x, y, counts, modes, num_trials=num_trials, seed=seed
+        )
+        for i, mode in zip(members, modes):
+            out[i] = [[r.num_failed, r.median] for r in by_mode[mode]]
+    return out
 
 
 def fig10_grid(*, clusters=None, num_trials: int = 10, seed: int = 0) -> Grid:

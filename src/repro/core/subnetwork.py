@@ -69,14 +69,6 @@ class VirtualSubMesh:
             and coord[1] in self.cols
         )
 
-    def transposed(self) -> "VirtualSubMesh":
-        """The v x u sub-mesh obtained by swapping the roles of rows/columns.
-
-        Note this is a *logical* transpose used when a job accepts a
-        transposed layout; physically the same boards are used.
-        """
-        return VirtualSubMesh(rows=self.rows, cols=self.cols)
-
 
 def is_valid_submesh(boards: Iterable[Coord]) -> bool:
     """Check the sub-mesh property for an arbitrary set of boards.
@@ -140,13 +132,20 @@ def find_submesh_masks(
     mask equals that of a start that already failed is skipped, which is
     exact: every intersection grown from mask ``M`` lies inside ``M``, so
     the other row with mask ``M`` joins it without narrowing it, and both
-    starts accept the same rows and fail alike.
+    starts accept the same rows and fail alike.  A one-row request is
+    answered by the first row with ``v`` available columns: it is the
+    first start, and a start alone already makes ``u == 1`` rows.
     Returns a :class:`VirtualSubMesh` with exactly ``u`` rows and ``v``
     columns (the lowest columns of the final intersection), or ``None``
     when no allocation is found.
     """
     if u < 1 or v < 1:
         raise ValueError("sub-mesh dimensions must be positive")
+    if u == 1:
+        for r, n in enumerate(counts):
+            if n >= v:
+                return VirtualSubMesh(rows=(r,), cols=_lowest_bits(masks[r], v))
+        return None
     # only rows with at least v available columns can take part
     rows = [r for r, n in enumerate(counts) if n >= v]
     if len(rows) < u:

@@ -1,10 +1,11 @@
 """Incremental board-grid state, the bitmask sub-mesh search, the
-allocator's miss memo and single job-size draws.
+allocator's miss memo, the locality fraction and single job-size draws.
 
 The grid's per-row masks and counters are compared with a recount of the
 state matrix after random write sequences; the mask search with a
 transcription of the frozenset search it replaced; the memoising allocator
-with fresh allocators; and ``JobSizeDistribution.draw`` with
+with fresh allocators; the closed-form alltoall locality fraction with the
+pairwise loop it replaced; and ``JobSizeDistribution.draw`` with
 ``Generator.choice``.
 """
 
@@ -25,6 +26,7 @@ from repro.allocation import (
     most_square_shape,
 )
 from repro.allocation.grid import FAILED, FREE
+from repro.allocation.locality import _pair_fraction
 from repro.core.subnetwork import VirtualSubMesh, find_submesh_masks, find_submesh_rows
 
 
@@ -120,6 +122,45 @@ class TestIncrementalGridState:
                 assert grid.version != version
 
 
+class TestMalformedSubMesh:
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            ((0, 0), (1, 2)),  # repeated row
+            ((1,), (2, 2)),  # repeated column
+            ((-1,), (1,)),  # negative row
+            ((5,), (1,)),  # row past the grid
+            ((4,), (1,)),
+            ((1,), (-1,)),
+            ((1,), (3, 4)),  # column past the grid
+            ((), (1,)),
+            ((1,), ()),
+        ],
+    )
+    def test_rejected_with_grid_unchanged(self, rows, cols):
+        grid = BoardGrid(4, 4)
+        grid.fail_boards([(2, 2)])
+        grid.allocate(0, VirtualSubMesh(rows=(3,), cols=(0, 1)))
+        version, matrix = grid.version, grid.occupancy_matrix()
+        with pytest.raises(ValueError, match="sub-mesh rows"):
+            grid.allocate(1, VirtualSubMesh(rows=rows, cols=cols))
+        assert grid.version == version
+        assert grid.occupancy_matrix() == matrix
+        assert grid.jobs() == [0] and grid.boards_of(1) == []
+        assert_matches_recount(grid)
+
+    def test_busy_board_named_in_row_major_order(self):
+        grid = BoardGrid(4, 4)
+        grid.fail_boards([(1, 2)])
+        grid.allocate(0, VirtualSubMesh(rows=(0,), cols=(3,)))
+        version = grid.version
+        with pytest.raises(ValueError, match=r"^board \(0, 3\) is not free$"):
+            grid.allocate(1, VirtualSubMesh(rows=(0, 1), cols=(2, 3)))
+        with pytest.raises(ValueError, match=r"^board \(1, 2\) is not free$"):
+            grid.allocate(1, VirtualSubMesh(rows=(1, 0), cols=(2, 1)))
+        assert grid.version == version and grid.jobs() == [0]
+
+
 class TestMaskSearch:
     @given(x=st.integers(1, 12), try_all_starts=st.booleans(), data=st.data())
     @settings(max_examples=400, deadline=None)
@@ -183,6 +224,65 @@ class TestMissMemo:
         assert allocator.allocate(JobRequest(4, 2, 2)) is not None
         assert searched == [(2, 2), (4, 4), (2, 2)]
 
+    @pytest.mark.parametrize("write", ["allocate", "release", "fail_boards", "repair_boards"])
+    def test_miss_covers_taller_shapes_of_its_width_until_a_write(self, write, monkeypatch):
+        grid = BoardGrid(4, 4)
+        # row 0 has columns 0-2 free, row 1 only column 3 (job 9's), rows 2-3 nothing
+        grid.fail_boards([(0, 3), (1, 0), (1, 1), (1, 2)] + [(r, c) for r in (2, 3) for c in range(4)])
+        grid.allocate(9, VirtualSubMesh(rows=(1,), cols=(3,)))
+        allocator = GreedyAllocator(grid)
+        searched = []
+        search = greedy_module.find_submesh_masks
+
+        def counting_search(masks, counts, u, v, **kwargs):
+            searched.append((u, v))
+            return search(masks, counts, u, v, **kwargs)
+
+        monkeypatch.setattr(greedy_module, "find_submesh_masks", counting_search)
+        assert allocator.allocate(JobRequest(0, 2, 3)) is None
+        assert allocator.allocate(JobRequest(1, 3, 3)) is None  # taller: not searched
+        assert allocator.allocate(JobRequest(2, 2, 2)) is None  # narrower: searched
+        assert searched == [(2, 3), (2, 2)]
+        if write == "allocate":
+            assert allocator.allocate(JobRequest(3, 1, 3)) is not None  # shorter: searched
+            assert searched[-1] == (1, 3)
+        elif write == "release":
+            grid.release(9)
+        elif write == "fail_boards":
+            grid.fail_boards([(0, 0)])
+        else:
+            grid.repair_boards([(3, 3)])
+        searched.clear()
+        assert allocator.allocate(JobRequest(4, 3, 3)) is None
+        assert allocator.allocate(JobRequest(5, 2, 3)) is None
+        assert allocator.allocate(JobRequest(6, 2, 2)) is None
+        assert searched == [(3, 3), (2, 3), (2, 2)]
+
+    def test_a_miss_says_nothing_about_wider_shapes(self):
+        # free columns per row: {0, 1}, {0, 2, 3} twice, {1, 2, 3} twice.
+        # With v = 1 every start admits a row that leaves it one column the
+        # other rows lack, so 4 x 1 misses; with v = 2 that row is skipped.
+        free = [{0, 1}, {0, 2, 3}, {0, 2, 3}, {1, 2, 3}, {1, 2, 3}]
+        grid = BoardGrid(4, 5)
+        grid.fail_boards([(r, c) for r, cols in enumerate(free) for c in range(4) if c not in cols])
+        allocator = GreedyAllocator(grid)
+        assert allocator.allocate(JobRequest(0, 4, 1)) is None
+        placed = allocator.allocate(JobRequest(1, 4, 2))
+        assert placed == VirtualSubMesh(rows=(1, 2, 3, 4), cols=(2, 3))
+
+    @given(x=st.integers(1, 10), y=st.integers(1, 10), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_miss_is_a_miss_for_every_taller_shape(self, x, y, data):
+        masks = data.draw(st.lists(st.integers(0, (1 << x) - 1), min_size=y, max_size=y))
+        counts = [bin(m).count("1") for m in masks]
+        v = data.draw(st.integers(1, x), label="v")
+        misses = [
+            u for u in range(1, y + 1)
+            if find_submesh_masks(masks, counts, u, v, try_all_starts=True) is None
+        ]
+        if misses:
+            assert misses == list(range(misses[0], y + 1))
+
     @given(
         steps=st.lists(
             st.tuples(st.integers(0, 2), st.integers(1, 20), st.integers(0, 999)),
@@ -209,6 +309,49 @@ class TestMissMemo:
                 kept.fail_boards([board])
                 fresh.fail_boards([board])
         assert kept.occupancy_matrix() == fresh.occupancy_matrix()
+
+
+def pairwise_fraction(coords, boards_per_leaf, pattern):
+    """The pairwise-loop locality fraction the closed form replaced (the oracle)."""
+    n = len(coords)
+    if n < 2 or boards_per_leaf <= 0:
+        return 0.0
+    leaves = [c // boards_per_leaf for c in coords]
+    if pattern == "alltoall":
+        crossing = total = 0
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                total += 1
+                if leaves[i] != leaves[j]:
+                    crossing += 1
+        return crossing / total if total else 0.0
+    ordered = sorted(range(n), key=lambda i: coords[i])
+    crossing = 0
+    for k in range(n):
+        a, b = ordered[k], ordered[(k + 1) % n]
+        if leaves[a] != leaves[b]:
+            crossing += 1
+    return crossing / n
+
+
+class TestLocalityFraction:
+    @given(
+        coords=st.lists(st.integers(0, 200), max_size=40),
+        boards_per_leaf=st.integers(-1, 40),
+        pattern=st.sampled_from(["alltoall", "allreduce"]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_pairwise_loop(self, coords, boards_per_leaf, pattern):
+        # bit for bit: the closed form must reproduce the loop's float exactly
+        expected = pairwise_fraction(coords, boards_per_leaf, pattern)
+        assert _pair_fraction(coords, boards_per_leaf, pattern) == expected
+
+    def test_short_coordinate_lists_cross_nothing(self):
+        for coords in ((), (7,)):
+            for pattern in ("alltoall", "allreduce"):
+                assert _pair_fraction(coords, 16, pattern) == 0.0
 
 
 class TestJobSizeDraw:

@@ -194,6 +194,100 @@ class TestFigureSemantics:
                 expected.append(allocator.allocate_trace(trace).utilization)
             assert data["tiny"][label] == pytest.approx(expected, abs=0)
 
+    def test_allocator_figure_companions_match_per_cell_loops(self):
+        """fig8/fig9/fig10 batch companions against the per-cell loops they share draws for."""
+        from repro.allocation import (
+            AllocatorOptions,
+            BoardGrid,
+            GreedyAllocator,
+            sample_job_mixes,
+            upper_level_fraction,
+        )
+        from repro.analysis.figures import (
+            FIG8_PRESETS,
+            fig8_batch,
+            fig8_cell,
+            fig9_batch,
+            fig9_cell,
+            fig10_batch,
+            fig10_cell,
+        )
+
+        def traces(p, mixes):
+            for mix in mixes:
+                trace = mix.sorted_by_size() if p["sort"] else mix
+                yield GreedyAllocator(BoardGrid(p["x"], p["y"]), p["options"]).allocate_trace(trace)
+
+        def mixes_of(p):
+            n = p["x"] * p["y"]
+            return sample_job_mixes(n, p["num_traces"], seed=p["seed"], max_job_boards=n)
+
+        def fig8_loop(p):
+            p = {**p, "options": AllocatorOptions.named(p["preset"])}
+            return [r.utilization for r in traces(p, mixes_of(p))]
+
+        def fig9_loop(p):
+            base = AllocatorOptions.named(p["preset"])
+            options = AllocatorOptions(
+                transpose=base.transpose, aspect_ratio=base.aspect_ratio,
+                locality=base.locality, boards_per_leaf=p["boards_per_leaf"],
+            )
+            totals = {"alltoall": 0.0, "allreduce": 0.0}
+            weight = 0.0
+            for result in traces({**p, "options": options}, mixes_of(p)):
+                for sm in result.placed.values():
+                    weight += sm.num_boards
+                    for pattern in totals:
+                        totals[pattern] += sm.num_boards * upper_level_fraction(
+                            sm, boards_per_leaf=p["boards_per_leaf"], pattern=pattern
+                        )
+            return {k: (v / weight if weight else 0.0) for k, v in totals.items()}
+
+        def fig10_loop(p):
+            options = AllocatorOptions(transpose=True, aspect_ratio=True)
+            series = []
+            for num_failed in p["counts"]:
+                utils = []
+                for trial in range(p["num_trials"]):
+                    trial_seed = p["seed"] * 7919 + num_failed * 131 + trial
+                    grid = BoardGrid(p["x"], p["y"])
+                    if num_failed:
+                        grid.fail_random(num_failed, seed=trial_seed)
+                    n = grid.num_working
+                    mix = sample_job_mixes(n, 1, max_job_boards=n, seed=trial_seed + 1)[0]
+                    trace = mix.sorted_by_size() if p["sort_jobs"] else mix
+                    utils.append(GreedyAllocator(grid, options).allocate_trace(trace).utilization)
+                series.append([num_failed, float(np.median(utils))])
+            return series
+
+        shapes = [(6, 6, 0), (8, 4, 0), (6, 6, 1)]  # two clusters, two seeds
+        fig8 = [
+            dict(x=x, y=y, preset=preset, sort=sort, num_traces=3, seed=seed)
+            for x, y, seed in shapes
+            for preset, sort in FIG8_PRESETS
+        ]
+        fig9 = [
+            dict(x=x, y=y, boards_per_leaf=leaf, preset=preset, sort=sort, num_traces=2, seed=seed)
+            for x, y, seed in shapes
+            for leaf in (2, 4)
+            for preset, sort in FIG8_PRESETS[2:]
+        ]
+        fig10 = [
+            dict(x=x, y=y, counts=counts, sort_jobs=sort, num_trials=3, seed=seed)
+            for x, y, seed in shapes
+            for counts in ([0, 3, 9], [5])
+            for sort in (False, True)
+        ]
+        for batch, solo, loop, params in (
+            (fig8_batch, fig8_cell, fig8_loop, fig8),
+            (fig9_batch, fig9_cell, fig9_loop, fig9),
+            (fig10_batch, fig10_cell, fig10_loop, fig10),
+        ):
+            expected = [loop(p) for p in params]
+            assert batch(params) == expected
+            assert batch(params[::-1]) == expected[::-1]
+            assert [solo(**p) for p in params] == expected
+
     def test_fig17_kwargs_pass_through(self):
         """Regression: fig17 must forward every kwarg to the fig13 sweep."""
         sizes = (1 << 20, 1 << 24)
