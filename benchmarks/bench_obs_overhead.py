@@ -14,8 +14,8 @@ Asserted budgets:
   obs state leaking past ``disable()``.  A real leak raises the gap in
   *every* triple, so the best triple still catches it while transient noise
   does not trip the gate.
-* **enabled overhead <= 15%**: sampled drive, wave-size histograms, and
-  always-live counters together may not slow the simulator by more than the
+* **enabled overhead <= 15%**: the sampled drive and the always-live
+  counters together may not slow the simulator by more than the
   committed budget, again judged on the cleanest triple.
 
 The milliseconds-scale triples are what make the 2% assertion meaningful on

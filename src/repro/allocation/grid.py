@@ -164,12 +164,25 @@ class BoardGrid:
         elif new == FAILED:
             self._num_failed += 1
 
+    def _checked(self, coords: Iterable[Coord], ok, problem: str) -> List[Coord]:
+        """``coords`` as a list, once every board is on the grid and its state passes ``ok``."""
+        coords = list(coords)
+        for r, c in coords:
+            if not (0 <= r < self.y and 0 <= c < self.x):
+                raise ValueError(f"board {(r, c)} is off the {self.y} rows x {self.x} cols grid")
+            if not ok(self._state[r][c]):
+                raise ValueError(f"board {(r, c)} {problem}")
+        return coords
+
     def fail_boards(self, coords: Iterable[Coord]) -> None:
-        """Mark boards as failed; allocated boards cannot fail mid-experiment."""
+        """Mark boards as failed; allocated boards cannot fail mid-experiment.
+
+        A board off the grid or allocated raises a :class:`ValueError` that
+        leaves the grid unchanged.
+        """
+        coords = self._checked(coords, lambda s: s < 0, "is allocated; free it before failing")
         self._version += 1
         for r, c in coords:
-            if self._state[r][c] >= 0:
-                raise ValueError(f"board {(r, c)} is allocated; free it before failing")
             self._set(r, c, FAILED)
 
     def fail_random(self, count: int, seed: int = 0) -> List[Coord]:
@@ -185,11 +198,14 @@ class BoardGrid:
         return chosen
 
     def repair_boards(self, coords: Iterable[Coord]) -> None:
-        """Return failed boards to service (the repair half of MTBF/MTTR)."""
+        """Return failed boards to service (the repair half of MTBF/MTTR).
+
+        A board off the grid or not failed raises a :class:`ValueError` that
+        leaves the grid unchanged.
+        """
+        coords = self._checked(coords, lambda s: s == FAILED, "is not failed")
         self._version += 1
         for r, c in coords:
-            if self._state[r][c] != FAILED:
-                raise ValueError(f"board {(r, c)} is not failed")
             self._set(r, c, FREE)
 
     def allocate(self, job_id: int, submesh: VirtualSubMesh) -> None:

@@ -219,7 +219,6 @@ _DEFAULT_SCHEMA: Tuple[Tuple[str, str], ...] = (
     ("counter", "packet.messages"),
     ("counter", "packet.packets"),
     ("counter", "packet.events"),
-    ("histogram", "packet.wave_size"),
     ("probe", "packet.queue_depth"),
     ("probe", "packet.link_utilization"),
     ("counter", "faults.events"),

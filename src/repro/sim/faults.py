@@ -33,7 +33,6 @@ comparable along a schedule (:func:`link_fault_schedule`).
 from __future__ import annotations
 
 import weakref
-from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -55,6 +54,7 @@ from ..topology.base import Topology, TopologyError
 from .flowsim import FlowSimulator, WarmState
 from .paths import (
     DEFAULT_MAX_PATHS,
+    GenericPathProvider,
     PathBlock,
     PathListProvider,
     PathProvider,
@@ -315,15 +315,16 @@ class DegradedPathProvider(PathListProvider):
         faults: FaultSet,
         *,
         base: Optional[PathProvider] = None,
-        dist_cache_entries: int = 1024,
     ):
         self.topo = topo
         self.faults = faults
         self.base = base if base is not None else path_provider_for(topo)
         self._dead_links = frozenset(faults.dead_links)
         self._dead_nodes = frozenset(faults.dead_nodes)
-        self._dist_cache: "OrderedDict[int, List[int]]" = OrderedDict()
-        self._dist_cache_entries = max(1, int(dist_cache_entries))
+        # shortest surviving paths, for pairs whose every candidate died
+        self._bfs = GenericPathProvider(
+            topo, dead_links=self._dead_links, dead_nodes=self._dead_nodes
+        )
 
     # ------------------------------------------------------------------ queries
     def _alive(self, path: Sequence[int]) -> bool:
@@ -378,7 +379,10 @@ class DegradedPathProvider(PathListProvider):
             # the survivors (the policy layer re-normalizes split weights).
             _PAIRS_REROUTED.inc()
             return alive
-        out = self._survivor_paths(src, dst, max_paths)
+        try:
+            out = self._bfs.paths(src, dst, max_paths)
+        except TopologyError:
+            out = []
         if not out:
             _PAIRS_DISCONNECTED.inc()
             raise TopologyError(
@@ -390,66 +394,7 @@ class DegradedPathProvider(PathListProvider):
 
     def connected(self, src: int, dst: int) -> bool:
         """Whether a surviving path exists (no exception, cached BFS)."""
-        if src == dst:
-            return True
-        if src in self._dead_nodes or dst in self._dead_nodes:
-            return False
-        return self._distances_to(dst)[src] >= 0
-
-    # ------------------------------------------------- surviving-subgraph BFS
-    def _distances_to(self, dst: int) -> List[int]:
-        cached = self._dist_cache.get(dst)
-        if cached is not None:
-            self._dist_cache.move_to_end(dst)
-            return cached
-        dead_links = self._dead_links
-        dead_nodes = self._dead_nodes
-        link_src = self.topo.link_src
-        dist = [-1] * self.topo.num_nodes
-        if dst not in dead_nodes:
-            dist[dst] = 0
-            q = deque([dst])
-            while q:
-                u = q.popleft()
-                for li in self.topo.in_links(u):
-                    if li in dead_links:
-                        continue
-                    v = link_src[li]
-                    if dist[v] < 0 and v not in dead_nodes:
-                        dist[v] = dist[u] + 1
-                        q.append(v)
-        self._dist_cache[dst] = dist
-        if len(self._dist_cache) > self._dist_cache_entries:
-            self._dist_cache.popitem(last=False)
-        return dist
-
-    def _survivor_paths(self, src: int, dst: int, max_paths: int) -> List[List[int]]:
-        dist = self._distances_to(dst)
-        if dist[src] < 0:
-            return []
-        dead_links = self._dead_links
-        link_dst = self.topo.link_dst
-        out: List[List[int]] = []
-
-        def descend(node: int, acc: List[int]) -> None:
-            if len(out) >= max_paths:
-                return
-            if node == dst:
-                out.append(list(acc))
-                return
-            for li in self.topo.out_links(node):
-                if li in dead_links:
-                    continue
-                v = link_dst[li]
-                if dist[v] == dist[node] - 1:
-                    acc.append(li)
-                    descend(v, acc)
-                    acc.pop()
-                    if len(out) >= max_paths:
-                        return
-
-        descend(src, [])
-        return out
+        return self._bfs.connected(src, dst)
 
 
 # ------------------------------------------------------------- degraded tables

@@ -1,4 +1,4 @@
-"""Packet-level network simulator (vectorized core).
+"""Packet-level network simulator.
 
 This is the small-scale counterpart of the paper's SST simulations: messages
 are split into packets, each packet picks one of its flow's candidate
@@ -28,18 +28,15 @@ Performance architecture (see DESIGN.md, "performance architecture"):
   only mirrors the calendar's clock and event counts
   (:meth:`EventEngine.account`); closure events scheduled on it are
   refused by :meth:`PacketNetwork.run`.
-* **No per-packet objects.**  Packet state is struct-of-arrays: message
-  id, payload size, and a CSR view (start/length into one flat link array)
-  of each packet's chosen path, exposed as NumPy arrays via
-  :meth:`PacketNetwork.packet_state`.  Every record element is a native
-  Python scalar, so heap sift comparisons never touch NumPy scalar
-  dispatch.
-* **Wave-based forwarding.**  A large wave of simultaneous hops (common
-  under symmetric traffic, where equal serialisation times align whole
-  packet trains) advances in one array pass — a stable sort by link,
-  per-link segmented serialisation, and vectorized arrival/next-hop
-  computation.  Small waves take a scalar path over pure-Python link
-  state, since array-call overhead dominates tiny batches.
+* **No per-packet objects.**  Packet state is struct-of-arrays held in
+  append-only Python lists: message id, payload size, and a CSR view
+  (start/end into one flat link array) of each packet's chosen path,
+  exposed as NumPy arrays via :meth:`PacketNetwork.packet_state`.  Every
+  record element is a native Python scalar, so heap sift comparisons
+  never touch NumPy scalar dispatch.
+* **One forwarding path.**  Each popped bucket runs its records one at a
+  time in schedule order: a forward hop and a delivery are inlined once in
+  the drive loop, an injection calls :meth:`PacketNetwork._inject`.
 * **Shared adaptive-scoring state.**  Candidate paths come from the
   memoized :class:`RouteTable` as shared Python lists
   (:meth:`RouteTable.pair_path_lists`), and per-train path scores are
@@ -48,11 +45,10 @@ Performance architecture (see DESIGN.md, "performance architecture"):
 
 Every arithmetic expression on the hot path reproduces the reference
 implementation (:class:`repro.sim.reference.ReferencePacketNetwork`)
-operation-for-operation in IEEE order — Python float and NumPy float64 ops
-round identically, and the wave pass keeps the reference's left-to-right
-associations — so packet schedules (departure, arrival, and message
-completion times) are **bit-identical** to the pre-vectorization simulator;
-the parity tests assert exactly that.
+operation-for-operation in IEEE order (Python float and NumPy float64 ops
+round identically), so packet schedules (departure, arrival, and message
+completion times) are **bit-identical** to the reference; the parity tests
+assert exactly that.
 """
 
 from __future__ import annotations
@@ -81,19 +77,12 @@ _INJECT, _FORWARD, _DELIVER = 0, 1, 2
 
 _MASK64 = (1 << 64) - 1  # for the inlined SplitMix64 path-rotation hash
 
-#: Forward waves at least this large take the vectorized NumPy path.  The
-#: calendar queue already hands the scalar kernel whole waves, and profiling
-#: shows the Python<->array conversion at the pass boundaries only amortizes
-#: for very large waves, so the crossover sits high.
-_WAVE_THRESHOLD = 4096
-
-# packet.* instruments.  Counters are always live; the wave-size histogram
-# and the sampled probes only record while observability is enabled, and the
-# inlined ``_drive`` fast path is left untouched either way.
+# packet.* instruments.  Counters are always live; the sampled probes only
+# record while observability is enabled, and the ``_drive`` loop is left
+# untouched either way.
 _MESSAGES = _obs.counter("packet.messages")
 _PACKETS = _obs.counter("packet.packets")
 _EVENTS = _obs.counter("packet.events")
-_WAVE_SIZE = _obs.histogram("packet.wave_size")
 
 # faults.* instruments shared with repro.sim.faults (same registry names).
 _FAULT_EVENTS = _obs.counter("faults.events")
@@ -104,8 +93,6 @@ _PKT_LOST = _obs.counter("faults.packets_lost")
 
 #: events per slice when ``run`` drives in sampled mode (obs enabled)
 _SAMPLE_CHUNK = 32768
-
-_GROW = 4  # geometric growth factor for the SoA arrays
 
 
 @dataclass(frozen=True)
@@ -204,36 +191,30 @@ class PacketNetwork:
         self.provider = self.table.provider
         self.engine = EventEngine()
         self.ranks = list(topo.accelerators)
-        # Per-directed-link state.  The mutable hot fields (release time,
-        # busy time) are Python float lists: the scalar event path and the
-        # adaptive scoring loop index them element-wise millions of times,
-        # where native floats beat NumPy scalar dispatch ~10x.  The constant
-        # per-link timing tables are kept in both forms (list for scalar
-        # code, array for the wave pass).
+        # Per-directed-link state, as Python float lists: the event loop and
+        # the adaptive scoring loop index them element-wise millions of
+        # times, where native floats beat NumPy scalar dispatch ~10x.
         n_links = topo.num_links
         self._link_free: List[float] = [0.0] * n_links
         self._link_busy: List[float] = [0.0] * n_links
-        # elementwise, the float64 operations a per-link loop would do, so
-        # the timing tables are bit-identical to it
+        # The constant timing tables are computed as arrays, elementwise the
+        # float64 operations a per-link loop would do, so they are
+        # bit-identical to it.
         rate = topo.link_capacity_array() * config.bytes_per_capacity_unit
-        self._serialization = config.packet_size / rate
-        self._latency = np.where(
+        self._ser_list: List[float] = (config.packet_size / rate).tolist()
+        self._lat_list: List[float] = np.where(
             topo.link_cable_mask(CableClass.PCB),
             float(config.board_latency),
             float(config.cable_latency),
-        )
-        self._ser_list: List[float] = self._serialization.tolist()
-        self._lat_list: List[float] = self._latency.tolist()
+        ).tolist()
         self._buffer = float(config.buffer_latency)
         self._messages: List[Message] = []
         # Per-message counters (touched once per delivery).
         self._msg_total: List[int] = []
         self._msg_arrived: List[int] = []
         self._msg_completion: List[Optional[float]] = []
-        # Struct-of-arrays packet state.  The append-only Python lists are
-        # canonical (the scalar path reads them element-wise); `_flush_soa`
-        # mirrors new packets into the NumPy arrays the wave pass gathers
-        # from.  A packet's chosen path is the flat slice
+        # Struct-of-arrays packet state in append-only Python lists.  A
+        # packet's chosen path is the flat slice
         # `path_links[path_start[p] : path_end[p]]`; hop records address it
         # by absolute cursor, so the hot loop never recomputes offsets.
         self._pkt_msg: List[int] = []
@@ -242,12 +223,6 @@ class PacketNetwork:
         self._pkt_path_start: List[int] = []
         self._pkt_path_end: List[int] = []
         self._pkt_links: List[int] = []
-        self._num_flushed = 0
-        self._links_flushed = 0
-        self._np_msg = np.zeros(0, dtype=np.int64)
-        self._np_factor = np.zeros(0, dtype=np.float64)
-        self._np_path_end = np.zeros(0, dtype=np.int64)
-        self._np_links = np.zeros(0, dtype=np.int64)
         # The calendar: a heap of distinct record times plus each time's
         # records in schedule order, and the number of records on it.
         self._rtimes: List[float] = []
@@ -345,36 +320,6 @@ class PacketNetwork:
         """Mirror the calendar's clock and event counts onto ``self.engine``."""
         self._pending = sum(map(len, self._rbuckets.values()))
         self.engine.account(now, processed, self._pending)
-
-    def _process_batch(self, time: float, records: List[tuple]) -> None:
-        """Process one batch of simultaneous records in schedule order.
-
-        The batch is split into maximal same-tag runs; each run completes
-        its state updates before the next starts, which is exactly the
-        sequential semantics (simultaneous events run in schedule order).
-        """
-        k = len(records)
-        i = 0
-        while i < k:
-            tag = records[i][0]
-            j = i + 1
-            while j < k and records[j][0] == tag:
-                j += 1
-            run = records if j - i == k else records[i:j]
-            if tag == _FORWARD:
-                _WAVE_SIZE.observe(j - i)
-                if j - i < _WAVE_THRESHOLD:
-                    self._forward_scalar(time, run)
-                else:
-                    self._forward_wave(time, run)
-            elif tag == _DELIVER:
-                self._deliver_run(time, run)
-            else:
-                for rec in run:
-                    self._inject(rec[1], time)
-                # Mirror the injected packets into the NumPy SoA arrays.
-                self._flush_soa()
-            i = j
 
     # -------------------------------------------------------------- injection
     def _inject(self, midx: int, now: float) -> None:
@@ -538,160 +483,6 @@ class PacketNetwork:
                 bucket.append(rec)
             pid += 1
 
-    def _flush_soa(self) -> None:
-        """Mirror newly injected packets into the NumPy SoA arrays."""
-        total = len(self._pkt_msg)
-        add = total - self._num_flushed
-        if not add:
-            return
-        if total > len(self._np_msg):
-            cap = max(total, _GROW * max(len(self._np_msg), 16))
-            for name, dtype in (
-                ("_np_msg", np.int64),
-                ("_np_factor", np.float64),
-                ("_np_path_end", np.int64),
-            ):
-                old = getattr(self, name)
-                grown = np.zeros(cap, dtype=dtype)
-                grown[: self._num_flushed] = old[: self._num_flushed]
-                setattr(self, name, grown)
-        sl = slice(self._num_flushed, total)
-        self._np_msg[sl] = self._pkt_msg[sl]
-        self._np_factor[sl] = self._pkt_factor[sl]
-        self._np_path_end[sl] = self._pkt_path_end[sl]
-        total_links = len(self._pkt_links)
-        if total_links > len(self._np_links):
-            cap = max(total_links, _GROW * max(len(self._np_links), 64))
-            grown = np.zeros(cap, dtype=np.int64)
-            grown[: self._links_flushed] = self._np_links[: self._links_flushed]
-            self._np_links = grown
-        self._np_links[self._links_flushed : total_links] = self._pkt_links[
-            self._links_flushed :
-        ]
-        self._num_flushed = total
-        self._links_flushed = total_links
-
-    # ------------------------------------------------------------- forwarding
-    def _forward_scalar(self, time: float, records: List[tuple]) -> None:
-        """Advance a small run of packets one at a time (sequence order)."""
-        link_free = self._link_free
-        link_busy = self._link_busy
-        ser_list = self._ser_list
-        lat_list = self._lat_list
-        buffer = self._buffer
-        pkt_links = self._pkt_links
-        path_end = self._pkt_path_end
-        factor = self._pkt_factor
-        msg = self._pkt_msg
-        rtimes = self._rtimes
-        rbuckets = self._rbuckets
-        bucket_get = rbuckets.get
-        for _, pid, cursor, ser in records:
-            li = pkt_links[cursor]
-            free = link_free[li]
-            depart = free if free > time else time
-            end = depart + ser
-            link_free[li] = end
-            link_busy[li] += ser
-            arrival = end + lat_list[li] + buffer
-            cursor += 1
-            if cursor < path_end[pid]:
-                nxt = (_FORWARD, pid, cursor, ser_list[pkt_links[cursor]] * factor[pid])
-            else:
-                nxt = (_DELIVER, msg[pid])
-            bucket = bucket_get(arrival)
-            if bucket is None:
-                rbuckets[arrival] = [nxt]
-                heappush(rtimes, arrival)
-            else:
-                bucket.append(nxt)
-
-    def _forward_wave(self, time: float, records: List[tuple]) -> None:
-        """Advance a large wave of simultaneous packets in one array pass.
-
-        Packets are stably sorted by link; per link the wave serialises
-        back-to-back in schedule order, so each packet's serialisation end
-        is its link's release time plus a left-to-right running sum of the
-        serialisation times — the reference's exact IEEE additions, as is
-        the per-link busy-time accumulation.
-        """
-        _, pids, cursors, sers = zip(*records)
-        k = len(pids)
-        pid = np.array(pids, dtype=np.int64)
-        cursor = np.array(cursors, dtype=np.int64)
-        ser = np.array(sers, dtype=np.float64)
-        li = self._np_links[cursor]
-        link_free = self._link_free
-        link_busy = self._link_busy
-        order = np.argsort(li, kind="stable")
-        sli = li[order]
-        sser = ser[order]
-        seg_start = np.empty(k, dtype=bool)
-        seg_start[0] = True
-        np.not_equal(sli[1:], sli[:-1], out=seg_start[1:])
-        starts = np.nonzero(seg_start)[0]
-        start_links = sli[starts].tolist()
-        base = np.array([link_free[l] for l in start_links])
-        np.maximum(time, base, out=base)
-        sser_l = sser.tolist()
-        if len(start_links) == k:
-            # Every link serialises exactly one packet of this wave.
-            ends = base + sser
-            for t, (l, end) in enumerate(zip(start_links, ends.tolist())):
-                link_free[l] = end
-                link_busy[l] += sser_l[t]
-        else:
-            # Native-float adds beat NumPy scalar dispatch ~10x and round
-            # identically.
-            ends_l = [0.0] * k
-            bounds = np.append(starts, k).tolist()
-            for i, end in enumerate(base.tolist()):
-                l = start_links[i]
-                for t in range(bounds[i], bounds[i + 1]):
-                    end = end + sser_l[t]
-                    ends_l[t] = end
-                    link_busy[l] += sser_l[t]
-                link_free[l] = end
-            ends = np.array(ends_l)
-        arrival_sorted = ends + self._latency[sli] + self._buffer
-        arrival = np.empty(k)
-        arrival[order] = arrival_sorted
-        # Advance cursors and look up every packet's next link vectorized.
-        next_cursor = cursor + 1
-        alive = next_cursor < self._np_path_end[pid]
-        nli = self._np_links[np.where(alive, next_cursor, 0)]
-        nser = self._serialization[nli] * self._np_factor[pid]
-        mids = self._np_msg[pid]
-        # Push follow-up records in pop (schedule) order, as the reference
-        # implementation would have while processing events one by one.
-        rtimes = self._rtimes
-        rbuckets = self._rbuckets
-        bucket_get = rbuckets.get
-        cursor_l = next_cursor.tolist()
-        nser_l = nser.tolist()
-        mids_l = mids.tolist()
-        for t, (at, go) in enumerate(zip(arrival.tolist(), alive.tolist())):
-            if go:
-                nxt = (_FORWARD, pids[t], cursor_l[t], nser_l[t])
-            else:
-                nxt = (_DELIVER, mids_l[t])
-            bucket = bucket_get(at)
-            if bucket is None:
-                rbuckets[at] = [nxt]
-                heappush(rtimes, at)
-            else:
-                bucket.append(nxt)
-
-    def _deliver_run(self, time: float, records: List[tuple]) -> None:
-        arrived = self._msg_arrived
-        total = self._msg_total
-        completion = self._msg_completion
-        for _, m in records:
-            count = arrived[m] + 1
-            arrived[m] = count
-            if count >= total[m]:
-                completion[m] = time
-
     # ---------------------------------------------------------- introspection
     def packet_state(self) -> Dict[str, np.ndarray]:
         """Struct-of-arrays view of every packet injected so far.
@@ -816,7 +607,6 @@ class PacketNetwork:
         retry_at = now + self.config.fault_retry_timeout
         for pid in victims:
             self._retransmit(pid, retry_at)
-        self._flush_soa()
         self._report(self.engine.now)
 
     def _retransmit(self, pid: int, retry_at: float) -> None:
@@ -896,12 +686,13 @@ class PacketNetwork:
     def _drive(self, until: Optional[float], max_events: Optional[int]) -> float:
         """The drive loop: pop the earliest calendar bucket and run it.
 
-        A lone forward hop — the dominant event in steady state — is fully
-        inlined (serialise, push the next hop), as is a lone delivery; any
-        other bucket goes through :meth:`_process_batch`, preserving the
-        exact sequential semantics.  ``max_events`` may cut a bucket: its
-        rest stays on the calendar and runs first next time.  The clock and
-        event counts are mirrored onto ``self.engine`` on exit.
+        ``max_events`` may cut a bucket: its rest stays on the calendar and
+        runs first next time.  The bucket's records then run one at a time
+        in schedule order (simultaneous events run in the order they were
+        scheduled): a forward hop serialises on its link and pushes the next
+        hop or the delivery, a delivery counts one packet of its message,
+        and an injection calls :meth:`_inject`.  The clock and event counts
+        are mirrored onto ``self.engine`` on exit.
         """
         rtimes = self._rtimes
         rbuckets = self._rbuckets
@@ -920,6 +711,7 @@ class PacketNetwork:
         arrived = self._msg_arrived
         total = self._msg_total
         completion = self._msg_completion
+        inject = self._inject
         bounded = until is not None or max_events is not None
         while rtimes:
             if bounded:
@@ -932,51 +724,42 @@ class PacketNetwork:
             t = heappop(rtimes)
             records = rbuckets.pop(t)
             now = t
-            if len(records) == 1:
-                rec = records[0]
-                tag = rec[0]
-            else:
-                tag = -1
-            if tag == _FORWARD:
-                # Lone forward hop: serialise on the link and push the next
-                # hop (or the delivery) — the entire steady-state fast path.
-                _, pid, cursor, ser = rec
-                li = pkt_links[cursor]
-                free = link_free[li]
-                depart = free if free > t else t
-                end = depart + ser
-                link_free[li] = end
-                link_busy[li] += ser
-                arrival = end + lat_list[li] + buffer
-                cursor += 1
-                if cursor < path_end[pid]:
-                    nxt = (_FORWARD, pid, cursor, ser_list[pkt_links[cursor]] * factor[pid])
-                else:
-                    nxt = (_DELIVER, msg[pid])
-                bucket = bucket_get(arrival)
-                if bucket is None:
-                    rbuckets[arrival] = [nxt]
-                    heappush(rtimes, arrival)
-                else:
-                    bucket.append(nxt)
-                processed += 1
-                continue
-            if tag == _DELIVER:
-                m = rec[1]
-                count = arrived[m] + 1
-                arrived[m] = count
-                if count >= total[m]:
-                    completion[m] = t
-                processed += 1
-                continue
-            # A wave of simultaneous records (or an injection).
             if max_events is not None and len(records) > max_events - processed:
                 cut = max_events - processed
                 rbuckets[t] = records[cut:]
                 heappush(rtimes, t)
                 records = records[:cut]
             processed += len(records)
-            self._process_batch(t, records)
+            for rec in records:
+                tag = rec[0]
+                if tag == _FORWARD:
+                    _, pid, cursor, ser = rec
+                    li = pkt_links[cursor]
+                    free = link_free[li]
+                    depart = free if free > t else t
+                    end = depart + ser
+                    link_free[li] = end
+                    link_busy[li] += ser
+                    arrival = end + lat_list[li] + buffer
+                    cursor += 1
+                    if cursor < path_end[pid]:
+                        nxt = (_FORWARD, pid, cursor, ser_list[pkt_links[cursor]] * factor[pid])
+                    else:
+                        nxt = (_DELIVER, msg[pid])
+                    bucket = bucket_get(arrival)
+                    if bucket is None:
+                        rbuckets[arrival] = [nxt]
+                        heappush(rtimes, arrival)
+                    else:
+                        bucket.append(nxt)
+                elif tag == _DELIVER:
+                    m = rec[1]
+                    count = arrived[m] + 1
+                    arrived[m] = count
+                    if count >= total[m]:
+                        completion[m] = t
+                else:
+                    inject(rec[1], t)
         self._report(now, processed)
         return now
 

@@ -60,6 +60,11 @@ __all__ = [
 #: "how many candidate paths per pair" default.
 DEFAULT_MAX_PATHS = 4
 
+#: cap on the per-destination distance maps a BFS provider caches (each map
+#: is O(num_nodes), so an unbounded cache is an all-pairs memory hazard at
+#: scale)
+_DIST_CACHE_ENTRIES = 1024
+
 
 #: CSR routes of a block of pairs: ``(counts, lengths, links)`` -- paths per
 #: pair, links per path, and every path's links concatenated in order
@@ -118,41 +123,51 @@ class GenericPathProvider(PathListProvider):
     followed by a depth-first descent along distance-decreasing links.  This
     is exact but O(V+E) per destination, so it is only used for small
     topologies, tests, and as a fallback when a structured provider cannot
-    produce a path.
+    produce a path.  Given ``dead_links``/``dead_nodes`` it routes over the
+    surviving subgraph only (the fault-rerouting fallback of
+    :class:`~repro.sim.faults.DegradedPathProvider`).
     """
 
-    #: default cap on cached per-destination distance maps (each map is
-    #: O(num_nodes), so an unbounded cache is an all-pairs memory hazard at
-    #: scale); override per instance with ``dist_cache_entries``
-    DEFAULT_DIST_CACHE_ENTRIES = 1024
-
-    def __init__(self, topo: Topology, *, dist_cache_entries: Optional[int] = None):
+    def __init__(
+        self,
+        topo: Topology,
+        *,
+        dead_links: Iterable[int] = (),
+        dead_nodes: Iterable[int] = (),
+    ):
         self.topo = topo
-        if dist_cache_entries is None:
-            dist_cache_entries = self.DEFAULT_DIST_CACHE_ENTRIES
-        self._dist_cache_entries = max(1, int(dist_cache_entries))
+        self._dead_links = frozenset(dead_links)
+        self._dead_nodes = frozenset(dead_nodes)
         self._dist_cache: "OrderedDict[int, List[int]]" = OrderedDict()
 
     def _distances_to(self, dst: int) -> List[int]:
+        """Hop distance of every node to ``dst`` (-1: unreachable), LRU-cached."""
         cached = self._dist_cache.get(dst)
         if cached is not None:
             self._dist_cache.move_to_end(dst)
             return cached
+        dead_links = self._dead_links
+        dead_nodes = self._dead_nodes
         link_src = self.topo.link_src
         dist = [-1] * self.topo.num_nodes
-        dist[dst] = 0
-        q = deque([dst])
-        while q:
-            u = q.popleft()
-            for li in self.topo.in_links(u):
-                v = link_src[li]
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    q.append(v)
+        if dst not in dead_nodes:
+            dist[dst] = 0
+            q = deque([dst])
+            while q:
+                u = q.popleft()
+                for li in self.topo.in_links(u):
+                    v = link_src[li]
+                    if dist[v] < 0 and li not in dead_links and v not in dead_nodes:
+                        dist[v] = dist[u] + 1
+                        q.append(v)
         self._dist_cache[dst] = dist
-        if len(self._dist_cache) > self._dist_cache_entries:
+        if len(self._dist_cache) > _DIST_CACHE_ENTRIES:
             self._dist_cache.popitem(last=False)
         return dist
+
+    def connected(self, src: int, dst: int) -> bool:
+        """Whether a path from ``src`` to ``dst`` exists (cached BFS)."""
+        return src == dst or self._distances_to(dst)[src] >= 0
 
     def paths(self, src: int, dst: int, max_paths: int = DEFAULT_MAX_PATHS) -> List[List[int]]:
         if src == dst:
@@ -161,6 +176,7 @@ class GenericPathProvider(PathListProvider):
         if dist[src] < 0:
             raise TopologyError(f"no path from {src} to {dst}")
         out: List[List[int]] = []
+        dead_links = self._dead_links
         link_dst = self.topo.link_dst
 
         def descend(node: int, acc: List[int]) -> None:
@@ -171,7 +187,7 @@ class GenericPathProvider(PathListProvider):
                 return
             for li in self.topo.out_links(node):
                 v = link_dst[li]
-                if dist[v] == dist[node] - 1:
+                if dist[v] == dist[node] - 1 and li not in dead_links:
                     acc.append(li)
                     descend(v, acc)
                     acc.pop()

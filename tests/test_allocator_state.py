@@ -9,7 +9,6 @@ pairwise loop it replaced; and ``JobSizeDistribution.draw`` with
 ``Generator.choice``.
 """
 
-import contextlib
 
 import numpy as np
 import pytest
@@ -102,19 +101,27 @@ class TestIncrementalGridState:
                 if grid.jobs():
                     grid.release(data.draw(st.sampled_from(grid.jobs()), label="job"))
             elif write == "fail_boards":
-                # an allocated board stops the write part-way
-                with contextlib.suppress(ValueError):
-                    grid.fail_boards(data.draw(st.lists(coord, max_size=6), label="boards"))
+                # an allocated board rejects the whole write
+                boards = data.draw(st.lists(coord, max_size=6), label="boards")
+                if all(grid.job_at(b) is None for b in boards):
+                    grid.fail_boards(boards)
+                else:
+                    with pytest.raises(ValueError):
+                        grid.fail_boards(boards)
+                    assert grid.version == version and grid.occupancy_matrix() == matrix
             elif write == "fail_random":
                 count = data.draw(st.integers(0, grid.num_free), label="count")
                 grid.fail_random(count, seed=data.draw(st.integers(0, 999), label="seed"))
             elif write == "repair_boards":
-                # mostly failed boards; one that is not failed stops the write part-way
+                # mostly failed boards; one that is not failed rejects the whole write
                 pool = grid.failed_coords() + [data.draw(coord, label="board")]
-                with contextlib.suppress(ValueError):
-                    grid.repair_boards(
-                        data.draw(st.lists(st.sampled_from(pool), max_size=6), label="boards")
-                    )
+                boards = data.draw(st.lists(st.sampled_from(pool), max_size=6), label="boards")
+                if all(grid.state(b) == FAILED for b in boards):
+                    grid.repair_boards(boards)
+                else:
+                    with pytest.raises(ValueError):
+                        grid.repair_boards(boards)
+                    assert grid.version == version and grid.occupancy_matrix() == matrix
             else:
                 grid.reset(keep_failures=data.draw(st.booleans(), label="keep_failures"))
             assert_matches_recount(grid)
@@ -124,26 +131,41 @@ class TestIncrementalGridState:
 
 class TestMalformedSubMesh:
     @pytest.mark.parametrize(
-        "rows, cols",
+        "write, arg, message",
         [
-            ((0, 0), (1, 2)),  # repeated row
-            ((1,), (2, 2)),  # repeated column
-            ((-1,), (1,)),  # negative row
-            ((5,), (1,)),  # row past the grid
-            ((4,), (1,)),
-            ((1,), (-1,)),
-            ((1,), (3, 4)),  # column past the grid
-            ((), (1,)),
-            ((1,), ()),
+            pytest.param("allocate", ((0, 0), (1, 2)), "sub-mesh rows", id="allocate-repeated-row"),
+            pytest.param("allocate", ((1,), (2, 2)), "sub-mesh rows", id="allocate-repeated-col"),
+            pytest.param("allocate", ((-1,), (1,)), "sub-mesh rows", id="allocate-negative-row"),
+            pytest.param("allocate", ((5,), (1,)), "sub-mesh rows", id="allocate-row-past-grid"),
+            pytest.param("allocate", ((4,), (1,)), "sub-mesh rows", id="allocate-row-at-grid-edge"),
+            pytest.param("allocate", ((1,), (-1,)), "sub-mesh rows", id="allocate-negative-col"),
+            pytest.param("allocate", ((1,), (3, 4)), "sub-mesh rows", id="allocate-col-past-grid"),
+            pytest.param("allocate", ((), (1,)), "sub-mesh rows", id="allocate-no-rows"),
+            pytest.param("allocate", ((1,), ()), "sub-mesh rows", id="allocate-no-cols"),
+            # a negative index must not wrap to the last row or column
+            pytest.param(
+                "fail_boards", [(0, -1)], "off the 4 rows x 4 cols grid", id="fail-negative-col"
+            ),
+            pytest.param("fail_boards", [(-1, 0)], "off the", id="fail-negative-row"),
+            # a good board first: nothing may be written before the error
+            pytest.param("fail_boards", [(0, 0), (9, 9)], "off the", id="fail-past-grid"),
+            pytest.param("fail_boards", [(0, 0), (3, 1)], "is allocated", id="fail-allocated"),
+            pytest.param("repair_boards", [(2, 2), (0, 0)], "is not failed", id="repair-free"),
+            pytest.param("repair_boards", [(2, 2), (2, 4)], "off the", id="repair-past-grid"),
+            pytest.param("repair_boards", [(-2, 2)], "off the", id="repair-negative-row"),
         ],
     )
-    def test_rejected_with_grid_unchanged(self, rows, cols):
+    def test_rejected_with_grid_unchanged(self, write, arg, message):
         grid = BoardGrid(4, 4)
         grid.fail_boards([(2, 2)])
         grid.allocate(0, VirtualSubMesh(rows=(3,), cols=(0, 1)))
         version, matrix = grid.version, grid.occupancy_matrix()
-        with pytest.raises(ValueError, match="sub-mesh rows"):
-            grid.allocate(1, VirtualSubMesh(rows=rows, cols=cols))
+        with pytest.raises(ValueError, match=message) as err:
+            if write == "allocate":
+                grid.allocate(1, VirtualSubMesh(rows=arg[0], cols=arg[1]))
+            else:
+                getattr(grid, write)(arg)
+        assert "\n" not in str(err.value)
         assert grid.version == version
         assert grid.occupancy_matrix() == matrix
         assert grid.jobs() == [0] and grid.boards_of(1) == []

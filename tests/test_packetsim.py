@@ -105,7 +105,6 @@ class TestPacketNetwork:
             )
         assert net._ser_list == serialization
         assert net._lat_list == latency
-        assert np.array_equal(net._serialization, serialization)
 
     def test_single_message_latency_and_bandwidth(self, fat_tree_64):
         config = PacketSimConfig(max_paths=1)

@@ -1,15 +1,13 @@
-"""Scale-out path tests: the route index, batched max-min, the wave pass.
+"""Scale-out path tests: the route index and batched max-min.
 
-The three legs of the scale-out contract:
+The two legs of the scale-out contract:
 
 * route tables store O(routed pairs) bytes, answer batched lookups
   **bit-identically** to one-pair lookups on every topology family, and
   fail with one line when they would outgrow their ``mem_budget``;
 * :meth:`FlowSimulator.maxmin_rates_batch` returns bit-identical results to
   per-scenario solves, both called directly and through the experiment
-  engine's batch grouping;
-* the packet simulator's array wave pass advances a wave of simultaneous
-  hops exactly as its one-packet-at-a-time pass does.
+  engine's batch grouping.
 """
 
 import numpy as np
@@ -22,8 +20,6 @@ from repro.exp.cells import maxmin_permutation_cell
 from repro.exp.recording import MemoryProbe
 from repro.sim import (
     FlowSimulator,
-    PacketNetwork,
-    PacketSimConfig,
     RouteBudgetError,
     RouteTable,
     clear_route_tables,
@@ -226,61 +222,3 @@ class TestEngineBatching:
         assert probe.peak_rss_bytes > 0
         assert probe.rss_growth_bytes >= 0
         assert ballast.shape == (1 << 16,)
-
-
-# --------------------------------------------------------------------------
-# Wave pass
-# --------------------------------------------------------------------------
-def _pending_hops(net):
-    """Take every record off the calendar; return the forward hops."""
-    hops = [rec for bucket in net._rbuckets.values() for rec in bucket if len(rec) == 4]
-    net._rbuckets.clear()
-    net._rtimes.clear()
-    return hops
-
-
-class TestWaveKernels:
-    def test_kernel_parity_exact(self, hx2mesh_4x4):
-        """The array wave pass equals the scalar pass bit for bit: link
-        release and busy times and every follow-up record, on random waves
-        whose links serialise one packet as well as several."""
-        rng = np.random.default_rng(5)
-        config = PacketSimConfig(max_paths=4)
-        n = hx2mesh_4x4.num_accelerators
-        multi = single = 0
-        for case in range(20):
-            count = int(rng.integers(2, 24))
-            src = rng.integers(0, n, size=count).tolist()
-            dst = rng.integers(0, n, size=count).tolist()
-            sizes = (rng.random(count) * 40000.0 + 100.0).tolist()
-            nets = []
-            for _ in range(2):
-                net = PacketNetwork(hx2mesh_4x4, config=config)
-                for s, d, size in zip(src, dst, sizes):
-                    net.send(s, (d + 1) % n if d == s else d, size)
-                net.run(max_events=count)  # the injection bucket at t=0
-                nets.append(net)
-            wave, scalar = nets
-            hops = _pending_hops(wave)
-            assert hops == _pending_hops(scalar)
-            order = rng.permutation(len(hops)).tolist()
-            if case % 2:
-                # Keep one hop per link: no packet waits behind another.
-                first = {}
-                for i in order:
-                    first.setdefault(int(wave._np_links[hops[i][2]]), i)
-                order = list(first.values())
-            records = [hops[i] for i in order]
-            time = float(rng.random()) * 2e-6
-            links = wave._np_links[[rec[2] for rec in records]]
-            if len(np.unique(links)) < len(links):
-                multi += 1
-            else:
-                single += 1
-            wave._forward_wave(time, records)
-            scalar._forward_scalar(time, records)
-            assert wave._link_free == scalar._link_free
-            assert wave._link_busy == scalar._link_busy
-            assert sorted(wave._rtimes) == sorted(scalar._rtimes)
-            assert wave._rbuckets == scalar._rbuckets
-        assert multi > 0 and single > 0

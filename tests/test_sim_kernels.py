@@ -85,43 +85,9 @@ class TestPacketParityAllFamilies:
             ratio = packet_mean / flow_mean
             assert 0.5 < ratio < 1.5, f"{name}: packet/flow ratio {ratio:.2f}"
 
-    def test_forced_wave_path_bit_identical(self, all_small_topologies, monkeypatch):
-        """The NumPy wave pass must match the scalar kernel bit for bit.
-
-        At the shipped threshold (4096) no in-repo workload reaches the
-        vectorized pass, so force it low and pin it to the reference on
-        every family — including fractional payload factors, and waves
-        with one packet per link as well as waves where packets share a
-        link and serialise back to back.
-        """
-        import repro.sim.network as netmod
-
-        monkeypatch.setattr(netmod, "_WAVE_THRESHOLD", 2)
-        shares_a_link = []
-        wave = netmod.PacketNetwork._forward_wave
-
-        def spy(net, time, records):
-            links = net._np_links[[rec[2] for rec in records]]
-            shares_a_link.append(len(np.unique(links)) < len(links))
-            wave(net, time, records)
-
-        monkeypatch.setattr(netmod.PacketNetwork, "_forward_wave", spy)
-        for name, topo in all_small_topologies.items():
-            flows = random_permutation(topo.num_accelerators, seed=11)
-            (ref, rr), (vec, rv) = _run_pair(
-                topo, lambda net: net.send_flows(flows, 50000.25)
-            )
-            assert np.array_equal(_completion_times(rr), _completion_times(rv)), name
-            assert np.array_equal(rr.link_busy_time, rv.link_busy_time), name
-            assert ref.engine.processed_events == vec.engine.processed_events, name
-        assert any(shares_a_link) and not all(shares_a_link)
-
-    def test_max_events_cut_inside_a_wave_resumes_exactly(self, hx2mesh_4x4, monkeypatch):
+    def test_max_events_cut_inside_a_wave_resumes_exactly(self, hx2mesh_4x4):
         """A run stopped inside a bucket of simultaneous events resumes
         where it stopped: the rest of the bucket runs first."""
-        import repro.sim.network as netmod
-
-        monkeypatch.setattr(netmod, "_WAVE_THRESHOLD", 2)
         flows = random_permutation(hx2mesh_4x4.num_accelerators, seed=2)
         config = PacketSimConfig(max_paths=4)
         whole = PacketNetwork(hx2mesh_4x4, config=config)
