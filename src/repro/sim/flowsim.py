@@ -156,13 +156,18 @@ class FlowAssignment:
         O(active links) per round instead of O(num_links).
         """
         if self._compact_links is None:
-            uL, inv = np.unique(self.entry_link, return_inverse=True)
-            inv = inv.astype(np.int64, copy=False)
-            order = np.argsort(inv, kind="stable").astype(np.int64)
-            counts = np.bincount(inv, minlength=len(uL))
-            self._compact_offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+            # One stable sort by link gives the per-link entry order; the
+            # runs of equal links in that order give the rest.
+            order = np.argsort(self.entry_link, kind="stable").astype(np.int64)
+            sorted_links = self.entry_link[order]
+            run_start = np.ones(len(order), dtype=bool)
+            run_start[1:] = sorted_links[1:] != sorted_links[:-1]
+            starts = np.flatnonzero(run_start)
+            inv = np.empty(len(order), dtype=np.int64)
+            inv[order] = np.cumsum(run_start) - 1
+            self._compact_offsets = np.append(starts, len(order)).astype(np.int64)
             self._compact_subflows = self.entry_subflow[order]
-            self._compact_links = uL.astype(np.int64, copy=False)
+            self._compact_links = sorted_links[starts].astype(np.int64, copy=False)
             self._compact_inverse = inv
         return (
             self._compact_links,
@@ -516,63 +521,81 @@ class FlowSimulator:
         congestion to whichever group was picked).  Otherwise the flow
         keeps the even split over its minimal group; ties — in particular
         the fully uncongested case, where every score is zero — keep the
-        shorter minimal routes.  Deterministic for a given flow set and
-        independent of flow order.
+        shorter minimal routes.  Deterministic for a given flow set, and
+        independent of flow order whenever the link loads sum exactly (the
+        loads are added in flow order, so with shares that round, a
+        near-tie can fall differently after the flows are reordered).
+
+        All flows are scored at once.  A flow's own load on a link is keyed
+        by ``flow * num_links + link`` over its minimal entries; a key seen
+        ``c`` times (``c`` of the flow's minimal paths cross the link) holds
+        ``demand / nmin`` added ``c`` times to ``0.0``, one elementwise step
+        per repeat.  That is the summation order of charging each minimal
+        path in turn, which ``c * (demand / nmin)`` would not always round
+        to.  Each candidate entry looks its key up (0 when the flow's
+        minimal routes miss the link), bottlenecks are one segmented max
+        over path starts, and each flow's best minimal score is one
+        scattered min.
 
         Returns ``(path_ids, counts)``: the selected path ids of all flows
-        concatenated, and how many each flow owns.
+        concatenated (each flow's in path-id order), and how many each flow
+        owns.
         """
         L = len(self.capacity)
+        n = len(npaths)
+        flow_ids = np.arange(n, dtype=np.int64)
         # Pass 1: link load if everyone routed minimally (even 1/k split).
         min_ids = _pair_range_path_ids(first, nmin)
         links, lengths = self.table.gather_links(min_ids)
-        per_path_w = np.repeat(flow_demand / np.maximum(nmin, 1), nmin)
+        share = flow_demand / np.maximum(nmin, 1)
+        per_path_w = np.repeat(share, nmin)
         load = np.bincount(
             links, weights=np.repeat(per_path_w, lengths), minlength=L
         )
         inv_capacity = np.where(self.capacity > 0, 1.0 / self.capacity, 0.0)
+        # Each flow's own minimal load per (flow, link) key, summed by
+        # repeated adds.  A sentinel key past every real one (own load 0)
+        # keeps the lookups below in bounds.
+        own_keys, repeats = np.unique(
+            np.repeat(np.repeat(flow_ids, nmin), lengths) * L + links,
+            return_counts=True,
+        )
+        step = share[own_keys // L]
+        own = np.zeros(len(own_keys))
+        for j in range(int(repeats.max()) if len(repeats) else 0):
+            own = np.where(j < repeats, own + step, own)
+        own_keys = np.append(own_keys, n * L)
+        own = np.append(own, 0.0)
         # Pass 2: per-candidate congestion score, excluding the flow's own
         # minimal-route contribution from the load it samples.
         all_ids = _pair_range_path_ids(first, npaths)
         links_all, lengths_all = self.table.gather_links(all_ids)
-        entry_starts = np.concatenate(([0], np.cumsum(lengths_all)))
-        path_starts = np.cumsum(npaths) - npaths
-        # Per-flow slices of the minimal-entry arrays (pass 1's layout).
-        min_entry_ends = np.cumsum(
-            np.add.reduceat(lengths, np.cumsum(nmin) - nmin)
-        ) if len(lengths) else np.zeros(len(npaths), dtype=np.int64)
-        own = np.zeros(L)
-        ids: List[int] = []
-        counts = np.empty(len(npaths), dtype=np.int64)
-        for i in range(len(npaths)):
-            m, k = int(nmin[i]), int(npaths[i])
-            f0, s = int(first[i]), int(path_starts[i])
-            # This flow's own minimal load (what pass 1 charged for it).
-            o_start = int(min_entry_ends[i - 1]) if i > 0 else 0
-            o_end = int(min_entry_ends[i])
-            own_links = links[o_start:o_end]
-            # Pass 1 charged demand/m per link occurrence of each of this
-            # flow's m minimal paths; undo exactly that (occurrences stack).
-            np.add.at(own, own_links, flow_demand[i] / max(m, 1))
-            cheaper: List[int] = []
-            if 0 < m < k:
-                e0, e1 = int(entry_starts[s]), int(entry_starts[s + k])
-                seg_links = links_all[e0:e1]
-                exclusive = np.maximum(load[seg_links] - own[seg_links], 0.0)
-                util = exclusive * inv_capacity[seg_links]
-                # Every candidate has >= 1 link (self-pairs are rejected
-                # upstream), so the segmented max never sees an empty segment.
-                seg_bounds = (entry_starts[s : s + k] - e0).astype(np.int64)
-                bottleneck = np.maximum.reduceat(util, seg_bounds)
-                cost = lengths_all[s : s + k] * bottleneck
-                best_minimal = cost[:m].min()
-                cheaper = [f0 + m + j for j in range(k - m) if cost[m + j] < best_minimal]
-            own[own_links] = 0.0
-            end = m if 0 < m <= k else k
-            chosen = list(range(f0, f0 + end)) + cheaper
-            ids.extend(chosen)
-            counts[i] = len(chosen)
-        return np.asarray(ids, dtype=np.int64), counts
+        path_flow = np.repeat(flow_ids, npaths)
+        entry_keys = np.repeat(path_flow, lengths_all) * L + links_all
+        pos = np.searchsorted(own_keys, entry_keys)
+        own_entry = np.where(own_keys[pos] == entry_keys, own[pos], 0.0)
+        exclusive = np.maximum(load[links_all] - own_entry, 0.0)
+        util = exclusive * inv_capacity[links_all]
+        # Every candidate has >= 1 link (self-pairs are rejected upstream),
+        # so the segmented max never sees an empty segment.
+        bottleneck = np.maximum.reduceat(util, np.cumsum(lengths_all) - lengths_all)
+        cost = lengths_all * bottleneck
+        # Choice: the minimal group always; a flow with both groups
+        # (0 < nmin < npaths) adds every strictly cheaper Valiant candidate;
+        # any other flow keeps all its paths.
+        local = np.arange(len(all_ids), dtype=np.int64) - np.repeat(
+            np.cumsum(npaths) - npaths, npaths
+        )
+        in_min = local < np.repeat(nmin, npaths)
+        best_minimal = np.full(n, np.inf)
+        np.minimum.at(best_minimal, path_flow[in_min], cost[in_min])
+        scored = (nmin > 0) & (nmin < npaths)
+        selected = (
+            in_min
+            | ~np.repeat(scored, npaths)
+            | (cost < best_minimal[path_flow])
+        )
+        return all_ids[selected], np.bincount(path_flow[selected], minlength=n)
 
     # -------------------------------------------------------- symmetric solver
     def symmetric_rate(self, flows: Sequence[Flow]) -> PhaseResult:

@@ -33,8 +33,16 @@ def hx1mesh_4x4():
 
 @pytest.fixture(scope="session")
 def fat_tree_64():
-    """A 64-accelerator two-level nonblocking fat tree."""
+    """64 accelerators on one 64-port switch (with the default radix 64 the
+    "fat tree" is a single crossbar: one path per pair, no routing choice)."""
     return build_fat_tree(64)
+
+
+@pytest.fixture(scope="session")
+def fat_tree_64_radix16():
+    """A 64-accelerator two-level fat tree of 16-port switches with 50%
+    tapering: several leaf-to-leaf paths per pair."""
+    return build_fat_tree(64, radix=16, taper=0.5)
 
 
 @pytest.fixture(scope="session")

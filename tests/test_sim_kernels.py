@@ -72,6 +72,28 @@ class TestPacketParityAllFamilies:
         assert np.array_equal(_completion_times(rr), _completion_times(rv))
         assert rr.finish_time == rv.finish_time
 
+    def test_multipath_fat_tree_bit_identical(self, fat_tree_64_radix16):
+        """``fat_tree_64`` is one crossbar; this two-level tree makes the
+        packet cores choose between leaf-to-leaf paths."""
+        topo = fat_tree_64_radix16
+        flows = random_permutation(topo.num_accelerators, seed=7)
+        (ref, rr), (vec, rv) = _run_pair(topo, lambda net: net.send_flows(flows, 1 << 16))
+        assert rr.all_finished and rv.all_finished
+        assert np.array_equal(_completion_times(rr), _completion_times(rv))
+        assert np.array_equal(rr.link_busy_time, rv.link_busy_time)
+        assert rr.finish_time == rv.finish_time
+        assert ref.engine.processed_events == vec.engine.processed_events
+
+    def test_staggered_starts_multipath_fat_tree_bit_identical(self, fat_tree_64_radix16):
+        def load(net):
+            for i in range(24):
+                net.send(i, (i + 7) % 64, 1 << 15, start_time=1e-7 * (i % 5))
+
+        (ref, rr), (vec, rv) = _run_pair(fat_tree_64_radix16, load)
+        assert np.array_equal(_completion_times(rr), _completion_times(rv))
+        assert np.array_equal(rr.link_busy_time, rv.link_busy_time)
+        assert rr.finish_time == rv.finish_time
+
     def test_packet_vs_flow_steady_state_all_families(self, all_small_topologies):
         """Steady-state packet throughput tracks the max-min flow rates."""
         for name, topo in all_small_topologies.items():
