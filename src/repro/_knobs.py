@@ -12,11 +12,10 @@ from typing import Any
 _SWITCH = {"": False, "0": False, "false": False, "1": True, "true": True}
 
 
-def number_knob(name: str, default: Any, kind: type = int, *, zero: bool = False) -> Any:
+def number_knob(name: str, default: Any, kind: type = int) -> Any:
     """A positive ``kind`` (``int`` or ``float``) from the environment
-    variable ``name``; ``zero=True`` also accepts 0 (integers only).  A
-    malformed, out-of-range or NaN value stops the program with one line
-    naming the variable."""
+    variable ``name``.  A malformed, non-positive or NaN value stops the
+    program with one line naming the variable."""
     raw = os.environ.get(name, "").strip()
     if not raw:
         return default
@@ -24,8 +23,8 @@ def number_knob(name: str, default: Any, kind: type = int, *, zero: bool = False
         value = kind(raw)
     except ValueError:
         value = -1
-    if not (value >= 0 if zero else value > 0):  # NaN fails too
-        noun = f"an integer >= {0 if zero else 1}" if kind is int else "a number > 0"
+    if not value > 0:  # NaN fails too
+        noun = "an integer >= 1" if kind is int else "a number > 0"
         raise SystemExit(f"{name} must be {noun}, got {raw!r}")
     return value
 

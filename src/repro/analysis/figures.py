@@ -1074,8 +1074,7 @@ def routing_policy_cell(
     topo = _routing_policy_topo(topo_key)
     model = get_backend("flow", topo, max_paths=max_paths, policy=policy)
     adv = adversarial_permutation(topo)
-    dsts = np.fromiter((f.dst for f in adv), dtype=np.int64, count=len(adv))
-    adv_fractions = model.permutation_sample(adv)[dsts]
+    adv_fractions = model.permutation_sample(adv)[adv.dst]
     random_fractions = model.permutation_fractions(
         num_permutations=num_random, seed=seed
     )

@@ -9,9 +9,10 @@ Hamiltonian cycles in two-dimensional torus", 2004), which applies to an
 ``gcd(r, c - 1) == 1`` -- this covers all the (square) HxMesh accelerator
 grids used in the paper (4x4, 8x4, 9x3, 16x8, 32x32, 128x128, ...).
 
-Cycles are returned as ordered lists of ``(row, col)`` coordinates; helper
-functions verify Hamiltonicity and edge-disjointness (also exercised by the
-property-based tests).
+Cycles are returned as ordered lists of ``(row, col)`` coordinates (or as
+``(n, 2)`` coordinate arrays); helper functions verify Hamiltonicity and
+edge-disjointness on either form (also exercised by the property-based
+tests).
 """
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Set, Tuple
 
+import numpy as np
+
 __all__ = [
     "supports_disjoint_cycles",
     "disjoint_hamiltonian_cycles",
+    "disjoint_cycle_arrays",
     "cycle_edges",
     "is_hamiltonian_cycle",
     "are_edge_disjoint",
@@ -43,8 +47,8 @@ def supports_disjoint_cycles(rows: int, cols: int) -> bool:
     return rows % cols == 0 and math.gcd(rows, cols - 1) == 1
 
 
-def _red_position(index: int, rows: int, cols: int) -> Coord:
-    """Position of step ``index`` on the *red* cycle.
+def _red_position(index, rows: int, cols: int):
+    """Position of step ``index`` on the *red* cycle (scalars or arrays).
 
     The red cycle walks each row left to right with a per-row column offset
     of ``(rows - 1) * row``; consecutive steps within a row use horizontal
@@ -56,10 +60,31 @@ def _red_position(index: int, rows: int, cols: int) -> Coord:
     return (x1, (x0 + (rows - 1) * x1) % cols)
 
 
-def _green_position(index: int, rows: int, cols: int) -> Coord:
+def _green_position(index, rows: int, cols: int):
     """Position of step ``index`` on the *green* cycle (transposed walk)."""
     x1, x0 = divmod(index, cols)
     return ((x0 + (cols - 1) * x1) % rows, x1 % cols)
+
+
+def disjoint_cycle_arrays(rows: int, cols: int) -> List[np.ndarray]:
+    """The red and green cycles of :func:`disjoint_hamiltonian_cycles` as
+    ``(n, 2)`` arrays of ``(row, col)`` coordinates, validated the same
+    way."""
+    if not supports_disjoint_cycles(rows, cols):
+        raise ValueError(
+            f"no edge-disjoint Hamiltonian cycle construction for a {rows}x{cols} "
+            "torus (need rows % cols == 0 and gcd(rows, cols-1) == 1)"
+        )
+    steps = np.arange(rows * cols, dtype=np.int64)
+    red = np.stack(_red_position(steps, rows, cols), 1)
+    green = np.stack(_green_position(steps, rows, cols), 1)
+    for name, cycle in (("red", red), ("green", green)):
+        if not is_hamiltonian_cycle(cycle, rows, cols):
+            raise ValueError(f"internal error: {name} cycle is not Hamiltonian "
+                             f"for {rows}x{cols}")
+    if not are_edge_disjoint(red, green):
+        raise ValueError(f"internal error: cycles share an edge for {rows}x{cols}")
+    return [red, green]
 
 
 def disjoint_hamiltonian_cycles(rows: int, cols: int) -> Tuple[List[Coord], List[Coord]]:
@@ -69,21 +94,18 @@ def disjoint_hamiltonian_cycles(rows: int, cols: int) -> Tuple[List[Coord], List
     condition does not hold.  The returned cycles are validated before being
     returned, so a successful call is guaranteed to be correct.
     """
-    if not supports_disjoint_cycles(rows, cols):
-        raise ValueError(
-            f"no edge-disjoint Hamiltonian cycle construction for a {rows}x{cols} "
-            "torus (need rows % cols == 0 and gcd(rows, cols-1) == 1)"
-        )
-    n = rows * cols
-    red = [_red_position(i, rows, cols) for i in range(n)]
-    green = [_green_position(i, rows, cols) for i in range(n)]
-    for name, cycle in (("red", red), ("green", green)):
-        if not is_hamiltonian_cycle(cycle, rows, cols):
-            raise ValueError(f"internal error: {name} cycle is not Hamiltonian "
-                             f"for {rows}x{cols}")
-    if not are_edge_disjoint(red, green):
-        raise ValueError(f"internal error: cycles share an edge for {rows}x{cols}")
-    return red, green
+    red, green = disjoint_cycle_arrays(rows, cols)
+    return list(map(tuple, red.tolist())), list(map(tuple, green.tolist()))
+
+
+def _coords(cycle: Sequence[Coord]) -> np.ndarray:
+    return np.asarray(cycle, dtype=np.int64).reshape(len(cycle), 2)
+
+
+def _edge_ids(node: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Undirected edge ids of a cyclic sequence of node ids."""
+    nxt = np.roll(node, -1)
+    return np.minimum(node, nxt) * num_nodes + np.maximum(node, nxt)
 
 
 def cycle_edges(cycle: Sequence[Coord]) -> Set[Tuple[Coord, Coord]]:
@@ -91,34 +113,35 @@ def cycle_edges(cycle: Sequence[Coord]) -> Set[Tuple[Coord, Coord]]:
     edges: Set[Tuple[Coord, Coord]] = set()
     n = len(cycle)
     for i in range(n):
-        a, b = cycle[i], cycle[(i + 1) % n]
+        a, b = tuple(cycle[i]), tuple(cycle[(i + 1) % n])
         edges.add((a, b) if a <= b else (b, a))
     return edges
-
-
-def _torus_adjacent(a: Coord, b: Coord, rows: int, cols: int) -> bool:
-    dr = (a[0] - b[0]) % rows
-    dc = (a[1] - b[1]) % cols
-    row_step = dr in (1, rows - 1) and dc == 0
-    col_step = dc in (1, cols - 1) and dr == 0
-    return row_step or col_step
 
 
 def is_hamiltonian_cycle(cycle: Sequence[Coord], rows: int, cols: int) -> bool:
     """Check that ``cycle`` visits every torus node once via torus edges."""
     n = rows * cols
-    if len(cycle) != n or len(set(cycle)) != n:
+    if len(cycle) != n:
         return False
-    if any(not (0 <= r < rows and 0 <= c < cols) for r, c in cycle):
+    r, c = _coords(cycle).T
+    if not ((0 <= r) & (r < rows) & (0 <= c) & (c < cols)).all():
         return False
-    return all(
-        _torus_adjacent(cycle[i], cycle[(i + 1) % n], rows, cols) for i in range(n)
-    )
+    if len(np.unique(r * cols + c)) != n:
+        return False
+    dr = (r - np.roll(r, -1)) % rows
+    dc = (c - np.roll(c, -1)) % cols
+    row_step = ((dr == 1) | (dr == rows - 1)) & (dc == 0)
+    col_step = ((dc == 1) | (dc == cols - 1)) & (dr == 0)
+    return bool((row_step | col_step).all())
 
 
 def are_edge_disjoint(cycle_a: Sequence[Coord], cycle_b: Sequence[Coord]) -> bool:
     """True when the two cycles share no undirected edge."""
-    return not (cycle_edges(cycle_a) & cycle_edges(cycle_b))
+    a, b = _coords(cycle_a), _coords(cycle_b)
+    width = int(max(a[:, 1].max(initial=0), b[:, 1].max(initial=0))) + 1
+    node_a, node_b = a[:, 0] * width + a[:, 1], b[:, 0] * width + b[:, 1]
+    num_nodes = int(max(node_a.max(initial=0), node_b.max(initial=0))) + 1
+    return not np.intersect1d(_edge_ids(node_a, num_nodes), _edge_ids(node_b, num_nodes)).size
 
 
 def boustrophedon_cycle(rows: int, cols: int) -> List[Coord]:

@@ -18,13 +18,15 @@ This module produces
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-from ..sim.traffic import Flow
+import numpy as np
+
+from ..sim.traffic import FlowSet, ring_neighbor_flows
 from ..topology.base import Topology, TopologyError
 from .hamiltonian import (
     boustrophedon_cycle,
-    disjoint_hamiltonian_cycles,
+    disjoint_cycle_arrays,
     supports_disjoint_cycles,
 )
 from .schedule import CommSchedule, Transfer
@@ -46,24 +48,29 @@ def natural_ring_order(num_ranks: int) -> List[int]:
     return list(range(num_ranks))
 
 
-def _accelerator_grid(topo: Topology) -> Tuple[int, int, Dict[Tuple[int, int], int]]:
-    """(rows, cols, coord -> rank) of the accelerator grid of a HammingMesh
-    or torus topology, in global accelerator coordinates."""
+def _accelerator_grid(topo: Topology) -> np.ndarray:
+    """The ``rows x cols`` array of accelerator ranks of a HammingMesh or
+    torus topology, in global accelerator coordinates."""
     family = topo.meta.get("family")
-    rank_of_node = topo.accelerator_index()
-    grid: Dict[Tuple[int, int], int] = {}
+    if family not in ("hammingmesh", "torus"):
+        raise TopologyError(f"no accelerator grid for family {family!r}")
+    coord_of = topo.meta["coord_of"]
+    nodes = np.fromiter(coord_of, dtype=np.int64, count=len(coord_of))
+    coords = np.array(list(coord_of.values()), dtype=np.int64).reshape(len(nodes), -1)
+    accelerators = np.asarray(topo.accelerators, dtype=np.int64)
+    rank_of = np.zeros(int(accelerators.max()) + 1, dtype=np.int64)
+    rank_of[accelerators] = np.arange(len(accelerators))
     if family == "hammingmesh":
         params = topo.meta["params"]
         rows, cols = params.b * params.y, params.a * params.x
-        for node, (gr, gc, br, bc) in topo.meta["coord_of"].items():
-            grid[(gr * params.b + br, gc * params.a + bc)] = rank_of_node[node]
-    elif family == "torus":
-        rows, cols = topo.meta["rows"], topo.meta["cols"]
-        for node, (r, c) in topo.meta["coord_of"].items():
-            grid[(r, c)] = rank_of_node[node]
+        gr, gc, br, bc = coords.T
+        r, c = gr * params.b + br, gc * params.a + bc
     else:
-        raise TopologyError(f"no accelerator grid for family {family!r}")
-    return rows, cols, grid
+        rows, cols = topo.meta["rows"], topo.meta["cols"]
+        r, c = coords.T
+    grid = np.zeros((rows, cols), dtype=np.int64)
+    grid[r, c] = rank_of[nodes]
+    return grid
 
 
 def grid_ring_orders(topo: Topology) -> List[List[int]]:
@@ -72,15 +79,15 @@ def grid_ring_orders(topo: Topology) -> List[List[int]]:
     Returns two edge-disjoint cycles when the Bae et al. construction
     applies, otherwise a single boustrophedon cycle.
     """
-    rows, cols, grid = _accelerator_grid(topo)
+    grid = _accelerator_grid(topo)
+    rows, cols = grid.shape
     if supports_disjoint_cycles(rows, cols):
-        red, green = disjoint_hamiltonian_cycles(rows, cols)
-        return [[grid[c] for c in red], [grid[c] for c in green]]
-    if supports_disjoint_cycles(cols, rows):
-        red, green = disjoint_hamiltonian_cycles(cols, rows)
-        return [[grid[(r, c)] for (c, r) in red], [grid[(r, c)] for (c, r) in green]]
-    cycle = boustrophedon_cycle(rows, cols)
-    return [[grid[c] for c in cycle]]
+        cycles = disjoint_cycle_arrays(rows, cols)
+    elif supports_disjoint_cycles(cols, rows):
+        cycles = [cycle[:, ::-1] for cycle in disjoint_cycle_arrays(cols, rows)]
+    else:
+        cycles = [np.array(boustrophedon_cycle(rows, cols), dtype=np.int64)]
+    return [grid[cycle[:, 0], cycle[:, 1]].tolist() for cycle in cycles]
 
 
 def ring_orders_for(topo: Topology) -> List[List[int]]:
@@ -92,29 +99,19 @@ def ring_orders_for(topo: Topology) -> List[List[int]]:
 
 
 # ------------------------------------------------------------- steady flows
-def ring_steady_flows(order: Sequence[int], *, bidirectional: bool = True) -> List[Flow]:
+def ring_steady_flows(order: Sequence[int], *, bidirectional: bool = True) -> FlowSet:
     """Per-round neighbour flows of a pipelined ring over ``order``."""
-    p = len(order)
-    flows: List[Flow] = []
-    for i in range(p):
-        nxt = order[(i + 1) % p]
-        flows.append(Flow(order[i], nxt))
-        if bidirectional:
-            flows.append(Flow(nxt, order[i]))
-    return flows
+    return ring_neighbor_flows(order, bidirectional=bidirectional)
 
 
-def dual_ring_steady_flows(orders: Sequence[Sequence[int]]) -> List[Flow]:
+def dual_ring_steady_flows(orders: Sequence[Sequence[int]]) -> FlowSet:
     """Concurrent steady-state flows of all ring embeddings (both directions).
 
     For two edge-disjoint Hamiltonian cycles this exercises all four
     directional ports of every accelerator simultaneously, which is exactly
     the load of the "rings" allreduce.
     """
-    flows: List[Flow] = []
-    for order in orders:
-        flows.extend(ring_steady_flows(order, bidirectional=True))
-    return flows
+    return FlowSet.concat(ring_neighbor_flows(order, bidirectional=True) for order in orders)
 
 
 # ------------------------------------------------------------------ schedule

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from ..sim.traffic import Flow
 from ..topology.base import Topology, TopologyError
 from .ring import _accelerator_grid
@@ -51,8 +53,9 @@ class Torus2DAllreduce:
     @classmethod
     def for_topology(cls, topo: Topology) -> "Torus2DAllreduce":
         """Build the rank grid from a HammingMesh or torus topology."""
-        rows, cols, grid = _accelerator_grid(topo)
-        return cls(rows, cols, grid)
+        grid = _accelerator_grid(topo)
+        rows, cols = grid.shape
+        return cls(rows, cols, dict(zip(np.ndindex(rows, cols), grid.ravel().tolist())))
 
     @classmethod
     def square(cls, p: int) -> "Torus2DAllreduce":

@@ -327,7 +327,7 @@ def flowsim_delta_cell(
     while len(cands) < num_moves:
         i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
         cand = swap_destinations(flows, i, j)
-        if cand[i].src != cand[i].dst and cand[j].src != cand[j].dst:
+        if cand.src[i] != cand.dst[i] and cand.src[j] != cand.dst[j]:
             moves.append((i, j))
             cands.append(cand)
 
@@ -391,9 +391,10 @@ def _permutation_summary(sim, flows, result) -> dict:
     """
     import numpy as np
 
+    from ..sim import FlowSet
+
     by_dst = np.zeros(len(sim.ranks))
-    dst = np.fromiter((f.dst for f in flows), dtype=np.int64, count=len(flows))
-    np.add.at(by_dst, dst, result.flow_rates)
+    np.add.at(by_dst, FlowSet.of(flows).dst, result.flow_rates)
     fractions = by_dst / sim.injection_capacity
     return {
         "mean_fraction": float(fractions.mean()),

@@ -29,7 +29,7 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Type, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .network import PacketNetwork, PacketSimConfig
 from .paths import DEFAULT_MAX_PATHS
 from .policy import RoutingPolicy, get_policy
 from .routing import RouteTable, route_table_for
-from .traffic import Flow, random_permutation
+from .traffic import Flow, FlowSet, alltoall_flows, alltoall_shifts, random_permutation
 
 __all__ = [
     "NetworkModel",
@@ -124,10 +124,10 @@ class NetworkModel:
         return self._permutation_sample(flows)
 
     def _permutation_sample(self, flows: Sequence[Flow]) -> np.ndarray:
+        flows = FlowSet.of(flows)
         rates = self.phase_rates(flows, exact=True)
         by_dst = np.zeros(self.num_ranks)
-        dst = np.fromiter((f.dst for f in flows), dtype=np.int64, count=len(flows))
-        np.add.at(by_dst, dst, rates)
+        np.add.at(by_dst, flows.dst, rates)
         return by_dst / self.injection_capacity
 
     # ------------------------------------------------------------ conveniences
@@ -139,15 +139,20 @@ class NetworkModel:
         Flow demands are interpreted as byte volumes; ``bytes_per_unit``
         converts the backend's port units into bytes per second.
         """
-        flows = [f for f in flows if f.demand > 0]
-        if not flows:
+        flows = FlowSet.of(flows)
+        flows = flows[np.flatnonzero(flows.demand > 0)]
+        if not len(flows):
             return 0.0
         rates = self.phase_rates(flows, exact=exact)
-        demands = np.fromiter((f.demand for f in flows), dtype=np.float64, count=len(flows))
-        return float((demands / np.maximum(rates * bytes_per_unit, 1e-30)).max())
+        return float((flows.demand / np.maximum(rates * bytes_per_unit, 1e-30)).max())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} ({self.name!r}) on {self.topo.name!r}>"
+
+
+def _node_pairs(rank_nodes: np.ndarray, flows: FlowSet) -> List[Tuple[int, int]]:
+    """The ``(src_node, dst_node)`` pair of every flow, in order."""
+    return list(zip(rank_nodes[flows.src].tolist(), rank_nodes[flows.dst].tolist()))
 
 
 # ---------------------------------------------------------------------- registry
@@ -232,11 +237,10 @@ class AnalyticBackend(NetworkModel):
         self.policy = get_policy(policy)
 
     def phase_rates(self, flows: Sequence[Flow], *, exact: bool = False) -> np.ndarray:
-        src = np.fromiter((f.src for f in flows), dtype=np.int64, count=len(flows))
-        dst = np.fromiter((f.dst for f in flows), dtype=np.int64, count=len(flows))
+        flows = FlowSet.of(flows)
+        src, dst, demand = flows.src, flows.dst, flows.demand
         if (src == dst).any():
             raise ValueError("flows must have distinct endpoints")
-        demand = np.fromiter((f.demand for f in flows), dtype=np.float64, count=len(flows))
         out_load = np.zeros(self.num_ranks)
         in_load = np.zeros(self.num_ranks)
         np.add.at(out_load, src, demand)
@@ -328,11 +332,9 @@ class FlowBackend(NetworkModel):
     def table(self) -> RouteTable:
         return self.sim.table
 
-    def _split(self, flows: Sequence[Flow]):
+    def _split(self, flows: FlowSet):
         """Indices of routable / disconnected flows under the fault view."""
-        ranks = self.sim.ranks
-        pairs = [(ranks[f.src], ranks[f.dst]) for f in flows]
-        ok, dead = split_connected(self.sim.table, pairs)
+        ok, dead = split_connected(self.sim.table, _node_pairs(self.sim._rank_nodes, flows))
         self.disconnected_pairs += len(dead)
         return ok, dead
 
@@ -341,10 +343,11 @@ class FlowBackend(NetworkModel):
             if exact:
                 return self.sim.maxmin_rates(flows).flow_rates
             return self.sim.symmetric_rate(flows).flow_rates
+        flows = FlowSet.of(flows)
         ok, dead = self._split(flows)
         rates = np.zeros(len(flows))
         if ok:
-            alive = [flows[i] for i in ok]
+            alive = flows[ok]
             solved = (
                 self.sim.maxmin_rates(alive) if exact else self.sim.symmetric_rate(alive)
             )
@@ -356,25 +359,20 @@ class FlowBackend(NetworkModel):
     ) -> float:
         if self.faults.is_empty:
             return self.sim.alltoall_bandwidth(num_phases=num_phases, seed=seed)
-        from .traffic import alltoall_phases, sampled_alltoall_phases
-
         sim = self.sim
         p = len(sim.ranks)
-        if num_phases is None or num_phases >= p - 1:
-            phases = alltoall_phases(p)
-        else:
-            phases = sampled_alltoall_phases(p, num_phases, seed=seed)
-        all_flows = [f for phase in phases for f in phase]
-        ok, dead = self._split(all_flows)
+        shifts = alltoall_shifts(p, num_phases, seed)
+        flows = alltoall_flows(p, shifts)
+        ok, dead = self._split(flows)
         if not ok:
             return 0.0
         # Mirror of FlowSimulator.alltoall_bandwidth's aggregate model over
         # the surviving flows: the most loaded surviving link bounds the
         # achievable per-accelerator injection rate.
-        asg = sim.assign([all_flows[i] for i in ok])
+        asg = sim.assign(flows[ok])
         weights = asg.subflow_weight[asg.entry_subflow]
         load = np.bincount(asg.entry_link, weights=weights, minlength=len(sim.capacity))
-        load = load / len(phases)
+        load = load / len(shifts)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(load > _EPS, sim.capacity / np.maximum(load, _EPS), np.inf)
         injection_rate = float(ratio.min())
@@ -383,12 +381,13 @@ class FlowBackend(NetworkModel):
     def _permutation_sample(self, flows: Sequence[Flow]) -> np.ndarray:
         if self.faults.is_empty:
             return self.sim.permutation_bandwidths(flows)
+        flows = FlowSet.of(flows)
         ok, dead = self._split(flows)
         if not ok:
             return np.zeros(self.num_ranks)
         # Disconnected destinations receive nothing; surviving flows get
         # their max-min share of the degraded network.
-        return self.sim.permutation_bandwidths([flows[i] for i in ok])
+        return self.sim.permutation_bandwidths(flows[ok])
 
 
 # ------------------------------------------------------------------------ packet
@@ -451,21 +450,20 @@ class PacketBackend(NetworkModel):
             self.topo, config=self.config, table=self.table, faults=self.faults
         )
 
-    def _split(self, flows: Sequence[Flow]):
+    def _split(self, flows: FlowSet):
         """Indices of routable / disconnected flows under the fault view."""
-        ranks = list(self.topo.accelerators)
-        ok, dead = split_connected(
-            self.table, [(ranks[f.src], ranks[f.dst]) for f in flows]
-        )
+        nodes = np.asarray(self.topo.accelerators, dtype=np.int64)
+        ok, dead = split_connected(self.table, _node_pairs(nodes, flows))
         self.disconnected_pairs += len(dead)
         return ok, dead
 
     def phase_rates(self, flows: Sequence[Flow], *, exact: bool = False) -> np.ndarray:
+        flows = FlowSet.of(flows)
         ok, dead = self._split(flows)
         net = self._network()
+        src, dst, demand = flows.src.tolist(), flows.dst.tolist(), flows.demand.tolist()
         messages = {
-            i: net.send(flows[i].src, flows[i].dst, self.message_size * flows[i].demand)
-            for i in ok
+            i: net.send(src[i], dst[i], self.message_size * demand[i]) for i in ok
         }
         net.run()
         # observed bandwidth is bytes/s; normalise to port units.
@@ -481,18 +479,13 @@ class PacketBackend(NetworkModel):
     def alltoall_fraction(
         self, *, num_phases: Optional[int] = None, seed: int = 0
     ) -> float:
-        from .traffic import alltoall_phases, sampled_alltoall_phases
-
         p = self.num_ranks
-        if num_phases is None or num_phases >= p - 1:
-            phases = alltoall_phases(p)
-        else:
-            phases = sampled_alltoall_phases(p, num_phases, seed=seed)
         net = self._network()
-        for phase in phases:
+        for shift in alltoall_shifts(p, num_phases, seed):
+            phase = alltoall_flows(p, [shift])
             if not self.faults.is_empty:
                 ok, dead = self._split(phase)
-                phase = [phase[i] for i in ok]
+                phase = phase[ok]
             net.send_flows(phase, self.message_size)
         result = net.run()
         if result.finish_time <= 0:

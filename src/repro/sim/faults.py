@@ -63,7 +63,7 @@ from .paths import (
 )
 from .policy import RoutingPolicy, get_policy
 from .routing import RouteTable, register_route_cache_client, route_table_for
-from .traffic import Flow
+from .traffic import Flow, FlowSet
 
 __all__ = [
     "FaultSet",
@@ -531,7 +531,7 @@ class FaultEventSolver:
         max_paths: int = DEFAULT_MAX_PATHS,
     ):
         self.topo = topo
-        self.flows = list(flows)
+        self.flows = FlowSet.of(flows)
         self.policy = get_policy(policy)
         self.max_paths = max_paths
         self.faults = FaultSet.empty()
@@ -567,16 +567,15 @@ class FaultEventSolver:
         sim = self._sim_for(faults)
         provider = sim.table.provider
         if isinstance(provider, DegradedPathProvider):
-            ranks = sim.ranks
+            src = sim._rank_nodes[self.flows.src].tolist()
+            dst = sim._rank_nodes[self.flows.dst].tolist()
             active = tuple(
-                i
-                for i, f in enumerate(self.flows)
-                if provider.connected(ranks[f.src], ranks[f.dst])
+                i for i, (s, d) in enumerate(zip(src, dst)) if provider.connected(s, d)
             )
         else:
             active = tuple(range(len(self.flows)))
         newly_dead = faults.dead_links - self.faults.dead_links
-        active_flows = [self.flows[i] for i in active]
+        active_flows = self.flows[list(active)]
         if active_flows:
             rerouted = len(self._touched(self._state, newly_dead)) if self._state else len(active_flows)
             state = sim.maxmin_warm_state(active_flows)

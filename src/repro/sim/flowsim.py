@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .._knobs import number_knob
 from ..obs import registry as _obs
 from ..topology.base import Topology
 from .paths import DEFAULT_MAX_PATHS, PathProvider
@@ -31,7 +30,7 @@ from .routing import (
     register_route_cache_client,
     route_table_for,
 )
-from .traffic import Flow
+from .traffic import Flow, FlowSet, alltoall_flows, alltoall_shifts, flow_columns
 
 __all__ = [
     "DeltaSolve",
@@ -68,14 +67,9 @@ _ACTIVE_LINKS = _obs.histogram("flowsim.active_links")
 #: Collective schedules and the alltoall aggregate re-assign identical flow
 #: sets (same endpoints and demands) many times; 64 patterns comfortably
 #: cover the phase structure of every schedule in the repository.  Override
-#: per simulator with the ``assign_cache`` constructor argument or process
-#: wide with ``REPRO_ASSIGN_CACHE`` (0 disables the cache).
+#: per simulator with the ``assign_cache`` constructor argument (0 disables
+#: the cache).
 _ASSIGNMENT_CACHE_SIZE = 64
-
-
-def _default_assignment_cache() -> int:
-    """The assignment-LRU capacity from ``REPRO_ASSIGN_CACHE`` (or default)."""
-    return number_knob("REPRO_ASSIGN_CACHE", _ASSIGNMENT_CACHE_SIZE, zero=True)
 
 
 @dataclass
@@ -340,13 +334,10 @@ class FlowSimulator:
         self.ranks = list(topo.accelerators)
         self._rank_nodes = np.asarray(self.ranks, dtype=np.int64)
         self.injection_capacity = float(topo.meta.get("injection_capacity", 4.0))
-        if assign_cache is None:
-            self.assign_cache = _default_assignment_cache()
-        else:
-            self.assign_cache = int(assign_cache)
-            if self.assign_cache < 0:
-                raise ValueError(f"assign_cache must be >= 0, got {assign_cache}")
-        self._assignments: "OrderedDict[Tuple, FlowAssignment]" = OrderedDict()
+        self.assign_cache = _ASSIGNMENT_CACHE_SIZE if assign_cache is None else int(assign_cache)
+        if self.assign_cache < 0:
+            raise ValueError(f"assign_cache must be >= 0, got {assign_cache}")
+        self._assignments: "OrderedDict[Tuple[bytes, bytes, bytes], FlowAssignment]" = OrderedDict()
         register_route_cache_client(self)
 
     def clear_route_caches(self) -> None:
@@ -364,11 +355,13 @@ class FlowSimulator:
     def assign(self, flows: Sequence[Flow]) -> FlowAssignment:
         """Route ``flows`` (given in ranks) and build the incidence arrays.
 
-        The incidence arrays are gathered from the route table's CSR storage
-        with pure NumPy operations; assignments for recently-seen flow
-        patterns (identical endpoints and demands) are returned from a small
-        LRU cache, since collective schedules and the alltoall aggregate
-        re-assign the same flow sets repeatedly.
+        A :class:`~repro.sim.traffic.FlowSet` is read as it is; any other
+        sequence of flows is converted to one first.  The incidence arrays
+        are gathered from the route table's CSR storage with pure NumPy
+        operations; assignments for recently-seen flow patterns (the same
+        ``src``, ``dst`` and ``demand`` bytes, in order) are returned from a
+        small LRU cache, since collective schedules and the alltoall
+        aggregate re-assign the same flow sets repeatedly.
 
         Subflow weights come from the routing policy's per-path table
         weights (an even ``1/k`` for minimal routing, a single unit weight
@@ -378,7 +371,8 @@ class FlowSimulator:
         whether its minimal or its Valiant candidate group carries the
         traffic (see :meth:`_ugal_paths`).
         """
-        key = tuple((f.src, f.dst, f.demand) for f in flows)
+        flows = FlowSet.of(flows)
+        key = (flows.src.tobytes(), flows.dst.tobytes(), flows.demand.tobytes())
         if self.assign_cache:
             cached = self._assignments.get(key)
             if cached is not None:
@@ -434,27 +428,12 @@ class FlowSimulator:
         rank outside ``[0, p)`` or a negative or non-finite demand; a zero
         demand is legal.
         """
-        picked = flows if idx is None else [flows[i] for i in idx.tolist()]
-        n = len(picked)
-        src = np.fromiter((f.src for f in picked), dtype=np.int64, count=n)
-        dst = np.fromiter((f.dst for f in picked), dtype=np.int64, count=n)
-        demand = np.fromiter((f.demand for f in picked), dtype=np.float64, count=n)
-        p = len(self.ranks)
-        bad_rank = (src < 0) | (src >= p) | (dst < 0) | (dst >= p)
-        # NaN fails ``>= 0``, so one comparison rejects it with the negatives.
-        bad_demand = ~(demand >= 0.0) | np.isinf(demand)
-        bad = np.flatnonzero(bad_rank | bad_demand)
-        if len(bad):
-            k = int(bad[0])
-            i = k if idx is None else int(idx[k])
-            if bad_rank[k]:
-                raise ValueError(
-                    f"flow {i} ({int(src[k])} -> {int(dst[k])}) has a rank outside [0, {p})"
-                )
-            raise ValueError(
-                f"flow {i} has demand {float(demand[k])}; demands must be finite and >= 0"
-            )
-        return src, dst, demand
+        flows = FlowSet.of(flows)
+        if idx is None:
+            columns = (flows.src, flows.dst, flows.demand)
+        else:
+            columns = (flows.src[idx], flows.dst[idx], flows.demand[idx])
+        return flow_columns(*columns, num_ranks=len(self.ranks), index=idx)
 
     def _changed_flows(
         self,
@@ -887,7 +866,7 @@ class FlowSimulator:
         :meth:`maxmin_rates_delta_batch`; its ``result`` field holds the
         same :class:`PhaseResult` a plain :meth:`maxmin_rates` call produces.
         """
-        flows = list(flows)
+        flows = FlowSet.of(flows)
         asg = self.assign(flows)
         [(levels, remaining)] = self._water_fill([asg], max_iterations=max_iterations)
         result = self._phase_result(asg, levels, remaining)
@@ -975,7 +954,7 @@ class FlowSimulator:
         differs from ``state``'s, every changed candidate is solved cold,
         all in one batch.
         """
-        flow_sets = [list(fs) for fs in flow_sets]
+        flow_sets = [FlowSet.of(fs) for fs in flow_sets]
         C = len(flow_sets)
         _DELTA_BATCH.observe(C)
         if C == 0:
@@ -1548,7 +1527,7 @@ class FlowSimulator:
     def _cold_delta_batch(
         self,
         state: WarmState,
-        flow_sets: List[List[Flow]],
+        flow_sets: List[FlowSet],
         changed_list: List[Optional[Sequence[int]]],
         *,
         max_iterations: int,
@@ -1632,30 +1611,24 @@ class FlowSimulator:
         injection/ejection links exactly balanced, so the estimate has no
         endpoint-sampling noise.
         """
-        from .traffic import alltoall_phases, sampled_alltoall_phases
-
         p = len(self.ranks)
-        if num_phases is None or num_phases >= p - 1:
-            phases = alltoall_phases(p)
-        else:
-            phases = sampled_alltoall_phases(p, num_phases, seed=seed)
+        shifts = alltoall_shifts(p, num_phases, seed)
         if method == "phased":
             inv_rates = []
-            for phase in phases:
-                rate = self.symmetric_rate(phase).min_rate
+            for s in shifts:
+                rate = self.symmetric_rate(alltoall_flows(p, [s])).min_rate
                 inv_rates.append(1.0 / max(rate, _EPS))
             harmonic = len(inv_rates) / sum(inv_rates)
             return min(harmonic / self.injection_capacity, 1.0)
         if method != "aggregate":
             raise ValueError(f"unknown alltoall method {method!r}")
         # Aggregate all sampled phases into a single uniform-traffic load.
-        all_flows: List[Flow] = [f for phase in phases for f in phase]
-        asg = self.assign(all_flows)
+        asg = self.assign(alltoall_flows(p, shifts))
         weights = asg.subflow_weight[asg.entry_subflow]
         load = np.bincount(asg.entry_link, weights=weights, minlength=len(self.capacity))
         # Each accelerator appears exactly once per phase as a source, so an
         # injection rate of R corresponds to R / num_phases per flow.
-        load = load / len(phases)
+        load = load / len(shifts)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(load > _EPS, self.capacity / np.maximum(load, _EPS), np.inf)
         injection_rate = float(ratio.min())
@@ -1663,10 +1636,10 @@ class FlowSimulator:
 
     def permutation_bandwidths(self, flows: Sequence[Flow]) -> np.ndarray:
         """Per-rank receive bandwidth (fraction of injection) for a permutation."""
+        flows = FlowSet.of(flows)
         result = self.maxmin_rates(flows)
         by_dst = np.zeros(len(self.ranks))
-        dst = np.fromiter((f.dst for f in flows), dtype=np.int64, count=len(flows))
-        np.add.at(by_dst, dst, result.flow_rates)
+        np.add.at(by_dst, flows.dst, result.flow_rates)
         return by_dst / self.injection_capacity
 
     def phase_bandwidth(self, flows: Sequence[Flow], *, exact: bool = False) -> float:

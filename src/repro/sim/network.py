@@ -67,7 +67,7 @@ from .faults import DegradedPathProvider, FaultSet
 from .packet import DEFAULT_PACKET_SIZE, Message
 from .paths import DEFAULT_MAX_PATHS, PathProvider
 from .routing import RouteTable, register_route_cache_client, route_table_for
-from .traffic import Flow
+from .traffic import Flow, FlowSet
 
 __all__ = ["PacketSimConfig", "PacketNetwork", "PacketSimResult"]
 
@@ -297,14 +297,15 @@ class PacketNetwork:
         Without faults, the flows' pairs are routed here in one batch, so
         injection finds them stored instead of routing them one at a time.
         """
+        flows = FlowSet.of(flows)
         if self._dead is None and len(flows):
             ranks = np.asarray(self.ranks, dtype=np.int64)
-            src = ranks[[flow.src for flow in flows]]
-            dst = ranks[[flow.dst for flow in flows]]
+            src = ranks[flows.src]
+            dst = ranks[flows.dst]
             routed = src != dst
             self.table.pair_arrays(src[routed], dst[routed])
-        for flow in flows:
-            self.send(flow.src, flow.dst, size * flow.demand, start_time=start_time)
+        for s, d, demand in zip(flows.src.tolist(), flows.dst.tolist(), flows.demand.tolist()):
+            self.send(s, d, size * demand, start_time=start_time)
 
     # --------------------------------------------------------------- calendar
     def _push(self, time: float, record: tuple) -> None:

@@ -39,7 +39,7 @@ import numpy as np
 from .. import obs as _obs
 from ..exp.seeding import SeedLike, as_generator
 from .flowsim import FlowSimulator
-from .traffic import Flow, adversarial_permutation, swap_destinations
+from .traffic import Flow, FlowSet, adversarial_permutation, swap_destinations
 
 __all__ = ["SearchResult", "anneal_adversary", "worst_receive_fraction"]
 
@@ -60,7 +60,7 @@ def worst_receive_fraction(topo, flows: Sequence[Flow], rates: np.ndarray) -> fl
     """
     p = topo.num_accelerators
     inj = float(topo.meta.get("injection_capacity", 4.0))
-    dst = np.fromiter((f.dst for f in flows), dtype=np.int64, count=len(flows))
+    dst = FlowSet.of(flows).dst
     by_dst = np.zeros(p)
     np.add.at(by_dst, dst, np.asarray(rates, dtype=np.float64))
     if not len(dst):
@@ -78,7 +78,7 @@ class SearchResult:
     because the seed is the first evaluated candidate.
     """
 
-    best_flows: List[Flow]
+    best_flows: FlowSet
     best_objective: float
     seed_objective: float
     steps: int
@@ -125,7 +125,7 @@ def anneal_adversary(
     if not (0.0 < t_final <= t_initial):
         raise ValueError("need 0 < t_final <= t_initial")
     topo = sim.topo
-    cur = list(flows) if flows is not None else adversarial_permutation(topo)
+    cur = FlowSet.of(flows) if flows is not None else adversarial_permutation(topo)
     n = len(cur)
     rng = as_generator(seed)
 
@@ -134,14 +134,14 @@ def anneal_adversary(
     state = sim.maxmin_warm_state(cur)
     cur_obj = worst_receive_fraction(topo, cur, state.result.flow_rates)
     seed_obj = cur_obj
-    best_flows = list(cur)
+    best_flows = cur
     best_obj = cur_obj
 
     def propose() -> Optional[Tuple[int, int]]:
         """A valid swap: neither flow may become a self-send."""
         for _ in range(16):
             i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
-            if cur[i].src != cur[j].dst and cur[j].src != cur[i].dst:
+            if cur.src[i] != cur.dst[j] and cur.src[j] != cur.dst[i]:
                 return i, j
         return None
 
@@ -154,7 +154,7 @@ def anneal_adversary(
     while done < steps and n >= 2:
         width = min(batch, steps - done)
         moves: List[Tuple[int, int]] = []
-        cands: List[List[Flow]] = []
+        cands: List[FlowSet] = []
         for _ in range(width):
             mv = propose()
             if mv is None:

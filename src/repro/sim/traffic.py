@@ -2,8 +2,11 @@
 
 Patterns are expressed over *ranks* ``0..P-1`` (dense accelerator indices);
 the simulators translate ranks to topology node ids.  A pattern is either a
-single list of :class:`Flow` objects (one communication phase) or a list of
-phases executed one after another (e.g. the balanced-shift alltoall).
+single :class:`FlowSet` (one communication phase) or a list of phases
+executed one after another (e.g. the balanced-shift alltoall).  A
+:class:`FlowSet` holds its flows as three parallel arrays and reads as a
+``Sequence[Flow]``, so code that iterates or indexes flows works on it
+unchanged while the simulators read its arrays directly.
 
 Randomised generators accept either an explicit integer seed (the
 experiment engine's convention: serialisable and independent of execution
@@ -14,7 +17,7 @@ order, so parallel and serial sweeps are bit-identical) or a caller-managed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -22,8 +25,11 @@ from ..exp.seeding import SeedLike, as_generator
 
 __all__ = [
     "Flow",
+    "FlowSet",
     "alltoall_phase",
     "alltoall_phases",
+    "alltoall_shifts",
+    "alltoall_flows",
     "sampled_alltoall_phases",
     "random_permutation",
     "adversarial_permutation",
@@ -43,7 +49,155 @@ class Flow:
     demand: float = 1.0
 
 
-def alltoall_phase(p: int, shift: int) -> List[Flow]:
+def _rank_column(name: str, values) -> Tuple[np.ndarray, np.ndarray]:
+    """``(as_int64, non_integer_mask)`` of one rank column."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValueError(f"flow set {name} must be 1-D, got shape {arr.shape}")
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.int64, copy=False), np.zeros(len(arr), dtype=bool)
+    arr = arr.astype(np.float64)
+    bad = ~np.isfinite(arr) | (arr != np.floor(arr))
+    return np.where(bad, 0.0, arr).astype(np.int64), bad
+
+
+def flow_columns(
+    src, dst, demand, *, num_ranks: Optional[int] = None, index: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated ``(src, dst, demand)`` arrays (``int64``, ``int64``,
+    ``float64``) of flows given column-wise.
+
+    Raises a one-line :class:`ValueError` naming the first bad flow: a
+    non-integer rank, a rank outside ``[0, num_ranks)`` (when given), or a
+    negative or non-finite demand; a zero demand is legal.  ``index[k]`` is
+    the name of flow ``k`` when the columns are a pick of a larger set.
+    Arrays of the right type are returned as they are, not copied.
+    """
+    src_arr, bad_src = _rank_column("src", src)
+    dst_arr, bad_dst = _rank_column("dst", dst)
+    dem = np.asarray(demand, dtype=np.float64)
+    if dem.ndim == 0:
+        dem = np.full(len(src_arr), float(dem))
+    elif dem.ndim != 1:
+        raise ValueError(f"flow set demand must be 1-D, got shape {dem.shape}")
+    sizes = (len(src_arr), len(dst_arr), len(dem))
+    if len(set(sizes)) > 1:
+        raise ValueError(
+            f"flow {min(sizes)} is incomplete: src, dst and demand have "
+            f"{sizes[0]}, {sizes[1]} and {sizes[2]} entries"
+        )
+    bad_int = bad_src | bad_dst
+    bad_rank = np.zeros(len(src_arr), dtype=bool)
+    if num_ranks is not None:
+        bad_rank = (src_arr < 0) | (src_arr >= num_ranks) | (dst_arr < 0) | (dst_arr >= num_ranks)
+    # NaN fails ``>= 0``, so one comparison rejects it with the negatives.
+    bad_demand = ~(dem >= 0.0) | np.isinf(dem)
+    bad = np.flatnonzero(bad_int | bad_rank | bad_demand)
+    if len(bad):
+        k = int(bad[0])
+        i = k if index is None else int(index[k])
+        if bad_int[k]:
+            s, d = np.asarray(src)[k].item(), np.asarray(dst)[k].item()
+            raise ValueError(f"flow {i} ({s} -> {d}) has a non-integer rank")
+        if bad_rank[k]:
+            raise ValueError(
+                f"flow {i} ({int(src_arr[k])} -> {int(dst_arr[k])}) has a rank "
+                f"outside [0, {num_ranks})"
+            )
+        raise ValueError(
+            f"flow {i} has demand {float(dem[k])}; demands must be finite and >= 0"
+        )
+    return src_arr, dst_arr, dem
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+class FlowSet(Sequence[Flow]):
+    """An immutable set of flows stored as three parallel arrays.
+
+    ``src`` and ``dst`` are ``int64`` ranks and ``demand`` is ``float64``;
+    the three are 1-D, equally long and read-only, and are validated once
+    here (see :func:`flow_columns`; ``demand`` may be a scalar shared by
+    every flow).  A ``FlowSet`` is a ``Sequence[Flow]``: indexing yields a
+    :class:`Flow`, a slice or an integer index array yields a ``FlowSet``,
+    and it compares equal to any sequence of the same flows.
+    """
+
+    __slots__ = ("src", "dst", "demand")
+
+    def __init__(self, src, dst, demand=1.0):
+        columns = flow_columns(src, dst, demand)
+        for name, arr in zip(self.__slots__, columns):
+            object.__setattr__(self, name, _frozen(np.array(arr)))
+
+    @classmethod
+    def _wrap(cls, src: np.ndarray, dst: np.ndarray, demand: np.ndarray) -> "FlowSet":
+        """A set over already validated columns (frozen, not copied)."""
+        out = object.__new__(cls)
+        for name, arr in zip(cls.__slots__, (src, dst, demand)):
+            object.__setattr__(out, name, _frozen(arr))
+        return out
+
+    @classmethod
+    def of(cls, flows: Union["FlowSet", Iterable[Flow]]) -> "FlowSet":
+        """``flows`` as a :class:`FlowSet`: returned as is if it is one,
+        otherwise read once, in order."""
+        if isinstance(flows, FlowSet):
+            return flows
+        flows = flows if isinstance(flows, Sequence) else list(flows)
+        return cls(
+            [f.src for f in flows], [f.dst for f in flows], [f.demand for f in flows]
+        )
+
+    @classmethod
+    def concat(cls, sets: Iterable["FlowSet"]) -> "FlowSet":
+        """The flows of ``sets`` one after another."""
+        sets = [cls.of(fs) for fs in sets]
+        if not sets:
+            return cls([], [])
+        return cls._wrap(
+            *(np.concatenate([getattr(fs, name) for fs in sets]) for name in cls.__slots__)
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FlowSet is immutable")
+
+    def __reduce__(self):
+        return (FlowSet, (self.src, self.dst, self.demand))
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return Flow(int(self.src[key]), int(self.dst[key]), float(self.demand[key]))
+        if not isinstance(key, slice):
+            key = np.asarray(key, dtype=np.int64)
+        return FlowSet._wrap(self.src[key], self.dst[key], self.demand[key])
+
+    def __iter__(self):
+        return map(Flow, self.src.tolist(), self.dst.tolist(), self.demand.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FlowSet):
+            return all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in self.__slots__
+            )
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"FlowSet({len(self)} flows)"
+
+
+def alltoall_phase(p: int, shift: int) -> FlowSet:
     """Phase ``shift`` of the balanced-shift alltoall on ``p`` ranks.
 
     In phase ``i`` every rank ``j`` sends to rank ``(j + i) mod p``
@@ -51,26 +205,29 @@ def alltoall_phase(p: int, shift: int) -> List[Flow]:
     """
     if not (1 <= shift < p):
         raise ValueError(f"shift must be in [1, p), got {shift} for p={p}")
-    return [Flow(j, (j + shift) % p) for j in range(p)]
+    return alltoall_flows(p, [shift])
 
 
-def alltoall_phases(p: int) -> List[List[Flow]]:
+def alltoall_flows(p: int, shifts: Sequence[int]) -> FlowSet:
+    """The phases ``shifts`` of the balanced-shift alltoall as one set,
+    phase by phase: every rank ``j`` sends to ``(j + s) mod p`` for each
+    shift ``s`` in turn."""
+    ranks = np.arange(p, dtype=np.int64)
+    shifts = np.asarray(shifts, dtype=np.int64)
+    dst = (ranks[None, :] + shifts[:, None]) % p
+    return FlowSet(np.tile(ranks, len(shifts)), dst.ravel())
+
+
+def alltoall_phases(p: int) -> List[FlowSet]:
     """All ``p - 1`` phases of the balanced-shift alltoall."""
     return [alltoall_phase(p, s) for s in range(1, p)]
 
 
-def sampled_alltoall_phases(p: int, num_phases: int, seed: SeedLike = 0) -> List[List[Flow]]:
-    """A stratified sample of alltoall phases for large ``p``.
-
-    Shifts are drawn evenly spaced across ``[1, p/2]`` (with a seeded random
-    offset) and every sampled shift ``s`` is paired with its complement
-    ``p - s``.  This keeps the sample symmetric under direction reversal
-    (East/West, North/South), which removes the directional bias a plain
-    random sample of shifts would impose on the link-load estimate, while
-    still covering near, medium and far communication distances.
-    """
-    if num_phases >= p - 1:
-        return alltoall_phases(p)
+def alltoall_shifts(p: int, num_phases: Optional[int] = None, seed: SeedLike = 0) -> List[int]:
+    """The shifts of :func:`sampled_alltoall_phases` in phase order: every
+    shift ``1..p-1`` when ``num_phases`` is ``None`` or covers them all."""
+    if num_phases is None or num_phases >= p - 1:
+        return list(range(1, p))
     rng = as_generator(seed)
     half = max(1, num_phases // 2)
     stride = (p // 2) / half
@@ -82,10 +239,23 @@ def sampled_alltoall_phases(p: int, num_phases: int, seed: SeedLike = 0) -> List
         shifts.add(p - s)
     shifts.discard(0)
     shifts.discard(p)
-    return [alltoall_phase(p, s) for s in sorted(shifts)]
+    return sorted(shifts)
 
 
-def random_permutation(p: int, seed: SeedLike = 0) -> List[Flow]:
+def sampled_alltoall_phases(p: int, num_phases: int, seed: SeedLike = 0) -> List[FlowSet]:
+    """A stratified sample of alltoall phases for large ``p``.
+
+    Shifts are drawn evenly spaced across ``[1, p/2]`` (with a seeded random
+    offset) and every sampled shift ``s`` is paired with its complement
+    ``p - s``.  This keeps the sample symmetric under direction reversal
+    (East/West, North/South), which removes the directional bias a plain
+    random sample of shifts would impose on the link-load estimate, while
+    still covering near, medium and far communication distances.
+    """
+    return [alltoall_phase(p, s) for s in alltoall_shifts(p, num_phases, seed)]
+
+
+def random_permutation(p: int, seed: SeedLike = 0) -> FlowSet:
     """Random permutation traffic: each rank sends to a unique random peer."""
     rng = as_generator(seed)
     perm = rng.permutation(p)
@@ -96,7 +266,7 @@ def random_permutation(p: int, seed: SeedLike = 0) -> List[Flow]:
         perm[fixed[0]], perm[other] = perm[other], perm[fixed[0]]
     elif len(fixed) > 1:
         perm[fixed] = np.roll(perm[fixed], 1)
-    return [Flow(int(i), int(perm[i])) for i in range(p)]
+    return FlowSet(np.arange(p), perm)
 
 
 def adversarial_permutation(topo) -> List[Flow]:
@@ -142,7 +312,8 @@ def adversarial_permutation(topo) -> List[Flow]:
         node_at = {coords: node for node, coords in coord_of.items()}
         hot_row = x > 1  # hot dimension: the global row if there is one
         if hot_row or y > 1:
-            flows = []
+            src: List[int] = []
+            dst: List[int] = []
             for node in topo.accelerators:
                 gr, gc, br, bc = coord_of[node]
                 if hot_row and gr == 0:
@@ -151,8 +322,9 @@ def adversarial_permutation(topo) -> List[Flow]:
                     target = ((gr + max(1, y // 2)) % y, 0, br, bc)
                 else:
                     continue  # idle rank: the adversary's job is elsewhere
-                flows.append(Flow(rank_of[node], rank_of[node_at[target]]))
-            return flows
+                src.append(rank_of[node])
+                dst.append(rank_of[node_at[target]])
+            return FlowSet(src, dst)
     elif family == "torus":
         rows, cols = topo.meta["rows"], topo.meta["cols"]
         coord_of = topo.meta["coord_of"]
@@ -198,24 +370,22 @@ def adversarial_permutation(topo) -> List[Flow]:
                     perm[rank_of[node]] = rank_of[peers[i]]
     if perm is None:
         # fat tree / unknown family / degenerate shapes: half-shift in ranks.
-        perm = [(r + max(1, p // 2)) % p for r in range(p)]
+        perm = (np.arange(p) + max(1, p // 2)) % p
+    perm = np.asarray(perm, dtype=np.int64)
     # Degenerate shifts can produce fixed points (e.g. a 2-wide dimension
     # where half-way is the identity after wrap); rotate them away.
-    fixed = [r for r in range(p) if perm[r] == r]
-    if fixed:
-        vals = [perm[r] for r in fixed]
-        vals = vals[1:] + vals[:1]
-        for r, v in zip(fixed, vals):
-            perm[r] = v
-    if any(perm[r] == r for r in range(p)):
+    fixed = np.flatnonzero(perm == np.arange(p))
+    perm[fixed] = np.roll(perm[fixed], -1)
+    if (perm == np.arange(p)).any():
         raise ValueError("could not build a fixed-point-free adversarial permutation")
-    return [Flow(r, perm[r]) for r in range(p)]
+    return FlowSet(np.arange(p), perm)
 
 
-def swap_destinations(flows: Sequence[Flow], i: int, j: int) -> List[Flow]:
+def swap_destinations(flows: Sequence[Flow], i: int, j: int) -> Sequence[Flow]:
     """The neighbour move of the adversary search: flows ``i`` and ``j``
     trade destinations (sources and demands stay put), so a permutation
-    stays a permutation.  Returns a new list; ``flows`` is not modified.
+    stays a permutation.  Returns a new :class:`FlowSet` for a ``FlowSet``
+    and a new list for any other sequence; ``flows`` is not modified.
     Indices must lie in ``[0, len(flows))``; negative ones are rejected.
     """
     for k in (i, j):
@@ -223,11 +393,15 @@ def swap_destinations(flows: Sequence[Flow], i: int, j: int) -> List[Flow]:
             raise ValueError(f"swap_destinations index {k} is outside [0, {len(flows)})")
     if i == j:
         raise ValueError("swap_destinations needs two distinct flow indices")
-    fi, fj = flows[i], flows[j]
-    out = list(flows)
-    out[i] = Flow(fi.src, fj.dst, fi.demand)
-    out[j] = Flow(fj.src, fi.dst, fj.demand)
-    return out
+    if not isinstance(flows, FlowSet):
+        fi, fj = flows[i], flows[j]
+        out = list(flows)
+        out[i] = Flow(fi.src, fj.dst, fi.demand)
+        out[j] = Flow(fj.src, fi.dst, fj.demand)
+        return out
+    dst = flows.dst.copy()
+    dst[i], dst[j] = flows.dst[j], flows.dst[i]
+    return FlowSet._wrap(flows.src, dst, flows.demand)
 
 
 def uniform_pair_sample(p: int, num_samples: int, seed: SeedLike = 0) -> List[Flow]:
@@ -240,47 +414,39 @@ def uniform_pair_sample(p: int, num_samples: int, seed: SeedLike = 0) -> List[Fl
     rng = as_generator(seed)
     src = rng.integers(0, p, size=num_samples)
     off = rng.integers(1, p, size=num_samples)
-    dst = (src + off) % p
-    return [Flow(int(s), int(d)) for s, d in zip(src, dst)]
+    return FlowSet(src, (src + off) % p)
 
 
 def ring_neighbor_flows(
     order: Sequence[int], *, bidirectional: bool = False, wrap: bool = True
-) -> List[Flow]:
+) -> FlowSet:
     """Steady-state neighbour flows of a pipelined ring over ``order``.
 
     Each rank sends to its successor (and, if ``bidirectional``, also to its
-    predecessor); this is the per-round communication pattern of the
-    pipelined ring allreduce of Section V-A2b.  With ``wrap=False`` the last
-    link of the ring is left unused (a pipeline rather than a ring).
+    predecessor, right after); this is the per-round communication pattern
+    of the pipelined ring allreduce of Section V-A2b.  With ``wrap=False``
+    the last link of the ring is left unused (a pipeline rather than a
+    ring).
     """
-    p = len(order)
-    flows: List[Flow] = []
-    last = p if wrap else p - 1
-    for i in range(last):
-        flows.append(Flow(order[i], order[(i + 1) % p]))
-        if bidirectional:
-            flows.append(Flow(order[(i + 1) % p], order[i]))
-    return flows
+    order = np.asarray(order, dtype=np.int64)
+    last = len(order) if wrap else max(len(order) - 1, 0)
+    src, dst = order[:last], np.roll(order, -1)[:last]
+    if bidirectional:
+        src, dst = np.stack([src, dst], 1).ravel(), np.stack([dst, src], 1).ravel()
+    return FlowSet(src, dst)
 
 
-def nearest_neighbor_2d_flows(rows: int, cols: int, *, wrap: bool = True) -> List[Flow]:
+def nearest_neighbor_2d_flows(rows: int, cols: int, *, wrap: bool = True) -> FlowSet:
     """Nearest-neighbour (halo exchange) flows on a ``rows`` x ``cols`` grid.
 
     Rank ``r * cols + c`` exchanges with its four neighbours; used to model
-    operator-parallel convolution workloads such as CosmoFlow.
+    operator-parallel convolution workloads such as CosmoFlow.  Ranks are
+    visited in order, each with its East then its South neighbour, and each
+    exchange is the pair ``me -> nb``, ``nb -> me``.
     """
-    flows: List[Flow] = []
-    for r in range(rows):
-        for c in range(cols):
-            me = r * cols + c
-            neighbours = []
-            if wrap or c + 1 < cols:
-                neighbours.append(r * cols + (c + 1) % cols)
-            if wrap or r + 1 < rows:
-                neighbours.append(((r + 1) % rows) * cols + c)
-            for nb in neighbours:
-                if nb != me:
-                    flows.append(Flow(me, nb))
-                    flows.append(Flow(nb, me))
-    return flows
+    r, c = np.divmod(np.arange(rows * cols, dtype=np.int64), cols)
+    me = r * cols + c
+    nb = np.stack([r * cols + (c + 1) % cols, ((r + 1) % rows) * cols + c], 1)
+    ok = np.stack([wrap | (c + 1 < cols), wrap | (r + 1 < rows)], 1) & (nb != me[:, None])
+    mine, theirs = np.broadcast_to(me[:, None], nb.shape)[ok], nb[ok]
+    return FlowSet(np.stack([mine, theirs], 1).ravel(), np.stack([theirs, mine], 1).ravel())

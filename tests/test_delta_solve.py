@@ -215,17 +215,6 @@ class TestAssignCacheKnob:
         with pytest.raises(ValueError):
             FlowSimulator(hx2mesh_4x4, assign_cache=-1)
 
-    def test_env_knob(self, hx2mesh_4x4, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSIGN_CACHE", "3")
-        assert FlowSimulator(hx2mesh_4x4).assign_cache == 3
-        monkeypatch.setenv("REPRO_ASSIGN_CACHE", "0")
-        assert FlowSimulator(hx2mesh_4x4).assign_cache == 0
-        for bad in ("zero", "-2", "1.5"):
-            monkeypatch.setenv("REPRO_ASSIGN_CACHE", bad)
-            message = f"REPRO_ASSIGN_CACHE must be an integer >= 0, got '{bad}'"
-            with pytest.raises(SystemExit, match=message):
-                FlowSimulator(hx2mesh_4x4)
-
     def test_disabled_cache_never_hits(self, hx2mesh_4x4):
         sim = FlowSimulator(hx2mesh_4x4, assign_cache=0)
         flows = random_permutation(hx2mesh_4x4.num_accelerators, seed=10)
