@@ -269,7 +269,7 @@ def random_permutation(p: int, seed: SeedLike = 0) -> FlowSet:
     return FlowSet(np.arange(p), perm)
 
 
-def adversarial_permutation(topo) -> List[Flow]:
+def adversarial_permutation(topo) -> FlowSet:
     """Worst-case permutation traffic for ``topo``'s family: the classic
     adversary of minimal routing, which concentrates traffic onto a *few* of
     the parallel global resources while the rest of the network idles —
@@ -404,7 +404,7 @@ def swap_destinations(flows: Sequence[Flow], i: int, j: int) -> Sequence[Flow]:
     return FlowSet._wrap(flows.src, dst, flows.demand)
 
 
-def uniform_pair_sample(p: int, num_samples: int, seed: SeedLike = 0) -> List[Flow]:
+def uniform_pair_sample(p: int, num_samples: int, seed: SeedLike = 0) -> FlowSet:
     """Uniformly sampled ordered (src, dst) pairs, src != dst.
 
     Used by the flow simulator's uniform-traffic throughput estimator to
@@ -444,8 +444,8 @@ def nearest_neighbor_2d_flows(rows: int, cols: int, *, wrap: bool = True) -> Flo
     visited in order, each with its East then its South neighbour, and each
     exchange is the pair ``me -> nb``, ``nb -> me``.
     """
-    r, c = np.divmod(np.arange(rows * cols, dtype=np.int64), cols)
-    me = r * cols + c
+    me = np.arange(rows * cols, dtype=np.int64)
+    r, c = np.divmod(me, cols)
     nb = np.stack([r * cols + (c + 1) % cols, ((r + 1) % rows) * cols + c], 1)
     ok = np.stack([wrap | (c + 1 < cols), wrap | (r + 1 < rows)], 1) & (nb != me[:, None])
     mine, theirs = np.broadcast_to(me[:, None], nb.shape)[ok], nb[ok]

@@ -20,11 +20,14 @@ from repro.sim import (
     FlowSet,
     FlowSimulator,
     PacketNetwork,
+    alltoall_phases,
     anneal_adversary,
     get_backend,
     random_permutation,
+    sampled_alltoall_phases,
     swap_destinations,
 )
+from repro.sim.traffic import alltoall_flows, alltoall_shifts
 
 POLICIES = ("minimal", "ecmp", "valiant", "ugal")
 FAMILIES = ("hammingmesh", "dragonfly", "torus")
@@ -126,6 +129,21 @@ class TestNoPerFlowPass:
         backend.allreduce_fraction()
         backend.permutation_sample(flows)
         PacketNetwork(hx2mesh_4x4).send_flows(flows, 1.0)
+
+
+class TestAlltoallFlows:
+    @pytest.mark.parametrize("p", [2, 3, 16, 64, 257])
+    @pytest.mark.parametrize("num_phases", [None, 1, 8, 24, 48])
+    def test_one_broadcast_is_the_phases_in_order(self, p, num_phases):
+        """The aggregate alltoall's flows are its phases' flows, phase by
+        phase, as the list of all phases' flows was before."""
+        if num_phases is None:
+            phases = alltoall_phases(p)
+        else:
+            phases = sampled_alltoall_phases(p, num_phases, seed=3)
+        shifts = alltoall_shifts(p, num_phases, seed=3)
+        assert len(shifts) == len(phases)
+        assert alltoall_flows(p, shifts) == [f for phase in phases for f in phase]
 
 
 class TestSequence:
