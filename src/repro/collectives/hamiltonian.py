@@ -9,8 +9,9 @@ Hamiltonian cycles in two-dimensional torus", 2004), which applies to an
 ``gcd(r, c - 1) == 1`` -- this covers all the (square) HxMesh accelerator
 grids used in the paper (4x4, 8x4, 9x3, 16x8, 32x32, 128x128, ...).
 
-Cycles are returned as ordered lists of ``(row, col)`` coordinates (or as
-``(n, 2)`` coordinate arrays); helper functions verify Hamiltonicity and
+The edge-disjoint cycles are returned as ``(n, 2)`` arrays of ``(row, col)``
+coordinates in cycle order (the boustrophedon fallback as a list of
+coordinate pairs); helper functions verify Hamiltonicity and
 edge-disjointness on either form (also exercised by the property-based
 tests).
 """
@@ -25,7 +26,6 @@ import numpy as np
 __all__ = [
     "supports_disjoint_cycles",
     "disjoint_hamiltonian_cycles",
-    "disjoint_cycle_arrays",
     "cycle_edges",
     "is_hamiltonian_cycle",
     "are_edge_disjoint",
@@ -66,10 +66,15 @@ def _green_position(index, rows: int, cols: int):
     return ((x0 + (cols - 1) * x1) % rows, x1 % cols)
 
 
-def disjoint_cycle_arrays(rows: int, cols: int) -> List[np.ndarray]:
-    """The red and green cycles of :func:`disjoint_hamiltonian_cycles` as
-    ``(n, 2)`` arrays of ``(row, col)`` coordinates, validated the same
-    way."""
+def disjoint_hamiltonian_cycles(rows: int, cols: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Two edge-disjoint Hamiltonian cycles of the ``rows`` x ``cols`` torus,
+    the red and the green one, as ``(n, 2)`` arrays of ``(row, col)``
+    coordinates.
+
+    Raises :class:`ValueError` when the construction's applicability
+    condition does not hold.  The returned cycles are validated before being
+    returned, so a successful call is guaranteed to be correct.
+    """
     if not supports_disjoint_cycles(rows, cols):
         raise ValueError(
             f"no edge-disjoint Hamiltonian cycle construction for a {rows}x{cols} "
@@ -84,18 +89,7 @@ def disjoint_cycle_arrays(rows: int, cols: int) -> List[np.ndarray]:
                              f"for {rows}x{cols}")
     if not are_edge_disjoint(red, green):
         raise ValueError(f"internal error: cycles share an edge for {rows}x{cols}")
-    return [red, green]
-
-
-def disjoint_hamiltonian_cycles(rows: int, cols: int) -> Tuple[List[Coord], List[Coord]]:
-    """Two edge-disjoint Hamiltonian cycles of the ``rows`` x ``cols`` torus.
-
-    Raises :class:`ValueError` when the construction's applicability
-    condition does not hold.  The returned cycles are validated before being
-    returned, so a successful call is guaranteed to be correct.
-    """
-    red, green = disjoint_cycle_arrays(rows, cols)
-    return list(map(tuple, red.tolist())), list(map(tuple, green.tolist()))
+    return red, green
 
 
 def _coords(cycle: Sequence[Coord]) -> np.ndarray:

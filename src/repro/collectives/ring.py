@@ -26,7 +26,7 @@ from ..sim.traffic import FlowSet, ring_neighbor_flows
 from ..topology.base import Topology, TopologyError
 from .hamiltonian import (
     boustrophedon_cycle,
-    disjoint_cycle_arrays,
+    disjoint_hamiltonian_cycles,
     supports_disjoint_cycles,
 )
 from .schedule import CommSchedule, Transfer
@@ -82,9 +82,9 @@ def grid_ring_orders(topo: Topology) -> List[List[int]]:
     grid = _accelerator_grid(topo)
     rows, cols = grid.shape
     if supports_disjoint_cycles(rows, cols):
-        cycles = disjoint_cycle_arrays(rows, cols)
+        cycles = disjoint_hamiltonian_cycles(rows, cols)
     elif supports_disjoint_cycles(cols, rows):
-        cycles = [cycle[:, ::-1] for cycle in disjoint_cycle_arrays(cols, rows)]
+        cycles = [cycle[:, ::-1] for cycle in disjoint_hamiltonian_cycles(cols, rows)]
     else:
         cycles = [np.array(boustrophedon_cycle(rows, cols), dtype=np.int64)]
     return [grid[cycle[:, 0], cycle[:, 1]].tolist() for cycle in cycles]

@@ -371,7 +371,7 @@ class FlowSimulator:
         whether its minimal or its Valiant candidate group carries the
         traffic (see :meth:`_ugal_paths`).
         """
-        flows = FlowSet.of(flows)
+        flows = FlowSet.of(flows, num_ranks=len(self.ranks))
         key = (flows.src.tobytes(), flows.dst.tobytes(), flows.demand.tobytes())
         if self.assign_cache:
             cached = self._assignments.get(key)
@@ -428,7 +428,7 @@ class FlowSimulator:
         rank outside ``[0, p)`` or a negative or non-finite demand; a zero
         demand is legal.
         """
-        flows = FlowSet.of(flows)
+        flows = FlowSet.of(flows, num_ranks=len(self.ranks))
         if idx is None:
             columns = (flows.src, flows.dst, flows.demand)
         else:
@@ -866,7 +866,7 @@ class FlowSimulator:
         :meth:`maxmin_rates_delta_batch`; its ``result`` field holds the
         same :class:`PhaseResult` a plain :meth:`maxmin_rates` call produces.
         """
-        flows = FlowSet.of(flows)
+        flows = FlowSet.of(flows, num_ranks=len(self.ranks))
         asg = self.assign(flows)
         [(levels, remaining)] = self._water_fill([asg], max_iterations=max_iterations)
         result = self._phase_result(asg, levels, remaining)
@@ -954,7 +954,7 @@ class FlowSimulator:
         differs from ``state``'s, every changed candidate is solved cold,
         all in one batch.
         """
-        flow_sets = [FlowSet.of(fs) for fs in flow_sets]
+        flow_sets = [FlowSet.of(fs, num_ranks=len(self.ranks)) for fs in flow_sets]
         C = len(flow_sets)
         _DELTA_BATCH.observe(C)
         if C == 0:
@@ -1636,7 +1636,7 @@ class FlowSimulator:
 
     def permutation_bandwidths(self, flows: Sequence[Flow]) -> np.ndarray:
         """Per-rank receive bandwidth (fraction of injection) for a permutation."""
-        flows = FlowSet.of(flows)
+        flows = FlowSet.of(flows, num_ranks=len(self.ranks))
         result = self.maxmin_rates(flows)
         by_dst = np.zeros(len(self.ranks))
         np.add.at(by_dst, flows.dst, result.flow_rates)

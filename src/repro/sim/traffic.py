@@ -122,8 +122,8 @@ class FlowSet(Sequence[Flow]):
     the three are 1-D, equally long and read-only, and are validated once
     here (see :func:`flow_columns`; ``demand`` may be a scalar shared by
     every flow).  A ``FlowSet`` is a ``Sequence[Flow]``: indexing yields a
-    :class:`Flow`, a slice or an integer index array yields a ``FlowSet``,
-    and it compares equal to any sequence of the same flows.
+    :class:`Flow`, a slice, an integer index array or a boolean mask yields
+    a ``FlowSet``, and it compares equal to any sequence of the same flows.
     """
 
     __slots__ = ("src", "dst", "demand")
@@ -142,14 +142,22 @@ class FlowSet(Sequence[Flow]):
         return out
 
     @classmethod
-    def of(cls, flows: Union["FlowSet", Iterable[Flow]]) -> "FlowSet":
+    def of(
+        cls, flows: Union["FlowSet", Iterable[Flow]], *, num_ranks: Optional[int] = None
+    ) -> "FlowSet":
         """``flows`` as a :class:`FlowSet`: returned as is if it is one,
-        otherwise read once, in order."""
+        otherwise read once, in order, and validated in one pass (with the
+        rank bound ``num_ranks`` when given, see :func:`flow_columns`)."""
         if isinstance(flows, FlowSet):
             return flows
         flows = flows if isinstance(flows, Sequence) else list(flows)
-        return cls(
-            [f.src for f in flows], [f.dst for f in flows], [f.demand for f in flows]
+        return cls._wrap(
+            *flow_columns(
+                [f.src for f in flows],
+                [f.dst for f in flows],
+                [f.demand for f in flows],
+                num_ranks=num_ranks,
+            )
         )
 
     @classmethod
@@ -175,7 +183,11 @@ class FlowSet(Sequence[Flow]):
         if isinstance(key, (int, np.integer)):
             return Flow(int(self.src[key]), int(self.dst[key]), float(self.demand[key]))
         if not isinstance(key, slice):
-            key = np.asarray(key, dtype=np.int64)
+            key = np.asarray(key)
+            if key.ndim != 1:
+                raise IndexError(f"a FlowSet index array must be 1-D, got shape {key.shape}")
+            if not key.size:
+                key = key.astype(np.int64)  # ``[]`` reads as float64
         return FlowSet._wrap(self.src[key], self.dst[key], self.demand[key])
 
     def __iter__(self):
@@ -381,11 +393,11 @@ def adversarial_permutation(topo) -> FlowSet:
     return FlowSet(np.arange(p), perm)
 
 
-def swap_destinations(flows: Sequence[Flow], i: int, j: int) -> Sequence[Flow]:
+def swap_destinations(flows: Sequence[Flow], i: int, j: int) -> FlowSet:
     """The neighbour move of the adversary search: flows ``i`` and ``j``
     trade destinations (sources and demands stay put), so a permutation
-    stays a permutation.  Returns a new :class:`FlowSet` for a ``FlowSet``
-    and a new list for any other sequence; ``flows`` is not modified.
+    stays a permutation.  Returns a new :class:`FlowSet` (any other
+    sequence of flows is converted first); ``flows`` is not modified.
     Indices must lie in ``[0, len(flows))``; negative ones are rejected.
     """
     for k in (i, j):
@@ -393,12 +405,7 @@ def swap_destinations(flows: Sequence[Flow], i: int, j: int) -> Sequence[Flow]:
             raise ValueError(f"swap_destinations index {k} is outside [0, {len(flows)})")
     if i == j:
         raise ValueError("swap_destinations needs two distinct flow indices")
-    if not isinstance(flows, FlowSet):
-        fi, fj = flows[i], flows[j]
-        out = list(flows)
-        out[i] = Flow(fi.src, fj.dst, fi.demand)
-        out[j] = Flow(fj.src, fi.dst, fj.demand)
-        return out
+    flows = FlowSet.of(flows)
     dst = flows.dst.copy()
     dst[i], dst[j] = flows.dst[j], flows.dst[i]
     return FlowSet._wrap(flows.src, dst, flows.demand)

@@ -155,6 +155,9 @@ class TestSequence:
         assert type(flows[0].src) is int and type(flows[0].demand) is float
         assert isinstance(flows[1:], FlowSet) and flows[1:] == [Flow(1, 2, 0.5), Flow(2, 0, 2.0)]
         assert flows[[2, 0]] == [Flow(2, 0, 2.0), Flow(0, 1, 1.0)]
+        assert flows[np.array([False, True, True])] == [Flow(1, 2, 0.5), Flow(2, 0, 2.0)]
+        assert flows[flows.demand > 1.0] == [Flow(2, 0, 2.0)]
+        assert flows[[]] == [] and flows[np.zeros(3, dtype=bool)] == []
         assert list(flows) == [Flow(0, 1, 1.0), Flow(1, 2, 0.5), Flow(2, 0, 2.0)]
         assert FlowSet.of(list(flows)) == flows
         assert FlowSet.of(flows) is flows
@@ -162,6 +165,10 @@ class TestSequence:
         assert pickle.loads(pickle.dumps(flows)) == flows
         with pytest.raises(IndexError):
             flows[3]
+        with pytest.raises(IndexError):
+            flows[np.array([True, False])]  # a mask of the wrong length
+        with pytest.raises(IndexError):
+            flows[[[0, 1]]]
 
     def test_immutable(self):
         src = np.array([0, 1])
@@ -173,11 +180,15 @@ class TestSequence:
         with pytest.raises(AttributeError):
             flows.src = src
 
-    def test_swap_keeps_the_input_type(self):
+    def test_swap_returns_a_new_flowset(self):
         flows = random_permutation(8, seed=1)
         swapped = swap_destinations(flows, 2, 5)
         assert isinstance(swapped, FlowSet)
-        assert swapped == swap_destinations(list(flows), 2, 5)
+        assert swapped.dst.tolist() == [
+            flows.dst[{2: 5, 5: 2}.get(k, k)] for k in range(8)
+        ]
+        from_list = swap_destinations(list(flows), 2, 5)
+        assert isinstance(from_list, FlowSet) and from_list == swapped
         assert flows == random_permutation(8, seed=1)  # not modified
 
     def test_search_result_is_a_flowset(self, hx2mesh_4x4):
@@ -211,6 +222,15 @@ class TestBadInput:
         flows = [Flow(0, 1), Flow(1, 2), Flow(2, 0, float("nan"))]
         with pytest.raises(ValueError, match=r"^flow 2 has demand nan"):
             FlowSet.of(flows)
+
+    def test_list_names_a_bad_rank_before_a_later_bad_demand(self, hx2mesh_4x4):
+        sim = FlowSimulator(hx2mesh_4x4, max_paths=4)
+        flows = [Flow(64, 1), Flow(1, 2, float("nan"))]
+        for solve in (sim.assign, sim.maxmin_rates, sim.maxmin_warm_state):
+            with pytest.raises(
+                ValueError, match=r"^flow 0 \(64 -> 1\) has a rank outside \[0, 64\)$"
+            ):
+                solve(flows)
 
     def test_rank_outside_the_topology(self, hx2mesh_4x4):
         sim = FlowSimulator(hx2mesh_4x4, max_paths=4)

@@ -134,7 +134,7 @@ class TestMaxMin:
         # A local move (usually solved warm by the delta batch) and a new
         # demand for every flow (always its exact cold fallback).
         i, j = (int(v) for v in rng.choice(p, size=2, replace=False))
-        near = swap_destinations(flows, i, j)
+        near = list(swap_destinations(flows, i, j))
         if any(f.src == f.dst for f in near):
             near = list(flows)
         near[i] = Flow(near[i].src, near[i].dst, 2.0)
