@@ -29,6 +29,13 @@ import repro.obs as obs
 from repro.core import HxMeshRouter, build_hammingmesh
 from repro.core.routing import csr_to_path_lists
 from repro.sim import routing
+from repro.sim.faults import (
+    board_fault_set,
+    degraded_route_table,
+    sample_link_faults,
+    sample_switch_faults,
+    split_connected,
+)
 from repro.sim.paths import GenericPathProvider, HxMeshPathProvider, path_lists_to_csr
 from repro.sim.policy import RouteBlock, RouteSet
 from repro.sim.routing import RouteTable
@@ -96,6 +103,32 @@ ROUTE_DIGESTS = {
     ('hx2mesh-4x4', 'valiant', 4): 'bbdff27459600e7db32c668b73920655d73f2e3d089898f24ef204ca4fa904bf',
     ('hx2mesh-4x4', 'ecmp', 4): 'e275fec609496328ed5c372c85a38e65103790595542a9f40d49ee42ecdd29c2',
     ('hxmesh-a3b2-3x3', 'ugal', 4): '41ee251d99c58f51b438df0601053bc6ce381f3fb72df4927c8fa29d1005d439',
+    # recorded before Valiant detours were built in blocks
+    ('hx1mesh-4x4', 'valiant', 4): '559121a2a5db6a089c8aaeacd2b32f98178e195f16f93cf107d2003927b477e1',
+    ('hxmesh-a1b3-3x2', 'valiant', 4): '566f2c0d89c572350a37effa73190d7b51764d6fd0360ca512af0f3de6a4259e',
+    ('hxmesh-a3b2-3x3', 'valiant', 4): 'de109cf0f583bd532ed9f162406a93b4c6505fb5b153afc798273ae2ddc6c04f',
+    ('hx4mesh-2x3', 'valiant', 4): '4a443bcb6783e6842609f40ea39fa84cb4b8352147b618ae6a55ecd30199f351',
+    ('hxmesh-single-row', 'valiant', 4): 'b99f318f7286212d83b0bafb9b399590adc920fdb84dd663c2f44f48174d1491',
+    ('hx2mesh-multilevel', 'valiant', 4): 'ad4f0860b6a2f576644ff922311a19a0e78e9dbec6b04cf37af6849c48d57a5e',
+    ('hx2mesh-tapered', 'valiant', 4): '7658bf82297a93d1cb0a52a22c3cc9d06f86f792094c17a40ab4609a66fc753d',
+    ('fattree-1level', 'valiant', 4): 'c1c56ee7e4a0349f9fbc93f431c637cbbcc3c7a92195bf16b7f5f8f79fd101da',
+    ('fattree-2level-tapered', 'valiant', 4): 'ce2c4e0b7ab1f5d83c2e1807c05ae8493f347f46cc3be904c55e7f85f1869775',
+    ('fattree-3level', 'valiant', 4): '3d0159ef1750247ab7f890a2eb3ef01ece91c2a1f3b4abd1811bc5845a01d1d0',
+    ('dragonfly', 'valiant', 4): '75bf852af912f6c7779231461fa2e7dcba0c9d8be931a57d0408a8483a40b16b',
+    ('torus', 'valiant', 4): '0bb81b9dedbb11b3b82906c8f4a40c4717f1ac7b0976c682ff1702cd5b370da2',
+    ('hyperx', 'valiant', 4): 'c85fe8f1e4b8742f2106b323dd76255a8532f6f74bf7e166378fd1aceb918294',
+    ('hx1mesh-4x4', 'ugal', 4): '221a6925009eb03f58da47b0f4a8ba43427ff128f3890c0d5cffe8619a884c52',
+    ('hxmesh-a1b3-3x2', 'ugal', 4): 'd6faede85e436967cd015ac810fd6bc1e1f366020c5f4f69d547bb55afe82025',
+    ('hx4mesh-2x3', 'ugal', 4): 'ab58d059319f333e749b70a2e62265fc1c27930ff9856098a288489704f4ffc7',
+    ('hxmesh-single-row', 'ugal', 4): 'c61fed374e07b66ce4fa0d79da872490722ed4c82eca75642aee3ca69f05183e',
+    ('hx2mesh-multilevel', 'ugal', 4): '217d6c509f9c6205b8ed78ce71c1cab31cc296882b2d8f5c66339537133a1f58',
+    ('hx2mesh-tapered', 'ugal', 4): 'e7f8e6a5ef396a3e895bf18b8323e8ea8fd37df7422da4e8bc2fb5da120ae6a5',
+    ('fattree-1level', 'ugal', 4): '9194c9cb25b203f099da964bd33672e18661f2528fdb1702ee5040a7e3ae47fb',
+    ('fattree-2level-tapered', 'ugal', 4): '643c364b2d4d489e882e9d45ccb54e2d468f209c84ecf4f7e01dd27955de26b4',
+    ('fattree-3level', 'ugal', 4): '8464326812fafda8121aca22417d2a1cecd88c12bcd05d19e9dd6249454a1488',
+    ('dragonfly', 'ugal', 4): '6924fe76a4fcbdff54edc810e9101f0b775c370e90b86f9a4f6158be92832786',
+    ('torus', 'ugal', 4): 'b8c49bbddd378c56259c31d14b2ca6f56326af6e43a438998e95853a4e71271e',
+    ('hyperx', 'ugal', 4): 'd72c6f68e52d37c054f2776031b137a65bedd6162feaf304bf09a854b42f0e41',
 }
 
 #: (topology, minimal_slack, max_paths) -> sha256 of HxMeshRouter.paths
@@ -164,11 +197,9 @@ def _route_cases():
         ("hx4mesh-2x3", "minimal", 8),
         ("hx2mesh-multilevel", "minimal", 8),
         ("fattree-3level", "minimal", 8),
-        ("hx2mesh-4x4", "ugal", 4),
-        ("hx2mesh-4x4", "valiant", 4),
         ("hx2mesh-4x4", "ecmp", 4),
-        ("hxmesh-a3b2-3x3", "ugal", 4),
     ]
+    cases += [(name, policy, 4) for policy in ("valiant", "ugal") for name in TOPOLOGIES]
     return cases
 
 
@@ -179,6 +210,107 @@ def test_route_table_digest(name, policy, max_paths):
     src, dst = _all_pairs(topo, NUM_SOURCES if policy in ("minimal", "ecmp") else 2)
     table = RouteTable(topo, max_paths=max_paths, policy=policy)
     assert _table_digest(table, src, dst) == ROUTE_DIGESTS[(name, policy, max_paths)]
+
+
+#: topologies whose degraded route tables are digested
+DEGRADED_TOPOLOGIES = (
+    "hx2mesh-4x4", "hx2mesh-multilevel", "torus", "fattree-2level-tapered", "dragonfly", "hyperx",
+)
+
+#: (topology, policy, dead cables) -> sha256 of the degraded table's stored
+#: routes of every connected pair, recorded before Valiant detours and
+#: fault-filtered routes were built in blocks
+DEGRADED_DIGESTS = {
+    ('hx2mesh-4x4', 'minimal', 1): '75692bc54470376f2cc0dd957ec95a65b8210c1ca60a71c630f3937ede0ce2ec',
+    ('hx2mesh-4x4', 'minimal', 2): '96853a73f4cef2a6cdb2c6e4550ca657b4e2fc7684ca26fe0dbfc5b3764c7447',
+    ('hx2mesh-4x4', 'minimal', 8): '279774b3afe578dac843b0d66a056d9750217a13238c12875a0341d3bdaf78e4',
+    ('hx2mesh-4x4', 'ugal', 1): 'e934544c71619fa9015f89d4891aa51daaafe4bf776c387a89d34f2346723df7',
+    ('hx2mesh-4x4', 'ugal', 2): 'b2584d16d06cc9d67a5f52f8dd62a8b6dad10bd8304b3d37e8c001d8b8ff19ef',
+    ('hx2mesh-4x4', 'ugal', 8): 'f0c56178d28279d04ce16aedd25352b04f15e17aa763e333382be042820b5407',
+    ('hx2mesh-multilevel', 'minimal', 1): 'd95c25a14142b6f9e7b03130ca6487efb15d11376fb6f8c9bb086d6eeb5ec2a0',
+    ('hx2mesh-multilevel', 'minimal', 2): 'c548224f389946cb45250ea25272d6729f34dbfb9bf44d02f071996b9dbc1cb6',
+    ('hx2mesh-multilevel', 'minimal', 8): '959c27a23ba0050f137c8c1cfda8e174807066468f52398187675a2d5afdb848',
+    ('hx2mesh-multilevel', 'ugal', 1): '217d6c509f9c6205b8ed78ce71c1cab31cc296882b2d8f5c66339537133a1f58',
+    ('hx2mesh-multilevel', 'ugal', 2): '2b163a2de50d5580e77d36f148e63cf56cf22876d42be2c2f37fa0b46bf51c92',
+    ('hx2mesh-multilevel', 'ugal', 8): '94c9ef794ea1591aa3703e764621f826a5d7b7e8c01ac948f149501e6aab3580',
+    ('torus', 'minimal', 1): '0df6b0c5073406f9eacb31fb9f9f0329c7edd53b68ee73d31b7fd5177bf8fa77',
+    ('torus', 'minimal', 2): '1ca5302fe5c90db305b22fe67f6decaa0ff92cce922614db9a9cf20fe54bbbf2',
+    ('torus', 'minimal', 8): 'a72edd442947b6692bd6f7677b94d82c7359d284511cb9415e09e28757d27bd2',
+    ('torus', 'ugal', 1): '91cdba3978c6768ca46f122514d2b90a556f90b1fa13792538eeaaad24461e7b',
+    ('torus', 'ugal', 2): '15af325eaf2ffd14d41f6eda2d04828c367ce777e3dd9bf2e61c771e9536819c',
+    ('torus', 'ugal', 8): '5dcc2a695dd5ab576a3c53f6148a3c874571420036943d756e08cdcd4c7d3ac0',
+    ('fattree-2level-tapered', 'minimal', 1): 'ff42e158a3871679f834b7a079f667332e413fc303e84eee4bd5a74369e191c7',
+    ('fattree-2level-tapered', 'minimal', 2): 'ff8a15f34140cfe93583bf11a04057cf6de28f3fc9a1a14ed5d884f2f511eaed',
+    ('fattree-2level-tapered', 'minimal', 8): 'd7b8d0acfea8ff8a1f03da9cf62ea5c2eea424a500c31a2b5239f5fa1e4138fe',
+    ('fattree-2level-tapered', 'ugal', 1): '81054af6823ae93f7c559654b0b54e5526170d58cc003f6a2ce72116ed9219f6',
+    ('fattree-2level-tapered', 'ugal', 2): '281bcce7688e44e6f53ba6f6af93c079e1bccece107aaa229a0dbc957654b1e6',
+    ('fattree-2level-tapered', 'ugal', 8): 'aeabbedc30bbe5ff793170d34b91b9ced1232c0d047d9c80b9f41d40db824e22',
+    ('dragonfly', 'minimal', 1): 'cdad7e95a8cbc1b084f52462138b51929062edb1022e035c7a18fd61b41ddd46',
+    ('dragonfly', 'minimal', 2): '282a064b26523becfccdfd5ba10b8ee8639ea8cae1395eecf2b5992c1235ae4c',
+    ('dragonfly', 'minimal', 8): '4225da91fd02cbad49cf15b638bc5a5377e443266e326c13c809d489ca825995',
+    ('dragonfly', 'ugal', 1): '828373db6858e8d72643f433c42263dc2443b6476d010df7f0fb0913efa8c1f9',
+    ('dragonfly', 'ugal', 2): 'd4ce161bf3e73eb09bdf89d7c54caf932a836ef49dc0d62c7571001ab54d28a5',
+    ('dragonfly', 'ugal', 8): 'c032710607cad8ab74a886315855d1150cfca4b410173af5c59ead93899ab87f',
+    ('hyperx', 'minimal', 1): 'bfa4228e213bc00e110fb79e7de06754bb10ee92755eaab67709c641cddf2b3b',
+    ('hyperx', 'minimal', 2): 'c0f8bb9e94e841ab35893f098077244816947dae2a02faba3f2fe6af337c5d33',
+    ('hyperx', 'minimal', 8): '88bd585739a833449dc3ba564adb0a4a8ab043c72a57190909409dbdc4ce4a66',
+    ('hyperx', 'ugal', 1): 'da3d4db79ba722f6c0a973bd3f01fcb1f3ea91ed28c5d047613d964bdaa32b19',
+    ('hyperx', 'ugal', 2): 'd45cd584ddfb1a5842cc16749bcb0951f5869ae2496726ae47f05c466b01b30d',
+    ('hyperx', 'ugal', 8): '70bc3c72bb1c8b90741f55fa695d73dfe7ae1880bf1da7f377ae70d8edd9cbd0',
+}
+
+
+@pytest.mark.parametrize("dead", [1, 2, 8])
+@pytest.mark.parametrize("policy", ["minimal", "ugal"])
+@pytest.mark.parametrize("name", DEGRADED_TOPOLOGIES)
+def test_degraded_route_table_digest(name, policy, dead):
+    """Every connected pair's routes under ``dead`` sampled cable faults."""
+    topo = _topology(name)
+    src, dst = _all_pairs(topo, NUM_SOURCES if policy == "minimal" else 2)
+    faults = sample_link_faults(topo, dead, seed=0)
+    table = degraded_route_table(topo, faults, max_paths=4, policy=policy)
+    ok, _ = split_connected(table, list(zip(src.tolist(), dst.tolist())))
+    digest = _table_digest(table, src[ok], dst[ok])
+    assert digest == DEGRADED_DIGESTS[(name, policy, dead)]
+
+
+#: (topology, dead nodes): a dead board or switch disconnects the pairs
+#: with a dead endpoint, and detour phases through it raise
+NODE_FAULT_CASES = (("hx2mesh-4x4", "board"), ("fattree-2level-tapered", "switch"),
+                    ("dragonfly", "switch"))
+
+#: (topology, policy) -> sha256 of the degraded table's stored routes of
+#: every connected pair under the node faults of ``NODE_FAULT_CASES``,
+#: recorded before Valiant detours and fault-filtered routes were built in
+#: blocks
+NODE_FAULT_DIGESTS = {
+    ('hx2mesh-4x4', 'minimal'): 'ca66667efcef26bfe21c979f808c890e8131fe3820a7e4468e4f33c79f55ce6b',
+    ('hx2mesh-4x4', 'valiant'): '0b8ffd956e669ae823e6bc1959c9be19fd19cd563dab69b6dc30810decb62da5',
+    ('hx2mesh-4x4', 'ugal'): 'b772d89c4fde3de2ef456e39594152a7e532cff058a38c415d84ead83f9f50e8',
+    ('fattree-2level-tapered', 'minimal'): '61a83c0e5d861720a940ba337e39b0bef93ec93c68cc0b0d30ba8f24b834b49a',
+    ('fattree-2level-tapered', 'valiant'): 'f56533c0978ff3caed3448e8a9894afa08868c286d22447c98d8e63d415ad131',
+    ('fattree-2level-tapered', 'ugal'): '710a8aa84d67d54690715c7e374543afac63eb59a917ec3203a2fb4e491edba1',
+    ('dragonfly', 'minimal'): 'f79fcec70be53f68ba86634da560f745f969bbdcbcbce2b873c9fd5ee6a90dfb',
+    ('dragonfly', 'valiant'): '54c4d80f1437c9a552f6bd7827652b8876cfc66a7fe9bac41d0a12eb05c99349',
+    ('dragonfly', 'ugal'): '796bc80fb6578d8f4c103a5f785e10b77e555f7285a3e546f6a338334f00ef21',
+}
+
+
+def _node_faults(topo, kind):
+    if kind == "board":
+        return board_fault_set(topo, [(1, 1)])
+    return sample_switch_faults(topo, 1, seed=0)
+
+
+@pytest.mark.parametrize("policy", ["minimal", "valiant", "ugal"])
+@pytest.mark.parametrize("name,kind", NODE_FAULT_CASES)
+def test_node_fault_route_table_digest(name, kind, policy):
+    topo = _topology(name)
+    src, dst = _all_pairs(topo, 2)
+    table = degraded_route_table(topo, _node_faults(topo, kind), max_paths=4, policy=policy)
+    ok, dead = split_connected(table, list(zip(src.tolist(), dst.tolist())))
+    assert dead
+    assert _table_digest(table, src[ok], dst[ok]) == NODE_FAULT_DIGESTS[(name, policy)]
 
 
 _CLUSTER_CASES = [
