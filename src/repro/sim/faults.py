@@ -8,9 +8,11 @@ set of dead directed links and dead nodes; it never mutates a
 *masked degraded view* at the routing layer:
 
 * :class:`DegradedPathProvider` wraps the family's structured path
-  provider and filters its candidate paths against the dead set.  Pairs
-  whose minimal candidates all died reroute over surviving paths via a
-  BFS over the surviving subgraph; pairs with no surviving path raise
+  provider and filters its candidate paths against the dead set, a whole
+  block at a time: a path survives when it crosses no link of the dead
+  link mask.  Only pairs whose minimal candidates all died reroute, one
+  at a time, over surviving paths via a BFS over the surviving subgraph;
+  pairs with no surviving path raise
   :class:`~repro.topology.base.TopologyError` (callers report them via
   :func:`split_connected` rather than crashing).
 * :func:`degraded_route_table` builds (and memoizes) a private
@@ -48,7 +50,7 @@ from typing import (
 import numpy as np
 
 from .._hash import mix64
-from ..core.routing import csr_to_path_lists
+from ..core.routing import csr_take, csr_to_path_lists
 from ..obs import registry as _obs
 from ..topology.base import Topology, TopologyError
 from .flowsim import FlowSimulator, WarmState
@@ -56,10 +58,11 @@ from .paths import (
     DEFAULT_MAX_PATHS,
     GenericPathProvider,
     PathBlock,
-    PathListProvider,
     PathProvider,
+    merge_path_blocks,
     path_lists_to_csr,
     path_provider_for,
+    paths_block_or_empty,
 )
 from .policy import RoutingPolicy, get_policy
 from .routing import RouteTable, register_route_cache_client, route_table_for
@@ -296,7 +299,7 @@ def board_fault_set(topo: Topology, boards: Iterable[Tuple[int, int]]) -> FaultS
 # ---------------------------------------------------------------------------
 #  Degraded routing view
 # ---------------------------------------------------------------------------
-class DegradedPathProvider(PathListProvider):
+class DegradedPathProvider:
     """Masked view of a path provider under a :class:`FaultSet`.
 
     Candidate paths from the wrapped (family-structured) provider are
@@ -319,21 +322,15 @@ class DegradedPathProvider(PathListProvider):
         self.topo = topo
         self.faults = faults
         self.base = base if base is not None else path_provider_for(topo)
-        self._dead_links = frozenset(faults.dead_links)
-        self._dead_nodes = frozenset(faults.dead_nodes)
+        self._dead_links = faults.link_mask(topo.num_links)
+        self._dead_nodes = np.zeros(topo.num_nodes, dtype=bool)
+        self._dead_nodes[list(faults.dead_nodes)] = True
         # shortest surviving paths, for pairs whose every candidate died
         self._bfs = GenericPathProvider(
-            topo, dead_links=self._dead_links, dead_nodes=self._dead_nodes
+            topo, dead_links=faults.dead_links, dead_nodes=faults.dead_nodes
         )
 
     # ------------------------------------------------------------------ queries
-    def _alive(self, path: Sequence[int]) -> bool:
-        dead = self._dead_links
-        for li in path:
-            if li in dead:
-                return False
-        return True
-
     @property
     def array_routes(self) -> bool:
         """The base provider's: a block filters one block of base candidates."""
@@ -342,55 +339,58 @@ class DegradedPathProvider(PathListProvider):
     def paths(
         self, src: int, dst: int, max_paths: int = DEFAULT_MAX_PATHS
     ) -> List[List[int]]:
-        try:
-            cand = self.base.paths(src, dst, max_paths=max_paths) if src != dst else [[]]
-        except TopologyError:
-            cand = []
-        return self._surviving(src, dst, max_paths, cand)
+        return csr_to_path_lists(*self.paths_block(np.array([src]), np.array([dst]), max_paths))[0]
 
     def paths_block(
         self, src: np.ndarray, dst: np.ndarray, max_paths: int = DEFAULT_MAX_PATHS
     ) -> PathBlock:
-        try:
-            cands = csr_to_path_lists(*self.base.paths_block(src, dst, max_paths))
-        except TopologyError:
-            return super().paths_block(src, dst, max_paths)
-        return path_lists_to_csr([
-            self._surviving(s, d, max_paths, cand)
-            for s, d, cand in zip(src.tolist(), dst.tolist(), cands)
-        ])
+        """The base provider's surviving candidates of every pair, in order.
 
-    def _surviving(
-        self, src: int, dst: int, max_paths: int, cand: List[List[int]]
-    ) -> List[List[int]]:
-        """The pair's paths given the base provider's candidates ``cand``."""
-        if src == dst:
-            return [[]]
-        if src in self._dead_nodes or dst in self._dead_nodes:
+        A pair to itself has its empty path.  A pair whose candidates all
+        died (or whose base routing raised) takes its BFS paths over the
+        surviving subgraph.  The first pair with a dead endpoint or no
+        surviving path raises :class:`TopologyError`, once the pairs before
+        it are counted.
+        """
+        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        counts, lengths, links = paths_block_or_empty(self.base, src, dst, max_paths)
+        moves = src != dst
+        path_pair = np.repeat(np.arange(len(src)), counts)
+        alive = moves[path_pair]
+        alive[np.repeat(np.arange(len(lengths)), lengths)[self._dead_links[links]]] = False
+        survivors = np.bincount(path_pair[alive], minlength=len(src))
+        failed = moves & (self._dead_nodes[src] | self._dead_nodes[dst])
+        stop = int(np.argmax(failed)) if failed.any() else len(src)
+        fixes: Dict[int, List[List[int]]] = {int(i): [[]] for i in np.flatnonzero(~moves)}
+        for i in np.flatnonzero(moves[:stop] & (survivors[:stop] == 0)).tolist():
+            try:
+                fixes[i] = self._bfs.paths(int(src[i]), int(dst[i]), max_paths)
+            except TopologyError:
+                fixes[i] = []
+            if not fixes[i]:
+                stop = i
+                break
+        # a pair some of whose candidates died routes over the survivors
+        # (the policy layer re-normalizes split weights) or the BFS paths
+        rerouted = moves & ((counts == 0) | (survivors < counts))
+        _PAIRS_REROUTED.inc(int(rerouted[:stop].sum()))
+        if stop < len(src):
             _PAIRS_DISCONNECTED.inc()
+            s, d = int(src[stop]), int(dst[stop])
+            if failed[stop]:
+                raise TopologyError(
+                    f"no surviving path between nodes {s} and {d}: endpoint failed"
+                )
             raise TopologyError(
-                f"no surviving path between nodes {src} and {dst}: endpoint failed"
+                f"no surviving path between nodes {s} and {d} under "
+                f"{len(self.faults.dead_links)} dead links"
             )
-        alive = [p for p in cand if self._alive(p)]
-        if cand and len(alive) == len(cand):
-            return alive
-        if alive:
-            # Some minimal candidates died but others survive: route over
-            # the survivors (the policy layer re-normalizes split weights).
-            _PAIRS_REROUTED.inc()
-            return alive
-        try:
-            out = self._bfs.paths(src, dst, max_paths)
-        except TopologyError:
-            out = []
-        if not out:
-            _PAIRS_DISCONNECTED.inc()
-            raise TopologyError(
-                f"no surviving path between nodes {src} and {dst} under "
-                f"{len(self._dead_links)} dead links"
-            )
-        _PAIRS_REROUTED.inc()
-        return out
+        fixed = sorted(fixes)
+        fix = path_lists_to_csr([fixes[i] for i in fixed])
+        more = np.zeros(len(src), dtype=np.int64)
+        more[fixed] = fix[0]
+        survived = (survivors,) + csr_take(lengths, links, np.flatnonzero(alive))
+        return merge_path_blocks(survived, (more,) + fix[1:])[0]
 
     def connected(self, src: int, dst: int) -> bool:
         """Whether a surviving path exists (no exception, cached BFS)."""
@@ -428,9 +428,9 @@ def degraded_route_table(
     fault-free table from :func:`route_table_for` — the degraded path is
     bit-identical to the fault-free one by construction, not by testing
     luck.  Non-empty fault sets get a private table over a
-    :class:`DegradedPathProvider`, memoized per
-    ``(topology, faults, policy, max_paths)`` and cleared by
-    :func:`~repro.sim.routing.clear_route_tables`.
+    :class:`DegradedPathProvider` (one per fault set, shared by its
+    tables), memoized per ``(topology, faults, policy, max_paths)`` and
+    cleared by :func:`~repro.sim.routing.clear_route_tables`.
     """
     resolved = get_policy(policy)
     if faults is None or faults.is_empty:
@@ -442,7 +442,9 @@ def degraded_route_table(
     key = (faults.cache_key(), resolved.cache_key(), max_paths)
     table = per_topo.get(key)
     if table is None:
-        provider = DegradedPathProvider(topo, faults)
+        # the tables of one fault set share its provider and BFS distance maps
+        shared = [t.provider for k, t in per_topo.items() if k[0] == key[0]]
+        provider = shared[0] if shared else DegradedPathProvider(topo, faults)
         table = RouteTable(topo, max_paths=max_paths, provider=provider, policy=resolved)
         per_topo[key] = table
         _TABLES_DEGRADED.inc()

@@ -72,6 +72,15 @@ _ACTIVE_LINKS = _obs.histogram("flowsim.active_links")
 _ASSIGNMENT_CACHE_SIZE = 64
 
 
+def link_order(entry_link: np.ndarray) -> np.ndarray:
+    """Entry ids sorted by link id, equal links in entry order.  When every
+    id fits in 16 bits the ``uint16`` copy is sorted: NumPy's stable sort
+    of 16-bit integers is a radix sort."""
+    if len(entry_link) and 0 <= entry_link.min() and entry_link.max() < 1 << 16:
+        entry_link = entry_link.astype(np.uint16)
+    return np.argsort(entry_link, kind="stable")
+
+
 @dataclass
 class FlowAssignment:
     """Internal representation of a set of flows routed onto the topology.
@@ -129,7 +138,7 @@ class FlowAssignment:
         id per crossing entry, in entry order; a subflow crossing twice
         appears twice)."""
         if self._link_entry_offsets is None:
-            order = np.argsort(self.entry_link, kind="stable").astype(np.int64)
+            order = link_order(self.entry_link)
             counts = np.bincount(self.entry_link, minlength=num_links)
             self._link_entry_offsets = np.concatenate(
                 ([0], np.cumsum(counts))
@@ -152,7 +161,7 @@ class FlowAssignment:
         if self._compact_links is None:
             # One stable sort by link gives the per-link entry order; the
             # runs of equal links in that order give the rest.
-            order = np.argsort(self.entry_link, kind="stable").astype(np.int64)
+            order = link_order(self.entry_link)
             sorted_links = self.entry_link[order]
             run_start = np.ones(len(order), dtype=bool)
             run_start[1:] = sorted_links[1:] != sorted_links[:-1]
@@ -594,6 +603,8 @@ class FlowSimulator:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(load > _EPS, self.capacity / np.maximum(load, _EPS), np.inf)
         rate = float(ratio.min()) if len(ratio) else 0.0
+        if rate == np.inf:  # no link carries load: every demand is 0
+            rate = 0.0
         bottleneck = int(np.argmin(ratio)) if len(ratio) else -1
         link_util = np.where(self.capacity > 0, load * rate / self.capacity, 0.0)
         return PhaseResult(
@@ -892,7 +903,7 @@ class FlowSimulator:
         cap = self.capacity
         lam = np.full(len(cap), _NO_LAM)
         if asg.num_subflows and len(asg.entry_link):
-            order = np.argsort(asg.entry_link, kind="stable")
+            order = link_order(asg.entry_link)
             sl = asg.entry_link[order]
             slev = levels[asg.entry_subflow[order]]
             starts = np.empty(len(sl), dtype=bool)

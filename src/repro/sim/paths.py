@@ -13,13 +13,17 @@ arrays of pairs with NumPy in :meth:`~PathProvider.paths_block`; their
 never disagree.  The BFS provider enumerates one pair at a time
 (:class:`PathListProvider`).
 
-Besides the minimal candidate sets, :func:`valiant_paths` enumerates
+Besides the minimal candidate sets, :func:`valiant_block` enumerates
 *non-minimal* two-phase candidates (minimal to a randomized intermediate,
 then minimal to the destination) used by the ``valiant`` and ``ugal``
 routing policies (:mod:`repro.sim.policy`).  Intermediates are chosen per
 topology family — a different board on a HammingMesh, a different group on a
 Dragonfly, a different switch on a HyperX — so the detour actually crosses
-the resources the minimal route would avoid.
+the resources the minimal route would avoid.  It works on CSR blocks from
+start to finish: the intermediates of all pairs are one array, the detour
+phases of all pairs one provider block, and the segment choice and
+duplicate filter are array operations; :func:`valiant_paths` is its block
+of one pair.
 
 All providers return paths as lists of **directed link indices** of the
 underlying :class:`~repro.topology.base.Topology`.
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict, deque
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Iterable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -50,9 +54,11 @@ __all__ = [
     "HyperXPathProvider",
     "HxMeshPathProvider",
     "path_provider_for",
+    "merge_path_blocks",
+    "paths_block_or_empty",
     "valiant_intermediates",
     "valiant_paths",
-    "valiant_path_lists",
+    "valiant_block",
 ]
 
 #: Default multipath width shared by every provider, :class:`RouteTable`,
@@ -139,6 +145,8 @@ class GenericPathProvider(PathListProvider):
         self._dead_links = frozenset(dead_links)
         self._dead_nodes = frozenset(dead_nodes)
         self._dist_cache: "OrderedDict[int, List[int]]" = OrderedDict()
+        #: per node, the sources of its surviving in-links (built on first use)
+        self._preds: Optional[List[List[int]]] = None
 
     def _distances_to(self, dst: int) -> List[int]:
         """Hop distance of every node to ``dst`` (-1: unreachable), LRU-cached."""
@@ -146,18 +154,20 @@ class GenericPathProvider(PathListProvider):
         if cached is not None:
             self._dist_cache.move_to_end(dst)
             return cached
-        dead_links = self._dead_links
-        dead_nodes = self._dead_nodes
-        link_src = self.topo.link_src
+        if self._preds is None:
+            self._preds = [[] for _ in range(self.topo.num_nodes)]
+            for li, (v, u) in enumerate(zip(self.topo.link_src, self.topo.link_dst)):
+                if li not in self._dead_links and v not in self._dead_nodes:
+                    self._preds[u].append(v)
+        preds = self._preds
         dist = [-1] * self.topo.num_nodes
-        if dst not in dead_nodes:
+        if dst not in self._dead_nodes:
             dist[dst] = 0
             q = deque([dst])
             while q:
                 u = q.popleft()
-                for li in self.topo.in_links(u):
-                    v = link_src[li]
-                    if dist[v] < 0 and li not in dead_links and v not in dead_nodes:
+                for v in preds[u]:
+                    if dist[v] < 0:
                         dist[v] = dist[u] + 1
                         q.append(v)
         self._dist_cache[dst] = dist
@@ -234,15 +244,9 @@ class ArrayPathProvider:
             self._fallback.paths(s, d, max_paths=max_paths)
             for s, d in zip(src[missing].tolist(), dst[missing].tolist())
         ])
-        path_pair = np.concatenate([
-            np.repeat(np.arange(len(counts)), counts), np.repeat(missing, fix[0])
-        ])
-        counts = counts.copy()
-        counts[missing] = fix[0]
-        return (counts,) + csr_take(
-            np.concatenate([lengths, fix[1]]), np.concatenate([links, fix[2]]),
-            np.argsort(path_pair, kind="stable"),
-        )
+        more = np.zeros_like(counts)
+        more[missing] = fix[0]
+        return merge_path_blocks((counts, lengths, links), (more,) + fix[1:])[0]
 
 
 def _first(valid: np.ndarray, max_paths: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -480,6 +484,95 @@ class HxMeshPathProvider(ArrayPathProvider):
 # ---------------------------------------------------------------------------
 #  Non-minimal (Valiant) candidate enumeration
 # ---------------------------------------------------------------------------
+def merge_path_blocks(first: PathBlock, second: PathBlock) -> Tuple[PathBlock, np.ndarray]:
+    """Every pair's paths of ``first``, then its paths of ``second``, and
+    the permutation that takes the two blocks' concatenated paths there."""
+    pairs = np.arange(len(first[0]))
+    order = np.argsort(
+        np.concatenate([np.repeat(pairs, first[0]), np.repeat(pairs, second[0])]), kind="stable"
+    )
+    lengths, links = csr_take(
+        np.concatenate([first[1], second[1]]), np.concatenate([first[2], second[2]]), order
+    )
+    return (first[0] + second[0], lengths, links), order
+
+
+def paths_block_or_empty(
+    provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
+) -> PathBlock:
+    """:meth:`~PathProvider.paths_block` of the pairs.  A block that raises
+    :class:`TopologyError` is halved until the pairs that raise are alone;
+    they get no paths."""
+    if len(src):
+        try:
+            return provider.paths_block(src, dst, max_paths)
+        except TopologyError:
+            if len(src) > 1:
+                half = len(src) // 2
+                return tuple(np.concatenate(parts) for parts in zip(
+                    paths_block_or_empty(provider, src[:half], dst[:half], max_paths),
+                    paths_block_or_empty(provider, src[half:], dst[half:], max_paths),
+                ))
+    empty = np.zeros(0, dtype=np.int64)
+    return np.zeros(len(src), dtype=np.int64), empty, empty
+
+
+def _link_keys(block: PathBlock, pairs: np.ndarray, num_links: int) -> np.ndarray:
+    """``pair * num_links + link`` of every link of the block of ``pairs``."""
+    return np.repeat(np.repeat(pairs, block[0]), block[1]) * num_links + block[2]
+
+
+def _mid_classes(topo: Topology) -> Tuple[np.ndarray, np.ndarray]:
+    """Two class ids per node: an intermediate leaves a pair's region when
+    both of its classes differ from both endpoints' (a board row and
+    column on a HammingMesh, a group on a Dragonfly, a switch on a HyperX,
+    the node itself elsewhere)."""
+    m, accs = topo.meta, topo.accelerators
+    family = m.get("family")
+    if family not in ("hammingmesh", "dragonfly", "hyperx"):
+        return np.arange(topo.num_nodes), np.arange(topo.num_nodes)
+    classes = np.full((2, topo.num_nodes), -1, dtype=np.int64)
+    if family == "hammingmesh":
+        classes[:, accs] = np.array([m["coord_of"][a][:2] for a in accs]).T
+    elif family == "dragonfly":
+        classes[:, accs] = [m["router_group"][m["acc_router"][a]] for a in accs]
+    else:
+        classes[:, accs] = [m["acc_switch"][a] for a in accs]
+    return classes[0], classes[1]
+
+
+def _intermediates(
+    topo: Topology, src: np.ndarray, dst: np.ndarray, count: np.ndarray, seed: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`valiant_intermediates` of every pair: the intermediates per
+    pair and all of them, concatenated in pair order."""
+    accs = np.asarray(topo.accelerators, dtype=np.int64)
+    count = np.where(len(accs) > 2, np.maximum(count, 0), 0)
+    if not count.any():
+        return np.zeros(len(src), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    # probe k of row i draws mix64(base_i + k); a mid drawn before is skipped
+    k = np.arange(4 * int(count.max()) + 16)
+    base = mix64_array(src * 1_000_003 + dst) ^ np.uint64(mix64(0x51A7 + seed))
+    mid = accs[(mix64_array(base[:, None] + k.astype(np.uint64)) % np.uint64(len(accs))).astype(np.int64)]
+    order = np.argsort(mid, axis=1, kind="stable")
+    ranked = np.take_along_axis(mid, order, 1)
+    fresh = np.ones(mid.shape, dtype=bool)
+    np.put_along_axis(fresh, order, np.c_[fresh[:, :1], ranked[:, 1:] != ranked[:, :-1]], 1)
+    ok = fresh & (k < 4 * count[:, None] + 16) & (count[:, None] > 0)
+    ok &= (mid != src[:, None]) & (mid != dst[:, None])
+    # the family's detour; then (HammingMesh) any board but the endpoints';
+    # then any third accelerator, each for the rows the previous left empty
+    ca, cb = _mid_classes(topo)
+    (ma, mb), (sa, sb), (da, db) = (
+        (ca[x], cb[x]) for x in (mid, src[:, None], dst[:, None])
+    )
+    take = ok & (ma != sa) & (ma != da) & (mb != sb) & (mb != db)
+    for looser in (ok & ((ma != sa) | (mb != sb)) & ((ma != da) | (mb != db)), ok):
+        take = np.where(take.any(1, keepdims=True), take, looser)
+    take &= np.cumsum(take, 1) <= count[:, None]
+    return take.sum(1), mid[take]
+
+
 def valiant_intermediates(
     topo: Topology, src: int, dst: int, count: int, *, seed: int = 0
 ) -> List[int]:
@@ -488,214 +581,196 @@ def valiant_intermediates(
     The intermediate is chosen per topology family so the detour actually
     leaves the congested region of the minimal route:
 
-    * **HammingMesh** — an accelerator on a board different from both the
-      source's and the destination's board (reusing the intermediate-board
-      idea of :class:`~repro.core.routing.HxMeshRouter`);
+    * **HammingMesh** — an accelerator on a board that shares neither a
+      global row nor a global column with either endpoint's board (a true
+      diagonal detour, reusing the intermediate-board idea of
+      :class:`~repro.core.routing.HxMeshRouter`);
     * **Dragonfly** — an accelerator in a third group (classic Valiant
       group-level misrouting);
     * **HyperX** — an accelerator on a third switch;
     * **fat tree / torus / generic** — any third accelerator.
 
-    The sequence is a pure function of ``(src, dst, seed)`` (SplitMix64
-    probing over the accelerator list), so candidate sets are reproducible
-    across processes and cache layers.  Falls back to the relaxed "any third
-    accelerator" rule when the family-specific filter leaves no candidates
-    (e.g. a two-board HxMesh).
+    The sequence is a pure function of ``(src, dst, seed)``: probe ``k`` of
+    ``4 * count + 16`` draws ``accs[mix64(base + k) % len(accs)]``, a mid
+    drawn before is skipped, and the first ``count`` accepted mids are
+    kept, so candidate sets are reproducible across processes and cache
+    layers.  When the family filter accepts none, a HammingMesh relaxes it
+    to any board other than the endpoints', then every family to any third
+    accelerator (e.g. a two-board HxMesh).  The block of one pair.
     """
-    accs = topo.accelerators
-    if len(accs) <= 2 or count <= 0:
-        return []
-    family = topo.meta.get("family")
-    if family == "hammingmesh":
-        coord_of = topo.meta["coord_of"]
-        sgr, sgc = coord_of[src][:2]
-        dgr, dgc = coord_of[dst][:2]
-
-        def accept(mid: int) -> bool:
-            # A true diagonal detour: the intermediate board shares neither
-            # a global row nor a global column with either endpoint, so both
-            # detour phases can cross networks the minimal route never uses.
-            gr, gc = coord_of[mid][:2]
-            return gr not in (sgr, dgr) and gc not in (sgc, dgc)
-
-    elif family == "dragonfly":
-        acc_router = topo.meta["acc_router"]
-        router_group = topo.meta["router_group"]
-        gs = router_group[acc_router[src]]
-        gd = router_group[acc_router[dst]]
-
-        def accept(mid: int) -> bool:
-            g = router_group[acc_router[mid]]
-            return g != gs and g != gd
-
-    elif family == "hyperx":
-        acc_switch = topo.meta["acc_switch"]
-        ss, sd = acc_switch[src], acc_switch[dst]
-
-        def accept(mid: int) -> bool:
-            sw = acc_switch[mid]
-            return sw != ss and sw != sd
-
-    else:
-
-        def accept(mid: int) -> bool:
-            return True
-
-    base = mix64(src * 1_000_003 + dst) ^ mix64(0x51A7 + seed)
-    attempts = 4 * count + 16
-
-    def probe(filter_fn) -> List[int]:
-        out: List[int] = []
-        seen = set()
-        for k in range(attempts):
-            if len(out) >= count:
-                break
-            mid = accs[mix64(base + k) % len(accs)]
-            if mid == src or mid == dst or mid in seen:
-                continue
-            seen.add(mid)
-            if filter_fn(mid):
-                out.append(mid)
-        return out
-
-    out = probe(accept)
-    if not out and family == "hammingmesh":
-        # No fully-diagonal board (e.g. a single global row): relax to any
-        # board distinct from both endpoints' boards.
-        coord_of = topo.meta["coord_of"]
-        boards = (coord_of[src][:2], coord_of[dst][:2])
-        out = probe(lambda mid: coord_of[mid][:2] not in boards)
-    if not out:
-        out = probe(lambda mid: True)
-    return out
+    return _intermediates(topo, np.array([src]), np.array([dst]), np.array([count]), seed)[1].tolist()
 
 
-def _path_lists(
-    provider: PathProvider, src: Sequence[int], dst: Sequence[int], max_paths: int
-) -> List[Optional[List[List[int]]]]:
-    """Per-pair :meth:`~PathProvider.paths` from one block.  A block that
-    raises is halved until the pairs that raise are alone; they get
-    ``None``."""
-    if not len(src):
-        return []
-    try:
-        return csr_to_path_lists(*provider.paths_block(
-            np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), max_paths
-        ))
-    except TopologyError:
-        if len(src) == 1:
-            return [None]
-    half = len(src) // 2
-    return (_path_lists(provider, src[:half], dst[:half], max_paths)
-            + _path_lists(provider, src[half:], dst[half:], max_paths))
-
-
-#: the minimal candidates of a detour's two phases (``None``: no route)
-_Phases = Tuple[Optional[List[List[int]]], Optional[List[List[int]]]]
-
-
-def _detour_lists(
-    provider: PathProvider, pairs: Sequence[Tuple[int, int, List[int]]]
-) -> List[List[_Phases]]:
-    """Per ``(src, dst, mids)``: the minimal candidates ``src -> mids[j]``
-    and ``mids[j] -> dst`` of every ``j``, all pairs in one block."""
-    src: List[int] = []
-    dst: List[int] = []
-    for s, d, mids in pairs:
-        src += [s] * len(mids) + mids
-        dst += mids + [d] * len(mids)
-    lists = _path_lists(provider, src, dst, DEFAULT_MAX_PATHS)
-    out, at = [], 0
-    for _, _, mids in pairs:
-        n = len(mids)
-        out.append(list(zip(lists[at : at + n], lists[at + n : at + 2 * n])))
-        at += 2 * n
-    return out
-
-
-def valiant_path_lists(
+def _detours(
     provider: PathProvider,
-    src: Sequence[int],
-    dst: Sequence[int],
-    budgets: Sequence[int],
+    src: np.ndarray,
+    dst: np.ndarray,
+    pair: np.ndarray,
+    j: np.ndarray,
+    mid: np.ndarray,
+    minimal: np.ndarray,
+    seed: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Detours ``src[pair] -> mid -> dst[pair]`` of the intermediates
+    ``(pair, j, mid)`` (sorted by pair, then ``j``), both phases of every
+    pair in one block.
+
+    A phase takes its candidate with the fewest links among the pair's
+    ``minimal`` link keys, then the smallest ``mix64(salt ^ first link)``,
+    then the first; the salt is ``h`` for heads and ``h >> 16`` for tails.
+    Returns the intermediates whose phases both have a route and whose
+    detour is not empty, and those detours' lengths and links.
+    """
+    num = len(pair)
+    per_pair = np.bincount(pair, minlength=len(src))
+    head = (np.cumsum(per_pair) - per_pair)[pair] + np.arange(num)
+    tail = head + per_pair[pair]
+    ends = np.empty((2, 2 * num), dtype=np.int64)
+    ends[:, head] = src[pair], mid
+    ends[:, tail] = mid, dst[pair]
+    counts, lengths, links = paths_block_or_empty(provider, ends[0], ends[1], DEFAULT_MAX_PATHS)
+    owner = np.empty(2 * num, dtype=np.int64)
+    owner[head] = owner[tail] = np.arange(num)
+    phase = np.repeat(np.arange(2 * num), counts)
+    link_path = np.repeat(np.arange(len(lengths)), lengths)
+    keys = pair[owner[phase]][link_path] * provider.topo.num_links + links
+    hit = np.searchsorted(minimal, keys)
+    hit = minimal[np.minimum(hit, len(minimal) - 1)] == keys if len(minimal) else hit < 0
+    overlap = np.bincount(link_path, weights=hit, minlength=len(lengths))
+    starts = np.cumsum(lengths) - lengths
+    first = np.zeros(len(lengths), dtype=np.uint64)
+    first[lengths > 0] = links[starts[lengths > 0]]
+    h = mix64_array(
+        mix64_array(src * 1_000_003 + dst)[pair]
+        ^ mix64_array(np.uint64((seed * 0x9E37) & (2**64 - 1)) + j.astype(np.uint64))
+    )
+    salt = np.empty(2 * num, dtype=np.uint64)
+    salt[head], salt[tail] = h, h >> np.uint64(16)
+    ranked = np.lexsort((mix64_array(salt[phase] ^ first), overlap, phase))
+    routed = np.flatnonzero((counts[head] > 0) & (counts[tail] > 0))
+    start = np.cumsum(counts) - counts
+    seg_lengths, seg_links = csr_take(
+        lengths, links, ranked[np.stack([start[head[routed]], start[tail[routed]]], 1).ravel()]
+    )
+    length = seg_lengths[0::2] + seg_lengths[1::2]
+    # an empty detour has no links to drop
+    return routed[length > 0], length[length > 0], seg_links
+
+
+def _accept(
+    pair: np.ndarray, lengths: np.ndarray, links: np.ndarray, budgets: np.ndarray,
+    exclude: PathBlock,
+) -> np.ndarray:
+    """Which detours (sorted by pair) every pair keeps: the first of each
+    distinct link sequence that is no ``exclude`` path of the pair, up to
+    the pair's budget.
+
+    Paths are grouped by pair, length and a hash of their link sequence,
+    and every path is compared link by link with its group's first path;
+    the paths that differ (a hash collision) are grouped again among
+    themselves until no path differs, so equal paths, and only those,
+    share a group.
+    """
+    num_exclude = int(exclude[0].sum())
+    row_pair = np.concatenate([np.repeat(np.arange(len(exclude[0])), exclude[0]), pair])
+    row_length = np.concatenate([exclude[1], lengths])
+    row_links = np.concatenate([exclude[2], links])
+    start = np.cumsum(row_length) - row_length
+    link_row = np.repeat(np.arange(len(row_pair)), row_length)
+    at = np.arange(len(row_links)) - start[link_row]
+    total = np.concatenate([[np.uint64(0)], np.cumsum(mix64_array((row_links << 10) + at))])
+    digest = total[start + row_length] - total[start]
+    rest = np.zeros(len(row_pair), dtype=np.int64)
+    while True:
+        order = np.lexsort((rest, digest, row_length, row_pair))
+        new = np.ones(len(order), dtype=bool)
+        for key in (rest, digest, row_length, row_pair):
+            new[1:] &= key[order[1:]] == key[order[:-1]]
+        new[1:] = ~new[1:]
+        group = np.empty(len(order), dtype=np.int64)
+        group[order] = np.cumsum(new) - 1
+        leader = order[new][group]
+        differ = np.zeros(len(order), dtype=bool)
+        differ[link_row[row_links != row_links[start[leader][link_row] + at]]] = True
+        if not differ.any():
+            break
+        rest[differ] = rest.max() + 1
+    banned = np.zeros(len(order), dtype=bool)
+    banned[group[:num_exclude]] = True
+    group = group[num_exclude:]
+    keep = leader[num_exclude:] - num_exclude == np.arange(len(pair))
+    keep &= ~banned[group]
+    kept = np.cumsum(keep)
+    at = np.searchsorted(pair, pair)
+    return keep & (kept - kept[at] + keep[at] <= budgets[pair])
+
+
+def valiant_block(
+    provider: PathProvider,
+    src: np.ndarray,
+    dst: np.ndarray,
+    budgets: np.ndarray,
     *,
     seed: int = 0,
-    excludes: Optional[Sequence[Iterable[Sequence[int]]]] = None,
-) -> List[List[List[int]]]:
+    exclude: Optional[PathBlock] = None,
+    exclude_width: int = 0,
+) -> PathBlock:
     """:func:`valiant_paths` of every pair ``(src[i], dst[i])`` with
-    ``max_paths=budgets[i]`` and ``exclude=excludes[i]``.
+    ``max_paths=budgets[i]`` and the ``exclude`` block's paths of the pair
+    excluded.  A pair to itself has its empty path.
 
-    The pairs' minimal routes come from one block per distinct width, and
-    the detour phases of the first half of every pair's intermediates from
-    one block: each intermediate adds at most one detour, so every pair
-    needs its first half, while routing all intermediates up front doubled
-    the tree work on multi-level meshes.  A pair that needs the second
-    half routes it as a block of its own.
+    A pair's detours avoid the links of its minimal routes at width
+    ``max(2, budget)``; those come from one block per width, or from
+    ``exclude`` when it holds the pairs' minimal routes at that width
+    (``exclude_width``, UGAL's minimal group).  Both detour phases of the
+    first half of every pair's intermediates are one block: each
+    intermediate adds at most one detour, so every pair needs its first
+    half, while routing all of them up front doubled the tree work on
+    multi-level meshes.  The pairs still short of their budget route their
+    second half in one more block.
     """
-    out: List[List[List[int]]] = [[[]] if s == d else [] for s, d in zip(src, dst)]
-    todo = [i for i, (s, d, b) in enumerate(zip(src, dst, budgets)) if s != d and b > 0]
-    minimal_links: Dict[int, set] = {}
-    for width in sorted({max(2, budgets[i]) for i in todo}):
-        group = [i for i in todo if max(2, budgets[i]) == width]
-        lists = _path_lists(provider, [src[i] for i in group], [dst[i] for i in group], width)
-        for i, paths in zip(group, lists):
-            minimal_links[i] = {li for p in paths or () for li in p}
-    mids = {
-        i: valiant_intermediates(provider.topo, src[i], dst[i], 2 * budgets[i], seed=seed)
-        for i in todo
-    }
-    first = _detour_lists(provider, [
-        (src[i], dst[i], mids[i][: max(1, (len(mids[i]) + 1) // 2)]) for i in todo
-    ])
-    for i, phases in zip(todo, first):
-        out[i] = _valiant_pair(
-            provider, src[i], dst[i], budgets[i], seed, mids[i], phases, minimal_links[i],
-            excludes[i] if excludes is not None else (),
+    src, dst, budgets = (np.asarray(a, dtype=np.int64) for a in (src, dst, budgets))
+    n = len(src)
+    pairs = np.arange(n)
+    num_links = provider.topo.num_links
+    empty = np.zeros(0, dtype=np.int64)
+    exclude = exclude if exclude is not None else (np.zeros(n, dtype=np.int64), empty, empty)
+    todo = (src != dst) & (budgets > 0)
+    width = np.maximum(2, budgets)
+    reuse = todo & (width == exclude_width)
+    minimal = [_link_keys(exclude, pairs, num_links)[np.repeat(np.repeat(reuse, exclude[0]), exclude[1])]]
+    for w in np.unique(width[todo & ~reuse]).tolist():
+        group = np.flatnonzero(todo & ~reuse & (width == w))
+        block = paths_block_or_empty(provider, src[group], dst[group], w)
+        minimal.append(_link_keys(block, group, num_links))
+    minimal = np.unique(np.concatenate(minimal))
+    per_pair, mids = _intermediates(provider.topo, src, dst, np.where(todo, 2 * budgets, 0), seed)
+    mid_pair = np.repeat(pairs, per_pair)
+    mid_j = np.arange(len(mids)) - np.repeat(np.cumsum(per_pair) - per_pair, per_pair)
+
+    def add(part: np.ndarray, found: List[np.ndarray]) -> Tuple[List[np.ndarray], np.ndarray]:
+        """``found`` (the detours' pairs, lengths and links, by pair, then
+        intermediate) with the detours of the intermediates ``part``, and
+        which of them the pairs keep."""
+        at, lengths, links = _detours(
+            provider, src, dst, mid_pair[part], mid_j[part], mids[part], minimal, seed
         )
-    return out
+        pair_of = np.concatenate([found[0], mid_pair[part][at]])
+        order = np.argsort(pair_of, kind="stable")
+        found = [pair_of[order]] + list(csr_take(
+            np.concatenate([found[1], lengths]), np.concatenate([found[2], links]), order
+        ))
+        return found, _accept(*found, budgets, exclude)
 
-
-def _valiant_pair(
-    provider: PathProvider,
-    src: int,
-    dst: int,
-    max_paths: int,
-    seed: int,
-    mids: List[int],
-    phases: List[_Phases],
-    minimal_links: set,
-    exclude: Iterable[Sequence[int]],
-) -> List[List[int]]:
-    """One pair's detours, given the phases of its first intermediates."""
-    banned = {tuple(p) for p in exclude}
-    pair_key = mix64(src * 1_000_003 + dst)
-
-    def pick(segments: List[List[int]], salt: int) -> List[int]:
-        return min(
-            segments,
-            key=lambda q: (
-                sum(li in minimal_links for li in q),
-                mix64(salt ^ (q[0] if q else 0)),
-            ),
-        )
-
-    out: List[List[int]] = []
-    for j in range(len(mids)):
-        if len(out) >= max_paths:
-            break
-        if j == len(phases):
-            phases = phases + _detour_lists(provider, [(src, dst, mids[j:])])[0]
-        heads, tails = phases[j]
-        if not heads or not tails:
-            continue
-        h = mix64(pair_key ^ mix64(seed * 0x9E37 + j))
-        path = pick(heads, h) + pick(tails, h >> 16)
-        key = tuple(path)
-        if not path or key in banned:
-            continue
-        banned.add(key)
-        out.append(path)
-    return out
+    first_half = mid_j < np.maximum(1, (per_pair + 1) // 2)[mid_pair]
+    found, keep = add(first_half, [empty, empty, empty])
+    rest = ~first_half & (np.bincount(found[0][keep], minlength=n) < budgets)[mid_pair]
+    if rest.any():
+        found, keep = add(rest, found)
+    counts = np.bincount(found[0][keep], minlength=n)
+    detours = (counts,) + csr_take(found[1], found[2], np.flatnonzero(keep))
+    same = (src == dst).astype(np.int64)
+    return merge_path_blocks(detours, (same, np.zeros(int(same.sum()), dtype=np.int64), empty))[0]
 
 
 def valiant_paths(
@@ -718,11 +793,14 @@ def valiant_paths(
     the source's own global-row network) defeats its purpose — and leaves
     UGAL's congestion filter without a usable alternate.  ``exclude``
     suppresses duplicates of already-enumerated (e.g. minimal) paths.
-    Deterministic per ``(src, dst, seed)``.
+    Deterministic per ``(src, dst, seed)``; the block of one pair
+    (:func:`valiant_block`).
     """
-    return valiant_path_lists(
-        provider, [src], [dst], [max_paths], seed=seed, excludes=[exclude]
-    )[0]
+    block = valiant_block(
+        provider, np.array([src]), np.array([dst]), np.array([max_paths]), seed=seed,
+        exclude=path_lists_to_csr([[list(p) for p in exclude]]),
+    )
+    return csr_to_path_lists(*block)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,13 @@ the policy *name* is what enters experiment-engine content hashes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, List, Tuple, Type, Union
 
 import numpy as np
 
 from .._hash import mix64, mix64_array
 from ..core.routing import csr_take, csr_to_path_lists
-from .paths import DEFAULT_MAX_PATHS, PathProvider, path_lists_to_csr, valiant_path_lists
+from .paths import PathProvider, merge_path_blocks, valiant_block
 
 __all__ = [
     "RouteSet",
@@ -86,15 +86,6 @@ class RouteBlock:
     weights: np.ndarray
     num_minimal: np.ndarray
 
-    @classmethod
-    def from_route_sets(cls, route_sets: Sequence[RouteSet]) -> "RouteBlock":
-        counts, lengths, links = path_lists_to_csr([r.paths for r in route_sets])
-        weights = np.fromiter(
-            (w for r in route_sets for w in r.weights), dtype=np.float64, count=len(lengths)
-        )
-        nmin = np.fromiter((r.num_minimal for r in route_sets), dtype=np.int64, count=len(route_sets))
-        return cls(counts, lengths, links, weights, nmin)
-
     def head(self, num_pairs: int) -> "RouteBlock":
         """The block of the first ``num_pairs`` pairs."""
         num_paths = int(self.counts[:num_pairs].sum())
@@ -113,10 +104,6 @@ class RoutingPolicy:
     #: True when the flow simulator should choose between the minimal and the
     #: non-minimal group per flow by estimated congestion (UGAL)
     selects_group: bool = False
-    #: True when :meth:`routes_block` builds no per-pair lists over a
-    #: provider whose ``array_routes`` is set, so route tables may hand it
-    #: large blocks (a block of fresh lists adds garbage collections)
-    array_blocks: bool = False
 
     def cache_key(self) -> Tuple:
         """Memoization identity of the policy (shared-table key component)."""
@@ -125,16 +112,16 @@ class RoutingPolicy:
     def routes(
         self, provider: PathProvider, src: int, dst: int, max_paths: int
     ) -> RouteSet:
-        """Candidate paths + split weights for one pair."""
-        raise NotImplementedError
+        """Candidate paths + split weights for one pair: the block of one."""
+        block = self.routes_block(provider, np.array([src]), np.array([dst]), max_paths)
+        paths = csr_to_path_lists(block.counts, block.lengths, block.links)[0]
+        return RouteSet(paths, block.weights.tolist(), int(block.num_minimal[0]))
 
     def routes_block(
         self, provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
     ) -> RouteBlock:
-        """:meth:`routes` of every ``(src[i], dst[i])`` pair."""
-        return RouteBlock.from_route_sets([
-            self.routes(provider, s, d, max_paths) for s, d in zip(src.tolist(), dst.tolist())
-        ])
+        """Candidate paths + split weights of every ``(src[i], dst[i])`` pair."""
+        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} ({self.name!r})>"
@@ -187,17 +174,6 @@ class MinimalPolicy(RoutingPolicy):
     """Even split over the provider's minimal candidates (the historical
     behaviour; routes and weights are bit-identical to the pre-policy code)."""
 
-    array_blocks = True
-
-    def routes(
-        self, provider: PathProvider, src: int, dst: int, max_paths: int
-    ) -> RouteSet:
-        paths = provider.paths(src, dst, max_paths=max_paths)
-        if not paths:
-            return RouteSet([], [], 0)
-        w = 1.0 / len(paths)
-        return RouteSet(paths, [w] * len(paths), len(paths))
-
     def routes_block(
         self, provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
     ) -> RouteBlock:
@@ -220,22 +196,11 @@ class EcmpPolicy(RoutingPolicy):
     baseline of the paper's minimal-vs-adaptive discussion.
     """
 
-    array_blocks = True
-
     def __init__(self, seed: int = 0):
         self.seed = seed
 
     def cache_key(self) -> Tuple:
         return (self.name, self.seed)
-
-    def routes(
-        self, provider: PathProvider, src: int, dst: int, max_paths: int
-    ) -> RouteSet:
-        minimal = provider.paths(src, dst, max_paths=max_paths)
-        if not minimal:
-            return RouteSet([], [], 0)
-        idx = mix64(mix64(src * 1_000_003 + dst) ^ mix64(0xEC3F + self.seed)) % len(minimal)
-        return RouteSet([minimal[idx]], [1.0], 1)
 
     def routes_block(
         self, provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
@@ -266,29 +231,20 @@ class ValiantPolicy(RoutingPolicy):
     def cache_key(self) -> Tuple:
         return (self.name, self.seed)
 
-    def routes(
-        self, provider: PathProvider, src: int, dst: int, max_paths: int
-    ) -> RouteSet:
-        return self._route_sets(provider, np.array([src]), np.array([dst]), max_paths)[0]
-
     def routes_block(
         self, provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
     ) -> RouteBlock:
-        return RouteBlock.from_route_sets(self._route_sets(provider, src, dst, max_paths))
-
-    def _route_sets(
-        self, provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
-    ) -> List[RouteSet]:
-        src, dst = src.tolist(), dst.tolist()
-        detours = valiant_path_lists(provider, src, dst, [max_paths] * len(src), seed=self.seed)
-        out = []
-        for s, d, paths in zip(src, dst, detours):
-            if not paths:
-                out.append(_MINIMAL.routes(provider, s, d, max_paths))
-                continue
-            w = 1.0 / len(paths)
-            out.append(RouteSet(paths, [w] * len(paths), 0))
-        return out
+        detours = valiant_block(provider, src, dst, np.full(len(src), max_paths), seed=self.seed)
+        # a pair without a detour (no usable intermediate) takes its minimal routes
+        bare = detours[0] == 0
+        counts = np.zeros(len(src), dtype=np.int64)
+        minimal = (counts, detours[1][:0], detours[2][:0])
+        if bare.any():
+            minimal = provider.paths_block(src[bare], dst[bare], max_paths)
+            counts[bare] = minimal[0]
+        (counts, lengths, links), _ = merge_path_blocks(detours, (counts,) + minimal[1:])
+        weights = np.repeat(1.0 / np.maximum(counts, 1), counts)
+        return RouteBlock(counts, lengths, links, weights, np.where(bare, counts, 0))
 
 
 # ----------------------------------------------------------------------- ugal
@@ -314,32 +270,24 @@ class UgalPolicy(RoutingPolicy):
     def cache_key(self) -> Tuple:
         return (self.name, self.seed)
 
-    def routes(
-        self, provider: PathProvider, src: int, dst: int, max_paths: int
-    ) -> RouteSet:
-        return self._route_sets(provider, np.array([src]), np.array([dst]), max_paths)[0]
-
     def routes_block(
         self, provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
     ) -> RouteBlock:
-        return RouteBlock.from_route_sets(self._route_sets(provider, src, dst, max_paths))
-
-    def _route_sets(
-        self, provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
-    ) -> List[RouteSet]:
-        minimal = csr_to_path_lists(
-            *provider.paths_block(src, dst, max(1, (max_paths + 1) // 2))
+        width = max(1, (max_paths + 1) // 2)
+        minimal = provider.paths_block(src, dst, width)
+        budgets = np.where(minimal[0] > 0, max_paths - minimal[0], 0)
+        alternates = valiant_block(
+            provider, src, dst, budgets, seed=self.seed, exclude=minimal, exclude_width=width
         )
-        budgets = [max_paths - len(paths) if paths else 0 for paths in minimal]
-        alternates = valiant_path_lists(
-            provider, src.tolist(), dst.tolist(), budgets, seed=self.seed, excludes=minimal
+        # a pair to itself has its empty path as a detour even at budget 0
+        spent = budgets == 0
+        alternates = (
+            np.where(spent, 0, alternates[0]),
+            alternates[1][~np.repeat(spent, alternates[0])],
+            alternates[2],
         )
-        out = []
-        for paths, budget, alt in zip(minimal, budgets, alternates):
-            if not paths:
-                out.append(RouteSet([], [], 0))
-                continue
-            alt = alt if budget > 0 else []
-            w = 1.0 / len(paths)
-            out.append(RouteSet(paths + alt, [w] * len(paths) + [0.0] * len(alt), len(paths)))
-        return out
+        (counts, lengths, links), order = merge_path_blocks(minimal, alternates)
+        weights = np.concatenate([
+            np.repeat(1.0 / np.maximum(minimal[0], 1), minimal[0]), np.zeros(len(alternates[1]))
+        ])[order]
+        return RouteBlock(counts, lengths, links, weights, minimal[0])

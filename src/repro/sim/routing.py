@@ -75,17 +75,17 @@ __all__ = [
 
 _GROW = 4  # geometric growth factor exponent base for the flat arrays
 
-#: pairs routed per CSR append when the policy builds path lists: enough to
-#: spread the append's fixed NumPy cost thin, few enough that the batch's
-#: path lists (at most a few hundred) die young.  Larger batches keep
-#: thousands of lists alive across garbage collections, which promotes them
-#: and adds full collections (13 instead of 9 in the benchmark's cold
-#: routing workload at 1,024 pairs).
+#: pairs routed per CSR append when the provider builds path lists (the BFS
+#: provider): enough to spread the append's fixed NumPy cost thin, few
+#: enough that the batch's path lists (at most a few hundred) die young.
+#: Larger batches keep thousands of lists alive across garbage collections,
+#: which promotes them and adds full collections.
 _ROUTE_BATCH = 64
 
-#: pairs routed per block when the policy and provider route whole arrays
-#: (no per-pair Python objects): the cost per pair is flat from about 256
-#: pairs up, while a block's transient arrays grow by about 4 KB per pair
+#: pairs routed per block when the provider routes whole arrays (no
+#: per-pair Python objects; every policy routes blocks in arrays): the cost
+#: per pair is flat from about 256 pairs up, while a block's transient
+#: arrays grow by about 4 KB per pair
 _ARRAY_BATCH = 1024
 
 #: pair index bytes per routed pair: key, first path id, path count and
@@ -343,16 +343,15 @@ class RouteTable:
     # ------------------------------------------------------------- population
     def _route_keys(self, keys: np.ndarray, pending: List[Tuple[np.ndarray, ...]]) -> None:
         """Route the distinct, unrouted pair ``keys`` into the CSR arrays, in
-        blocks of up to ``_ARRAY_BATCH`` pairs when the provider and the
-        policy route whole arrays, else ``_ROUTE_BATCH``.
+        blocks of up to ``_ARRAY_BATCH`` pairs when the provider routes
+        whole arrays, else ``_ROUTE_BATCH``.
 
         Each stored block appends its ``(keys, first, npaths, nmin)`` to
         ``pending`` for :meth:`_route` to index.  A pair without a path
         raises :class:`TopologyError` once the pairs before it are stored,
         as routing them one at a time did.
         """
-        arrays = self.provider.array_routes and self.policy.array_blocks
-        batch = _ARRAY_BATCH if arrays else _ROUTE_BATCH
+        batch = _ARRAY_BATCH if self.provider.array_routes else _ROUTE_BATCH
         for start in range(0, len(keys), batch):
             chunk = keys[start : start + batch]
             src, dst = np.divmod(chunk, self.topo.num_nodes)

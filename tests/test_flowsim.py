@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
     Flow,
+    FlowSet,
     FlowSimulator,
     random_permutation,
     ring_neighbor_flows,
@@ -66,6 +67,18 @@ class TestSymmetricRate:
         flows = random_permutation(hx2mesh_4x4.num_accelerators, seed=0)
         result = sim.symmetric_rate(flows)
         assert result.link_utilization.max() <= 1.0 + 1e-9
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_demands_give_the_maxmin_zero_rates(self, hx2mesh_4x4):
+        """With every demand 0 no link carries load; the rates and link
+        utilisation are 0, as max-min gives, not ``0 * inf``."""
+        sim = FlowSimulator(hx2mesh_4x4)
+        ranks = np.arange(8)
+        flows = FlowSet(ranks, (ranks + 3) % 8, np.zeros(8))
+        sym, mm = sim.symmetric_rate(flows), sim.maxmin_rates(flows)
+        for field in ("flow_rates", "link_utilization"):
+            assert np.array_equal(getattr(sym, field), getattr(mm, field))
+        assert not sym.flow_rates.any() and not sym.link_utilization.any()
 
 
 class TestMaxMin:

@@ -37,8 +37,9 @@ from repro.sim.faults import (
     split_connected,
 )
 from repro.sim.paths import GenericPathProvider, HxMeshPathProvider, path_lists_to_csr
-from repro.sim.policy import RouteBlock, RouteSet
+from repro.sim.policy import RouteSet
 from repro.sim.routing import RouteTable
+from route_oracles import route_block
 from repro.topology import (
     TopologyError,
     build_dragonfly,
@@ -449,7 +450,7 @@ def test_append_csr_matches_per_pair_reference():
             firsts.append(ref[3])
             ref = _append_one_pair(ref, routes.paths, routes.weights)
         offsets, links, weights, got = routing._append_csr(
-            offsets, links, weights, num, RouteBlock.from_route_sets(batch)
+            offsets, links, weights, num, route_block(batch)
         )
         num = ref[3]
         assert got.tolist() == firsts

@@ -31,7 +31,7 @@ from repro.sim import (
     valiant_paths,
 )
 from repro.sim.faults import DegradedPathProvider, FaultSet
-from repro.sim.policy import RouteBlock
+from route_oracles import route_block
 
 
 def check_path(topo, src, dst, path):
@@ -178,7 +178,7 @@ class TestCandidateStructure:
             src, dst = (np.array(side) for side in zip(*pairs))
             for max_paths in (1, 3, 4):
                 got = pol.routes_block(provider, src, dst, max_paths)
-                want = RouteBlock.from_route_sets(
+                want = route_block(
                     [pol.routes(provider, s, d, max_paths) for s, d in pairs]
                 )
                 for field in ("counts", "num_minimal", "lengths", "links", "weights"):

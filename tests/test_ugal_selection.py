@@ -24,7 +24,7 @@ from repro.sim import (
     adversarial_permutation,
     random_permutation,
 )
-from repro.sim.flowsim import FlowAssignment, _pair_range_path_ids
+from repro.sim.flowsim import FlowAssignment, _pair_range_path_ids, link_order
 from repro.topology import (
     build_dragonfly,
     build_fat_tree,
@@ -333,6 +333,17 @@ class TestCompactLinkIndex:
         for g, w in zip(got, want):
             assert g.dtype == w.dtype == np.int64
             assert np.array_equal(g, w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        size=st.integers(0, 300),
+        top=st.sampled_from([1, 40, 1 << 16, (1 << 16) + 1, 1 << 40]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_link_order_is_the_stable_argsort(self, size, top, seed):
+        """Link ids below 2**16 sort as ``uint16``, others as they are."""
+        entry_link = np.random.default_rng(seed).integers(0, top, size=size)
+        assert np.array_equal(link_order(entry_link), np.argsort(entry_link, kind="stable"))
 
     def test_empty_assignment(self):
         empty = np.zeros(0, dtype=np.int64)
