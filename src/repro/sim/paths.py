@@ -107,6 +107,39 @@ def path_lists_to_csr(per_pair: Sequence[List[List[int]]]) -> PathBlock:
     )
 
 
+def merge_path_blocks(first: PathBlock, second: PathBlock) -> Tuple[PathBlock, np.ndarray]:
+    """Every pair's paths of ``first``, then its paths of ``second``, and
+    the permutation that takes the two blocks' concatenated paths there."""
+    pairs = np.arange(len(first[0]))
+    order = np.argsort(
+        np.concatenate([np.repeat(pairs, first[0]), np.repeat(pairs, second[0])]), kind="stable"
+    )
+    lengths, links = csr_take(
+        np.concatenate([first[1], second[1]]), np.concatenate([first[2], second[2]]), order
+    )
+    return (first[0] + second[0], lengths, links), order
+
+
+def paths_block_or_empty(
+    provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
+) -> PathBlock:
+    """:meth:`~PathProvider.paths_block` of the pairs.  A block that raises
+    :class:`TopologyError` is halved until the pairs that raise are alone;
+    they get no paths."""
+    if len(src):
+        try:
+            return provider.paths_block(src, dst, max_paths)
+        except TopologyError:
+            if len(src) > 1:
+                half = len(src) // 2
+                return tuple(np.concatenate(parts) for parts in zip(
+                    paths_block_or_empty(provider, src[:half], dst[:half], max_paths),
+                    paths_block_or_empty(provider, src[half:], dst[half:], max_paths),
+                ))
+    empty = np.zeros(0, dtype=np.int64)
+    return np.zeros(len(src), dtype=np.int64), empty, empty
+
+
 class PathListProvider:
     """Base of the providers that enumerate one pair at a time: their
     :meth:`paths_block` loops :meth:`paths`."""
@@ -484,39 +517,6 @@ class HxMeshPathProvider(ArrayPathProvider):
 # ---------------------------------------------------------------------------
 #  Non-minimal (Valiant) candidate enumeration
 # ---------------------------------------------------------------------------
-def merge_path_blocks(first: PathBlock, second: PathBlock) -> Tuple[PathBlock, np.ndarray]:
-    """Every pair's paths of ``first``, then its paths of ``second``, and
-    the permutation that takes the two blocks' concatenated paths there."""
-    pairs = np.arange(len(first[0]))
-    order = np.argsort(
-        np.concatenate([np.repeat(pairs, first[0]), np.repeat(pairs, second[0])]), kind="stable"
-    )
-    lengths, links = csr_take(
-        np.concatenate([first[1], second[1]]), np.concatenate([first[2], second[2]]), order
-    )
-    return (first[0] + second[0], lengths, links), order
-
-
-def paths_block_or_empty(
-    provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
-) -> PathBlock:
-    """:meth:`~PathProvider.paths_block` of the pairs.  A block that raises
-    :class:`TopologyError` is halved until the pairs that raise are alone;
-    they get no paths."""
-    if len(src):
-        try:
-            return provider.paths_block(src, dst, max_paths)
-        except TopologyError:
-            if len(src) > 1:
-                half = len(src) // 2
-                return tuple(np.concatenate(parts) for parts in zip(
-                    paths_block_or_empty(provider, src[:half], dst[:half], max_paths),
-                    paths_block_or_empty(provider, src[half:], dst[half:], max_paths),
-                ))
-    empty = np.zeros(0, dtype=np.int64)
-    return np.zeros(len(src), dtype=np.int64), empty, empty
-
-
 def _link_keys(block: PathBlock, pairs: np.ndarray, num_links: int) -> np.ndarray:
     """``pair * num_links + link`` of every link of the block of ``pairs``."""
     return np.repeat(np.repeat(pairs, block[0]), block[1]) * num_links + block[2]
