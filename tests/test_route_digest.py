@@ -39,7 +39,6 @@ from repro.sim.faults import (
 from repro.sim.paths import GenericPathProvider, HxMeshPathProvider, path_lists_to_csr
 from repro.sim.policy import RouteSet
 from repro.sim.routing import RouteTable
-from route_oracles import route_block
 from repro.topology import (
     TopologyError,
     build_dragonfly,
@@ -48,6 +47,7 @@ from repro.topology import (
     build_hyperx2d,
     build_torus2d,
 )
+from route_oracles import route_block
 
 #: name -> (builder, args, kwargs)
 TOPOLOGIES = {
