@@ -224,6 +224,8 @@ _DEFAULT_SCHEMA: Tuple[Tuple[str, str], ...] = (
     ("counter", "faults.events"),
     ("counter", "faults.links_dead"),
     ("counter", "faults.tables_degraded"),
+    # degraded-provider evaluations of a pair, not distinct pairs: a pair
+    # routed again (another table, a halved block) counts again
     ("counter", "faults.pairs_rerouted"),
     ("counter", "faults.pairs_disconnected"),
     ("counter", "faults.packets_dropped"),

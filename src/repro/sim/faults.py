@@ -86,6 +86,7 @@ __all__ = [
 _EVENTS = _obs.counter("faults.events")
 _LINKS_DEAD = _obs.counter("faults.links_dead")
 _TABLES_DEGRADED = _obs.counter("faults.tables_degraded")
+#: per evaluation of a pair by a degraded provider, not per distinct pair
 _PAIRS_REROUTED = _obs.counter("faults.pairs_rerouted")
 _PAIRS_DISCONNECTED = _obs.counter("faults.pairs_disconnected")
 

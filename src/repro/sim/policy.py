@@ -37,11 +37,10 @@ from typing import Dict, List, Tuple, Type, Union
 import numpy as np
 
 from .._hash import mix64, mix64_array
-from ..core.routing import csr_take, csr_to_path_lists
+from ..core.routing import csr_take
 from .paths import PathProvider, merge_path_blocks, valiant_block
 
 __all__ = [
-    "RouteSet",
     "RouteBlock",
     "RoutingPolicy",
     "MinimalPolicy",
@@ -53,21 +52,6 @@ __all__ = [
     "get_policy",
     "available_policies",
 ]
-
-
-@dataclass(frozen=True)
-class RouteSet:
-    """Candidate paths of one ``(src, dst)`` pair under a policy.
-
-    ``paths`` are lists of directed link indices; ``weights`` (one per path,
-    summing to 1 over the pair) are the static demand split the flow
-    simulator applies; the leading ``num_minimal`` paths form the minimal
-    group (the rest are non-minimal alternates — only UGAL stores both).
-    """
-
-    paths: List[List[int]]
-    weights: List[float]
-    num_minimal: int
 
 
 @dataclass(frozen=True)
@@ -108,14 +92,6 @@ class RoutingPolicy:
     def cache_key(self) -> Tuple:
         """Memoization identity of the policy (shared-table key component)."""
         return (self.name,)
-
-    def routes(
-        self, provider: PathProvider, src: int, dst: int, max_paths: int
-    ) -> RouteSet:
-        """Candidate paths + split weights for one pair: the block of one."""
-        block = self.routes_block(provider, np.array([src]), np.array([dst]), max_paths)
-        paths = csr_to_path_lists(block.counts, block.lengths, block.links)[0]
-        return RouteSet(paths, block.weights.tolist(), int(block.num_minimal[0]))
 
     def routes_block(
         self, provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
@@ -178,7 +154,7 @@ class MinimalPolicy(RoutingPolicy):
         self, provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int
     ) -> RouteBlock:
         counts, lengths, links = provider.paths_block(src, dst, max_paths)
-        # the float64 division routes() does per pair
+        # 1.0 / k per path in float64, as a per-pair split computes it
         weights = np.repeat(1.0 / np.maximum(counts, 1), counts)
         return RouteBlock(counts, lengths, links, weights, counts)
 

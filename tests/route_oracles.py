@@ -6,12 +6,16 @@ routing) and the per-pair fault filter of
 :class:`~repro.sim.faults.DegradedPathProvider`, kept verbatim from before
 Valiant, UGAL and degraded routes were built as CSR blocks.  The block code
 must give the same paths, in the same order, on every input
-(``tests/test_valiant_block.py``).  :func:`route_block` builds a
-:class:`~repro.sim.policy.RouteBlock` from per-pair route sets.
+(``tests/test_valiant_block.py``).  The per-pair route sets of the four
+built-in policies (:func:`pair_routes`, over :class:`RouteSet`) are the
+policies' scalar ``routes()`` methods, kept verbatim as well;
+:func:`route_block` builds a :class:`~repro.sim.policy.RouteBlock` from
+them (``tests/test_routing_policy.py``).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,8 +30,30 @@ from repro.sim.paths import (
     PathProvider,
     path_lists_to_csr,
 )
-from repro.sim.policy import RouteBlock, RouteSet
+from repro.sim.policy import (
+    EcmpPolicy,
+    MinimalPolicy,
+    RouteBlock,
+    RoutingPolicy,
+    UgalPolicy,
+    ValiantPolicy,
+)
 from repro.topology.base import Topology, TopologyError
+
+
+@dataclass(frozen=True)
+class RouteSet:
+    """Candidate paths of one ``(src, dst)`` pair under a policy.
+
+    ``paths`` are lists of directed link indices; ``weights`` (one per path,
+    summing to 1 over the pair) are the static demand split the flow
+    simulator applies; the leading ``num_minimal`` paths form the minimal
+    group (the rest are non-minimal alternates — only UGAL stores both).
+    """
+
+    paths: List[List[int]]
+    weights: List[float]
+    num_minimal: int
 
 
 def route_block(route_sets: Sequence[RouteSet]) -> RouteBlock:
@@ -339,3 +365,73 @@ class SurvivingPaths(PathListProvider):
         _PAIRS_REROUTED.inc()
         return out
 
+
+# --------------------------------------------------------------- policies
+def minimal_routes(provider: PathProvider, src: int, dst: int, max_paths: int) -> RouteSet:
+    """``MinimalPolicy.routes``."""
+    paths = provider.paths(src, dst, max_paths=max_paths)
+    if not paths:
+        return RouteSet([], [], 0)
+    w = 1.0 / len(paths)
+    return RouteSet(paths, [w] * len(paths), len(paths))
+
+
+def ecmp_routes(
+    provider: PathProvider, src: int, dst: int, max_paths: int, seed: int = 0
+) -> RouteSet:
+    """``EcmpPolicy.routes``."""
+    minimal = provider.paths(src, dst, max_paths=max_paths)
+    if not minimal:
+        return RouteSet([], [], 0)
+    idx = mix64(mix64(src * 1_000_003 + dst) ^ mix64(0xEC3F + seed)) % len(minimal)
+    return RouteSet([minimal[idx]], [1.0], 1)
+
+
+def valiant_route_sets(
+    provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int, seed: int = 0
+) -> List[RouteSet]:
+    """``ValiantPolicy._route_sets``."""
+    src, dst = src.tolist(), dst.tolist()
+    detours = valiant_path_lists(provider, src, dst, [max_paths] * len(src), seed=seed)
+    out = []
+    for s, d, paths in zip(src, dst, detours):
+        if not paths:
+            out.append(minimal_routes(provider, s, d, max_paths))
+            continue
+        w = 1.0 / len(paths)
+        out.append(RouteSet(paths, [w] * len(paths), 0))
+    return out
+
+
+def ugal_route_sets(
+    provider: PathProvider, src: np.ndarray, dst: np.ndarray, max_paths: int, seed: int = 0
+) -> List[RouteSet]:
+    """``UgalPolicy._route_sets``."""
+    minimal = csr_to_path_lists(
+        *provider.paths_block(src, dst, max(1, (max_paths + 1) // 2))
+    )
+    budgets = [max_paths - len(paths) if paths else 0 for paths in minimal]
+    alternates = valiant_path_lists(
+        provider, src.tolist(), dst.tolist(), budgets, seed=seed, excludes=minimal
+    )
+    out = []
+    for paths, budget, alt in zip(minimal, budgets, alternates):
+        if not paths:
+            out.append(RouteSet([], [], 0))
+            continue
+        alt = alt if budget > 0 else []
+        w = 1.0 / len(paths)
+        out.append(RouteSet(paths + alt, [w] * len(paths) + [0.0] * len(alt), len(paths)))
+    return out
+
+
+def pair_routes(
+    policy: RoutingPolicy, provider: PathProvider, src: int, dst: int, max_paths: int
+) -> RouteSet:
+    """``policy.routes(provider, src, dst, max_paths)`` of a built-in policy."""
+    if isinstance(policy, MinimalPolicy):
+        return minimal_routes(provider, src, dst, max_paths)
+    if isinstance(policy, EcmpPolicy):
+        return ecmp_routes(provider, src, dst, max_paths, policy.seed)
+    sets = {ValiantPolicy: valiant_route_sets, UgalPolicy: ugal_route_sets}[type(policy)]
+    return sets(provider, np.array([src]), np.array([dst]), max_paths, policy.seed)[0]

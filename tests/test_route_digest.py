@@ -37,7 +37,6 @@ from repro.sim.faults import (
     split_connected,
 )
 from repro.sim.paths import GenericPathProvider, HxMeshPathProvider, path_lists_to_csr
-from repro.sim.policy import RouteSet
 from repro.sim.routing import RouteTable
 from repro.topology import (
     TopologyError,
@@ -47,7 +46,7 @@ from repro.topology import (
     build_hyperx2d,
     build_torus2d,
 )
-from route_oracles import route_block
+from route_oracles import RouteSet, route_block
 
 #: name -> (builder, args, kwargs)
 TOPOLOGIES = {

@@ -31,7 +31,7 @@ from repro.sim import (
     valiant_paths,
 )
 from repro.sim.faults import DegradedPathProvider, FaultSet
-from route_oracles import route_block
+from route_oracles import SurvivingPaths, pair_routes, route_block
 
 
 def check_path(topo, src, dst, path):
@@ -163,9 +163,10 @@ class TestCandidateStructure:
 
     @pytest.mark.parametrize("policy", ["minimal", "ecmp", "valiant", "ugal"])
     def test_route_blocks_equal_pairs_one_at_a_time(self, all_small_topologies, policy):
-        """A policy's block of pairs equals its pairs routed one at a time,
-        also under faults, where detours through a dead intermediate raise
-        inside a block."""
+        """A policy's block of pairs equals its scalar per-pair routes
+        (``route_oracles.pair_routes``), also under faults, where detours
+        through a dead intermediate raise inside a block and the oracle
+        filters the dead links one pair at a time."""
         hx = all_small_topologies["hammingmesh"]
         providers = [path_provider_for(topo) for topo in all_small_topologies.values()]
         providers.append(DegradedPathProvider(hx, FaultSet.from_boards(hx, [(0, 1)])))
@@ -178,8 +179,12 @@ class TestCandidateStructure:
             src, dst = (np.array(side) for side in zip(*pairs))
             for max_paths in (1, 3, 4):
                 got = pol.routes_block(provider, src, dst, max_paths)
+                scalar = (
+                    SurvivingPaths(provider)
+                    if isinstance(provider, DegradedPathProvider) else provider
+                )
                 want = route_block(
-                    [pol.routes(provider, s, d, max_paths) for s, d in pairs]
+                    [pair_routes(pol, scalar, s, d, max_paths) for s, d in pairs]
                 )
                 for field in ("counts", "num_minimal", "lengths", "links", "weights"):
                     assert np.array_equal(getattr(got, field), getattr(want, field)), field
