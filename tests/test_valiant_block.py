@@ -202,6 +202,29 @@ def test_valiant_block_matches_the_pair_loop(name, picks, budgets, seed, exclude
         assert Counter(mine.routed) == Counter(theirs.routed)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    name=_NAMES,
+    picks=_PICKS,
+    budget=st.integers(1, 8),
+    phase_batch=st.integers(1, 9),
+    faults=st.none() | _FAULTS,
+)
+def test_phase_slices_match_the_pair_loop(name, picks, budget, phase_batch, faults):
+    """Detour phases routed in slices of any size, raising slices halved
+    on their own, give the per-pair loop's detours."""
+    topo = _topology(name)
+    provider = _provider(name)
+    if faults is not None:
+        provider = DegradedPathProvider(topo, _faults(topo, *faults), base=provider)
+    src, dst = _pairs(topo, picks)
+    budgets = np.full(len(src), budget)
+    with mock.patch.object(paths, "_PHASE_BATCH", phase_batch):
+        got = valiant_block(provider, src, dst, budgets)
+    want = oracle.valiant_path_lists(provider, src.tolist(), dst.tolist(), budgets.tolist())
+    _assert_blocks_equal(got, path_lists_to_csr(want))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     name=_NAMES,
