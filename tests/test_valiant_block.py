@@ -172,11 +172,15 @@ def test_intermediates_match_the_probe(name, picks, count, seed):
     seed=st.integers(0, 3),
     exclude_width=st.none() | st.integers(1, 4),
     faults=st.none() | _FAULTS,
+    phase_batch=st.sampled_from([1, 3, 7, paths._PHASE_BATCH]),
 )
-def test_valiant_block_matches_the_pair_loop(name, picks, budgets, seed, exclude_width, faults):
+def test_valiant_block_matches_the_pair_loop(
+    name, picks, budgets, seed, exclude_width, faults, phase_batch
+):
     """Detours of a block equal the per-pair loop's, with UGAL's minimal
     routes excluded or not, on fault-free and degraded providers (where
-    phases through a dead or isolated intermediate raise)."""
+    phases through a dead or isolated intermediate raise), whatever the
+    size of the phase slices."""
     topo = _topology(name)
     provider = _provider(name)
     if faults is not None:
@@ -188,9 +192,10 @@ def test_valiant_block_matches_the_pair_loop(name, picks, budgets, seed, exclude
         minimal = oracle._path_lists(provider, src, dst, exclude_width)
         exclude = path_lists_to_csr([paths or [] for paths in minimal])
     mine, theirs = _Recording(provider), _Recording(provider)
-    got = valiant_block(
-        mine, src, dst, budget, seed=seed, exclude=exclude, exclude_width=exclude_width or 0
-    )
+    with mock.patch.object(paths, "_PHASE_BATCH", phase_batch):
+        got = valiant_block(
+            mine, src, dst, budget, seed=seed, exclude=exclude, exclude_width=exclude_width or 0
+        )
     excludes = None if exclude is None else oracle.csr_to_path_lists(*exclude)
     want = oracle.valiant_path_lists(
         theirs, src.tolist(), dst.tolist(), budget.tolist(), seed=seed, excludes=excludes
@@ -200,29 +205,6 @@ def test_valiant_block_matches_the_pair_loop(name, picks, budgets, seed, exclude
     assert not Counter(mine.routed) - Counter(theirs.routed)
     if exclude_width is None:
         assert Counter(mine.routed) == Counter(theirs.routed)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    name=_NAMES,
-    picks=_PICKS,
-    budget=st.integers(1, 8),
-    phase_batch=st.integers(1, 9),
-    faults=st.none() | _FAULTS,
-)
-def test_phase_slices_match_the_pair_loop(name, picks, budget, phase_batch, faults):
-    """Detour phases routed in slices of any size, raising slices halved
-    on their own, give the per-pair loop's detours."""
-    topo = _topology(name)
-    provider = _provider(name)
-    if faults is not None:
-        provider = DegradedPathProvider(topo, _faults(topo, *faults), base=provider)
-    src, dst = _pairs(topo, picks)
-    budgets = np.full(len(src), budget)
-    with mock.patch.object(paths, "_PHASE_BATCH", phase_batch):
-        got = valiant_block(provider, src, dst, budgets)
-    want = oracle.valiant_path_lists(provider, src.tolist(), dst.tolist(), budgets.tolist())
-    _assert_blocks_equal(got, path_lists_to_csr(want))
 
 
 @settings(max_examples=100, deadline=None)
